@@ -63,9 +63,12 @@ def _verify_tol() -> float:
     if raw is None:
         return 1e-9
     try:
-        return float(raw)
+        tol = float(raw)
     except ValueError:
-        raise SystemExit(EXIT_USAGE)
+        tol = math.nan
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"POVMLAB_TOL must be a finite number >= 0, got {raw!r}")
+    return tol
 
 
 def _parse_vec(text: str) -> np.ndarray:
@@ -88,6 +91,9 @@ def _parse_intervals(text: str) -> list[tuple[float, float]]:
 
 
 def cmd_mzi_scan(args) -> int:
+    if args.delta_steps < 1:
+        raise ValueError(f"--delta-steps must be at least 1, got {args.delta_steps}")
+    tol = _verify_tol()
     deltas = np.linspace(args.delta_min, args.delta_max, args.delta_steps)
     space = mzi.FockSpace(max(1, args.nmax))
     one = np.zeros(space.dim, dtype=complex)
@@ -114,7 +120,6 @@ def cmd_mzi_scan(args) -> int:
     header = ["delta", "p10", "p01", "sum_other", "eps_analytic", "abs_err", "prob_sum"]
     config = _config_dict(args, ["eps1", "eps2", "theta1", "theta2", "delta_min",
                                  "delta_max", "delta_steps", "nmax", "seed"])
-    tol = _verify_tol()
     checks = {"max_abs_err": worst, "tolerance": tol,
               "row_sums_ok": all(abs(r[-1] - 1.0) < 1e-9 for r in rows)}
     _emit(config, header, rows, checks, args.format, args.out)
@@ -175,9 +180,9 @@ def cmd_spin(args) -> int:
     header = ["outcome1", "outcome2", "g00", "g01_re", "g01_im", "g11", "min_eig"]
     config = _config_dict(args, ["a1", "a2", "seed"])
     checks = {
-        "criterion_value": value,
-        "coexistent": decision,
-        "oracle_agrees": oracle == decision,
+        "criterion_value": float(value),
+        "coexistent": bool(decision),
+        "oracle_agrees": bool(oracle == decision),
         "joint_min_eig": None if not rows else min_eig_overall,
     }
     _emit(config, header, rows, checks, args.format, args.out)

@@ -21,12 +21,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import Operator, identity, partial_trace, tensor
-from .mzi import FockSpace, MZIParams, beam_splitter, number_observable, phase_shifter
+from .mzi import (
+    FockSpace,
+    MZIParams,
+    _count_register_add,
+    beam_splitter,
+    number_observable,
+    phase_shifter,
+)
 from .povm import (
     DiscreteObservable,
     Effect,
     MeasurementScheme,
     State,
+    _compressed_effects,
     product_observable,
     vector_state,
 )
@@ -222,23 +230,15 @@ def detection_statistics(w: State, readout: DiscreteObservable) -> dict:
 
 def _a_mode_effects_unitary(circuit: KerrCircuit) -> dict:
     """Effects of the (n, bin) statistics on the a-mode from the full
-    unitary: Tr_bc[(I x |0><0| x T') M+ (P_n x I x E) M]."""
+    unitary: Tr_bc[(I x |0><0| x T') M+ (P_n x I x E) M], compressed with
+    the count n kept as the output index."""
     da, db, dc = circuit.dims
-    m = three_mode_unitary(circuit).mat
-    vac = np.zeros((db, db), dtype=complex)
-    vac[0, 0] = 1.0
-    rho_bc = np.kron(vac, circuit.probe.probe_state.op.mat)
-    effects = {}
-    for n in range(da):
-        pn = np.zeros((da, da), dtype=complex)
-        pn[n, n] = 1.0
-        for x, e in circuit.probe.readout:
-            proj = np.kron(pn, np.kron(np.eye(db), e.op.mat))
-            heis = m.conj().T @ proj @ m
-            m4 = heis.reshape(da, db * dc, da, db * dc)
-            f = np.einsum("km,imjk->ij", rho_bc, m4)
-            effects[(n, x)] = (f + f.conj().T) / 2
-    return effects
+    # b enters in vacuum, so only the b = 0 input columns reach the probe c
+    u4 = three_mode_unitary(circuit).mat.reshape(da, db * dc, da, db, dc)[:, :, :, 0, :]
+    readout = circuit.probe.readout
+    stack = np.array([np.kron(np.eye(db), e.op.mat) for e in readout.effects])
+    f = _compressed_effects(u4, circuit.probe.probe_state.op.mat, stack)
+    return {(n, x): f[n, i] for n in range(da) for i, x in enumerate(readout.outcomes)}
 
 
 def induced_a_mode_observable(circuit: KerrCircuit,
@@ -351,28 +351,12 @@ def joint_povm_compressed(eps2: float, theta2: float,
     u2 = tensor(beam_splitter(BSParams(eps2, theta2), space), ic)
     uk = kerr_unitary(probe.lam, dims)
     m = u2.mat.conj().T @ uk.mat
-    tp = probe.probe_state.op.mat
-    # flattened (a, b, c) indices of |10>|k> and |01>|k>
-    i10 = (1 * 2 + 0) * dc
-    i01 = (0 * 2 + 1) * dc
-    idx = [i10, i01]
-    outcomes = []
-    effects = []
-    for n in range(2):
-        pn = np.zeros((2, 2), dtype=complex)
-        pn[n, n] = 1.0
-        for x, e in probe.readout:
-            proj = np.kron(pn, np.kron(np.eye(2), e.op.mat))
-            heis = m.conj().T @ proj @ m
-            g = np.empty((2, 2), dtype=complex)
-            for i in range(2):
-                for j in range(2):
-                    block = heis[idx[i]:idx[i] + dc, idx[j]:idx[j] + dc]
-                    g[i, j] = np.trace(tp @ block)
-            g = (g + g.conj().T) / 2
-            outcomes.append((n, x))
-            effects.append(Effect(Operator(g)))
-    return DiscreteObservable(outcomes, effects)
+    # input columns |10>|k> and |01>|k>: flattened (a, b) indices 2 and 1
+    u4 = m.reshape(2, 2 * dc, 4, dc)[:, :, [2, 1], :]
+    stack = np.array([np.kron(np.eye(2), e.op.mat) for e in probe.readout.effects])
+    f = _compressed_effects(u4, probe.probe_state.op.mat, stack)
+    outcomes = [(n, x) for n in range(2) for x in probe.readout.outcomes]
+    return DiscreteObservable(outcomes, [Effect(Operator(g)) for g in f.reshape(-1, 2, 2)])
 
 
 def interference_visibility(povm: DiscreteObservable) -> float:
@@ -448,15 +432,8 @@ def kerr_measurement_scheme(circuit: KerrCircuit) -> MeasurementScheme:
     m = three_mode_unitary(circuit)
     dr = da
     u = tensor(m, identity(dr))
-    d_all = da * db * dc * dr
-    copy = np.zeros((d_all, d_all), dtype=complex)
-    for n in range(da):
-        for rest in range(db * dc):
-            for k in range(dr):
-                src = (n * db * dc + rest) * dr + k
-                dst = (n * db * dc + rest) * dr + (k + n) % dr
-                copy[dst, src] = 1.0
-    coupling = Operator(copy @ u.mat, (da, db, dc, dr))
+    perm = _count_register_add(da, db * dc, dr)
+    coupling = Operator(u.mat[perm], (da, db, dc, dr))
     vac = np.zeros(db, dtype=complex)
     vac[0] = 1.0
     reg0 = np.zeros(dr, dtype=complex)

@@ -212,18 +212,13 @@ def induced_mzi_observable(params: MZIParams, space: FockSpace) -> DiscreteObser
     return DiscreteObservable(outcomes, effects)
 
 
-def _count_register_add(dim_sys: int, dim_other: int, dim_reg: int) -> Operator:
+def _count_register_add(dim_sys: int, dim_other: int, dim_reg: int) -> np.ndarray:
     """Controlled cyclic add of the first mode's photon number into a
-    register appended as the last factor."""
-    d = dim_sys * dim_other * dim_reg
-    mat = np.zeros((d, d), dtype=complex)
-    for n in range(dim_sys):
-        for m in range(dim_other):
-            for k in range(dim_reg):
-                src = (n * dim_other + m) * dim_reg + k
-                dst = (n * dim_other + m) * dim_reg + (k + n) % dim_reg
-                mat[dst, src] = 1.0
-    return Operator(mat, (dim_sys, dim_other, dim_reg))
+    register appended as the last factor, as a row permutation: row
+    (n, m, k) of the result is row (n, m, k - n mod dim_reg) of the operator
+    it acts on, so ``u[perm]`` equals the permutation matrix times u."""
+    n, m, k = np.indices((dim_sys, dim_other, dim_reg))
+    return ((n * dim_other + m) * dim_reg + (k - n) % dim_reg).reshape(-1)
 
 
 def mzi_measurement_scheme(params: MZIParams, space: FockSpace) -> MeasurementScheme:
@@ -237,8 +232,7 @@ def mzi_measurement_scheme(params: MZIParams, space: FockSpace) -> MeasurementSc
     """
     d = space.dim
     u = tensor(mzi_unitary(params, space), identity(d))
-    copy = _count_register_add(d, d, d)
-    coupling = Operator(copy.mat @ u.mat, (d, d, d))
+    coupling = Operator(u.mat[_count_register_add(d, d, d)], (d, d, d))
     vac = np.zeros(d, dtype=complex)
     vac[0] = 1.0
     probe = State(tensor(vector_state(vac).op, vector_state(vac).op))

@@ -144,6 +144,8 @@ class DiscreteObservable:
             raise ValueError("outcomes and effects must have equal length")
         if len(set(outcomes)) != len(outcomes):
             raise ValueError("outcome labels must be unique")
+        if not effects:
+            raise ValueError("an observable needs at least one outcome")
         dim = effects[0].dim
         total = sum((e.op.mat for e in effects), start=np.zeros((dim, dim), complex))
         if np.max(np.abs(total - np.eye(dim))) > atol:
@@ -295,9 +297,38 @@ def trivial_observable(dim: int, weights: dict) -> DiscreteObservable:
     )
 
 
-def _probe_weighted_trace(m4: np.ndarray, probe: np.ndarray) -> np.ndarray:
-    # tr[(T x rho) M] = tr_sys[T K] with K_ij = sum_km rho_km M[i,m,j,k]
-    return np.einsum("km,imjk->ij", probe, m4)
+def _probe_isometries(u4: np.ndarray, probe: np.ndarray) -> np.ndarray:
+    """Weighted isometry stack of a coupling and a probe state.
+
+    ``u4`` is the coupling reshaped to (d_out, d_probe_out, d_in, d_probe_in)
+    and ``probe`` the probe density matrix with spectral decomposition
+    sum_l q_l |chi_l><chi_l|. Returns K[l, a, i, b] =
+    sqrt(q_l) (<a| x <i|) U (|b> x |chi_l>), keeping only the weights
+    q_l > 1e-14.
+    """
+    qs, chis = np.linalg.eigh(probe)
+    keep = qs > 1e-14
+    return np.einsum("aibc,cl->laib", u4, chis[:, keep] * np.sqrt(qs[keep]), optimize=True)
+
+
+def _compressed_effects(u4: np.ndarray, probe: np.ndarray,
+                        pointer_effects: np.ndarray) -> np.ndarray:
+    """Heisenberg-picture compression of stacked pointer effects Z_x.
+
+    The probe state is T' = sum_l q_l |chi_l><chi_l|, and K_la is the
+    isometry block K_la[i, b] = (<a| x <i|) U (|b> x |chi_l>), taken from
+    :func:`_probe_isometries` (weights q_l <= 1e-14 are dropped). Returns the
+    Hermitian-symmetrised F[a, x] = sum_l q_l K_la^dagger Z_x K_la for every
+    output-system index a and outcome x, shape (d_out, k, d_in, d_in).
+    Summed over a this is tr_probe[(I x T') U^dagger (I x Z_x) U]; no dense
+    U^dagger (I x Z_x) U is formed.
+    """
+    k = _probe_isometries(u4, probe)
+    # Z_x K first: the default greedy path refuses that intermediate for
+    # mixed probes and falls back to an unblocked loop, ~100x slower
+    f = np.einsum("laib,xij,lajc->axbc", k.conj(), pointer_effects, k,
+                  optimize=["einsum_path", (1, 2), (0, 1)])
+    return (f + f.conj().swapaxes(-1, -2)) / 2
 
 
 def induced_observable(scheme: MeasurementScheme) -> DiscreteObservable:
@@ -308,21 +339,15 @@ def induced_observable(scheme: MeasurementScheme) -> DiscreteObservable:
     effects are grouped over pointer-function preimages.
     """
     ds, dp = scheme.system_dim, scheme.probe_dim
-    u = scheme.coupling.mat
-    rho = scheme.probe_state.op.mat
+    u4 = scheme.coupling.mat.reshape(ds, dp, ds, dp)
+    stack = np.array([ze.op.mat for ze in scheme.pointer.effects])
+    fs = _compressed_effects(u4, scheme.probe_state.op.mat, stack).sum(axis=0)
     grouped: dict = {}
-    for zx, ze in scheme.pointer:
-        heis = u.conj().T @ np.kron(np.eye(ds), ze.op.mat) @ u
-        m4 = heis.reshape(ds, dp, ds, dp)
-        f = _probe_weighted_trace(m4, rho)
+    for zx, f in zip(scheme.pointer.outcomes, fs):
         label = scheme.map_outcome(zx)
         grouped[label] = grouped.get(label, 0) + f
     outcomes = sorted(grouped)
-    effects = []
-    for x in outcomes:
-        mat = grouped[x]
-        effects.append(Effect(Operator((mat + mat.conj().T) / 2)))
-    return DiscreteObservable(outcomes, effects)
+    return DiscreteObservable(outcomes, [Effect(Operator(grouped[x])) for x in outcomes])
 
 
 def marginal(obs: DiscreteObservable, keep: int) -> DiscreteObservable:
@@ -370,7 +395,7 @@ def scheme_transformer(scheme: MeasurementScheme) -> StateTransformer:
     """
     ds, dp = scheme.system_dim, scheme.probe_dim
     u4 = scheme.coupling.mat.reshape(ds, dp, ds, dp)
-    qs, chis = np.linalg.eigh(scheme.probe_state.op.mat)
+    k = _probe_isometries(u4, scheme.probe_state.op.mat)
     grouped: dict = {}
     for zx, ze in scheme.pointer:
         wz, vz = np.linalg.eigh(ze.op.mat)
@@ -379,14 +404,9 @@ def scheme_transformer(scheme: MeasurementScheme) -> StateTransformer:
         for zval, zeta in zip(wz, vz.T):
             if zval < 1e-12:
                 continue
-            for q, chi in zip(qs, chis.T):
-                if q < 1e-14:
-                    continue
-                # <zeta| U |chi> as a system operator, scaled by the weights
-                m = np.sqrt(q * zval) * np.einsum(
-                    "b,ibjc,c->ij", zeta.conj(), u4, chi
-                )
-                ms.append(Operator(m))
+            # sqrt(z) <zeta| K_l as system operators, one per probe weight
+            for m in np.einsum("i,laib->lab", zeta.conj(), k):
+                ms.append(Operator(np.sqrt(zval) * m))
     outcomes = sorted(grouped)
     return StateTransformer(outcomes, [grouped[x] for x in outcomes])
 

@@ -53,6 +53,14 @@ def small_probe(lam=0.5, dim=12, bins=4, amp=0.5):
     return ProbeConfig(coherent_state(amp, dim), lam, truncated_phase_povm(dim, bins))
 
 
+def mixed_probe(lam=0.5, dim=16, bins=4, amp=1.0):
+    """Rank-2 probe 0.6|z><z| + 0.4|-z><-z|, so the compression sums over
+    two probe eigenvectors."""
+    rho = 0.6 * coherent_state(amp, dim).op.mat + 0.4 * coherent_state(-amp, dim).op.mat
+    assert np.sum(np.linalg.eigvalsh(rho) > 1e-14) == 2
+    return ProbeConfig(State(Operator(rho)), lam, truncated_phase_povm(dim, bins))
+
+
 class TestKerrUnitary:
     def test_zero_coupling_is_identity(self):
         u = kerr_unitary(0.0, (2, 2, 4))
@@ -193,6 +201,13 @@ class TestInducedAModeObservable:
         for x, e in closed:
             assert np.max(np.abs(e.op.mat - unit.effect_for(x).op.mat)) < 1e-8
 
+    def test_closed_form_matches_unitary_mixed_probe(self):
+        circuit = KerrCircuit(canonical(0.9), mixed_probe(lam=0.4), FockSpace(2))
+        closed = induced_a_mode_observable(circuit, method="closed_form")
+        unit = induced_a_mode_observable(circuit, method="unitary")
+        for x, e in closed:
+            assert np.max(np.abs(e.op.mat - unit.effect_for(x).op.mat)) < 1e-8
+
     def test_closed_form_requires_canonical(self):
         params = MZIParams(BSParams(0.6, math.pi / 2), BSParams(0.5, math.pi / 2), 0.0)
         circuit = KerrCircuit(params, small_probe())
@@ -233,6 +248,14 @@ class TestInducedAModeObservable:
         for x, e in direct:
             assert np.max(np.abs(e.op.mat - via_scheme.effect_for(x).op.mat)) < 1e-9
 
+    def test_matches_measurement_scheme_mixed_probe(self):
+        params = MZIParams(BSParams(0.3, math.pi / 2), BSParams(0.5, math.pi / 2), 1.1)
+        circuit = KerrCircuit(params, mixed_probe(lam=0.6, amp=0.8))
+        direct = induced_a_mode_observable(circuit, method="unitary")
+        via_scheme = induced_observable(kerr_measurement_scheme(circuit))
+        for x, e in direct:
+            assert np.max(np.abs(e.op.mat - via_scheme.effect_for(x).op.mat)) < 1e-9
+
 
 class TestJointPovm:
     def test_closed_form_matches_compression(self):
@@ -243,6 +266,14 @@ class TestJointPovm:
                 oracle = joint_povm_compressed(eps2, 0.77, probe)
                 for x, e in closed:
                     assert np.max(np.abs(e.op.mat - oracle.effect_for(x).op.mat)) < 1e-8
+
+    def test_closed_form_matches_compression_mixed_probe(self):
+        for eps2 in (0.5, 0.75):
+            probe = mixed_probe(lam=1.0)
+            closed = joint_path_interference_povm(eps2, 0.77, probe)
+            oracle = joint_povm_compressed(eps2, 0.77, probe)
+            for x, e in closed:
+                assert np.max(np.abs(e.op.mat - oracle.effect_for(x).op.mat)) < 1e-9
 
     def test_completeness(self):
         povm = joint_path_interference_povm(0.7, 0.2, small_probe())

@@ -9,6 +9,7 @@ from povmlab.mzi import (
     BSParams,
     FockSpace,
     MZIParams,
+    _count_register_add,
     annihilation,
     beam_splitter,
     default_expanded_circuit,
@@ -232,6 +233,21 @@ class TestInducedObservable:
             induced = induced_observable(mzi_measurement_scheme(params, SPACE4))
             for x, e in closed:
                 assert np.max(np.abs(e.op.mat - induced.effect_for(x).op.mat)) < 1e-9
+
+    def test_count_register_permutation_matches_matrix(self):
+        # reference: the controlled cyclic add written as a 0/1 matrix
+        dims = (3, 2, 4)
+        d = math.prod(dims)
+        copy = np.zeros((d, d))
+        for n in range(dims[0]):
+            for m in range(dims[1]):
+                for k in range(dims[2]):
+                    src = (n * dims[1] + m) * dims[2] + k
+                    dst = (n * dims[1] + m) * dims[2] + (k + n) % dims[2]
+                    copy[dst, src] = 1.0
+        rng = np.random.default_rng(7)
+        u = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        assert np.array_equal(u[_count_register_add(*dims)], copy @ u)
 
 
 class TestSinglePhotonObservable:

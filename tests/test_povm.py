@@ -46,9 +46,9 @@ def random_state(dim, rng, rank=None):
     return State(Operator(rho / np.trace(rho).real))
 
 
-def random_scheme(ds, dp, rng):
+def random_scheme(ds, dp, rng, probe_rank=None):
     u = Operator(random_unitary(ds * dp, rng), (ds, dp))
-    probe = random_state(dp, rng)
+    probe = random_state(dp, rng, rank=probe_rank)
     basis = random_unitary(dp, rng)
     pointer = DiscreteObservable(
         list(range(dp)),
@@ -81,6 +81,10 @@ class TestEffectState:
     def test_complement(self):
         e = effect(np.diag([0.25, 0.75]))
         assert_allclose(e.complement().op.mat, np.diag([0.75, 0.25]))
+
+    def test_observable_rejects_empty_outcome_set(self):
+        with pytest.raises(ValueError, match="at least one outcome"):
+            DiscreteObservable([], [])
 
 
 class TestProbability:
@@ -146,16 +150,17 @@ class TestInducedObservable:
         # system-side statistics equal pointer-side statistics on the
         # evolved joint state
         rng = np.random.default_rng(seed)
-        scheme = random_scheme(2, 3, rng)
-        obs = induced_observable(scheme)
-        t = random_state(2, rng)
-        joint = tensor(t.op, scheme.probe_state.op)
-        evolved = scheme.coupling.mat @ joint.mat @ scheme.coupling.mat.conj().T
-        for x, e in obs:
-            lhs = probability(t, e)
-            pointer_proj = np.kron(np.eye(2), scheme.pointer.effect_for(x).op.mat)
-            rhs = np.trace(evolved @ pointer_proj).real
-            assert abs(lhs - rhs) < 1e-10
+        for probe_rank in (None, 1):  # full-rank and rank-deficient probes
+            scheme = random_scheme(2, 3, rng, probe_rank)
+            obs = induced_observable(scheme)
+            t = random_state(2, rng)
+            joint = tensor(t.op, scheme.probe_state.op)
+            evolved = scheme.coupling.mat @ joint.mat @ scheme.coupling.mat.conj().T
+            for x, e in obs:
+                lhs = probability(t, e)
+                pointer_proj = np.kron(np.eye(2), scheme.pointer.effect_for(x).op.mat)
+                rhs = np.trace(evolved @ pointer_proj).real
+                assert abs(lhs - rhs) < 1e-10
 
     def test_output_is_valid_observable(self):
         rng = np.random.default_rng(2)
