@@ -196,6 +196,8 @@ def cmd_spin_phase(args) -> int:
     if args.intervals:
         intervals = _parse_intervals(args.intervals)
     else:
+        if args.bins < 1:
+            raise ValueError(f"--bins must be at least 1, got {args.bins}")
         edges = np.linspace(0.0, 2 * np.pi, args.bins + 1)
         intervals = [(float(edges[i]), float(edges[i + 1])) for i in range(args.bins)]
     rng = np.random.default_rng(args.seed)

@@ -2,17 +2,20 @@
 coexistence / complementarity decision procedures.
 
 An observable is a finite outcome-labeled family of effects summing to the
-identity. Complementarity is decided on projection-valued observables by
-intersecting ranges of effects over all outcome-set pairs; probabilistic
-complementarity replaces ranges by eigenvalue-1 eigenspaces and so applies
-to unsharp observables as well. Joint measurability of two-valued qubit
-observables is decided exactly through the Bloch-ball criterion where it
-applies and by a constrained search otherwise.
+identity. Complementarity intersects ranges of outcome-set effects of
+projection-valued observables; probabilistic complementarity intersects
+eigenvalue-1 eigenspaces and so applies to unsharp observables as well.
+Both are decided exactly on the k1*k2 pairs of maximal nontrivial outcome
+sets Omega minus {x}, not on all 2^k1*2^k2 pairs of sets: the complement of
+a nontrivial set is nontrivial, ranges and eigenvalue-1 eigenspaces only
+grow with the set (E(X)v = v and E(X) <= E(X') <= I give E(X')v = v), and
+every nontrivial set lies inside some Omega minus {x} with E(x) not O or I.
+Joint measurability of two-valued qubit observables is decided exactly by
+the closed-form criterion of Yu, Liu, Li & Oh for biased qubit effects.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -20,7 +23,6 @@ import numpy as np
 
 from .linalg import (
     ATOL_COMPLETENESS,
-    ATOL_HERMITIAN,
     ATOL_POSITIVE,
     ATOL_UNITARY,
     Operator,
@@ -28,7 +30,6 @@ from .linalg import (
     eigh,
     haar_vector,
     identity,
-    partial_trace,
     psd_sqrt,
     tensor,
     zero,
@@ -46,7 +47,6 @@ __all__ = [
     "maximally_mixed",
     "probability",
     "product_observable",
-    "trivial_observable",
     "induced_observable",
     "marginal",
     "apply_transformer",
@@ -167,13 +167,6 @@ class DiscreteObservable:
     def effect_for(self, outcome) -> Effect:
         return self._by_label[outcome]
 
-    def union_effect(self, outcomes) -> Operator:
-        """Effect of a set of outcomes (additivity of the measure)."""
-        total = zero(self.dim)
-        for x in outcomes:
-            total = total + self._by_label[x].op
-        return total
-
     def probabilities(self, st: State) -> dict:
         return {x: probability(st, e) for x, e in self}
 
@@ -212,14 +205,6 @@ class StateTransformer:
             for m in ms:
                 return m.dim
         raise ValueError("transformer has no operation elements")
-
-    def outcome_effect(self, outcome) -> Operator:
-        """The effect sum M†M implemented by one outcome."""
-        i = self.outcomes.index(outcome)
-        total = zero(self.dim)
-        for m in self.kraus_sets[i]:
-            total = total + m.dag() @ m
-        return total
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,13 +273,6 @@ def product_observable(a: DiscreteObservable, b: DiscreteObservable) -> Discrete
             outcomes.append(la + lb)
             effects.append(Effect(tensor(ea.op, eb.op)))
     return DiscreteObservable(outcomes, effects)
-
-
-def trivial_observable(dim: int, weights: dict) -> DiscreteObservable:
-    """Observable with effects proportional to the identity."""
-    return DiscreteObservable(
-        list(weights), [Effect(identity(dim) * w) for w in weights.values()]
-    )
 
 
 def _probe_isometries(u4: np.ndarray, probe: np.ndarray) -> np.ndarray:
@@ -492,20 +470,31 @@ def meet_projections(p: Operator, q: Operator, atol: float = 1e-8) -> Operator:
     return Operator(cols @ cols.conj().T)
 
 
-def _nontrivial_outcome_subsets(obs: DiscreteObservable, atol: float = 1e-8):
-    """All unions of outcomes whose effect is neither O nor I, as
-    (subset, effect) pairs. Exact enumeration over the 2^k subsets."""
-    k = len(obs.outcomes)
-    found = []
-    for r in range(1, k):  # full set gives I, empty gives O
-        for subset in itertools.combinations(obs.outcomes, r):
-            e = obs.union_effect(subset)
-            if np.max(np.abs(e.mat)) <= atol:
-                continue
-            if np.max(np.abs(e.mat - np.eye(obs.dim))) <= atol:
-                continue
-            found.append((subset, e))
-    return found
+def _maximal_set_effects(obs: DiscreteObservable) -> list[Effect]:
+    """Effects I - E(x) of the maximal nontrivial outcome sets Omega minus
+    {x}, one per outcome whose effect is neither O nor I within 1e-8."""
+    eye = np.eye(obs.dim)
+    return [
+        e.complement() for e in obs.effects
+        if np.max(np.abs(e.op.mat)) > 1e-8 and np.max(np.abs(e.op.mat - eye)) > 1e-8
+    ]
+
+
+def _maximal_sets_disjoint(e1: DiscreteObservable, e2: DiscreteObservable,
+                           subspace) -> bool:
+    """Whether the projections ``subspace(I - E1(x))`` and
+    ``subspace(I - E2(y))`` meet only in {0} for every pair of maximal
+    nontrivial sets; False when either side has none."""
+    if e1.dim != e2.dim:
+        raise ValueError("observables act on different spaces")
+    firsts = [subspace(f) for f in _maximal_set_effects(e1)]
+    seconds = [subspace(f) for f in _maximal_set_effects(e2)]
+    if not firsts or not seconds:
+        return False
+    return all(
+        np.max(np.abs(meet_projections(p, q).mat)) <= 1e-8
+        for p in firsts for q in seconds
+    )
 
 
 def are_complementary(e1: DiscreteObservable, e2: DiscreteObservable) -> bool:
@@ -513,6 +502,10 @@ def are_complementary(e1: DiscreteObservable, e2: DiscreteObservable) -> bool:
     nontrivial outcome-set effects has trivially intersecting ranges, and
     likewise against the complement sets. Returns False when every pair is
     trivial (complementarity is a nontrivial relation).
+
+    Exact on the maximal sets (module docstring): the relation holds iff
+    range(I - E1(x)) ∩ range(I - E2(y)) = {0} for all outcomes x, y whose
+    effects are neither O nor I.
 
     Raises for observables that are not projection valued; use
     :func:`are_prob_complementary` for general effects.
@@ -522,45 +515,18 @@ def are_complementary(e1: DiscreteObservable, e2: DiscreteObservable) -> bool:
             raise ValueError(
                 "are_complementary is defined for projection-valued observables"
             )
-    if e1.dim != e2.dim:
-        raise ValueError("observables act on different spaces")
-    dim = e1.dim
-    pairs = 0
-    eye = np.eye(dim)
-    for _, p in _nontrivial_outcome_subsets(e1):
-        for _, q in _nontrivial_outcome_subsets(e2):
-            pairs += 1
-            qc = Operator(eye - q.mat)
-            pc = Operator(eye - p.mat)
-            for a, b in ((p, q), (p, qc), (pc, q)):
-                if np.max(np.abs(meet_projections(a, b).mat)) > 1e-8:
-                    return False
-    return pairs > 0
+    return _maximal_sets_disjoint(e1, e2, lambda f: f.op)
 
 
 def are_prob_complementary(e1: DiscreteObservable, e2: DiscreteObservable) -> bool:
     """Probabilistic complementarity: certainty of a nontrivial outcome set
     of one observable excludes certainty or impossibility of any nontrivial
-    outcome set of the other. Decided through eigenvalue-1 eigenspaces."""
-    if e1.dim != e2.dim:
-        raise ValueError("observables act on different spaces")
-    dim = e1.dim
-    eye = np.eye(dim)
-    pairs = 0
-    subs1 = _nontrivial_outcome_subsets(e1)
-    subs2 = _nontrivial_outcome_subsets(e2)
-    for _, a in subs1:
-        ea1 = eigenspace_one(Effect(a))
-        ea0 = eigenspace_one(Effect(Operator(eye - a.mat)))
-        for _, b in subs2:
-            pairs += 1
-            eb1 = eigenspace_one(Effect(b))
-            eb0 = eigenspace_one(Effect(Operator(eye - b.mat)))
-            # certainty of a vs certainty/impossibility of b, and symmetrically
-            for x, y in ((ea1, eb1), (ea1, eb0), (ea0, eb1)):
-                if np.max(np.abs(meet_projections(x, y).mat)) > 1e-8:
-                    return False
-    return pairs > 0
+    outcome set of the other. Decided through eigenvalue-1 eigenspaces,
+    exactly on the maximal sets (module docstring): the relation holds iff
+    eigenspace_one(I - E1(x)) ∩ eigenspace_one(I - E2(y)) = {0} for all
+    outcomes x, y whose effects are neither O nor I. False when either side
+    has no such outcome."""
+    return _maximal_sets_disjoint(e1, e2, eigenspace_one)
 
 
 def effect_bloch(e: Effect) -> tuple[float, np.ndarray]:
@@ -575,53 +541,41 @@ def effect_bloch(e: Effect) -> tuple[float, np.ndarray]:
     return t, np.array([bx, by, bz])
 
 
-def _four_ball_feasible(e0: float, evec, f0: float, fvec, n_gamma: int = 101,
-                        iters: int = 200, tol: float = 1e-9) -> bool:
-    """Feasibility of the joint-effect completion for general two-valued
-    qubit observables E = (e0 I + e·sigma)/2, F = (f0 I + f·sigma)/2.
+def _qubit_coexistence_gap(t1: float, b1, t2: float, b2) -> float:
+    """lhs - rhs of the joint-measurability criterion of Yu, Liu, Li & Oh
+    (PRA 81, 062116, 2010) for the effects E = (t1 I + b1·sigma)/2 and
+    F = (t2 I + b2·sigma)/2; the pair is jointly measurable iff it is <= 0.
 
-    The candidate G11 = (g0 I + g·sigma)/2 must satisfy four positivity
-    constraints, each a Euclidean ball constraint on g for fixed g0. A
-    deterministic g0 grid is swept; per g0, alternating projections onto the
-    four balls decide whether the intersection is (numerically) nonempty.
+    With biases x = t1 - 1, y = t2 - 1 and
+    F_E = sqrt(det E) + sqrt(det(I - E)), the criterion reads
+    (1 - F_E^2 - F_F^2)(1 - x^2/F_E^2 - y^2/F_F^2) <= (b1·b2 - x y)^2.
+    F_E vanishes only for a rank-one projection, whose bias is 0; its term
+    is then 0. For unit traces it is |b1 + b2| + |b1 - b2| <= 2 squared.
     """
-    lo = max(0.0, e0 + f0 - 2.0)
-    hi = min(e0, f0)
-    if hi < lo - 1e-12:
-        return False
-    for g0 in np.linspace(lo, hi, n_gamma):
-        centers = [np.zeros(3), np.asarray(evec), np.asarray(fvec),
-                   np.asarray(evec) + np.asarray(fvec)]
-        radii = [g0, e0 - g0, f0 - g0, 2.0 - e0 - f0 + g0]
-        if min(radii) < -1e-12:
-            continue
-        c = sum(centers) / 4.0
-        for _ in range(iters):
-            moved = 0.0
-            for ctr, r in zip(centers, radii):
-                d = c - ctr
-                dist = np.linalg.norm(d)
-                if dist > r:
-                    c = ctr + d * (max(r, 0.0) / dist)
-                    moved = max(moved, dist - r)
-            if moved == 0.0:
-                break
-        violation = max(
-            np.linalg.norm(c - ctr) - r for ctr, r in zip(centers, radii)
-        )
-        if violation <= tol:
-            return True
-    return False
+    b1, b2 = np.asarray(b1, dtype=float), np.asarray(b2, dtype=float)
+
+    def root_det_sum(t, b):
+        bb = float(b @ b)
+        return (math.sqrt(max(t * t - bb, 0.0)) + math.sqrt(max((2.0 - t) ** 2 - bb, 0.0))) / 2.0
+
+    def bias_term(t, f):
+        return (t - 1.0) ** 2 / f ** 2 if f > 0.0 else 0.0
+
+    f1, f2 = root_det_sum(t1, b1), root_det_sum(t2, b2)
+    lhs = (1.0 - f1 ** 2 - f2 ** 2) * (1.0 - bias_term(t1, f1) - bias_term(t2, f2))
+    return lhs - (float(b1 @ b2) - (t1 - 1.0) * (t2 - 1.0)) ** 2
 
 
 def joint_observable_feasible(e1: DiscreteObservable, e2: DiscreteObservable) -> bool:
     """Whether two two-valued qubit observables admit a joint observable.
 
     Four effects G(i,k) >= 0 with row/column sums equal to the given
-    observables and total I must exist. When both observables have
-    unit-trace effects (the unsharp spin form) the exact Bloch criterion
-    decides; otherwise the feasibility search over the linear completion
-    runs. Only qubit observables are supported.
+    observables must exist. Decided exactly, for biased and unbiased
+    effects alike, by the closed-form criterion of Yu, Liu, Li & Oh on the
+    Bloch forms of the first effects (:func:`_qubit_coexistence_gap`), with
+    the same 1e-12 slack as ``spin.coexist_criterion``: positivity of the
+    joint observable degenerates on the boundary. Only qubit observables
+    are supported.
     """
     if e1.dim != 2 or e2.dim != 2:
         raise ValueError("joint_observable_feasible supports qubit observables only")
@@ -629,9 +583,4 @@ def joint_observable_feasible(e1: DiscreteObservable, e2: DiscreteObservable) ->
         raise ValueError("joint_observable_feasible supports two-valued observables")
     t1, b1 = effect_bloch(e1.effects[0])
     t2, b2 = effect_bloch(e2.effects[0])
-    if abs(t1 - 1.0) <= 1e-12 and abs(t2 - 1.0) <= 1e-12:
-        # unsharp spin form: exact criterion
-        from .spin import coexist_criterion
-
-        return coexist_criterion(b1, b2)
-    return _four_ball_feasible(t1, b1, t2, b2)
+    return _qubit_coexistence_gap(t1, b1, t2, b2) <= 1e-12

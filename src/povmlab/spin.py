@@ -43,6 +43,8 @@ BOUNDARY_TOL = 1e-12
 
 def _bloch(a) -> np.ndarray:
     a = np.asarray(a, dtype=float).reshape(3)
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"Bloch vector {a} has non-finite components")
     if np.linalg.norm(a) > 1.0 + BOUNDARY_TOL:
         raise ValueError(f"Bloch vector norm {np.linalg.norm(a)} exceeds 1")
     return a
@@ -87,15 +89,19 @@ def coexist_oracle(a1, a2, grid_fallback: str = "auto") -> bool:
     S(a1, 1-gamma) ∩ S(a2, 1-gamma) ∩ S(a1+a2, gamma) ∩ S(0, gamma)
     for some gamma in [0, 1].
 
-    The midpoint (a1+a2)/2 at gamma = |(a1+a2)/2| is tested first; the
-    intersection is symmetric under reflection through that midpoint, so by
-    convexity the test is decisive. A (gamma, c) grid search confirms the
-    verdict when the midpoint sits within 1e-6 of a ball boundary
-    (``grid_fallback="auto"``), always (``"always"``) or never (``"never"``).
+    The midpoint (a1+a2)/2 is tested first; the intersection is symmetric
+    under reflection through that midpoint, so by convexity the test is
+    decisive. It is tested at the gamma halfway between |(a1+a2)/2|, below
+    which S(0, gamma) misses it, and 1 - |a1-a2|/2, above which
+    S(a1, 1-gamma) does: there all four balls leave it the same slack, a
+    quarter of the criterion's distance from 2. A (gamma, c) grid search
+    confirms the verdict when the midpoint sits within 1e-6 of a ball
+    boundary (``grid_fallback="auto"``), always (``"always"``) or never
+    (``"never"``).
     """
     a1, a2 = _bloch(a1), _bloch(a2)
     c0 = (a1 + a2) / 2.0
-    gamma0 = float(np.linalg.norm(c0))
+    gamma0 = (1.0 + float(np.linalg.norm(c0)) - float(np.linalg.norm(a1 - a2)) / 2.0) / 2.0
     witness = _ball_memberships(c0, gamma0, a1, a2)
     decision = witness <= BOUNDARY_TOL
     if grid_fallback == "never":

@@ -37,3 +37,10 @@ class TestUsageErrors:
         assert code == EXIT_USAGE
         assert out == ""
         assert "--delta-steps" in err
+
+    def test_nonpositive_bins(self, capsys):
+        for bins in ("0", "-1"):
+            code, out, err = run(["spin-phase", "--bins", bins, "--verify"], capsys)
+            assert code == EXIT_USAGE
+            assert out == ""
+            assert "--bins" in err

@@ -169,6 +169,14 @@ class TestExpm:
         off_block = u[total[:, None] != total[None, :]]
         assert np.max(np.abs(off_block)) < 1e-12
 
+    def test_rejects_non_anti_hermitian(self):
+        rng = np.random.default_rng(6)
+        for gen in (random_hermitian(3, rng),
+                    Operator(np.array([[0.0, 1.0], [0.0, 0.0]])),
+                    Operator(np.array([[0.0, 1.0], [-1.0 + 1e-9, 0.0]]))):
+            with pytest.raises(ValueError, match="anti-Hermitian"):
+                expm(gen)
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10**6))
     def test_anti_hermitian_gives_unitary(self, seed):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -346,6 +348,176 @@ class TestComplementarity:
         assert not are_prob_complementary(trivial, sharp)
 
 
+def _nontrivial_outcome_subsets(obs, atol=1e-8):
+    """Effects of all unions of outcomes that are neither O nor I: the
+    exact enumeration over the 2^k outcome sets."""
+    eye = np.eye(obs.dim)
+    found = []
+    for r in range(1, len(obs)):  # full set gives I, empty gives O
+        for subset in itertools.combinations(obs.effects, r):
+            e = sum(f.op.mat for f in subset)
+            if np.max(np.abs(e)) > atol and np.max(np.abs(e - eye)) > atol:
+                found.append(e)
+    return found
+
+
+def brute_force_complementarity(e1, e2, subspace):
+    """Reference decision over all pairs of nontrivial outcome sets (X, Y)
+    and the complement pairs (X, Y'), (X', Y): ``subspace`` maps a set's
+    effect to the projection whose meets are tested (its range, or its
+    eigenvalue-1 eigenspace). False when either side has no such set."""
+    eye = np.eye(e1.dim)
+    subs2 = [(subspace(b), subspace(eye - b)) for b in _nontrivial_outcome_subsets(e2)]
+    pairs = 0
+    for a in _nontrivial_outcome_subsets(e1):
+        pa, pa_c = subspace(a), subspace(eye - a)
+        for pb, pb_c in subs2:
+            pairs += 1
+            for x, y in ((pa, pb), (pa, pb_c), (pa_c, pb)):
+                if np.max(np.abs(meet_projections(x, y).mat)) > 1e-8:
+                    return False
+    return pairs > 0
+
+
+def _range(m):
+    return Operator(m)
+
+
+def _certainty(m):
+    return eigenspace_one(Effect(Operator(m)))
+
+
+def _blocks(basis, labels, k):
+    """PVM with one effect per label: the projection onto the basis columns
+    carrying it (zero for a label no column carries)."""
+    return [basis[:, labels == x] @ basis[:, labels == x].conj().T for x in range(k)]
+
+
+def _normalized(parts):
+    """S^-1/2 A_x S^-1/2 with S = sum A_x, inverted on the support of S: a
+    POVM on that support."""
+    w, v = np.linalg.eigh(sum(parts))
+    keep = w > 1e-9 * w.max()
+    inv_root = (v[:, keep] / np.sqrt(w[keep])) @ v[:, keep].conj().T
+    out = [inv_root @ a @ inv_root for a in parts]
+    return [(m + m.conj().T) / 2 for m in out]
+
+
+def _wishart(rng, dim, rank):
+    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    return g @ g.conj().T
+
+
+def _unsharp(rng, dim, k, full_rank):
+    """k Wishart effects normalized to a POVM; their ranks sum to at least
+    dim, so the sum is invertible."""
+    ranks = np.full(k, dim) if full_rank else rng.integers(1, dim + 1, k)
+    ranks[0] = max(ranks[0], dim - ranks[1:].sum())
+    return _normalized([_wishart(rng, dim, r) for r in ranks])
+
+
+def _reference_instances(rng):
+    """Pairs of effect lists on C^d, d <= 5, k <= 4 outcomes per side."""
+    for _ in range(12):
+        # coarse-grained PVMs; some labels carry no column (effect O)
+        d, k1, k2 = rng.integers(2, 6), rng.integers(2, 5), rng.integers(2, 5)
+        yield (_blocks(random_unitary(d, rng), rng.integers(0, k1, d), k1),
+               _blocks(random_unitary(d, rng), rng.integers(0, k2, d), k2))
+    for _ in range(10):
+        # PVMs sharing a coarse-grained block: the second basis rotates
+        # within the span of the first block and within its complement
+        d, k = rng.integers(3, 6), rng.integers(2, 5)
+        u = random_unitary(d, rng)
+        labels = np.concatenate([[0], rng.integers(0, k, d - 1)])
+        shared = labels == 0
+        v = u.copy()
+        v[:, ~shared] = u[:, ~shared] @ random_unitary(int((~shared).sum()), rng)
+        v[:, shared] = u[:, shared] @ random_unitary(int(shared.sum()), rng)
+        second = np.where(shared, 0, rng.integers(1, k, d))
+        yield _blocks(u, labels, k), _blocks(v, second, k)
+    for _ in range(6):
+        # two outcomes of rank d/2 in d = 2, 4: complementary for generic bases
+        d = int(rng.choice([2, 4]))
+        labels = np.arange(d) % 2
+        yield (_blocks(random_unitary(d, rng), labels, 2),
+               _blocks(random_unitary(d, rng), labels, 2))
+    for _ in range(4):
+        # an outcome whose effect is I makes every outcome set trivial
+        d, k = rng.integers(2, 6), rng.integers(2, 5)
+        trivial = [np.eye(d)] + [np.zeros((d, d))] * (k - 1)
+        other = _blocks(random_unitary(d, rng), rng.integers(0, k, d), k)
+        yield (trivial, other) if rng.integers(2) else (other, trivial)
+    for full_rank in (True, False):
+        # unsharp pairs; with rank-deficient effects some I - E(x) reach
+        # eigenvalue 1
+        for _ in range(10):
+            d = rng.integers(2, 6)
+            yield tuple(_unsharp(rng, d, k, full_rank) for k in rng.integers(2, 5, 2))
+    for _ in range(10):
+        # pairs whose first effects share an eigenvalue-1 vector psi
+        d = rng.integers(2, 6)
+        psi = haar_vector(d, rng).vec
+        proj = np.outer(psi, psi.conj())
+        comp = np.eye(d) - proj
+        pair = []
+        for k in rng.integers(2, 5, 2):
+            parts = _normalized([comp @ _wishart(rng, d, d) @ comp for _ in range(k)])
+            parts[0] = parts[0] + proj
+            pair.append(parts)
+        yield tuple(pair)
+
+
+class TestComplementarityReference:
+    def test_maximal_sets_agree_with_subset_enumeration(self):
+        rng = np.random.default_rng(20261018)
+        verdicts = {"sharp": set(), "prob": set()}
+        for first, second in _reference_instances(rng):
+            e1 = DiscreteObservable(range(len(first)), [Operator(m) for m in first])
+            e2 = DiscreteObservable(range(len(second)), [Operator(m) for m in second])
+            prob = are_prob_complementary(e1, e2)
+            assert prob == brute_force_complementarity(e1, e2, _certainty)
+            verdicts["prob"].add(prob)
+            if e1.is_projection_valued() and e2.is_projection_valued():
+                sharp = are_complementary(e1, e2)
+                assert sharp == brute_force_complementarity(e1, e2, _range)
+                verdicts["sharp"].add(sharp)
+        assert verdicts == {"sharp": {True, False}, "prob": {True, False}}
+
+
+def _two_valued(first):
+    return DiscreteObservable(
+        [0, 1], [Effect(Operator(first)), Effect(Operator(np.eye(2) - first))]
+    )
+
+
+def _bloch_effect(t, b):
+    """(t I + b·sigma)/2."""
+    return (t * np.eye(2) + sum(c * s for c, s in
+                                zip(b, (spin.PAULI_X, spin.PAULI_Y, spin.PAULI_Z)))) / 2
+
+
+def _grid_max_slack(t1, b1, t2, b2, n0=41, n=81):
+    """Best slack min_i (r_i - |g - c_i|) over a (g0, g) grid, and the grid's
+    allowance. G(+,+) = (g0 I + g·sigma)/2 completes to a joint observable
+    iff |g| <= g0, |g - b1| <= t1 - g0, |g - b2| <= t2 - g0 and
+    |g - b1 - b2| <= 2 - t1 - t2 + g0. The centres span a plane, and
+    projecting g onto it shortens every distance, so g runs over the plane,
+    on the square around the unit disc that holds every feasible g. Each
+    slack is 1-Lipschitz in g0 and in g, so a feasible point leaves a grid
+    point with slack >= -allowance."""
+    basis, _ = np.linalg.qr(np.column_stack([b1, b2, [0.3, 0.5, 0.7]]))
+    centres = [np.zeros(2), basis[:, :2].T @ b1, basis[:, :2].T @ b2,
+               basis[:, :2].T @ (b1 + b2)]
+    lo, hi = max(0.0, t1 + t2 - 2.0), min(t1, t2)
+    g0 = np.linspace(lo, hi, n0)[:, None, None]
+    x, y = np.meshgrid(np.linspace(-1, 1, n), np.linspace(-1, 1, n), indexing="ij")
+    radii = [g0, t1 - g0, t2 - g0, 2.0 - t1 - t2 + g0]
+    slack = np.minimum.reduce([r - np.hypot(x - c[0], y - c[1])
+                               for r, c in zip(radii, centres)])
+    allowance = (hi - lo) / (n0 - 1) / 2 + np.hypot(2 / (n - 1), 2 / (n - 1)) / 2
+    return float(slack.max()), allowance
+
+
 class TestJointFeasibility:
     def test_commuting_pair(self):
         e1 = DiscreteObservable(
@@ -400,6 +572,62 @@ class TestJointFeasibility:
             spin.spin_observable([0.6, 0, 0]), spin.spin_observable([0, 0.6, 0])
         )
         assert not is_repeatable(luders_transformer(joint))
+
+    def test_marginals_of_a_joint_observable_are_feasible(self):
+        # rank-one joint effects put the pair on or near the boundary
+        rng = np.random.default_rng(4)
+        for i in range(150):
+            ranks = ((1, 1, 1, 1), (1, 2, 2, 2), (2, 2, 2, 2))[i % 3]
+            g = _normalized([_wishart(rng, 2, r) for r in ranks])
+            assert joint_observable_feasible(_two_valued(g[0] + g[1]),
+                                             _two_valued(g[0] + g[2]))
+
+    @pytest.mark.parametrize("rel", [1e-3, 1e-4])
+    def test_unit_trace_pairs_near_the_boundary(self, rel):
+        # exact |a1 + a2| + |a1 - a2| <= 2, scaled just inside and outside
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            a1, a2 = rng.standard_normal(3), rng.standard_normal(3)
+            a1 *= rng.uniform(0.2, 1.0) / np.linalg.norm(a1)
+            a2 *= rng.uniform(0.2, 1.0) / np.linalg.norm(a2)
+            for side in (1.0 - rel, 1.0 + rel):
+                scale = 2.0 * side / spin.criterion_value(a1, a2)
+                if max(np.linalg.norm(a1), np.linalg.norm(a2)) * scale > 1.0:
+                    continue
+                b1, b2 = a1 * scale, a2 * scale
+                got = joint_observable_feasible(spin.spin_observable(b1),
+                                                spin.spin_observable(b2))
+                assert got == spin.coexist_criterion(b1, b2) == (side < 1.0)
+
+    def test_biased_pairs_match_a_certified_grid(self):
+        # half the pairs nearly sharp, nearly unbiased and orthogonal, so
+        # that both verdicts occur; a verdict is certified when the grid
+        # holds a feasible point or none within its allowance
+        rng = np.random.default_rng(2010)
+        certified = {True: 0, False: 0}
+        for i in range(60):
+            sharp = i % 2 == 1
+            v1, v2 = rng.standard_normal(3), rng.standard_normal(3)
+            if sharp:
+                v2 -= (v2 @ v1) / (v1 @ v1) * v1
+            pair = []
+            for v in (v1, v2):
+                t = rng.uniform(0.8, 1.2) if sharp else rng.uniform(0.05, 1.95)
+                length = rng.uniform(0.9, 1.0) if sharp else rng.uniform(0.0, 1.0)
+                pair.append((t, v / np.linalg.norm(v) * length * min(t, 2.0 - t)))
+            (t1, b1), (t2, b2) = pair
+            best, allowance = _grid_max_slack(t1, b1, t2, b2)
+            if best >= 0.0:
+                expected = True
+            elif best < -allowance:
+                expected = False
+            else:
+                continue
+            certified[expected] += 1
+            got = joint_observable_feasible(_two_valued(_bloch_effect(t1, b1)),
+                                            _two_valued(_bloch_effect(t2, b2)))
+            assert got == expected
+        assert min(certified.values()) >= 5, certified
 
 
 class TestStateSample:

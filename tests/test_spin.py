@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from povmlab import spin as spin_module
 from povmlab.linalg import Operator
 from povmlab.povm import are_prob_complementary, marginal
 from povmlab.spin import (
@@ -50,6 +51,13 @@ class TestSpinEffect:
         with pytest.raises(ValueError):
             spin_effect(1.2 * Z)
 
+    def test_rejects_non_finite_components(self):
+        for bad in ([np.nan, 0.0, 0.0], [0.0, np.inf, 0.0]):
+            with pytest.raises(ValueError, match="non-finite"):
+                coexist_criterion(bad, [0.0, 0.5, 0.0])
+            with pytest.raises(ValueError, match="non-finite"):
+                spin_effect(bad)
+
     def test_idempotency_only_when_sharp(self):
         e = spin_effect(0.7 * X).op.mat
         assert np.linalg.norm(e @ e - e) > 1e-3
@@ -93,6 +101,15 @@ class TestOracle:
         for _ in range(500):
             a1, a2 = random_pair(rng), random_pair(rng)
             assert coexist_oracle(a1, a2) == coexist_criterion(a1, a2)
+
+    def test_grid_only_near_the_boundary(self, monkeypatch):
+        def no_grid(a1, a2):
+            raise AssertionError("grid search ran away from the boundary")
+
+        monkeypatch.setattr(spin_module, "_grid_search", no_grid)
+        assert coexist_oracle(0.6 * X, 0.6 * Y)
+        assert coexist_oracle(0.8 * X, -0.8 * X)
+        assert not coexist_oracle(X, Y)
 
     def test_grid_fallback_agrees(self):
         rng = np.random.default_rng(2)
