@@ -31,7 +31,6 @@ from .mzi import (
 )
 from .povm import (
     DiscreteObservable,
-    Effect,
     MeasurementScheme,
     State,
     _compressed_effects,
@@ -173,8 +172,9 @@ def truncated_phase_povm(dim: int, bins) -> DiscreteObservable:
     else:
         intervals = [(float(u), float(v)) for u, v in bins]
     levels = np.arange(dim)
-    effects = [Effect(Operator(phase_kernel(levels, u, v))) for u, v in intervals]
-    return DiscreteObservable(list(range(len(intervals))), effects)
+    return DiscreteObservable(
+        range(len(intervals)), [phase_kernel(levels, u, v) for u, v in intervals]
+    )
 
 
 def three_mode_unitary(circuit: KerrCircuit) -> Operator:
@@ -228,17 +228,18 @@ def detection_statistics(w: State, readout: DiscreteObservable) -> dict:
     return out
 
 
-def _a_mode_effects_unitary(circuit: KerrCircuit) -> dict:
-    """Effects of the (n, bin) statistics on the a-mode from the full
+def _a_mode_effects_unitary(circuit: KerrCircuit) -> DiscreteObservable:
+    """Observable of the (n, bin) statistics on the a-mode from the full
     unitary: Tr_bc[(I x |0><0| x T') M+ (P_n x I x E) M], compressed with
     the count n kept as the output index."""
     da, db, dc = circuit.dims
     # b enters in vacuum, so only the b = 0 input columns reach the probe c
     u4 = three_mode_unitary(circuit).mat.reshape(da, db * dc, da, db, dc)[:, :, :, 0, :]
     readout = circuit.probe.readout
-    stack = np.array([np.kron(np.eye(db), e.op.mat) for e in readout.effects])
-    f = _compressed_effects(u4, circuit.probe.probe_state.op.mat, stack)
-    return {(n, x): f[n, i] for n in range(da) for i, x in enumerate(readout.outcomes)}
+    pointer = np.kron(np.eye(db), readout.mats)  # I_b x E(x), one row per bin
+    f = _compressed_effects(u4, circuit.probe.probe_state.op.mat, pointer)
+    outcomes = [(n, x) for n in range(da) for x in readout.outcomes]
+    return DiscreteObservable(outcomes, f.reshape(-1, da, da))
 
 
 def induced_a_mode_observable(circuit: KerrCircuit,
@@ -255,9 +256,7 @@ def induced_a_mode_observable(circuit: KerrCircuit,
     """
     da = circuit.dims[0]
     if method == "unitary":
-        eff = _a_mode_effects_unitary(circuit)
-        outcomes = sorted(eff)
-        return DiscreteObservable(outcomes, [Effect(Operator(eff[x])) for x in outcomes])
+        return _a_mode_effects_unitary(circuit)
     if method != "closed_form":
         raise ValueError(f"unknown method {method!r}")
     if not circuit.is_canonical():
@@ -269,25 +268,23 @@ def induced_a_mode_observable(circuit: KerrCircuit,
     delta = circuit.mzi.delta
     dc = circuit.probe.probe_state.dim
     tprime = circuit.probe.probe_state.op.mat
+    readout = circuit.probe.readout
     k = np.arange(dc)
     theta = (delta + lam * k) / 2.0
-    outcomes = []
-    effects = []
+    mats = np.zeros((da, len(readout), da, da), dtype=complex)
     for n in range(da):
-        for x, e in circuit.probe.readout:
-            mat = np.zeros((da, da), dtype=complex)
-            for total in range(n, da):
-                d_diag = (
-                    np.exp(-1j * total * lam * k / 2)
-                    * np.cos(theta) ** n
-                    * np.sin(theta) ** (total - n)
-                )
-                inner = (d_diag.conj()[:, None] * e.op.mat) * d_diag[None, :]
-                weight = math.comb(total, n) * np.trace(tprime @ inner).real
-                mat[total, total] = weight
-            outcomes.append((n, x))
-            effects.append(Effect(Operator(mat)))
-    return DiscreteObservable(outcomes, effects)
+        for total in range(n, da):
+            d_diag = (
+                np.exp(-1j * total * lam * k / 2)
+                * np.cos(theta) ** n
+                * np.sin(theta) ** (total - n)
+            )
+            # tr[T' D+ E D] for every bin at once
+            weighted = tprime * d_diag[:, None] * d_diag.conj()[None, :]
+            traces = np.einsum("ij,xji->x", weighted, readout.mats).real
+            mats[n, :, total, total] = math.comb(total, n) * traces
+    outcomes = [(n, x) for n in range(da) for x in readout.outcomes]
+    return DiscreteObservable(outcomes, mats.reshape(-1, da, da))
 
 
 def joint_path_interference_povm(eps2: float, theta2: float,
@@ -316,25 +313,17 @@ def joint_path_interference_povm(eps2: float, theta2: float,
     conj_phase = kerr_phase(dc, lam)  # entry (m, n): e^{-i lam (m - n)}
     minus = np.exp(-1j * lam * np.arange(dc))  # e^{-i lam N} diagonal
     cross = math.sqrt(eps2 * (1 - eps2))
-    outcomes = []
-    effects = []
-    for x, e in probe.readout:
-        emat = e.op.mat
-        t0 = np.trace(tp @ emat).real
-        t1 = np.trace(tp @ (conj_phase.conj() * emat)).real
-        t0m = np.trace(tp @ (emat * minus[None, :]))
-        tp0 = np.trace(tp @ (minus.conj()[:, None] * emat))
-        for n, diag in ((1, (eps2, 1 - eps2)), (0, (1 - eps2, eps2))):
-            sign = 1.0 if n == 1 else -1.0
-            mat = np.array(
-                [
-                    [diag[0] * t0, sign * cross * np.exp(1j * theta2) * t0m],
-                    [sign * cross * np.exp(-1j * theta2) * tp0, diag[1] * t1],
-                ]
-            )
-            outcomes.append((n, x))
-            effects.append(Effect(Operator(mat)))
-    return DiscreteObservable(outcomes, effects)
+    # tr[W E(X)] = sum_ij W[i, j] E(X)[j, i] for the four weightings W of T'
+    weights = np.stack([tp, tp * conj_phase.conj().T, tp * minus[:, None],
+                        tp * minus.conj()[None, :]])
+    t0, t1, t0m, tp0 = np.einsum("wij,xji->wx", weights, probe.readout.mats)
+    upper = cross * np.exp(1j * theta2) * t0m
+    lower = cross * np.exp(-1j * theta2) * tp0
+    # row-major entries of F(1, X) and F(0, X)
+    n1 = np.stack([eps2 * t0.real, upper, lower, (1 - eps2) * t1.real], axis=-1)
+    n0 = np.stack([(1 - eps2) * t0.real, -upper, -lower, eps2 * t1.real], axis=-1)
+    outcomes = [(n, x) for x in probe.readout.outcomes for n in (1, 0)]
+    return DiscreteObservable(outcomes, np.stack([n1, n0], axis=1).reshape(-1, 2, 2))
 
 
 def joint_povm_compressed(eps2: float, theta2: float,
@@ -353,10 +342,9 @@ def joint_povm_compressed(eps2: float, theta2: float,
     m = u2.mat.conj().T @ uk.mat
     # input columns |10>|k> and |01>|k>: flattened (a, b) indices 2 and 1
     u4 = m.reshape(2, 2 * dc, 4, dc)[:, :, [2, 1], :]
-    stack = np.array([np.kron(np.eye(2), e.op.mat) for e in probe.readout.effects])
-    f = _compressed_effects(u4, probe.probe_state.op.mat, stack)
+    f = _compressed_effects(u4, probe.probe_state.op.mat, np.kron(np.eye(2), probe.readout.mats))
     outcomes = [(n, x) for n in range(2) for x in probe.readout.outcomes]
-    return DiscreteObservable(outcomes, [Effect(Operator(g)) for g in f.reshape(-1, 2, 2)])
+    return DiscreteObservable(outcomes, f.reshape(-1, 2, 2))
 
 
 def interference_visibility(povm: DiscreteObservable) -> float:
@@ -431,9 +419,9 @@ def kerr_measurement_scheme(circuit: KerrCircuit) -> MeasurementScheme:
     da, db, dc = circuit.dims
     m = three_mode_unitary(circuit)
     dr = da
-    u = tensor(m, identity(dr))
     perm = _count_register_add(da, db * dc, dr)
-    coupling = Operator(u.mat[perm], (da, db, dc, dr))
+    # no name holds the dense m x I_r, so it is freed before the coupling checks run
+    coupling = Operator(tensor(m, identity(dr)).mat[perm], (da, db, dc, dr))
     vac = np.zeros(db, dtype=complex)
     vac[0] = 1.0
     reg0 = np.zeros(dr, dtype=complex)
@@ -441,7 +429,7 @@ def kerr_measurement_scheme(circuit: KerrCircuit) -> MeasurementScheme:
     probe_state = State(
         tensor(vector_state(vac).op, circuit.probe.probe_state.op, vector_state(reg0).op)
     )
-    trivial_b = DiscreteObservable([0], [Effect(identity(db))])
+    trivial_b = DiscreteObservable([0], np.eye(db)[None])
     pointer = product_observable(
         product_observable(trivial_b, circuit.probe.readout), number_observable(dr)
     )

@@ -16,7 +16,6 @@ import numpy as np
 from .linalg import Operator, eigh
 from .povm import (
     DiscreteObservable,
-    Effect,
     MeasurementScheme,
     State,
     StateTransformer,
@@ -93,12 +92,10 @@ class ConfidenceFunction:
 
 
 def position_observable(grid: CyclicGrid) -> DiscreteObservable:
-    effects = []
-    for q in range(grid.d):
-        m = np.zeros((grid.d, grid.d), dtype=complex)
-        m[q, q] = 1.0
-        effects.append(Effect(Operator(m)))
-    return DiscreteObservable(list(range(grid.d)), effects)
+    sites = np.arange(grid.d)
+    mats = np.zeros((grid.d, grid.d, grid.d), dtype=complex)
+    mats[sites, sites, sites] = 1.0
+    return DiscreteObservable(range(grid.d), mats)
 
 
 def _integer_eigenspaces(a: Operator, atol: float = 1e-8):
@@ -173,11 +170,11 @@ def unsharp_position_observable(f: ConfidenceFunction,
     if f.d != grid.d:
         raise ValueError("confidence function does not match the grid")
     d = grid.d
-    effects = []
-    for x in range(d):
-        diag = np.array([f.weights[(x - q) % d] for q in range(d)], dtype=complex)
-        effects.append(Effect(Operator(np.diag(diag))))
-    return DiscreteObservable(list(range(d)), effects)
+    sites = np.arange(d)
+    mats = np.zeros((d, d, d), dtype=complex)
+    # row x, diagonal entry q: f((x - q) mod d)
+    mats[:, sites, sites] = f.weights[(sites[:, None] - sites[None, :]) % d]
+    return DiscreteObservable(range(d), mats)
 
 
 def position_measurement_scheme(phi, grid: CyclicGrid) -> MeasurementScheme:
@@ -252,11 +249,6 @@ def phase_space_observable(t0: State, grid: CyclicGrid) -> DiscreteObservable:
         raise ValueError("seed state does not match the grid")
     pi = parity_operator(grid).mat
     seed = pi @ t0.op.mat @ pi.conj().T
-    outcomes = []
-    effects = []
-    for q in range(d):
-        for p in range(d):
-            w = weyl_operator(grid, q, p).mat
-            outcomes.append((q, p))
-            effects.append(Effect(Operator(w @ seed @ w.conj().T / d)))
-    return DiscreteObservable(outcomes, effects)
+    outcomes = [(q, p) for q in range(d) for p in range(d)]
+    weyl = [weyl_operator(grid, q, p).mat for q, p in outcomes]
+    return DiscreteObservable(outcomes, [w @ seed @ w.conj().T / d for w in weyl])

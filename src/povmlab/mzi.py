@@ -120,12 +120,10 @@ def number(dim: int) -> Operator:
 
 def number_observable(dim: int) -> DiscreteObservable:
     """Spectral measure of the number operator."""
-    effects = []
-    for n in range(dim):
-        mat = np.zeros((dim, dim), dtype=complex)
-        mat[n, n] = 1.0
-        effects.append(Effect(Operator(mat)))
-    return DiscreteObservable(list(range(dim)), effects)
+    levels = np.arange(dim)
+    mats = np.zeros((dim, dim, dim), dtype=complex)
+    mats[levels, levels, levels] = 1.0
+    return DiscreteObservable(range(dim), mats)
 
 
 def beam_splitter(params: BSParams, space: FockSpace) -> Operator:
@@ -199,17 +197,13 @@ def induced_mzi_observable(params: MZIParams, space: FockSpace) -> DiscreteObser
     C(n1+n2, n1) eps^n1 (1-eps)^n2 on the number state |n1+n2>."""
     eps = effective_transparency(params)
     dim = space.dim
-    outcomes = []
-    effects = []
-    for n1 in range(dim):
-        for n2 in range(dim):
-            mat = np.zeros((dim, dim), dtype=complex)
-            total = n1 + n2
-            if total < dim:
-                mat[total, total] = math.comb(total, n1) * eps**n1 * (1 - eps) ** n2
-            outcomes.append((n1, n2))
-            effects.append(Effect(Operator(mat)))
-    return DiscreteObservable(outcomes, effects)
+    outcomes = [(n1, n2) for n1 in range(dim) for n2 in range(dim)]
+    mats = np.zeros((len(outcomes), dim, dim), dtype=complex)
+    for i, (n1, n2) in enumerate(outcomes):
+        total = n1 + n2
+        if total < dim:
+            mats[i, total, total] = math.comb(total, n1) * eps**n1 * (1 - eps) ** n2
+    return DiscreteObservable(outcomes, mats)
 
 
 def _count_register_add(dim_sys: int, dim_other: int, dim_reg: int) -> np.ndarray:
@@ -260,9 +254,7 @@ def single_photon_observable(eps2: float, theta2: float = 0.0) -> DiscreteObserv
         raise ValueError("transparency outside [0, 1]")
     w = np.array([math.sqrt(eps2), np.exp(-1j * theta2) * math.sqrt(1 - eps2)])
     f10 = np.outer(w, w.conj())
-    return DiscreteObservable(
-        [(1, 0), (0, 1)], [Effect(Operator(f10)), Effect(Operator(np.eye(2) - f10))]
-    )
+    return DiscreteObservable([(1, 0), (0, 1)], [f10, np.eye(2) - f10])
 
 
 def fit_single_splitter(params: MZIParams, space: FockSpace) -> tuple[BSParams, Operator]:
@@ -358,13 +350,8 @@ def expanded_mzi_observable(circuit=None, n_modes: int = 4,
             u = np.diag(d) @ u
         else:
             raise ValueError(f"unknown circuit element kind {kind!r}")
-    outcomes = []
-    effects = []
-    for det in detectors:
-        row = u[det, :2]
-        outcomes.append(det)
-        effects.append(Effect(Operator(np.outer(row.conj(), row))))
-    return DiscreteObservable(outcomes, effects)
+    rows = u[list(detectors), :2]
+    return DiscreteObservable(detectors, np.einsum("xi,xj->xij", rows.conj(), rows))
 
 
 def hermitian_span_rank(effects, tol: float = 1e-10) -> tuple[int, float]:

@@ -18,11 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .linalg import (
     ATOL_COMPLETENESS,
+    ATOL_HERMITIAN,
     ATOL_POSITIVE,
     ATOL_UNITARY,
     Operator,
@@ -31,7 +33,6 @@ from .linalg import (
     haar_vector,
     identity,
     psd_sqrt,
-    tensor,
     zero,
 )
 
@@ -64,6 +65,18 @@ __all__ = [
 ]
 
 
+def _check_effect(mat: np.ndarray) -> None:
+    """Raise ``ValueError`` unless ``mat`` is an effect: Hermitian within
+    ``ATOL_HERMITIAN`` with spectrum inside [0, 1] within ``ATOL_POSITIVE``."""
+    if not np.max(np.abs(mat - mat.conj().T)) <= ATOL_HERMITIAN:
+        raise ValueError("effect must be Hermitian within 1e-10")
+    w = np.linalg.eigvalsh(mat)
+    if w.min() < -ATOL_POSITIVE or w.max() > 1.0 + ATOL_POSITIVE:
+        raise ValueError(
+            f"effect spectrum [{w.min():.3e}, {w.max():.6f}] outside [0, 1]"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class Effect:
     """A POVM element: Hermitian with spectrum inside [0, 1] (within the
@@ -72,13 +85,7 @@ class Effect:
     op: Operator
 
     def __post_init__(self):
-        if not self.op.is_hermitian():
-            raise ValueError("effect must be Hermitian within 1e-10")
-        w = np.linalg.eigvalsh(self.op.mat)
-        if w.min() < -ATOL_POSITIVE or w.max() > 1.0 + ATOL_POSITIVE:
-            raise ValueError(
-                f"effect spectrum [{w.min():.3e}, {w.max():.6f}] outside [0, 1]"
-            )
+        _check_effect(self.op.mat)
 
     @property
     def dim(self) -> int:
@@ -130,33 +137,49 @@ def maximally_mixed(dim: int) -> State:
 class DiscreteObservable:
     """A finite outcome-labeled family of effects summing to the identity.
 
+    The effects are held as one read-only complex stack ``mats`` of shape
+    (k, d, d), row i belonging to ``outcomes[i]``. They may be given as such
+    a stack or as a sequence of Effects, Operators or matrices; the input is
+    copied, and each row not already given as an Effect is checked once.
+
     Outcome labels may be integers, strings or tuples (tuples mark product
     outcome spaces and enable :func:`marginal`).
     """
 
     def __init__(self, outcomes, effects, atol: float = ATOL_COMPLETENESS):
         outcomes = tuple(outcomes)
-        effects = tuple(
-            e if isinstance(e, Effect) else Effect(e if isinstance(e, Operator) else Operator(e))
-            for e in effects
+        effects = list(effects)
+        mats = np.array(
+            [e.op.mat if isinstance(e, Effect) else e.mat if isinstance(e, Operator) else e
+             for e in effects],
+            dtype=complex,
         )
-        if len(outcomes) != len(effects):
+        if len(outcomes) != len(mats):
             raise ValueError("outcomes and effects must have equal length")
         if len(set(outcomes)) != len(outcomes):
             raise ValueError("outcome labels must be unique")
-        if not effects:
+        if not outcomes:
             raise ValueError("an observable needs at least one outcome")
-        dim = effects[0].dim
-        total = sum((e.op.mat for e in effects), start=np.zeros((dim, dim), complex))
-        if np.max(np.abs(total - np.eye(dim))) > atol:
+        if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
+            raise ValueError(f"expected a (k, d, d) stack of square matrices, got {mats.shape}")
+        for e, m in zip(effects, mats):
+            if not isinstance(e, Effect):
+                _check_effect(m)
+        if np.max(np.abs(mats.sum(axis=0) - np.eye(mats.shape[1]))) > atol:
             raise ValueError("effects do not sum to the identity within tolerance")
+        mats.setflags(write=False)
         self.outcomes = outcomes
-        self.effects = effects
-        self._by_label = dict(zip(outcomes, effects))
+        self.mats = mats
+        self._index = {x: i for i, x in enumerate(outcomes)}
+
+    @cached_property
+    def effects(self) -> tuple[Effect, ...]:
+        """Effect views over the checked rows of ``mats``."""
+        return tuple(_effect_view(m) for m in self.mats)
 
     @property
     def dim(self) -> int:
-        return self.effects[0].dim
+        return self.mats.shape[1]
 
     def __len__(self) -> int:
         return len(self.outcomes)
@@ -165,13 +188,36 @@ class DiscreteObservable:
         return iter(zip(self.outcomes, self.effects))
 
     def effect_for(self, outcome) -> Effect:
-        return self._by_label[outcome]
+        return self.effects[self._index[outcome]]
 
     def probabilities(self, st: State) -> dict:
         return {x: probability(st, e) for x, e in self}
 
     def is_projection_valued(self, atol: float = 1e-8) -> bool:
-        return all(e.op.is_projection(atol) for e in self.effects)
+        m = self.mats
+        return bool(np.max(np.abs(m - m.conj().swapaxes(1, 2))) <= atol
+                    and np.max(np.abs(m @ m - m)) <= atol)
+
+
+def _effect_view(mat: np.ndarray) -> Effect:
+    """An Effect over a read-only row of a checked stack, built without
+    copying or checking it again."""
+    op = object.__new__(Operator)
+    object.__setattr__(op, "mat", mat)
+    object.__setattr__(op, "dims", None)
+    e = object.__new__(Effect)
+    object.__setattr__(e, "op", op)
+    return e
+
+
+def _grouped(labels, mats: np.ndarray) -> DiscreteObservable:
+    """Observable whose effect for each distinct label is the sum of the
+    stack rows carrying that label, with the outcomes sorted."""
+    outcomes = sorted(set(labels))
+    index = {x: i for i, x in enumerate(outcomes)}
+    summed = np.zeros((len(outcomes),) + mats.shape[1:], dtype=complex)
+    np.add.at(summed, [index[x] for x in labels], mats)
+    return DiscreteObservable(outcomes, summed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,15 +310,12 @@ def product_observable(a: DiscreteObservable, b: DiscreteObservable) -> Discrete
     Components that already carry tuple labels are flattened, so products of
     products keep a flat label arity.
     """
-    outcomes = []
-    effects = []
-    for xa, ea in a:
-        for xb, eb in b:
-            la = xa if isinstance(xa, tuple) else (xa,)
-            lb = xb if isinstance(xb, tuple) else (xb,)
-            outcomes.append(la + lb)
-            effects.append(Effect(tensor(ea.op, eb.op)))
-    return DiscreteObservable(outcomes, effects)
+    outcomes = [
+        (xa if isinstance(xa, tuple) else (xa,)) + (xb if isinstance(xb, tuple) else (xb,))
+        for xa in a.outcomes for xb in b.outcomes
+    ]
+    d = a.dim * b.dim
+    return DiscreteObservable(outcomes, np.kron(a.mats[:, None], b.mats[None]).reshape(-1, d, d))
 
 
 def _probe_isometries(u4: np.ndarray, probe: np.ndarray) -> np.ndarray:
@@ -318,14 +361,8 @@ def induced_observable(scheme: MeasurementScheme) -> DiscreteObservable:
     """
     ds, dp = scheme.system_dim, scheme.probe_dim
     u4 = scheme.coupling.mat.reshape(ds, dp, ds, dp)
-    stack = np.array([ze.op.mat for ze in scheme.pointer.effects])
-    fs = _compressed_effects(u4, scheme.probe_state.op.mat, stack).sum(axis=0)
-    grouped: dict = {}
-    for zx, f in zip(scheme.pointer.outcomes, fs):
-        label = scheme.map_outcome(zx)
-        grouped[label] = grouped.get(label, 0) + f
-    outcomes = sorted(grouped)
-    return DiscreteObservable(outcomes, [Effect(Operator(grouped[x])) for x in outcomes])
+    fs = _compressed_effects(u4, scheme.probe_state.op.mat, scheme.pointer.mats).sum(axis=0)
+    return _grouped([scheme.map_outcome(zx) for zx in scheme.pointer.outcomes], fs)
 
 
 def marginal(obs: DiscreteObservable, keep: int) -> DiscreteObservable:
@@ -336,11 +373,7 @@ def marginal(obs: DiscreteObservable, keep: int) -> DiscreteObservable:
     """
     if not all(isinstance(x, tuple) for x in obs.outcomes):
         raise ValueError("marginal requires tuple outcome labels")
-    grouped: dict = {}
-    for x, e in obs:
-        grouped[x[keep]] = grouped.get(x[keep], 0) + e.op.mat
-    outcomes = sorted(grouped)
-    return DiscreteObservable(outcomes, [Effect(Operator(grouped[x])) for x in outcomes])
+    return _grouped([x[keep] for x in obs.outcomes], obs.mats)
 
 
 def apply_transformer(tf: StateTransformer, outcomes, st: State) -> Operator:
@@ -375,8 +408,8 @@ def scheme_transformer(scheme: MeasurementScheme) -> StateTransformer:
     u4 = scheme.coupling.mat.reshape(ds, dp, ds, dp)
     k = _probe_isometries(u4, scheme.probe_state.op.mat)
     grouped: dict = {}
-    for zx, ze in scheme.pointer:
-        wz, vz = np.linalg.eigh(ze.op.mat)
+    for zx, zmat in zip(scheme.pointer.outcomes, scheme.pointer.mats):
+        wz, vz = np.linalg.eigh(zmat)
         label = scheme.map_outcome(zx)
         ms = grouped.setdefault(label, [])
         for zval, zeta in zip(wz, vz.T):

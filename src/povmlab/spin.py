@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import Operator
-from .povm import DiscreteObservable, Effect
+from .povm import DiscreteObservable, Effect, effect
 
 __all__ = [
     "PAULI_X",
@@ -53,8 +53,7 @@ def _bloch(a) -> np.ndarray:
 def spin_effect(a) -> Effect:
     """The unsharp spin property (I + a·sigma)/2; a projection iff |a| = 1."""
     a = _bloch(a)
-    mat = (np.eye(2, dtype=complex) + sum(c * s for c, s in zip(a, _PAULI))) / 2
-    return Effect(Operator(mat))
+    return effect((np.eye(2, dtype=complex) + sum(c * s for c, s in zip(a, _PAULI))) / 2)
 
 
 def spin_observable(a) -> DiscreteObservable:
@@ -142,16 +141,15 @@ def joint_spin_observable(a1, a2) -> DiscreteObservable:
     if not coexist_criterion(a1, a2):
         raise ValueError("pair fails the coexistence criterion; no joint observable")
     outcomes = []
-    effects = []
+    mats = []
     for s1, ai in ((+1, a1), (-1, -a1)):
         for s2, ak in ((+1, a2), (-1, -a2)):
             alpha = (1.0 + float(ai @ ak)) / 2.0
             c = (ai + ak) / 2.0
-            mat = (alpha * np.eye(2, dtype=complex)
-                   + sum(x * s for x, s in zip(c, _PAULI))) / 2
             outcomes.append((s1, s2))
-            effects.append(Effect(Operator(mat)))
-    return DiscreteObservable(outcomes, effects)
+            mats.append((alpha * np.eye(2, dtype=complex)
+                         + sum(x * s for x, s in zip(c, _PAULI))) / 2)
+    return DiscreteObservable(outcomes, mats)
 
 
 @dataclass(frozen=True)
@@ -203,14 +201,15 @@ def spin_phase_effect(space: SpinPhaseSpace, interval) -> Effect:
     """Covariant spin-phase effect of an interval [u, v] in [0, 2pi]."""
     u, v = float(interval[0]), float(interval[1])
     _check_interval(u, v)
-    return Effect(Operator(phase_kernel(space.m_values, u, v)))
+    return effect(phase_kernel(space.m_values, u, v))
 
 
 def spin_phase_observable(space: SpinPhaseSpace, bins: int = 8) -> DiscreteObservable:
     """Spin phase coarse-grained over a uniform partition of [0, 2pi]."""
     edges = np.linspace(0.0, 2 * np.pi, bins + 1)
-    effects = [spin_phase_effect(space, (edges[i], edges[i + 1])) for i in range(bins)]
-    return DiscreteObservable(list(range(bins)), effects)
+    return DiscreteObservable(
+        range(bins), [phase_kernel(space.m_values, edges[i], edges[i + 1]) for i in range(bins)]
+    )
 
 
 def _shifted_intervals(u: float, v: float, alpha: float):

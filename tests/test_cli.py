@@ -44,3 +44,16 @@ class TestUsageErrors:
             assert code == EXIT_USAGE
             assert out == ""
             assert "--bins" in err
+
+    def test_nonpositive_nmax(self, capsys):
+        for nmax in ("0", "-3"):
+            code, out, err = run(["mzi-scan", "--nmax", nmax, "--verify"], capsys)
+            assert code == EXIT_USAGE
+            assert out == ""
+            assert "--nmax" in err
+
+    def test_bloch_vector_too_long(self, capsys):
+        code, out, err = run(["spin", "--a1=1.2,0,0", "--a2=0,0.5,0"], capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "exceeds 1" in err

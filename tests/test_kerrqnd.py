@@ -15,6 +15,7 @@ from povmlab.kerrqnd import (
     joint_path_interference_povm,
     joint_povm_compressed,
     kerr_measurement_scheme,
+    kerr_phase,
     kerr_unitary,
     marginal_over_bins,
     marginal_over_counts,
@@ -34,7 +35,13 @@ from povmlab.mzi import (
     mzi_output_state,
     single_photon_observable,
 )
-from povmlab.povm import State, induced_observable, probability, vector_state
+from povmlab.povm import (
+    DiscreteObservable,
+    State,
+    induced_observable,
+    probability,
+    vector_state,
+)
 
 CANONICAL = MZIParams(BSParams(0.5, math.pi / 2), BSParams(0.5, math.pi / 2), 0.0)
 
@@ -275,6 +282,27 @@ class TestJointPovm:
             for x, e in closed:
                 assert np.max(np.abs(e.op.mat - oracle.effect_for(x).op.mat)) < 1e-9
 
+    def test_matches_per_bin_traces(self):
+        # reference: the four probe traces as separate matrix products per bin
+        probe = mixed_probe(lam=0.8, bins=6)
+        eps2, theta2 = 0.3, 0.7
+        tp = probe.probe_state.op.mat
+        minus = np.exp(-1j * probe.lam * np.arange(tp.shape[0]))
+        cross = math.sqrt(eps2 * (1 - eps2))
+        povm = joint_path_interference_povm(eps2, theta2, probe)
+        for x, e in probe.readout:
+            m = e.op.mat
+            t0 = np.trace(tp @ m).real
+            t1 = np.trace(tp @ (minus.conj()[:, None] * m * minus[None, :])).real
+            t0m = np.trace(tp @ (m * minus[None, :]))
+            tp0 = np.trace(tp @ (minus.conj()[:, None] * m))
+            for n, sign, diag in ((1, 1, (eps2, 1 - eps2)), (0, -1, (1 - eps2, eps2))):
+                expected = np.array([
+                    [diag[0] * t0, sign * cross * np.exp(1j * theta2) * t0m],
+                    [sign * cross * np.exp(-1j * theta2) * tp0, diag[1] * t1],
+                ])
+                assert np.max(np.abs(povm.effect_for((n, x)).op.mat - expected)) <= 1e-14
+
     def test_completeness(self):
         povm = joint_path_interference_povm(0.7, 0.2, small_probe())
         total = sum(e.op.mat for _, e in povm)
@@ -352,6 +380,55 @@ class TestTradeoff:
         conf = [r["path_confidence"] for r in rows]
         assert all(b <= a + 1e-12 for a, b in zip(vis, vis[1:]))
         assert all(b >= a - 1e-12 for a, b in zip(conf, conf[1:]))
+
+
+def helstrom_readout(probe_state, lam):
+    """Two-outcome readout that best tells rho0 = T' from
+    rho1 = e^{-i lam N} T' e^{i lam N}: the projector onto the positive part
+    of rho0 - rho1, and its complement."""
+    rho0 = probe_state.op.mat
+    rho1 = kerr_phase(probe_state.dim, lam) * rho0
+    w, v = np.linalg.eigh(rho0 - rho1)
+    cols = v[:, w > 0]
+    proj = cols @ cols.conj().T
+    return DiscreteObservable([0, 1], [proj, np.eye(probe_state.dim) - proj])
+
+
+def englert_sum(povm):
+    """D^2 + V^2 with the distinguishability D = 2 path_confidence - 1."""
+    d = 2 * path_confidence(povm) - 1
+    return d**2 + interference_visibility(povm) ** 2
+
+
+class TestEnglertDuality:
+    # Englert, PRL 77, 2154 (1996): D^2 + V^2 <= 1, with equality for a pure
+    # probe read out by the Helstrom measurement
+    LAMBDAS = (0.3, 0.8, 1.7, 3.0)
+
+    def test_tradeoff_scan_obeys_the_bound(self):
+        for lam in self.LAMBDAS:
+            for kind in ("coherent", "number"):
+                rows = tradeoff_scan([0.0, 0.3, 1.0, 2.0, 3.0], lam, [0.2, 0.5, 0.8],
+                                     probe_kind=kind)
+                for r in rows:
+                    d = 2 * r["path_confidence"] - 1
+                    assert d**2 + r["visibility"] ** 2 <= 1 + 1e-12, r
+
+    def test_helstrom_readout_saturates_for_pure_probes(self):
+        for amp in (0.3, 1.0, 2.0, 3.0):
+            dim = coherent_dim(amp)
+            for probe_state in (coherent_state(amp, dim), number_probe(2, dim)):
+                for lam in self.LAMBDAS:
+                    probe = ProbeConfig(probe_state, lam, helstrom_readout(probe_state, lam))
+                    povm = joint_path_interference_povm(0.5, math.pi / 2, probe)
+                    assert abs(englert_sum(povm) - 1) <= 1e-12
+
+    def test_helstrom_readout_of_a_mixed_probe_stays_below_one(self):
+        for lam in self.LAMBDAS:
+            state = mixed_probe().probe_state
+            probe = ProbeConfig(state, lam, helstrom_readout(state, lam))
+            povm = joint_path_interference_povm(0.5, math.pi / 2, probe)
+            assert englert_sum(povm) <= 1 + 1e-12
 
 
 class TestTruncatedPhasePovm:

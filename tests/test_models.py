@@ -1,0 +1,85 @@
+import numpy as np
+import pytest
+
+from povmlab.linalg import Operator
+from povmlab.models import (
+    ConfidenceFunction,
+    CyclicGrid,
+    phase_space_observable,
+    position_measurement_scheme,
+    toy_discrete_measurement,
+    unsharp_position_observable,
+    unsharp_position_transformer,
+)
+from povmlab.povm import State, induced_observable, marginal
+
+TOL = 1e-12
+
+
+def max_gap(a, b):
+    """Largest entrywise difference between two observables with the same
+    outcome labels."""
+    assert a.outcomes == b.outcomes
+    return float(np.max(np.abs(a.mats - b.mats)))
+
+
+def random_amplitudes(d, rng):
+    phi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return phi / np.linalg.norm(phi)
+
+
+def random_state(d, rng):
+    m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    rho = m @ m.conj().T
+    return State(Operator(rho / np.trace(rho).real))
+
+
+@pytest.mark.parametrize("d", [5, 8])
+class TestUnsharpPosition:
+    def test_shift_coupling_induces_smeared_position(self, d):
+        grid = CyclicGrid(d)
+        phi = random_amplitudes(d, np.random.default_rng(d))
+        induced = induced_observable(position_measurement_scheme(phi, grid))
+        smeared = unsharp_position_observable(ConfidenceFunction(np.abs(phi) ** 2), grid)
+        assert max_gap(induced, smeared) <= TOL
+
+    def test_transformer_effects_are_smeared_position(self, d):
+        grid = CyclicGrid(d)
+        phi = random_amplitudes(d, np.random.default_rng(d + 1))
+        tf = unsharp_position_transformer(phi, grid)
+        smeared = unsharp_position_observable(ConfidenceFunction(np.abs(phi) ** 2), grid)
+        for x, ms in zip(tf.outcomes, tf.kraus_sets):
+            kraus_effect = sum(m.mat.conj().T @ m.mat for m in ms)
+            assert np.max(np.abs(kraus_effect - smeared.effect_for(x).op.mat)) <= TOL
+
+
+@pytest.mark.parametrize("d", [5, 8])
+class TestPhaseSpace:
+    def test_position_marginal(self, d):
+        grid = CyclicGrid(d)
+        t0 = random_state(d, np.random.default_rng(10 + d))
+        q_marginal = marginal(phase_space_observable(t0, grid), keep=0)
+        f = ConfidenceFunction(np.diag(t0.op.mat).real)
+        assert max_gap(q_marginal, unsharp_position_observable(f, grid)) <= TOL
+
+    def test_momentum_marginal_in_the_fourier_basis(self, d):
+        grid = CyclicGrid(d)
+        t0 = random_state(d, np.random.default_rng(20 + d))
+        f_mat = grid.dft().mat
+        assert np.max(np.abs(f_mat.conj().T @ f_mat - np.eye(d))) <= TOL
+        p_marginal = marginal(phase_space_observable(t0, grid), keep=1)
+        g = ConfidenceFunction(np.diag(f_mat.conj().T @ t0.op.mat @ f_mat).real)
+        smeared = unsharp_position_observable(g, grid)
+        assert p_marginal.outcomes == smeared.outcomes
+        rotated = f_mat.conj().T @ p_marginal.mats @ f_mat
+        assert np.max(np.abs(rotated - smeared.mats)) <= TOL
+
+
+@pytest.mark.parametrize("pointer_width", [1, 2])
+def test_toy_measurement_induces_the_spectral_measure(pointer_width):
+    a = Operator(np.diag([0.0, 2.0, 2.0, 5.0]))
+    scheme = toy_discrete_measurement(a, CyclicGrid(8), pointer_width)
+    induced = induced_observable(scheme)
+    assert induced.outcomes == (0, 2, 5)
+    spectral = np.array([np.diag(p) for p in ([1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1])])
+    assert np.max(np.abs(induced.mats - spectral)) <= TOL

@@ -89,6 +89,67 @@ class TestEffectState:
             DiscreteObservable([], [])
 
 
+def trine_stack():
+    """Three unsharp qubit effects (I + 0.8 n_k.sigma)/3 summing to I."""
+    angles = 2 * np.pi * np.arange(3) / 3
+    return np.array([
+        (np.eye(2) + 0.8 * (np.cos(a) * spin.PAULI_X + np.sin(a) * spin.PAULI_Z)) / 3
+        for a in angles
+    ])
+
+
+class TestObservableStack:
+    def test_stack_and_effects_agree(self):
+        stack = trine_stack()
+        from_stack = DiscreteObservable("abc", stack)
+        from_effects = DiscreteObservable("abc", [effect(m) for m in stack])
+        assert from_stack.mats.shape == (3, 2, 2)
+        assert np.array_equal(from_stack.mats, from_effects.mats)
+        for i, (x, e) in enumerate(from_stack):
+            assert np.array_equal(e.op.mat, stack[i])
+            assert from_stack.effect_for(x).op.mat is e.op.mat
+
+    def test_mats_and_views_are_read_only(self):
+        obs = DiscreteObservable("abc", trine_stack())
+        with pytest.raises(ValueError):
+            obs.mats[0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            obs.effects[0].op.mat[0, 0] = 1.0
+
+    def test_caller_writes_do_not_reach_the_observable(self):
+        stack = trine_stack()
+        obs = DiscreteObservable("abc", stack)
+        listed = [m.copy() for m in stack]
+        from_list = DiscreteObservable("abc", listed)
+        stack[0] += 0.5
+        listed[0] += 0.5
+        assert np.array_equal(obs.mats, trine_stack())
+        assert np.array_equal(from_list.mats, trine_stack())
+
+    def test_stack_rows_are_not_rebuilt_as_effects(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("Effect.__post_init__ called")
+
+        monkeypatch.setattr(Effect, "__post_init__", refuse)
+        obs = DiscreteObservable("abc", trine_stack())
+        assert len(obs.effects) == 3
+        assert marginal(product_observable(obs, obs), keep=1).outcomes == tuple("abc")
+
+    def test_stack_rows_are_checked(self):
+        stack = trine_stack()
+        skew = stack.copy()
+        # rows no longer Hermitian, sums still I: only the row check can reject
+        skew[0, 0, 1] += 0.1
+        skew[1, 0, 1] -= 0.1
+        with pytest.raises(ValueError, match="Hermitian"):
+            DiscreteObservable("abc", skew)
+        outside = np.array([np.diag([1.2, 0.0]), np.diag([-0.2, 1.0])])
+        with pytest.raises(ValueError, match="outside"):
+            DiscreteObservable("ab", outside)
+        with pytest.raises(ValueError, match="square"):
+            DiscreteObservable("ab", np.zeros((2, 2, 3)))
+
+
 class TestProbability:
     def test_normalization(self):
         phi = vector_state([1.0, 1.0j])
