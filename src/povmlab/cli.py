@@ -71,23 +71,28 @@ def _verify_tol() -> float:
     return tol
 
 
-def _parse_vec(text: str) -> np.ndarray:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ValueError(f"expected three comma-separated components, got {text!r}")
-    return np.array([float(p) for p in parts])
+def _finite_float(text: str) -> float:
+    """argparse type of the float flags: argparse names the flag when it
+    reports the error."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(p) for p in text.split(",") if p.strip() != ""]
-
-
-def _parse_intervals(text: str) -> list[tuple[float, float]]:
-    out = []
-    for chunk in text.split(";"):
-        u, v = chunk.split(":")
-        out.append((float(u), float(v)))
-    return out
+def _parse_floats(text: str, flag: str, sep: str = ",", count: int | None = None) -> list[float]:
+    """The finite floats of a ``sep``-separated list flag, ``count`` of them
+    when it is given."""
+    try:
+        values = [_finite_float(p) for p in text.split(sep)]
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
+    if count not in (None, len(values)):
+        raise ValueError(f"{flag}: expected {count} numbers separated by {sep!r}, got {text!r}")
+    return values
 
 
 def cmd_mzi_scan(args) -> int:
@@ -131,8 +136,8 @@ def cmd_mzi_scan(args) -> int:
 
 
 def cmd_kerr_tradeoff(args) -> int:
-    amps = _parse_floats(args.amp)
-    eps2_values = _parse_floats(args.eps2)
+    amps = _parse_floats(args.amp, "--amp")
+    eps2_values = _parse_floats(args.eps2, "--eps2")
     rows_raw = kerrqnd.tradeoff_scan(
         amps, args.lam, eps2_values, probe_kind=args.probe
     )
@@ -161,8 +166,8 @@ def cmd_kerr_tradeoff(args) -> int:
 
 
 def cmd_spin(args) -> int:
-    a1 = _parse_vec(args.a1)
-    a2 = _parse_vec(args.a2)
+    a1 = _parse_floats(args.a1, "--a1", count=3)
+    a2 = _parse_floats(args.a2, "--a2", count=3)
     value = spin.criterion_value(a1, a2)
     decision = spin.coexist_criterion(a1, a2)
     oracle = spin.coexist_oracle(a1, a2)
@@ -192,8 +197,9 @@ def cmd_spin(args) -> int:
 
 def cmd_spin_phase(args) -> int:
     space = spin.SpinPhaseSpace(args.spin)
-    if args.intervals:
-        intervals = _parse_intervals(args.intervals)
+    if args.intervals is not None:
+        intervals = [tuple(_parse_floats(chunk, "--intervals", ":", 2))
+                     for chunk in args.intervals.split(";")]
     else:
         if args.bins < 1:
             raise ValueError(f"--bins must be at least 1, got {args.bins}")
@@ -249,12 +255,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("mzi-scan", help="single-photon interference sweep")
-    p.add_argument("--eps1", type=float, default=0.5)
-    p.add_argument("--eps2", type=float, default=0.5)
-    p.add_argument("--theta1", type=float, default=0.0)
-    p.add_argument("--theta2", type=float, default=0.0)
-    p.add_argument("--delta-min", dest="delta_min", type=float, default=0.0)
-    p.add_argument("--delta-max", dest="delta_max", type=float, default=2 * math.pi)
+    p.add_argument("--eps1", type=_finite_float, default=0.5)
+    p.add_argument("--eps2", type=_finite_float, default=0.5)
+    p.add_argument("--theta1", type=_finite_float, default=0.0)
+    p.add_argument("--theta2", type=_finite_float, default=0.0)
+    p.add_argument("--delta-min", dest="delta_min", type=_finite_float, default=0.0)
+    p.add_argument("--delta-max", dest="delta_max", type=_finite_float, default=2 * math.pi)
     p.add_argument("--delta-steps", dest="delta_steps", type=int, default=33)
     p.add_argument("--nmax", type=int, default=1)
     _add_common(p)
@@ -263,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kerr-tradeoff", help="path confidence vs visibility scan")
     p.add_argument("--amp", default="0,1,2,3",
                    help="comma-separated coherent amplitudes")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.5)
+    p.add_argument("--lambda", dest="lam", type=_finite_float, default=0.5)
     p.add_argument("--eps2", default="0.5", help="comma-separated transparencies")
     p.add_argument("--probe", choices=["coherent", "number"], default="coherent")
     _add_common(p)
@@ -276,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_spin)
 
     p = sub.add_parser("spin-phase", help="covariant phase effect report")
-    p.add_argument("--spin", type=float, default=0.5)
+    p.add_argument("--spin", type=_finite_float, default=0.5)
     p.add_argument("--intervals", default=None,
                    help="semicolon-separated u:v pairs in radians")
     p.add_argument("--bins", type=int, default=8)

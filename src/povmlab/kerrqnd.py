@@ -24,7 +24,6 @@ from .linalg import Operator, identity, partial_trace, tensor
 from .mzi import (
     FockSpace,
     MZIParams,
-    _count_register_add,
     beam_splitter,
     number_observable,
     phase_shifter,
@@ -34,6 +33,7 @@ from .povm import (
     MeasurementScheme,
     State,
     _compressed_effects,
+    _controlled_shift,
     product_observable,
     vector_state,
 )
@@ -419,7 +419,7 @@ def kerr_measurement_scheme(circuit: KerrCircuit) -> MeasurementScheme:
     da, db, dc = circuit.dims
     m = three_mode_unitary(circuit)
     dr = da
-    perm = _count_register_add(da, db * dc, dr)
+    perm = _controlled_shift(np.arange(da), db * dc, dr)
     # no name holds the dense m x I_r, so it is freed before the coupling checks run
     coupling = Operator(tensor(m, identity(dr)).mat[perm], (da, db, dc, dr))
     vac = np.zeros(db, dtype=complex)

@@ -19,6 +19,7 @@ from .povm import (
     MeasurementScheme,
     State,
     StateTransformer,
+    _controlled_shift,
     vector_state,
 )
 
@@ -98,20 +99,6 @@ def position_observable(grid: CyclicGrid) -> DiscreteObservable:
     return DiscreteObservable(range(grid.d), mats)
 
 
-def _integer_eigenspaces(a: Operator, atol: float = 1e-8):
-    """Distinct integer eigenvalues of a Hermitian operator with their
-    eigenprojections."""
-    w, v = eigh(a)
-    rounded = np.round(w).astype(int)
-    if np.max(np.abs(w - rounded)) > atol:
-        raise ValueError("operator eigenvalues are not integers within tolerance")
-    spaces = {}
-    for val in sorted(set(rounded.tolist())):
-        cols = v[:, rounded == val]
-        spaces[val] = Operator(cols @ cols.conj().T)
-    return spaces
-
-
 def toy_discrete_measurement(a: Operator, grid: CyclicGrid,
                              pointer_width: int = 1) -> MeasurementScheme:
     """Readout scheme for an operator with integer eigenvalues: the coupling
@@ -121,42 +108,34 @@ def toy_discrete_measurement(a: Operator, grid: CyclicGrid,
     Requires the shifted pointer supports to be disjoint modulo the grid
     size; the induced observable is then exactly the spectral measure.
     """
-    spaces = _integer_eigenspaces(a)
+    w, v = eigh(a)
+    rounded = np.round(w).astype(int)
+    if np.max(np.abs(w - rounded)) > 1e-8:
+        raise ValueError("operator eigenvalues are not integers within tolerance")
     d = grid.d
     offsets = [j - (pointer_width - 1) // 2 for j in range(pointer_width)]
-    supports = {}
-    for val in spaces:
-        supp = {(val + off) % d for off in offsets}
-        supports[val] = supp
-    all_sites = [s for supp in supports.values() for s in supp]
-    if len(set(all_sites)) != len(all_sites):
+    readings = {((val + off) % d, val) for val in rounded.tolist() for off in offsets}
+    owner = dict(sorted(readings))  # pointer site -> eigenvalue
+    if len(owner) != len(readings):
         raise ValueError(
             "pointer supports overlap on the grid; eigenvalue spacing is too "
             "tight for this pointer width"
         )
-    ds = a.dim
-    coupling = np.zeros((ds * d, ds * d), dtype=complex)
-    for val, proj in spaces.items():
-        coupling += np.kron(proj.mat, grid.shift(val).mat)
+    # sum over eigenvalues of P_val (x) X^val: the shift permutation of the
+    # rounded eigenvalues, conjugated by the eigenbasis
+    basis = np.kron(v, np.eye(d))
+    coupling = basis @ basis.conj().T[_controlled_shift(rounded, 1, d)]
     phi = np.zeros(d, dtype=complex)
     for off in offsets:
         phi[off % d] = 1.0 / np.sqrt(pointer_width)
-    pointer_function = {}
-    for x in range(d):
-        owner = [val for val, supp in supports.items() if x in supp]
-        if owner:
-            pointer_function[x] = owner[0]
-        else:
-            # unreachable sites carry exactly zero probability; route them to
-            # the nearest eigenvalue to keep the pointer function total
-            dist = {
-                val: min((x - s) % d, (s - x) % d)
-                for val, supp in supports.items()
-                for s in supp
-            }
-            pointer_function[x] = min(dist, key=dist.get)
+    # a reachable site reads its own eigenvalue; the others carry zero
+    # probability and read the nearest reachable site's, to keep the pointer
+    # function total
+    pointer_function = {
+        x: owner[min(owner, key=lambda s: min((x - s) % d, (s - x) % d))] for x in range(d)
+    }
     return MeasurementScheme(
-        Operator(coupling, (ds, d)),
+        Operator(coupling, (a.dim, d)),
         vector_state(phi),
         position_observable(grid),
         pointer_function,
@@ -191,11 +170,7 @@ def position_measurement_scheme(phi, grid: CyclicGrid) -> MeasurementScheme:
         raise ValueError("pointer amplitudes do not match the grid")
     if abs(np.sum(np.abs(phi) ** 2) - 1.0) > 1e-12:
         raise ValueError("pointer amplitudes must be normalized")
-    coupling = np.zeros((d * d, d * d), dtype=complex)
-    for q in range(d):
-        proj = np.zeros((d, d), dtype=complex)
-        proj[q, q] = 1.0
-        coupling += np.kron(proj, grid.shift(q).mat)
+    coupling = np.eye(d * d, dtype=complex)[_controlled_shift(np.arange(d), 1, d)]
     return MeasurementScheme(
         Operator(coupling, (d, d)),
         vector_state(phi),

