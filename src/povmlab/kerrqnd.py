@@ -22,11 +22,11 @@ import numpy as np
 
 from .linalg import Operator, identity, partial_trace, tensor
 from .mzi import (
+    BSParams,
     FockSpace,
     MZIParams,
-    beam_splitter,
+    _interferometer_blocks,
     number_observable,
-    phase_shifter,
 )
 from .povm import (
     DiscreteObservable,
@@ -34,6 +34,7 @@ from .povm import (
     State,
     _compressed_effects,
     _controlled_shift,
+    marginal,
     product_observable,
     vector_state,
 )
@@ -55,8 +56,11 @@ __all__ = [
     "joint_path_interference_povm",
     "joint_povm_compressed",
     "interference_visibility",
+    "marginal_over_bins",
+    "marginal_over_counts",
     "path_confidence",
     "tradeoff_scan",
+    "kerr_measurement_scheme",
 ]
 
 COHERENT_LEAKAGE_BOUND = 1e-8
@@ -179,18 +183,17 @@ def truncated_phase_povm(dim: int, bins) -> DiscreteObservable:
 
 def three_mode_unitary(circuit: KerrCircuit) -> Operator:
     """Full circuit unitary on (a, b, c): splitter, phase shift, Kerr
-    element, reversed recombiner."""
+    element, reversed recombiner. Every factor commutes with the probe
+    number, so it is the direct sum over probe levels c of the interferometer
+    with the Kerr phases e^{-i lam n_b c}."""
     d = circuit.arm_space.dim
     dc = circuit.probe.probe_state.dim
-    dims = (d, d, dc)
-    ic = identity(dc)
-    u1 = tensor(beam_splitter(circuit.mzi.bs1, circuit.arm_space), ic)
-    u2 = tensor(beam_splitter(circuit.mzi.bs2, circuit.arm_space), ic)
-    v = tensor(phase_shifter(circuit.mzi.delta, circuit.arm_space), ic)
-    uk = kerr_unitary(circuit.probe.lam, dims)
-    return Operator(
-        u2.mat.conj().T @ uk.mat @ v.mat @ u1.mat, dims
-    )
+    levels = np.arange(dc)
+    n_b = np.arange(d * d) % d  # arm b photon number of each (a, b) index
+    kerr = np.exp(-1j * circuit.probe.lam * np.outer(levels, n_b))
+    m = np.zeros((d * d, dc, d * d, dc), dtype=complex)
+    m[:, levels, :, levels] = _interferometer_blocks(circuit.mzi, circuit.arm_space, kerr)
+    return Operator(m.reshape(d * d * dc, d * d * dc), (d, d, dc))
 
 
 def three_mode_output(t: State, circuit: KerrCircuit) -> State:
@@ -228,18 +231,17 @@ def detection_statistics(w: State, readout: DiscreteObservable) -> dict:
     return out
 
 
-def _a_mode_effects_unitary(circuit: KerrCircuit) -> DiscreteObservable:
-    """Observable of the (n, bin) statistics on the a-mode from the full
-    unitary: Tr_bc[(I x |0><0| x T') M+ (P_n x I x E) M], compressed with
-    the count n kept as the output index."""
+def _circuit_effects(circuit: KerrCircuit, inputs) -> DiscreteObservable:
+    """Observable of the (n, bin) statistics on the span of the arm inputs
+    ``inputs`` (flattened (a, b) indices): Tr_bc[(I x T') M+ (P_n x I x E) M]
+    on those columns of the full unitary M, with the count n kept as output."""
     da, db, dc = circuit.dims
-    # b enters in vacuum, so only the b = 0 input columns reach the probe c
-    u4 = three_mode_unitary(circuit).mat.reshape(da, db * dc, da, db, dc)[:, :, :, 0, :]
+    u4 = three_mode_unitary(circuit).mat.reshape(da, db * dc, da * db, dc)[:, :, inputs, :]
     readout = circuit.probe.readout
     pointer = np.kron(np.eye(db), readout.mats)  # I_b x E(x), one row per bin
     f = _compressed_effects(u4, circuit.probe.probe_state.op.mat, pointer)
     outcomes = [(n, x) for n in range(da) for x in readout.outcomes]
-    return DiscreteObservable(outcomes, f.reshape(-1, da, da))
+    return DiscreteObservable(outcomes, f.reshape(-1, len(inputs), len(inputs)))
 
 
 def induced_a_mode_observable(circuit: KerrCircuit,
@@ -254,9 +256,10 @@ def induced_a_mode_observable(circuit: KerrCircuit,
     Theta = (delta I + lam N_c)/2. ``method="unitary"`` computes the same
     effects from the full three-mode unitary and works for any parameters.
     """
-    da = circuit.dims[0]
+    da, db, _ = circuit.dims
     if method == "unitary":
-        return _a_mode_effects_unitary(circuit)
+        # b enters in vacuum: the input columns are |a>|0>, a < da
+        return _circuit_effects(circuit, [a * db for a in range(da)])
     if method != "closed_form":
         raise ValueError(f"unknown method {method!r}")
     if not circuit.is_canonical():
@@ -331,20 +334,10 @@ def joint_povm_compressed(eps2: float, theta2: float,
     """The same joint POVM computed from the full three-mode measurement
     part (Kerr element then reversed recombiner), compressed to the
     single-photon subspace. Serves as the oracle for the closed form."""
-    dc = probe.probe_state.dim
-    dims = (2, 2, dc)
-    space = FockSpace(1)
-    from .mzi import BSParams
-
-    ic = identity(dc)
-    u2 = tensor(beam_splitter(BSParams(eps2, theta2), space), ic)
-    uk = kerr_unitary(probe.lam, dims)
-    m = u2.mat.conj().T @ uk.mat
-    # input columns |10>|k> and |01>|k>: flattened (a, b) indices 2 and 1
-    u4 = m.reshape(2, 2 * dc, 4, dc)[:, :, [2, 1], :]
-    f = _compressed_effects(u4, probe.probe_state.op.mat, np.kron(np.eye(2), probe.readout.mats))
-    outcomes = [(n, x) for n in range(2) for x in probe.readout.outcomes]
-    return DiscreteObservable(outcomes, f.reshape(-1, 2, 2))
+    # a transparent first splitter is exactly the identity; the inputs |10>
+    # and |01> are the flattened (a, b) indices 2 and 1
+    circuit = KerrCircuit(MZIParams(BSParams(1.0), BSParams(eps2, theta2)), probe)
+    return _circuit_effects(circuit, [2, 1])
 
 
 def interference_visibility(povm: DiscreteObservable) -> float:
@@ -356,14 +349,10 @@ def interference_visibility(povm: DiscreteObservable) -> float:
 
 
 def marginal_over_bins(povm: DiscreteObservable) -> DiscreteObservable:
-    from .povm import marginal
-
     return marginal(povm, keep=0)
 
 
 def marginal_over_counts(povm: DiscreteObservable) -> DiscreteObservable:
-    from .povm import marginal
-
     return marginal(povm, keep=1)
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import Operator, eigh
+from .mzi import number_observable
 from .povm import (
     DiscreteObservable,
     MeasurementScheme,
@@ -93,10 +94,8 @@ class ConfidenceFunction:
 
 
 def position_observable(grid: CyclicGrid) -> DiscreteObservable:
-    sites = np.arange(grid.d)
-    mats = np.zeros((grid.d, grid.d, grid.d), dtype=complex)
-    mats[sites, sites, sites] = 1.0
-    return DiscreteObservable(range(grid.d), mats)
+    """Sharp position: the spectral measure of the site number."""
+    return number_observable(grid.d)
 
 
 def toy_discrete_measurement(a: Operator, grid: CyclicGrid,

@@ -66,11 +66,10 @@ class FockSpace:
     evolve without truncation error under number-conserving couplings."""
 
     nmax: int
-    modes: int = 2
 
     def __post_init__(self):
-        if self.nmax < 1 or self.modes < 1:
-            raise ValueError("need nmax >= 1 and modes >= 1")
+        if self.nmax < 1:
+            raise ValueError("need nmax >= 1")
 
     @property
     def dim(self) -> int:
@@ -145,13 +144,22 @@ def phase_shifter(delta: float, space: FockSpace) -> Operator:
     )
 
 
+def _interferometer_blocks(params: MZIParams, space: FockSpace,
+                           kerr: np.ndarray) -> np.ndarray:
+    """(B2^dagger diag(kerr[c]) V) B1, shape (k, dim**2, dim**2), for each row
+    c of the (k, dim**2) phase array ``kerr``: splitter, phase shift, the
+    row's phases, reversed recombiner. All-ones is B2^dagger @ V @ B1 bit for bit."""
+    b1 = beam_splitter(params.bs1, space).mat
+    b2h = beam_splitter(params.bs2, space).mat.conj().T
+    v = phase_shifter(params.delta, space).mat
+    return (b2h @ (kerr[:, :, None] * v)) @ b1
+
+
 def mzi_unitary(params: MZIParams, space: FockSpace) -> Operator:
     """Composed interferometer unitary: splitter, phase shift, reversed
     recombiner (see the module conventions)."""
-    u1 = beam_splitter(params.bs1, space)
-    u2 = beam_splitter(params.bs2, space)
-    v = phase_shifter(params.delta, space)
-    return u2.dag() @ v @ u1
+    blocks = _interferometer_blocks(params, space, np.ones((1, space.dim**2)))
+    return Operator(blocks[0], (space.dim, space.dim))
 
 
 def mzi_output_state(t: State, t_idle: State, params: MZIParams,
@@ -273,7 +281,10 @@ def fit_single_splitter(params: MZIParams, space: FockSpace) -> tuple[BSParams, 
 # Circuit elements: ("bs", BSParams, (i, j)) for a splitter in the standard
 # orientation, ("bsr", BSParams, (i, j)) for the reverse traversal, and
 # ("ps", angle, i) for a phase shifter. The observable lives on the
-# single-photon sector, so elements compose as n_modes x n_modes matrices.
+# single-photon sector, so elements compose as 4 x 4 matrices; every mode
+# ends at a detector.
+
+_EXPANDED_MODES = 4
 
 
 def _single_photon_block(params: BSParams) -> np.ndarray:
@@ -285,9 +296,9 @@ def _single_photon_block(params: BSParams) -> np.ndarray:
     )
 
 
-def _embed(block: np.ndarray, pair: tuple[int, int], n_modes: int) -> np.ndarray:
+def _embed(block: np.ndarray, pair: tuple[int, int]) -> np.ndarray:
     i, j = pair
-    u = np.eye(n_modes, dtype=complex)
+    u = np.eye(_EXPANDED_MODES, dtype=complex)
     u[i, i], u[i, j] = block[0, 0], block[0, 1]
     u[j, i], u[j, j] = block[1, 0], block[1, 1]
     return u
@@ -318,32 +329,31 @@ def default_expanded_circuit(eps2=0.5, theta2=0.0, eps3=0.7, eps4=0.4,
     ]
 
 
-def expanded_mzi_observable(circuit=None, n_modes: int = 4,
-                            detectors=(0, 1, 2, 3)) -> DiscreteObservable:
+def expanded_mzi_observable(circuit=None) -> DiscreteObservable:
     """Four-outcome observable of the expanded interferometer, compressed to
     the prepared single-photon subspace span{mode 0, mode 1}.
 
     ``circuit`` is a list of elements as produced by
-    :func:`default_expanded_circuit`; detector k's effect is the compression
-    of the composed unitary's mode-k detection projection.
+    :func:`default_expanded_circuit`; detector k's effect, k = 0..3, is the
+    compression of the composed unitary's mode-k detection projection.
     """
     if circuit is None:
         circuit = default_expanded_circuit()
-    u = np.eye(n_modes, dtype=complex)
+    u = np.eye(_EXPANDED_MODES, dtype=complex)
     for element in circuit:
         kind = element[0]
         if kind == "bs":
-            u = _embed(_single_photon_block(element[1]), element[2], n_modes) @ u
+            u = _embed(_single_photon_block(element[1]), element[2]) @ u
         elif kind == "bsr":
-            u = _embed(_single_photon_block(element[1]).conj().T, element[2], n_modes) @ u
+            u = _embed(_single_photon_block(element[1]).conj().T, element[2]) @ u
         elif kind == "ps":
-            d = np.ones(n_modes, dtype=complex)
+            d = np.ones(_EXPANDED_MODES, dtype=complex)
             d[element[2]] = np.exp(1j * element[1])
             u = np.diag(d) @ u
         else:
             raise ValueError(f"unknown circuit element kind {kind!r}")
-    rows = u[list(detectors), :2]
-    return DiscreteObservable(detectors, np.einsum("xi,xj->xij", rows.conj(), rows))
+    rows = u[:, :2]
+    return DiscreteObservable(range(_EXPANDED_MODES), np.einsum("xi,xj->xij", rows.conj(), rows))
 
 
 def hermitian_span_rank(effects, tol: float = 1e-10) -> tuple[int, float]:

@@ -33,6 +33,7 @@ from povmlab.mzi import (
     MZIParams,
     beam_splitter,
     mzi_output_state,
+    phase_shifter,
     single_photon_observable,
 )
 from povmlab.povm import (
@@ -125,6 +126,41 @@ class TestCoherentState:
         # amplitude arg shows up as e^{i n arg z} on the number amplitudes
         vec_ratio = st.op.mat[1, 0] / st.op.mat[0, 0]
         assert abs(np.angle(vec_ratio) - np.pi / 2) < 1e-12
+
+
+def dense_three_mode_unitary(circuit):
+    """Reference: the circuit as three dense products of the probe-padded
+    splitters and phase shifter with the dense Kerr unitary."""
+    d = circuit.arm_space.dim
+    dc = circuit.probe.probe_state.dim
+    ic = identity(dc)
+    u1 = tensor(beam_splitter(circuit.mzi.bs1, circuit.arm_space), ic).mat
+    u2 = tensor(beam_splitter(circuit.mzi.bs2, circuit.arm_space), ic).mat
+    v = tensor(phase_shifter(circuit.mzi.delta, circuit.arm_space), ic).mat
+    uk = kerr_unitary(circuit.probe.lam, (d, d, dc)).mat
+    return u2.conj().T @ uk @ v @ u1
+
+
+class TestThreeModeUnitary:
+    def test_matches_dense_chain(self):
+        rng = np.random.default_rng(20261018)
+        for nmax in (1, 2, 3):
+            for lam in (0.0, 0.37, 2.5):
+                for probe in (small_probe(lam=lam), mixed_probe(lam=lam)):
+                    params = MZIParams(
+                        BSParams(rng.uniform(0.05, 0.95), rng.uniform(0, 2 * np.pi)),
+                        BSParams(rng.uniform(0.05, 0.95), rng.uniform(0, 2 * np.pi)),
+                        rng.uniform(0, 2 * np.pi),
+                    )
+                    circuit = KerrCircuit(params, probe, FockSpace(nmax))
+                    m = three_mode_unitary(circuit)
+                    assert m.dims == circuit.dims
+                    assert np.max(np.abs(m.mat - dense_three_mode_unitary(circuit))) < 1e-12
+                    # blocks between different probe photon numbers are exactly zero
+                    dc = probe.probe_state.dim
+                    blocks = m.mat.reshape((nmax + 1) ** 2, dc, (nmax + 1) ** 2, dc)
+                    off = ~np.eye(dc, dtype=bool)
+                    assert np.all(blocks.transpose(1, 3, 0, 2)[off] == 0)
 
 
 class TestThreeModeOutput:
@@ -281,6 +317,22 @@ class TestJointPovm:
             oracle = joint_povm_compressed(eps2, 0.77, probe)
             for x, e in closed:
                 assert np.max(np.abs(e.op.mat - oracle.effect_for(x).op.mat)) < 1e-9
+
+    def test_compression_matches_dense_measurement_part(self):
+        # reference: the reversed recombiner times the dense Kerr unitary on
+        # the input columns |10>|k> and |01>|k>, traced over the probe densely
+        for eps2 in (0.0, 0.3, 1.0):
+            for probe in (small_probe(lam=0.9, dim=16, amp=1.0), mixed_probe(lam=0.9)):
+                dc = probe.probe_state.dim
+                u2 = tensor(beam_splitter(BSParams(eps2, 0.77), FockSpace(1)), identity(dc))
+                m = u2.mat.conj().T @ kerr_unitary(probe.lam, (2, 2, dc)).mat
+                u = m.reshape(2, 2, dc, 4, dc)[:, :, :, [2, 1], :]
+                expected = np.einsum("nbcik,xcd,nbdjl,lk->nxij", u.conj(), probe.readout.mats,
+                                     u, probe.probe_state.op.mat)
+                got = joint_povm_compressed(eps2, 0.77, probe)
+                labels = [(n, x) for n in range(2) for x in probe.readout.outcomes]
+                assert got.outcomes == tuple(labels)
+                assert np.max(np.abs(got.mats.reshape(expected.shape) - expected)) < 1e-12
 
     def test_matches_per_bin_traces(self):
         # reference: the four probe traces as separate matrix products per bin

@@ -165,6 +165,23 @@ class TestInterferenceLaw:
             assert abs(effective_transparency(params) - eps1) < 1e-12
             assert abs(single_photon_probs(params)[(1, 0)] - eps1) < 1e-12
 
+    def test_unitary_is_the_composed_chain(self):
+        rng = np.random.default_rng(21)
+        for nmax in (1, 2, 3, 4):
+            space = FockSpace(nmax)
+            for _ in range(5):
+                params = MZIParams(
+                    BSParams(rng.uniform(0, 1), rng.uniform(0, 2 * np.pi)),
+                    BSParams(rng.uniform(0, 1), rng.uniform(0, 2 * np.pi)),
+                    rng.uniform(0, 2 * np.pi),
+                )
+                chain = (beam_splitter(params.bs2, space).dag()
+                         @ phase_shifter(params.delta, space)
+                         @ beam_splitter(params.bs1, space))
+                m = mzi_unitary(params, space)
+                assert np.array_equal(m.mat, chain.mat)
+                assert m.dims == chain.dims
+
     def test_against_full_unitary(self):
         rng = np.random.default_rng(8)
         for _ in range(40):
