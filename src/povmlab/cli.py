@@ -5,11 +5,18 @@ Exit codes: 0 on success, 2 on a --verify failure, 64 on usage or I/O
 errors. The environment variable POVMLAB_TOL overrides the default verify
 tolerance of 1e-9. Identical configuration and seed produce byte-identical
 output files.
+
+JSON output is one object with the keys "config", "rows" and "checks". Keys
+are sorted and nesting is indented by two spaces, one item per line, except
+that a list of numbers or of lists of numbers (such as one row of a
+spin-phase effect matrix, written as [re, im] pairs) goes on a single line.
+Output with no such list is exactly json.dumps(indent=2, sort_keys=True).
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -37,6 +44,31 @@ def _fmt(value) -> str:
     return str(value)
 
 
+_NUMBERS = {int, float}
+
+
+def _numeric_array(items: list) -> bool:
+    """A list of numbers, or of lists of numbers (one effect-matrix row)."""
+    types = set(map(type, items))
+    if types <= _NUMBERS:
+        return True
+    return types == {list} and set(map(type, itertools.chain.from_iterable(items))) <= _NUMBERS
+
+
+def _json(value, indent: str = "") -> str:
+    """``value`` laid out as json.dumps(indent=2, sort_keys=True) lays it
+    out, except that a numeric array goes on one line, written by the C
+    encoder."""
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        items = [f"{inner}{json.dumps(k)}: {_json(value[k], inner)}" for k in sorted(value)]
+        return "{\n" + ",\n".join(items) + "\n" + indent + "}"
+    if isinstance(value, (list, tuple)) and not _numeric_array(value):
+        items = [inner + _json(v, inner) for v in value]
+        return "[\n" + ",\n".join(items) + "\n" + indent + "]"
+    return json.dumps(value)
+
+
 def _emit(config: dict, header: list[str], rows: list[list], checks: dict,
           fmt: str, out_path: str | None):
     if fmt == "csv":
@@ -50,7 +82,7 @@ def _emit(config: dict, header: list[str], rows: list[list], checks: dict,
             "rows": [dict(zip(header, row)) for row in rows],
             "checks": checks,
         }
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = _json(payload) + "\n"
     if out_path is None:
         sys.stdout.write(text)
     else:
@@ -107,20 +139,18 @@ def cmd_mzi_scan(args) -> int:
     one[1] = 1.0
     vac = np.zeros(space.dim, dtype=complex)
     vac[0] = 1.0
+    bs1 = mzi.BSParams(args.eps1, args.theta1)
+    bs2 = mzi.BSParams(args.eps2, args.theta2)
+    states = mzi.mzi_output_states(vector_state(one), vector_state(vac), bs1, bs2,
+                                   deltas, space)
     rows = []
     worst = 0.0
-    for delta in deltas:
-        params = mzi.MZIParams(
-            mzi.BSParams(args.eps1, args.theta1),
-            mzi.BSParams(args.eps2, args.theta2),
-            float(delta),
-        )
-        w = mzi.mzi_output_state(vector_state(one), vector_state(vac), params, space)
+    for delta, w in zip(deltas, states):
         probs = mzi.detection_probabilities(w)
         p10 = probs[(1, 0)]
         p01 = probs[(0, 1)]
         other = sum(p for (n1, n2), p in probs.items() if n1 + n2 != 1)
-        eps = mzi.effective_transparency(params)
+        eps = mzi.effective_transparency(mzi.MZIParams(bs1, bs2, float(delta)))
         err = abs(p10 - eps)
         worst = max(worst, err)
         rows.append([float(delta), p10, p01, other, eps, err, p10 + p01 + other])
@@ -138,14 +168,17 @@ def cmd_mzi_scan(args) -> int:
 def cmd_kerr_tradeoff(args) -> int:
     amps = _parse_floats(args.amp, "--amp")
     eps2_values = _parse_floats(args.eps2, "--eps2")
+    try:
+        probe_dims = {amp: kerrqnd.coherent_dim(amp) for amp in amps}
+    except ValueError as exc:
+        raise ValueError(f"--amp: {exc}") from None
     rows_raw = kerrqnd.tradeoff_scan(
         amps, args.lam, eps2_values, probe_kind=args.probe
     )
     rows = []
     for r in rows_raw:
-        probe_dim = kerrqnd.coherent_dim(r["amp"])
         rows.append([r["amp"], r["lam"], r["eps2"], r["visibility"],
-                     r["path_confidence"], probe_dim])
+                     r["path_confidence"], probe_dims[r["amp"]]])
     header = ["amp", "lambda", "eps2", "visibility", "path_confidence", "probe_dim"]
     # monotone tradeoff along increasing amplitude at fixed eps2
     monotone = True
@@ -221,7 +254,8 @@ def cmd_spin_phase(args) -> int:
         worst_cov = max(worst_cov, cov)
         worst_uniform = max(worst_uniform, uniform)
         rows.append([u, v, float(w.min()), float(w.max()), alpha, cov, uniform])
-        matrices.append([[(c.real, c.imag) for c in row] for row in e.op.mat])
+        if args.format == "json":
+            matrices.append(np.stack((e.op.mat.real, e.op.mat.imag), -1).tolist())
     header = ["u", "v", "eig_min", "eig_max", "alpha", "covariance_residual",
               "uniformity_residual"]
     config = _config_dict(args, ["spin", "intervals", "bins", "seed"])

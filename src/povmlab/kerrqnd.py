@@ -128,8 +128,12 @@ def kerr_unitary(lam: float, dims: tuple[int, int, int]) -> Operator:
 
 
 def coherent_dim(amp: float) -> int:
-    """Truncation level meeting the coherent leakage bound for |z| <= 6."""
-    return max(16, math.ceil(abs(amp) ** 2 + 9 * abs(amp) + 6))
+    """Truncation level meeting the coherent leakage bound for |z| <= 6;
+    raises ValueError outside that range and for NaN."""
+    r = abs(amp)
+    if not r <= 6.0:
+        raise ValueError(f"coherent amplitude {amp} outside |z| <= 6")
+    return max(16, math.ceil(r**2 + 9 * r + 6))
 
 
 def coherent_state(z: complex, dim: int | None = None) -> State:

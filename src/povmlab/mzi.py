@@ -47,6 +47,7 @@ __all__ = [
     "phase_shifter",
     "mzi_unitary",
     "mzi_output_state",
+    "mzi_output_states",
     "detection_probabilities",
     "effective_transparency",
     "induced_mzi_observable",
@@ -145,14 +146,15 @@ def phase_shifter(delta: float, space: FockSpace) -> Operator:
 
 
 def _interferometer_blocks(params: MZIParams, space: FockSpace,
-                           kerr: np.ndarray) -> np.ndarray:
-    """(B2^dagger diag(kerr[c]) V) B1, shape (k, dim**2, dim**2), for each row
-    c of the (k, dim**2) phase array ``kerr``: splitter, phase shift, the
-    row's phases, reversed recombiner. All-ones is B2^dagger @ V @ B1 bit for bit."""
+                           phases: np.ndarray) -> np.ndarray:
+    """(B2^dagger diag(phases[c]) V) B1, shape (k, dim**2, dim**2), for each
+    row c of the (k, dim**2) phase array ``phases``: splitter, phase shift, the
+    row's phases (Kerr phases, or a sweep's phase shifts at delta = 0),
+    reversed recombiner. All-ones is B2^dagger @ V @ B1 bit for bit."""
     b1 = beam_splitter(params.bs1, space).mat
     b2h = beam_splitter(params.bs2, space).mat.conj().T
     v = phase_shifter(params.delta, space).mat
-    return (b2h @ (kerr[:, :, None] * v)) @ b1
+    return (b2h @ (phases[:, :, None] * v)) @ b1
 
 
 def mzi_unitary(params: MZIParams, space: FockSpace) -> Operator:
@@ -162,15 +164,30 @@ def mzi_unitary(params: MZIParams, space: FockSpace) -> Operator:
     return Operator(blocks[0], (space.dim, space.dim))
 
 
+def mzi_output_states(t: State, t_idle: State, bs1: BSParams, bs2: BSParams,
+                      deltas, space: FockSpace) -> list[State]:
+    """Two-mode states emerging from the interferometer for input t x t_idle,
+    one for each phase shift in the sequence ``deltas`` (reduced mod 2 pi, as
+    in :class:`MZIParams`). Each splitter is built once for the whole sweep;
+    the phase shifts enter as the rows e^{i delta n1} of one block stack."""
+    if t.dim != space.dim or t_idle.dim != space.dim:
+        raise ValueError("input states do not match the mode dimension")
+    reduced = np.mod(np.asarray(deltas, dtype=float), 2 * math.pi)
+    phases = np.exp(1j * reduced[:, None] * np.arange(space.dim))
+    blocks = _interferometer_blocks(MZIParams(bs1, bs2), space,
+                                    np.repeat(phases, space.dim, axis=1))
+    joint = tensor(t.op, t_idle.op).mat
+    states = []
+    for u in blocks:
+        out = u @ joint @ u.conj().T
+        states.append(State(Operator((out + out.conj().T) / 2, (space.dim, space.dim))))
+    return states
+
+
 def mzi_output_state(t: State, t_idle: State, params: MZIParams,
                      space: FockSpace) -> State:
     """Two-mode state emerging from the interferometer for input t x t_idle."""
-    if t.dim != space.dim or t_idle.dim != space.dim:
-        raise ValueError("input states do not match the mode dimension")
-    u = mzi_unitary(params, space)
-    joint = tensor(t.op, t_idle.op)
-    out = u.mat @ joint.mat @ u.mat.conj().T
-    return State(Operator((out + out.conj().T) / 2, (space.dim, space.dim)))
+    return mzi_output_states(t, t_idle, params.bs1, params.bs2, [params.delta], space)[0]
 
 
 def detection_probabilities(w: State) -> dict:
@@ -298,6 +315,9 @@ def _single_photon_block(params: BSParams) -> np.ndarray:
 
 def _embed(block: np.ndarray, pair: tuple[int, int]) -> np.ndarray:
     i, j = pair
+    if i == j or i not in range(_EXPANDED_MODES) or j not in range(_EXPANDED_MODES):
+        raise ValueError(f"mode pair {pair!r} is not two distinct modes in "
+                         f"0..{_EXPANDED_MODES - 1}")
     u = np.eye(_EXPANDED_MODES, dtype=complex)
     u[i, i], u[i, j] = block[0, 0], block[0, 1]
     u[j, i], u[j, j] = block[1, 0], block[1, 1]
@@ -347,6 +367,9 @@ def expanded_mzi_observable(circuit=None) -> DiscreteObservable:
         elif kind == "bsr":
             u = _embed(_single_photon_block(element[1]).conj().T, element[2]) @ u
         elif kind == "ps":
+            if element[2] not in range(_EXPANDED_MODES):
+                raise ValueError(f"phase-shifter mode {element[2]!r} is not in "
+                                 f"0..{_EXPANDED_MODES - 1}")
             d = np.ones(_EXPANDED_MODES, dtype=complex)
             d[element[2]] = np.exp(1j * element[1])
             u = np.diag(d) @ u

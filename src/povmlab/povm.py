@@ -186,7 +186,11 @@ class DiscreteObservable:
         return self.effects[self._index[outcome]]
 
     def probabilities(self, st: State) -> dict:
-        return {x: probability(st, e) for x, e in self}
+        """Outcome probabilities tr[T E(x)], clamped as :func:`probability` clamps."""
+        if st.dim != self.dim:
+            raise ValueError(f"dimension mismatch: state {st.dim}, effects {self.dim}")
+        ps = np.einsum("ij,xji->x", st.op.mat, self.mats).real
+        return {x: _clamped(p) for x, p in zip(self.outcomes, ps.tolist())}
 
     def is_projection_valued(self, atol: float = 1e-8) -> bool:
         m = self.mats
@@ -291,7 +295,10 @@ def probability(st: State, e: Effect) -> float:
     of the boundary."""
     if st.dim != e.dim:
         raise ValueError(f"dimension mismatch: state {st.dim}, effect {e.dim}")
-    p = float(np.trace(st.op.mat @ e.op.mat).real)
+    return _clamped(float(np.trace(st.op.mat @ e.op.mat).real))
+
+
+def _clamped(p: float) -> float:
     if -ATOL_POSITIVE <= p < 0.0:
         return 0.0
     if 1.0 < p <= 1.0 + ATOL_POSITIVE:

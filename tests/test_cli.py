@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+from povmlab import cli, mzi
 from povmlab.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 
 
@@ -80,6 +82,7 @@ class TestUsageErrors:
     (["spin", "--a1=0.5,0,0", "--a2=0,nan,0", "--verify"], "--a2"),
     *[(["mzi-scan", f"{flag}=inf", "--verify"], flag)
       for flag in ("--eps1", "--eps2", "--theta2", "--delta-min", "--delta-max")],
+    (["kerr-tradeoff", "--amp", "0,7", "--verify"], "--amp"),
 ])
 def test_bad_numbers_are_usage_errors(argv, flag, capsys):
     code, out, err = run(argv, capsys)
@@ -122,11 +125,78 @@ def test_spin_phase_intervals_one_row_each(capsys):
     ["spin-phase", "--spin", "2", "--bins", "5", "--seed", "11"],
 ])
 def test_csv_reruns_are_byte_identical(argv, tmp_path, capsys):
-    outputs = []
-    for i in range(2):
-        path = tmp_path / f"run{i}.csv"
-        code, out, _ = run(argv + ["--verify", "--out", str(path)], capsys)
-        assert code == EXIT_OK and out == ""
-        outputs.append(path.read_bytes())
-    assert outputs[0] == outputs[1]
-    assert outputs[0].count(b"\n") >= 2
+    # both formats
+    for fmt in ("csv", "json"):
+        outputs = []
+        for i in range(2):
+            path = tmp_path / f"run{i}.{fmt}"
+            code, out, _ = run(argv + ["--format", fmt, "--verify", "--out", str(path)],
+                               capsys)
+            assert code == EXIT_OK and out == ""
+            outputs.append(path.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].count(b"\n") >= 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["mzi-scan", "--nmax", "2", "--eps1", "0.3", "--theta1", "0.3"],
+    ["kerr-tradeoff", "--amp", "0,0.5,1", "--eps2", "0.3,0.5"],
+    ["spin", "--a1=0.6,0,0", "--a2=0,0.6,0"],
+    ["spin", "--a1=0.9,0,0", "--a2=0,0.9,0"],
+])
+def test_json_without_numeric_arrays_is_indent_2(argv, capsys):
+    code, out, _ = run(argv + ["--format", "json"], capsys)
+    assert code == EXIT_OK
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+def test_json_layout_of_nested_values():
+    payload = {"b": [{"y": None, "x": [True, "s"]}, [], {}], "a": {"é": "\u2014", "n": []},
+               "c": [["u", 1.5], [[None, 2]], [False, 0]]}
+    assert cli._json(payload) == json.dumps(payload, indent=2, sort_keys=True)
+    # numeric arrays, and lists of them, one line each
+    assert cli._json([1, 2.5]) == "[1, 2.5]"
+    assert cli._json([[1.0, 0.0], [0.5, -0.5]]) == "[[1.0, 0.0], [0.5, -0.5]]"
+    assert cli._json({"m": [[[1.0, 0.0]], [[0.0, 1.0]]]}) == (
+        '{\n  "m": [\n    [[1.0, 0.0]],\n    [[0.0, 1.0]]\n  ]\n}')
+
+
+def test_spin_phase_json_writes_one_line_per_matrix_row(capsys):
+    bins, spin_j = 32, 20
+    d = 2 * spin_j + 1
+    code, out, _ = run(["spin-phase", "--spin", str(spin_j), "--bins", str(bins),
+                        "--format", "json", "--verify"], capsys)
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    mats = np.array(payload["checks"]["effect_matrices"])
+    assert mats.shape == (bins, d, d, 2)
+    payload["checks"]["effect_matrices"] = []
+    frame = json.dumps(payload, indent=2, sort_keys=True).count("\n") + 1
+    # the frame, one line per matrix row and a bracket line before and after
+    # each matrix
+    assert len(out.splitlines()) <= frame + bins * (d + 2) + 1
+
+
+@pytest.mark.parametrize("nmax", [1, 4, 8])
+def test_mzi_scan_rows_match_per_delta_composition(nmax, capsys):
+    bs1, bs2 = mzi.BSParams(0.3, 0.7), mzi.BSParams(0.55, 2.9)
+    code, out, _ = run(["mzi-scan", "--nmax", str(nmax), "--eps1", "0.3", "--theta1", "0.7",
+                        "--eps2", "0.55", "--theta2", "2.9", "--delta-min", "-7",
+                        "--delta-max", "9", "--format", "json", "--verify"], capsys)
+    assert code == EXIT_OK
+    rows = json.loads(out)["rows"]
+    deltas = np.linspace(-7.0, 9.0, 33)
+    assert [r["delta"] for r in rows] == deltas.tolist()
+    # reference: the splitters and the phase shifter rebuilt for every delta
+    space = mzi.FockSpace(nmax)
+    one, vac = np.eye(space.dim)[1], np.eye(space.dim)[0]
+    joint = np.kron(np.outer(one, one), np.outer(vac, vac))
+    for delta, row in zip(deltas, rows):
+        params = mzi.MZIParams(bs1, bs2, delta)
+        u = (mzi.beam_splitter(bs2, space).dag() @ mzi.phase_shifter(params.delta, space)
+             @ mzi.beam_splitter(bs1, space)).mat
+        diag = np.diag(u @ joint @ u.conj().T).real.reshape(space.dim, space.dim)
+        assert abs(row["p10"] - diag[1, 0]) <= 1e-15
+        assert abs(row["p01"] - diag[0, 1]) <= 1e-15
+        assert abs(row["sum_other"] - (diag.sum() - diag[1, 0] - diag[0, 1])) <= 1e-15
+        assert row["eps_analytic"] == mzi.effective_transparency(params)

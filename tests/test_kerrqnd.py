@@ -121,6 +121,14 @@ class TestCoherentState:
         with pytest.raises(ValueError):
             coherent_state(3.0, 12)
 
+    def test_coherent_dim_holds_its_stated_range(self):
+        for amp in (6.0, -6.0, 6j):
+            dim = coherent_dim(amp)
+            assert abs(np.trace(coherent_state(abs(amp), dim).op.mat) - 1.0) < 1e-12
+        for amp in (6.0 + 1e-9, -7.0, 100.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="outside"):
+                coherent_dim(amp)
+
     def test_phase_convention(self):
         st = coherent_state(1.0j, 20)
         # amplitude arg shows up as e^{i n arg z} on the number amplitudes

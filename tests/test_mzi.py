@@ -1,10 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from povmlab.linalg import Operator, tensor
+from povmlab.linalg import Operator, haar_vector, tensor
 from povmlab.mzi import (
     BSParams,
     FockSpace,
@@ -20,6 +21,7 @@ from povmlab.mzi import (
     induced_mzi_observable,
     mzi_measurement_scheme,
     mzi_output_state,
+    mzi_output_states,
     mzi_unitary,
     number,
     phase_shifter,
@@ -144,6 +146,28 @@ class TestOutputState:
             vector_state(fock(5, 2)), vector_state(fock(5, 1)), params, SPACE4
         )
         assert abs(w.op.trace().real - 1.0) < 1e-12
+
+    def test_sweep_matches_per_delta_composition(self):
+        # reference: the splitters and the phase shifter rebuilt for every
+        # delta (reduced by MZIParams) and composed as dense products; the
+        # sweep performs the same floating-point operations
+        rng = np.random.default_rng(31)
+        bs1 = BSParams(0.35, 1.2)
+        bs2 = BSParams(0.6, 4.0)
+        deltas = np.linspace(-7.0, 9.0, 9)
+        for nmax in (1, 2, 4):
+            space = FockSpace(nmax)
+            t, t_idle = (vector_state(haar_vector(space.dim, rng).vec) for _ in range(2))
+            states = mzi_output_states(t, t_idle, bs1, bs2, deltas, space)
+            assert len(states) == len(deltas)
+            joint = tensor(t.op, t_idle.op).mat
+            for delta, w in zip(deltas, states):
+                params = MZIParams(bs1, bs2, delta)
+                u = (beam_splitter(bs2, space).dag() @ phase_shifter(params.delta, space)
+                     @ beam_splitter(bs1, space)).mat
+                out = u @ joint @ u.conj().T
+                assert w.op.dims == (space.dim, space.dim)
+                assert np.array_equal(w.op.mat, (out + out.conj().T) / 2)
 
 
 class TestInterferenceLaw:
@@ -394,3 +418,13 @@ class TestExpandedInterferometer:
     def test_rejects_unknown_element(self):
         with pytest.raises(ValueError):
             expanded_mzi_observable([("mirror", None, (0, 1))])
+
+    @pytest.mark.parametrize("kind", ["bs", "bsr"])
+    @pytest.mark.parametrize("pair", [(0, -1), (0, 5), (1, 1)])
+    def test_rejects_bad_mode_pair(self, kind, pair):
+        with pytest.raises(ValueError, match=re.escape(f"mode pair {pair!r}")):
+            expanded_mzi_observable([(kind, BSParams(0.3), pair)])
+
+    def test_rejects_bad_phase_shifter_mode(self):
+        with pytest.raises(ValueError, match="phase-shifter mode -1"):
+            expanded_mzi_observable([("ps", 0.3, -1)])

@@ -233,6 +233,19 @@ class TestProbability:
         assert all(-1e-10 <= p <= 1 + 1e-10 for p in probs)
         assert abs(sum(probs) - 1.0) < 1e-9
 
+    def test_probabilities_match_per_effect_loop(self):
+        rng = np.random.default_rng(7)
+        for pair in _reference_instances(rng):
+            for mats in pair:
+                obs = DiscreteObservable(range(len(mats)), [Operator(m) for m in mats])
+                for st_ in (random_state(obs.dim, rng), random_state(obs.dim, rng, rank=1)):
+                    probs = obs.probabilities(st_)
+                    assert list(probs) == list(obs.outcomes)
+                    for x, e in obs:
+                        assert abs(probs[x] - probability(st_, e)) <= 1e-15
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            obs.probabilities(maximally_mixed(obs.dim + 1))
+
 
 class TestInducedObservable:
     def test_decoupled_probe_is_trivial(self):
