@@ -2,9 +2,12 @@
 statistics export in diff-friendly CSV or JSON.
 
 Exit codes: 0 on success, 2 on a --verify failure, 64 on usage or I/O
-errors. The environment variable POVMLAB_TOL overrides the default verify
-tolerance of 1e-9. Identical configuration and seed produce byte-identical
-output files.
+errors. --verify checks: for mzi-scan, max_abs_err <= POVMLAB_TOL (default
+1e-9; nothing else reads it) and row sums within 1e-9 of one; for
+kerr-tradeoff, visibility non-increasing and path confidence non-decreasing
+in the amplitude, within 1e-9; for spin, oracle and criterion agree; for
+spin-phase, covariance residual <= 1e-10 and uniformity residual <= 1e-12.
+Identical configuration and seed produce byte-identical output files.
 
 JSON output is one object with the keys "config", "rows" and "checks". Keys
 are sorted and nesting is indented by two spaces, one item per line, except
@@ -25,7 +28,7 @@ import sys
 import numpy as np
 
 from . import kerrqnd, mzi, spin
-from .povm import vector_state
+from .povm import basis_state
 
 EXIT_OK = 0
 EXIT_VERIFY = 2
@@ -135,14 +138,10 @@ def cmd_mzi_scan(args) -> int:
     tol = _verify_tol()
     deltas = np.linspace(args.delta_min, args.delta_max, args.delta_steps)
     space = mzi.FockSpace(args.nmax)
-    one = np.zeros(space.dim, dtype=complex)
-    one[1] = 1.0
-    vac = np.zeros(space.dim, dtype=complex)
-    vac[0] = 1.0
     bs1 = mzi.BSParams(args.eps1, args.theta1)
     bs2 = mzi.BSParams(args.eps2, args.theta2)
-    states = mzi.mzi_output_states(vector_state(one), vector_state(vac), bs1, bs2,
-                                   deltas, space)
+    states = mzi.mzi_output_states(basis_state(1, space.dim), basis_state(0, space.dim),
+                                   bs1, bs2, deltas, space)
     rows = []
     worst = 0.0
     for delta, w in zip(deltas, states):

@@ -34,11 +34,12 @@ from .povm import (
     State,
     _compressed_effects,
     _controlled_shift,
+    basis_state,
     marginal,
     product_observable,
     vector_state,
 )
-from .spin import phase_kernel
+from .spin import _check_interval, phase_kernel
 
 __all__ = [
     "ProbeConfig",
@@ -47,7 +48,6 @@ __all__ = [
     "kerr_phase",
     "coherent_dim",
     "coherent_state",
-    "number_probe",
     "truncated_phase_povm",
     "three_mode_unitary",
     "three_mode_output",
@@ -98,13 +98,13 @@ class KerrCircuit:
         d = self.arm_space.dim
         return (d, d, self.probe.probe_state.dim)
 
-    def is_canonical(self, atol: float = 1e-12) -> bool:
+    def is_canonical(self) -> bool:
         p = self.mzi
         return (
-            abs(p.bs1.eps - 0.5) <= atol
-            and abs(p.bs2.eps - 0.5) <= atol
-            and abs(p.bs1.theta - math.pi / 2) <= atol
-            and abs(p.bs2.theta - math.pi / 2) <= atol
+            abs(p.bs1.eps - 0.5) <= 1e-12
+            and abs(p.bs2.eps - 0.5) <= 1e-12
+            and abs(p.bs1.theta - math.pi / 2) <= 1e-12
+            and abs(p.bs2.theta - math.pi / 2) <= 1e-12
         )
 
 
@@ -143,9 +143,7 @@ def coherent_state(z: complex, dim: int | None = None) -> State:
         dim = coherent_dim(abs(z))
     r = abs(z)
     if r == 0.0:
-        amps = np.zeros(dim, dtype=complex)
-        amps[0] = 1.0
-        return vector_state(amps)
+        return basis_state(0, dim)
     n = np.arange(dim)
     log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, dim)))))
     moduli = np.exp(-r**2 / 2 + n * math.log(r) - log_fact / 2)
@@ -159,26 +157,22 @@ def coherent_state(z: complex, dim: int | None = None) -> State:
     return vector_state(amps / math.sqrt(kept))
 
 
-def number_probe(k: int, dim: int) -> State:
-    v = np.zeros(dim, dtype=complex)
-    v[k] = 1.0
-    return vector_state(v)
-
-
 def truncated_phase_povm(dim: int, bins) -> DiscreteObservable:
     """Covariant phase observable on Fock levels 0..dim-1, coarse-grained
     over a partition of [0, 2pi].
 
     ``bins`` is either a bin count (uniform partition) or an explicit list
-    of (u, v) intervals covering [0, 2pi]. Shift covariance under e^{i a N}
-    holds only approximately near the truncation edge; the residual is
-    reported by the tests, not asserted.
+    of (u, v) intervals, each with 0 <= u <= v <= 2pi, covering [0, 2pi].
+    Shift covariance under e^{i a N} holds only approximately near the
+    truncation edge; the residual is reported by the tests, not asserted.
     """
     if isinstance(bins, int):
         edges = np.linspace(0.0, 2 * np.pi, bins + 1)
         intervals = [(edges[i], edges[i + 1]) for i in range(bins)]
     else:
         intervals = [(float(u), float(v)) for u, v in bins]
+        for u, v in intervals:
+            _check_interval(u, v)
     levels = np.arange(dim)
     return DiscreteObservable(
         range(len(intervals)), [phase_kernel(levels, u, v) for u, v in intervals]
@@ -210,9 +204,7 @@ def three_mode_output(t: State, circuit: KerrCircuit) -> State:
     d = circuit.arm_space.dim
     if t.dim != d:
         raise ValueError("input state does not match the arm dimension")
-    vac = np.zeros(d, dtype=complex)
-    vac[0] = 1.0
-    joint = tensor(t.op, vector_state(vac).op, circuit.probe.probe_state.op)
+    joint = tensor(t.op, basis_state(0, d).op, circuit.probe.probe_state.op)
     m = three_mode_unitary(circuit)
     out = m.mat @ joint.mat @ m.mat.conj().T
     return State(Operator((out + out.conj().T) / 2, circuit.dims))
@@ -386,7 +378,7 @@ def tradeoff_scan(amplitudes, lam: float, eps2_values, theta2: float = math.pi /
         if probe_kind == "coherent":
             probe_state = coherent_state(amp, dim)
         elif probe_kind == "number":
-            probe_state = number_probe(round(abs(amp) ** 2), dim)
+            probe_state = basis_state(round(abs(amp) ** 2), dim)
         else:
             raise ValueError(f"unknown probe kind {probe_kind!r}")
         readout = truncated_phase_povm(dim, bins)
@@ -415,12 +407,8 @@ def kerr_measurement_scheme(circuit: KerrCircuit) -> MeasurementScheme:
     perm = _controlled_shift(np.arange(da), db * dc, dr)
     # no name holds the dense m x I_r, so it is freed before the coupling checks run
     coupling = Operator(tensor(m, identity(dr)).mat[perm], (da, db, dc, dr))
-    vac = np.zeros(db, dtype=complex)
-    vac[0] = 1.0
-    reg0 = np.zeros(dr, dtype=complex)
-    reg0[0] = 1.0
     probe_state = State(
-        tensor(vector_state(vac).op, circuit.probe.probe_state.op, vector_state(reg0).op)
+        tensor(basis_state(0, db).op, circuit.probe.probe_state.op, basis_state(0, dr).op)
     )
     trivial_b = DiscreteObservable([0], np.eye(db)[None])
     pointer = product_observable(

@@ -89,14 +89,14 @@ class Operator:
     def is_hermitian(self, atol: float = ATOL_HERMITIAN) -> bool:
         return bool(np.max(np.abs(self.mat - self.mat.conj().T)) <= atol)
 
-    def is_unitary(self, atol: float = ATOL_UNITARY) -> bool:
+    def is_unitary(self) -> bool:
         delta = self.mat @ self.mat.conj().T - np.eye(self.dim)
-        return bool(np.max(np.abs(delta)) <= atol)
+        return bool(np.max(np.abs(delta)) <= ATOL_UNITARY)
 
-    def is_projection(self, atol: float = 1e-8) -> bool:
-        if not self.is_hermitian(atol):
+    def is_projection(self) -> bool:
+        if not self.is_hermitian(1e-8):
             return False
-        return bool(np.max(np.abs(self.mat @ self.mat - self.mat)) <= atol)
+        return bool(np.max(np.abs(self.mat @ self.mat - self.mat)) <= 1e-8)
 
     # Small operator algebra; dims metadata survives when unambiguous.
     def _merge_dims(self, other: "Operator") -> tuple[int, ...] | None:
@@ -225,7 +225,7 @@ def expm(op: Operator) -> Operator:
     return Operator((v * np.exp(-1j * w)) @ v.conj().T, op.dims)
 
 
-def eigh(op: Operator, atol: float = ATOL_HERMITIAN):
+def eigh(op: Operator):
     """Eigendecomposition of a Hermitian operator.
 
     Returns ``(w, v)`` with eigenvalues ``w`` ascending and eigenvector
@@ -235,19 +235,19 @@ def eigh(op: Operator, atol: float = ATOL_HERMITIAN):
     Raises
     ------
     ValueError
-        If the input is not Hermitian within ``atol``.
+        If the input is not Hermitian within ``ATOL_HERMITIAN``.
     """
-    if not op.is_hermitian(atol):
+    if not op.is_hermitian():
         raise ValueError("eigh: input is not Hermitian within tolerance")
     w, v = np.linalg.eigh(op.mat)
     return w, v
 
 
-def psd_sqrt(op: Operator, atol: float = ATOL_POSITIVE) -> Operator:
+def psd_sqrt(op: Operator) -> Operator:
     """Square root of a positive semidefinite operator (eigenvalue clipping
-    only within the positivity tolerance)."""
+    only within ``ATOL_POSITIVE``)."""
     w, v = eigh(op)
-    if w.min() < -atol:
+    if w.min() < -ATOL_POSITIVE:
         raise ValueError(f"psd_sqrt: operator not positive (min eig {w.min():.3e})")
     root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
     return Operator(root, op.dims)

@@ -32,8 +32,8 @@ from .povm import (
     MeasurementScheme,
     State,
     _controlled_shift,
+    basis_state,
     product_observable,
-    vector_state,
 )
 
 __all__ = [
@@ -244,9 +244,8 @@ def mzi_measurement_scheme(params: MZIParams, space: FockSpace) -> MeasurementSc
     d = space.dim
     u = tensor(mzi_unitary(params, space), identity(d))
     coupling = Operator(u.mat[_controlled_shift(np.arange(d), d, d)], (d, d, d))
-    vac = np.zeros(d, dtype=complex)
-    vac[0] = 1.0
-    probe = State(tensor(vector_state(vac).op, vector_state(vac).op))
+    vac = basis_state(0, d).op
+    probe = State(tensor(vac, vac))
     pointer = product_observable(number_observable(d), number_observable(d))
     pointer_function = {(n2, k): (k, n2) for n2 in range(d) for k in range(d)}
     return MeasurementScheme(coupling, probe, pointer, pointer_function)
@@ -379,7 +378,7 @@ def expanded_mzi_observable(circuit=None) -> DiscreteObservable:
     return DiscreteObservable(range(_EXPANDED_MODES), np.einsum("xi,xj->xij", rows.conj(), rows))
 
 
-def hermitian_span_rank(effects, tol: float = 1e-10) -> tuple[int, float]:
+def hermitian_span_rank(effects) -> tuple[int, float]:
     """Rank and smallest singular value of a family of 2x2 effects viewed as
     real vectors in the 4-dimensional space of Hermitian matrices."""
     rows = []
@@ -394,4 +393,4 @@ def hermitian_span_rank(effects, tol: float = 1e-10) -> tuple[int, float]:
             ]
         )
     svals = np.linalg.svd(np.array(rows), compute_uv=False)
-    return int(np.sum(svals > tol)), float(svals.min())
+    return int(np.sum(svals > 1e-10)), float(svals.min())

@@ -57,9 +57,9 @@ def spin_effect(a) -> Effect:
 
 
 def spin_observable(a) -> DiscreteObservable:
-    """Two-valued observable {+1: F(a), -1: F(-a)}."""
-    a = _bloch(a)
-    return DiscreteObservable([+1, -1], [spin_effect(a), spin_effect(-a)])
+    """Two-valued observable {+1: F(a), -1: F(-a)}, checked once as a stack."""
+    m = sum(c * s for c, s in zip(_bloch(a), _PAULI)) / 2
+    return DiscreteObservable([+1, -1], [np.eye(2) / 2 + m, np.eye(2) / 2 - m])
 
 
 def criterion_value(a1, a2) -> float:

@@ -19,7 +19,6 @@ from povmlab.kerrqnd import (
     kerr_unitary,
     marginal_over_bins,
     marginal_over_counts,
-    number_probe,
     path_confidence,
     three_mode_output,
     three_mode_unitary,
@@ -39,6 +38,7 @@ from povmlab.mzi import (
 from povmlab.povm import (
     DiscreteObservable,
     State,
+    basis_state,
     induced_observable,
     probability,
     vector_state,
@@ -277,7 +277,7 @@ class TestInducedAModeObservable:
 
     def test_number_probe_carries_no_path_information(self):
         dim = 8
-        probe = ProbeConfig(number_probe(3, dim), 0.7, truncated_phase_povm(dim, 4))
+        probe = ProbeConfig(basis_state(3, dim), 0.7, truncated_phase_povm(dim, 4))
         circuit = KerrCircuit(canonical(0.5), probe)
         obs = induced_a_mode_observable(circuit)
         povm2 = joint_path_interference_povm(0.5, math.pi / 2, probe)
@@ -477,7 +477,7 @@ class TestEnglertDuality:
     def test_helstrom_readout_saturates_for_pure_probes(self):
         for amp in (0.3, 1.0, 2.0, 3.0):
             dim = coherent_dim(amp)
-            for probe_state in (coherent_state(amp, dim), number_probe(2, dim)):
+            for probe_state in (coherent_state(amp, dim), basis_state(2, dim)):
                 for lam in self.LAMBDAS:
                     probe = ProbeConfig(probe_state, lam, helstrom_readout(probe_state, lam))
                     povm = joint_path_interference_povm(0.5, math.pi / 2, probe)
@@ -495,6 +495,10 @@ class TestTruncatedPhasePovm:
     def test_full_circle_is_identity(self):
         povm = truncated_phase_povm(6, [(0.0, 2 * np.pi)])
         assert np.array_equal(povm.effects[0].op.mat, np.eye(6))
+        # intervals beyond the circle or reversed are rejected at entry
+        for interval in ((0.0, 7.0), (2.0, 1.0)):
+            with pytest.raises(ValueError, match="malformed interval"):
+                truncated_phase_povm(4, [interval])
 
     def test_uniform_in_number_states(self):
         povm = truncated_phase_povm(10, 8)

@@ -182,7 +182,7 @@ class TestExpm:
     def test_anti_hermitian_gives_unitary(self, seed):
         rng = np.random.default_rng(seed)
         u = expm(random_anti_hermitian(5, rng))
-        assert u.is_unitary(1e-10)
+        assert u.is_unitary()
 
 
 class TestEigh:

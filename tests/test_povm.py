@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from povmlab import mzi, spin
+from povmlab import mzi, povm, spin
 from povmlab.linalg import Operator, haar_vector, identity, tensor
 from povmlab.povm import (
+    _CHECK_SLICE_BYTES,
     DiscreteObservable,
     Effect,
     MeasurementScheme,
@@ -17,6 +18,7 @@ from povmlab.povm import (
     apply_transformer,
     are_complementary,
     are_prob_complementary,
+    basis_state,
     effect,
     eigenspace_one,
     induced_observable,
@@ -188,6 +190,100 @@ class TestObservableStack:
             DiscreteObservable("ab", outside)
         with pytest.raises(ValueError, match="square"):
             DiscreteObservable("ab", np.zeros((2, 2, 3)))
+
+
+def reference_check_effect(mat):
+    """The per-row effect check that ``_check_effects`` batches."""
+    if not np.max(np.abs(mat - mat.conj().T)) <= 1e-10:
+        raise ValueError("effect must be Hermitian within 1e-10")
+    w = np.linalg.eigvalsh(mat)
+    if w.min() < -1e-10 or w.max() > 1.0 + 1e-10:
+        raise ValueError(
+            f"effect spectrum [{w.min():.3e}, {w.max():.6f}] outside [0, 1]"
+        )
+
+
+def reference_error(mats):
+    """The message of the first row the per-row check rejects, else None."""
+    for m in mats:
+        try:
+            reference_check_effect(m)
+        except ValueError as exc:
+            return str(exc)
+    return None
+
+
+def rows_per_slice(d):
+    return max(1, _CHECK_SLICE_BYTES // (16 * d * d))
+
+
+class TestBatchedEffectCheck:
+    @staticmethod
+    def valid_stack(d, k, rng):
+        """k effects U diag(p) U+ with a random unitary U and p in [0.05, 0.95]."""
+        u = random_unitary(d, rng)
+        p = rng.uniform(0.05, 0.95, size=(k, d))
+        return np.einsum("ij,kj,lj->kil", u, p, u.conj()), u
+
+    @pytest.mark.parametrize("d,slices", [(2, 3), (41, 3), (144, 3)])
+    def test_one_bad_row_first_and_last_in_a_slice(self, d, slices):
+        step = rows_per_slice(d)
+        k = slices * step + (1 if step > 1 else 0)  # a short last slice
+        rng = np.random.default_rng(d)
+        stack, u = self.valid_stack(d, k, rng)
+        assert reference_error(stack) is None
+        povm._check_effects(stack)
+        top = np.outer(u[:, 0], u[:, 0].conj())
+        skew = np.zeros((d, d), dtype=complex)
+        skew[0, d - 1] = 1e-6
+        bad_rows = {"non-Hermitian": skew, "above one": 1.2 * top, "below zero": -1.2 * top}
+        positions = sorted({0, step - 1, step, 2 * step - 1, (slices - 1) * step, k - 1})
+        for kind, delta in bad_rows.items():
+            for i in positions:
+                bad = stack.copy()
+                bad[i] += delta
+                # the other rows pass the reference, so its verdict on the
+                # stack is its verdict on row i
+                expected = reference_error(bad[i:i + 1])
+                assert expected is not None, (kind, i)
+                with pytest.raises(ValueError) as err:
+                    povm._check_effects(bad)
+                assert str(err.value) == expected, (kind, i)
+
+    def test_rows_larger_than_a_slice_form_an_observable(self):
+        d = 144
+        assert 16 * d * d > _CHECK_SLICE_BYTES
+        rng = np.random.default_rng(7)
+        u = random_unitary(d, rng)
+        p = rng.dirichlet(np.ones(3), size=d).T
+        stack = np.einsum("ij,kj,lj->kil", u, p, u.conj())
+        stack = (stack + stack.conj().swapaxes(1, 2)) / 2
+        obs = DiscreteObservable(range(3), stack)
+        assert np.array_equal(obs.mats, stack)
+
+    def test_each_construction_checks_once(self, monkeypatch):
+        effects = [effect(m) for m in trine_stack()]
+        calls = []
+        check = povm._check_effects
+
+        def counted(mats):
+            calls.append(mats.shape)
+            check(mats)
+
+        monkeypatch.setattr(povm, "_check_effects", counted)
+        DiscreteObservable("abc", effects)
+        assert calls == [(3, 2, 2)]
+        effects[0].complement()
+        assert calls[1:] == [(1, 2, 2)]
+        spin.spin_observable([0.6, 0.0, 0.0])
+        assert calls[2:] == [(2, 2, 2)]
+
+
+class TestBasisState:
+    def test_is_the_projector_onto_basis_vector_k(self):
+        for dim, k in ((2, 0), (5, 3), (16, 15)):
+            expected = np.diag([1.0 if i == k else 0.0 for i in range(dim)])
+            assert np.array_equal(basis_state(k, dim).op.mat, expected)
 
 
 class TestProbability:

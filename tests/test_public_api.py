@@ -21,3 +21,36 @@ def test_all_lists_the_public_functions_and_classes(module):
         if inspect.isfunction(getattr(module, name)) or inspect.isclass(getattr(module, name))
     }
     assert listed == defined
+
+
+# the thresholds callers set: is_hermitian is called at 1e-10 and 1e-8, and
+# tests pass 1e-10 to is_projection_valued (default 1e-8). Every other
+# tolerance is fixed in the body of the function that applies it.
+KEPT_TOLERANCE_KEYWORDS = {
+    "linalg.Operator.is_hermitian",
+    "povm.DiscreteObservable.is_projection_valued",
+}
+
+
+def _public_callables(module):
+    short = module.__name__.rsplit(".", 1)[-1]
+    for name, obj in vars(module).items():
+        if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield f"{short}.{name}", obj
+        elif inspect.isclass(obj):
+            yield f"{short}.{name}", obj
+            for attr, member in vars(obj).items():
+                if not attr.startswith("_") and inspect.isfunction(member):
+                    yield f"{short}.{name}.{attr}", member
+
+
+def test_only_the_kept_tolerance_keywords_are_settable():
+    found = {
+        qualname
+        for module in (linalg, povm, spin, mzi, kerrqnd, models)
+        for qualname, obj in _public_callables(module)
+        if {"atol", "tol"} & set(inspect.signature(obj).parameters)
+    }
+    assert found == KEPT_TOLERANCE_KEYWORDS
