@@ -7,7 +7,9 @@ errors. --verify checks: for mzi-scan, max_abs_err <= POVMLAB_TOL (default
 kerr-tradeoff, visibility non-increasing and path confidence non-decreasing
 in the amplitude, within 1e-9; for spin, oracle and criterion agree; for
 spin-phase, covariance residual <= 1e-10 and uniformity residual <= 1e-12.
-Identical configuration and seed produce byte-identical output files.
+Identical configuration produces byte-identical output files. Only
+spin-phase takes --seed (it draws the rotation angles), and its --spin is
+at most 200 (dimension 401), checked before any matrix is built.
 
 JSON output is one object with the keys "config", "rows" and "checks". Keys
 are sorted and nesting is indented by two spaces, one item per line, except
@@ -33,6 +35,8 @@ from .povm import basis_state
 EXIT_OK = 0
 EXIT_VERIFY = 2
 EXIT_USAGE = 64
+
+MAX_SPIN = 200  # spin-phase --spin: each bin's effect has (2s+1)^2 entries
 
 
 class _Parser(argparse.ArgumentParser):
@@ -155,7 +159,7 @@ def cmd_mzi_scan(args) -> int:
         rows.append([float(delta), p10, p01, other, eps, err, p10 + p01 + other])
     header = ["delta", "p10", "p01", "sum_other", "eps_analytic", "abs_err", "prob_sum"]
     config = _config_dict(args, ["eps1", "eps2", "theta1", "theta2", "delta_min",
-                                 "delta_max", "delta_steps", "nmax", "seed"])
+                                 "delta_max", "delta_steps", "nmax"])
     checks = {"max_abs_err": worst, "tolerance": tol,
               "row_sums_ok": all(abs(r[-1] - 1.0) < 1e-9 for r in rows)}
     _emit(config, header, rows, checks, args.format, args.out)
@@ -189,7 +193,7 @@ def cmd_kerr_tradeoff(args) -> int:
                 monotone = False
             if b["path_confidence"] < a["path_confidence"] - 1e-9:
                 monotone = False
-    config = _config_dict(args, ["amp", "lam", "eps2", "probe", "seed"])
+    config = _config_dict(args, ["amp", "lam", "eps2", "probe"])
     checks = {"tradeoff_monotone": monotone}
     _emit(config, header, rows, checks, args.format, args.out)
     if args.verify and not monotone:
@@ -214,7 +218,7 @@ def cmd_spin(args) -> int:
             rows.append([s1, s2, m[0, 0].real, m[0, 1].real, m[0, 1].imag,
                          m[1, 1].real, float(w.min())])
     header = ["outcome1", "outcome2", "g00", "g01_re", "g01_im", "g11", "min_eig"]
-    config = _config_dict(args, ["a1", "a2", "seed"])
+    config = _config_dict(args, ["a1", "a2"])
     checks = {
         "criterion_value": float(value),
         "coexistent": bool(decision),
@@ -228,6 +232,8 @@ def cmd_spin(args) -> int:
 
 
 def cmd_spin_phase(args) -> int:
+    if args.spin > MAX_SPIN:
+        raise ValueError(f"--spin must be at most {MAX_SPIN}, got {args.spin:g}")
     space = spin.SpinPhaseSpace(args.spin)
     if args.intervals is not None:
         intervals = [tuple(_parse_floats(chunk, "--intervals", ":", 2))
@@ -276,7 +282,6 @@ def _config_dict(args, keys) -> dict:
 
 
 def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--verify", action="store_true",
@@ -319,6 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--intervals", default=None,
                    help="semicolon-separated u:v pairs in radians")
     p.add_argument("--bins", type=int, default=8)
+    p.add_argument("--seed", type=int, default=0, help="seed of the rotation angles")
     _add_common(p)
     p.set_defaults(func=cmd_spin_phase)
 

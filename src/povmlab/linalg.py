@@ -31,7 +31,6 @@ __all__ = [
     "partial_trace",
     "expm",
     "eigh",
-    "psd_sqrt",
     "haar_vector",
 ]
 
@@ -241,16 +240,6 @@ def eigh(op: Operator):
         raise ValueError("eigh: input is not Hermitian within tolerance")
     w, v = np.linalg.eigh(op.mat)
     return w, v
-
-
-def psd_sqrt(op: Operator) -> Operator:
-    """Square root of a positive semidefinite operator (eigenvalue clipping
-    only within ``ATOL_POSITIVE``)."""
-    w, v = eigh(op)
-    if w.min() < -ATOL_POSITIVE:
-        raise ValueError(f"psd_sqrt: operator not positive (min eig {w.min():.3e})")
-    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-    return Operator(root, op.dims)
 
 
 def haar_vector(dim: int, rng: np.random.Generator) -> Vector:

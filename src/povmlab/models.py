@@ -189,11 +189,9 @@ def unsharp_position_transformer(phi, grid: CyclicGrid) -> StateTransformer:
     d = grid.d
     if abs(np.sum(np.abs(phi) ** 2) - 1.0) > 1e-12:
         raise ValueError("pointer amplitudes must be normalized")
-    kraus_sets = []
-    for x in range(d):
-        diag = np.array([phi[(x - q) % d] for q in range(d)])
-        kraus_sets.append((Operator(np.diag(diag)),))
-    return StateTransformer(tuple(range(d)), kraus_sets)
+    sites = np.arange(d)
+    kraus = np.einsum("xq,qr->xqr", phi[(sites[:, None] - sites[None, :]) % d], np.eye(d))
+    return StateTransformer(range(d), kraus[:, None])
 
 
 def weyl_operator(grid: CyclicGrid, q: int, p: int) -> Operator:

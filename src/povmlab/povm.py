@@ -12,6 +12,16 @@ grow with the set (E(X)v = v and E(X) <= E(X') <= I give E(X')v = v), and
 every nontrivial set lies inside some Omega minus {x} with E(x) not O or I.
 Joint measurability of two-valued qubit observables is decided exactly by
 the closed-form criterion of Yu, Liu, Li & Oh for biased qubit effects.
+
+A state transformer I is decided in the Heisenberg picture, with
+I_x*(A) = sum M† A M over the operation elements M of outcome x and
+E(x) = I_x*(I) (Busch, Lahti & Mittelstaedt, The Quantum Theory of
+Measurement, 2nd ed. 1996). It is repeatable iff I_x*(E(x)) = E(x) for each
+outcome x: then I_x*(E(x)) + I_x*(E(Omega minus {x})) <= E(x) makes every
+cross term 0 <= I_x*(E(y)), y != x, vanish, so outcome sets follow. It is
+of the first kind for F iff I_Omega*(F(x)) = F(x) for each x, and sets
+follow by linearity. Repeatable implies first kind for F = E, since then
+I_y*(E(x)) = 0 for y != x. Both are operator identities: no state sample.
 """
 
 from __future__ import annotations
@@ -29,9 +39,7 @@ from .linalg import (
     Operator,
     Vector,
     eigh,
-    haar_vector,
     identity,
-    psd_sqrt,
     zero,
 )
 
@@ -54,7 +62,6 @@ __all__ = [
     "luders_transformer",
     "is_repeatable",
     "is_first_kind",
-    "state_sample",
     "eigenspace_one",
     "meet_projections",
     "are_complementary",
@@ -236,37 +243,45 @@ def _grouped(labels, mats: np.ndarray) -> DiscreteObservable:
     return DiscreteObservable(outcomes, summed)
 
 
-@dataclass(frozen=True, eq=False)
 class StateTransformer:
-    """Outcome-indexed family of completely positive maps, each given by a
-    list of operation (Kraus) elements. The total map is trace nonincreasing;
-    observable-complete transformers have sum M†M equal to the identity."""
+    """Outcome-indexed family of completely positive maps I_x(T) = sum M T M†
+    over the operation (Kraus) elements M of outcome x, given per outcome as
+    a sequence of Operators or square matrices. The total map is trace
+    nonincreasing; observable-complete transformers have sum M†M = I.
 
-    outcomes: tuple
-    kraus_sets: tuple  # tuple of tuples of Operator, parallel to outcomes
+    The elements are held as one read-only (m, d, d) stack ``kraus``; row i
+    belongs to ``outcomes[owner[i]]``.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "outcomes", tuple(self.outcomes))
-        object.__setattr__(
-            self, "kraus_sets", tuple(tuple(ms) for ms in self.kraus_sets)
-        )
-        if len(self.outcomes) != len(self.kraus_sets):
+    def __init__(self, outcomes, kraus_sets):
+        outcomes = tuple(outcomes)
+        sets = [[m.mat if isinstance(m, Operator) else m for m in ms] for ms in kraus_sets]
+        if len(outcomes) != len(sets):
             raise ValueError("outcomes and kraus_sets must have equal length")
-        dim = self.dim
-        total = np.zeros((dim, dim), complex)
-        for ms in self.kraus_sets:
-            for m in ms:
-                total += m.mat.conj().T @ m.mat
-        w = np.linalg.eigvalsh((total + total.conj().T) / 2)
-        if w.max() > 1.0 + ATOL_COMPLETENESS:
+        if len(set(outcomes)) != len(outcomes):
+            raise ValueError("outcome labels must be unique")
+        rows = [m for ms in sets for m in ms]
+        if not rows:
+            raise ValueError("transformer has no operation elements")
+        shapes = sorted({np.shape(m) for m in rows})
+        if len(shapes) != 1 or len(shapes[0]) != 2 or shapes[0][0] != shapes[0][1]:
+            raise ValueError(
+                f"operation elements must be square matrices of one size, got {shapes}")
+        kraus = np.array(rows, dtype=complex)
+        if not np.all(np.isfinite(kraus)):
+            raise ValueError("operation elements must be finite")
+        total = np.einsum("mji,mjk->ik", kraus.conj(), kraus)
+        if np.linalg.eigvalsh(total).max() > 1.0 + ATOL_COMPLETENESS:
             raise ValueError("transformer is not trace nonincreasing")
+        owner = np.repeat(np.arange(len(sets)), [len(ms) for ms in sets])
+        kraus.setflags(write=False)
+        owner.setflags(write=False)
+        self.outcomes, self.kraus, self.owner = outcomes, kraus, owner
+        self._index = {x: i for i, x in enumerate(outcomes)}
 
     @property
     def dim(self) -> int:
-        for ms in self.kraus_sets:
-            for m in ms:
-                return m.dim
-        raise ValueError("transformer has no operation elements")
+        return self.kraus.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -417,86 +432,75 @@ def apply_transformer(tf: StateTransformer, outcomes, st: State) -> Operator:
     elif not isinstance(outcomes, (list, tuple, set, frozenset)):
         outcomes = (outcomes,)
     for x in outcomes:
-        if x not in tf.outcomes:
+        if x not in tf._index:
             raise KeyError(f"unknown outcome label {x!r}")
-    total = np.zeros((tf.dim, tf.dim), complex)
-    for x in outcomes:
-        for m in tf.kraus_sets[tf.outcomes.index(x)]:
-            total += m.mat @ st.op.mat @ m.mat.conj().T
-    return Operator(total)
+    if st.dim != tf.dim:
+        raise ValueError(f"dimension mismatch: state {st.dim}, transformer {tf.dim}")
+    ms = tf.kraus[np.isin(tf.owner, [tf._index[x] for x in outcomes])]
+    return Operator(np.einsum("mij,jk,mlk->il", ms, st.op.mat, ms.conj()))
 
 
 def scheme_transformer(scheme: MeasurementScheme) -> StateTransformer:
     """The state transformer implemented by a measurement scheme.
 
-    Operation elements are M = sqrt(q_l) (I x <zeta|) U (I x |chi_l>) over
-    the probe-state spectral decomposition chi_l and rank-one pointer
-    components zeta, grouped by the pointer function.
+    Operation elements are M = sqrt(q_l z) (I x <zeta|) U (I x |chi_l>) over
+    the probe-state spectral decomposition chi_l and the eigenpairs
+    (z, zeta) of each pointer effect with z >= 1e-12, grouped by the pointer
+    function.
     """
     ds, dp = scheme.system_dim, scheme.probe_dim
     u4 = scheme.coupling.mat.reshape(ds, dp, ds, dp)
     k = _probe_isometries(u4, scheme.probe_state.op.mat)
-    grouped: dict = {}
-    for zx, zmat in zip(scheme.pointer.outcomes, scheme.pointer.mats):
-        wz, vz = np.linalg.eigh(zmat)
-        label = scheme.map_outcome(zx)
-        ms = grouped.setdefault(label, [])
-        for zval, zeta in zip(wz, vz.T):
-            if zval < 1e-12:
-                continue
-            # sqrt(z) <zeta| K_l as system operators, one per probe weight
-            for m in np.einsum("i,laib->lab", zeta.conj(), k):
-                ms.append(Operator(np.sqrt(zval) * m))
-    outcomes = sorted(grouped)
-    return StateTransformer(outcomes, [grouped[x] for x in outcomes])
+    wz, vz = np.linalg.eigh(scheme.pointer.mats)
+    # sqrt(z) <zeta| K_l per pointer outcome x, eigenvector j and probe weight l
+    roots = vz * np.sqrt(np.clip(wz, 0.0, None))[:, None, :]
+    ms = np.einsum("xij,laib->xjlab", roots.conj(), k)
+    labels = [scheme.map_outcome(zx) for zx in scheme.pointer.outcomes]
+    outcomes = sorted(set(labels))
+    keep = wz >= 1e-12
+    return StateTransformer(outcomes, [
+        ms[keep & np.array([label == x for label in labels])[:, None]].reshape(-1, ds, ds)
+        for x in outcomes
+    ])
 
 
 def luders_transformer(obs: DiscreteObservable) -> StateTransformer:
-    """Square-root (generalized projective) transformer of an observable."""
-    return StateTransformer(
-        obs.outcomes, [(psd_sqrt(e.op),) for e in obs.effects]
-    )
+    """Square-root (generalized projective) transformer of an observable:
+    one element E(x)^(1/2) per outcome."""
+    w, v = np.linalg.eigh(obs.mats)
+    roots = (v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ v.conj().swapaxes(1, 2)
+    return StateTransformer(obs.outcomes, roots[:, None])
 
 
-def state_sample(dim: int, n_random: int = 32, seed: int = 20240917) -> list[State]:
-    """Deterministic state sample: computational basis plus seeded
-    Haar-random pure states."""
-    rng = np.random.default_rng(seed)
-    return ([basis_state(i, dim) for i in range(dim)]
-            + [State(haar_vector(dim, rng).projector()) for _ in range(n_random)])
+def _heisenberg(tf: StateTransformer, ops: np.ndarray) -> np.ndarray:
+    """I_x*(ops[x]) = sum of M† ops[x] M over the elements M of outcome x,
+    for every outcome x, as an (outcomes, d, d) stack."""
+    out = np.zeros((len(tf.outcomes), tf.dim, tf.dim), dtype=complex)
+    np.add.at(out, tf.owner,
+              np.einsum("mji,mjk,mkl->mil", tf.kraus.conj(), ops[tf.owner], tf.kraus))
+    return out
 
 
-def is_repeatable(tf: StateTransformer, states=None) -> bool:
-    """Whether repeated application reproduces the outcome statistics,
-    checked per outcome over a state sample, within 1e-8."""
-    if states is None:
-        states = state_sample(tf.dim)
-    for st in states:
-        for x in tf.outcomes:
-            once = apply_transformer(tf, x, st)
-            p1 = once.trace().real
-            if p1 < 1e-14:
-                continue  # zero map on this state: trivially repeatable
-            renorm = State(Operator((once.mat + once.mat.conj().T) / 2 / p1))
-            p2 = apply_transformer(tf, x, renorm).trace().real
-            if abs(p2 - 1.0) > 1e-8:
-                return False
-    return True
+def is_repeatable(tf: StateTransformer) -> bool:
+    """Whether a second application of the transformer reproduces the first
+    outcome with certainty: I_x*(E(x)) = E(x) for every outcome x, with
+    E(x) = I_x*(I), as a max-entry residual within 1e-8.
+
+    Exact (module docstring), and single outcomes suffice for outcome sets.
+    """
+    effects = _heisenberg(tf, np.tile(np.eye(tf.dim), (len(tf.outcomes), 1, 1)))
+    return bool(np.max(np.abs(_heisenberg(tf, effects) - effects)) <= 1e-8)
 
 
-def is_first_kind(tf: StateTransformer, obs: DiscreteObservable, states=None) -> bool:
-    """Whether the measurement leaves its own outcome statistics unchanged:
-    tr[T E(X)] = tr[I(Omega)(T) E(X)] within 1e-9 on a state sample."""
-    if states is None:
-        states = state_sample(tf.dim)
-    for st in states:
-        after = apply_transformer(tf, tf.outcomes, st)
-        for _, e in obs:
-            before = probability(st, e)
-            post = float(np.trace(after.mat @ e.op.mat).real)
-            if abs(before - post) > 1e-9:
-                return False
-    return True
+def is_first_kind(tf: StateTransformer, obs: DiscreteObservable) -> bool:
+    """Whether the measurement leaves the statistics of ``obs`` unchanged:
+    I_Omega*(F) = F for every effect F of ``obs``, as a max-entry residual
+    within 1e-9. Exact, and by linearity it holds for the effects of all
+    outcome sets once it holds for those of single outcomes."""
+    if obs.dim != tf.dim:
+        raise ValueError(f"dimension mismatch: transformer {tf.dim}, observable {obs.dim}")
+    after = np.einsum("mji,fjk,mkl->fil", tf.kraus.conj(), obs.mats, tf.kraus)
+    return bool(np.max(np.abs(after - obs.mats)) <= 1e-9)
 
 
 def eigenspace_one(e: Effect) -> Operator:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from povmlab import cli, mzi
+from povmlab import cli, mzi, spin
 from povmlab.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 
 
@@ -148,6 +148,45 @@ def test_json_without_numeric_arrays_is_indent_2(argv, capsys):
     code, out, _ = run(argv + ["--format", "json"], capsys)
     assert code == EXIT_OK
     assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("command", [["mzi-scan"], ["kerr-tradeoff"],
+                                     ["spin", "--a1=0.6,0,0", "--a2=0,0.6,0"]])
+def test_seed_only_on_spin_phase(command, capsys):
+    code, out, _ = run(command + ["--format", "json"], capsys)
+    assert code == EXIT_OK
+    assert "seed" not in json.loads(out)["config"]
+    code, out, err = run(command + ["--seed", "1"], capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "--seed" in err
+
+
+def test_spin_phase_seed_draws_the_angles(capsys):
+    argv = ["spin-phase", "--spin", "1.5", "--bins", "3", "--format", "json"]
+    outputs = [run(argv + ["--seed", seed], capsys) for seed in ("5", "5", "6")]
+    assert [code for code, _, _ in outputs] == [EXIT_OK] * 3
+    assert outputs[0][1] == outputs[1][1]
+    first, other = (json.loads(out) for _, out, _ in outputs[1:])
+    assert first["config"]["seed"] == 5
+    assert [r["alpha"] for r in first["rows"]] != [r["alpha"] for r in other["rows"]]
+
+
+def test_spin_bound(capsys, monkeypatch):
+    code, out, _ = run(["spin-phase", "--spin", str(cli.MAX_SPIN), "--bins", "2", "--verify"],
+                       capsys)
+    assert code == EXIT_OK
+    assert len(out.splitlines()) == 3
+
+    def no_matrix(*args, **kwargs):
+        raise AssertionError("a matrix was built")
+
+    monkeypatch.setattr(spin, "phase_kernel", no_matrix)
+    for value in ("200.5", "1e6"):
+        code, out, err = run(["spin-phase", "--spin", value, "--verify"], capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--spin" in err and "at most 200" in err
 
 
 def test_json_layout_of_nested_values():

@@ -11,7 +11,6 @@ from povmlab.linalg import (
     expm,
     identity,
     partial_trace,
-    psd_sqrt,
     tensor,
 )
 
@@ -203,16 +202,3 @@ class TestEigh:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             eigh(Operator(np.array([[0.0, 1.0], [0.0, 0.0]])))
-
-
-class TestPsdSqrt:
-    def test_squares_back(self):
-        rng = np.random.default_rng(7)
-        m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        pos = Operator(m @ m.conj().T)
-        root = psd_sqrt(pos)
-        assert_allclose((root @ root).mat, pos.mat, atol=1e-9)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            psd_sqrt(Operator(np.diag([1.0, -0.5])))

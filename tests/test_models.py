@@ -54,8 +54,9 @@ class TestUnsharpPosition:
         phi = random_amplitudes(d, np.random.default_rng(d + 1))
         tf = unsharp_position_transformer(phi, grid)
         smeared = unsharp_position_observable(ConfidenceFunction(np.abs(phi) ** 2), grid)
-        for x, ms in zip(tf.outcomes, tf.kraus_sets):
-            kraus_effect = sum(m.mat.conj().T @ m.mat for m in ms)
+        for i, x in enumerate(tf.outcomes):
+            ms = tf.kraus[tf.owner == i]
+            kraus_effect = np.einsum("mji,mjk->ik", ms.conj(), ms)
             assert np.max(np.abs(kraus_effect - smeared.effect_for(x).op.mat)) <= TOL
 
 

@@ -32,7 +32,6 @@ from povmlab.povm import (
     probability,
     product_observable,
     scheme_transformer,
-    state_sample,
     vector_state,
 )
 
@@ -138,6 +137,28 @@ class TestValidationErrors:
     def test_transformer_trace_increasing(self):
         with pytest.raises(ValueError, match="transformer is not trace nonincreasing"):
             StateTransformer((0,), [(Operator(np.sqrt(2) * np.eye(2)),)])
+
+    def test_transformer_nan_element(self):
+        with pytest.raises(ValueError, match="operation elements must be finite"):
+            StateTransformer((0,), [(np.diag([np.nan, 0.5]),)])
+
+    def test_transformer_duplicate_outcomes(self):
+        half = np.sqrt(0.5) * np.eye(2)
+        with pytest.raises(ValueError, match="outcome labels must be unique"):
+            StateTransformer((0, 0), [(half,), (half,)])
+
+    def test_transformer_dimension_mismatch(self):
+        tf = luders_transformer(spin.spin_observable([0, 0, 1.0]))
+        with pytest.raises(ValueError, match="dimension mismatch: state 3, transformer 2"):
+            apply_transformer(tf, tf.outcomes, maximally_mixed(3))
+        with pytest.raises(ValueError, match="dimension mismatch: transformer 2, observable 3"):
+            is_first_kind(tf, DiscreteObservable([0], [np.eye(3)]))
+
+    def test_transformer_mismatched_sizes(self):
+        with pytest.raises(ValueError, match="square matrices of one size"):
+            StateTransformer((0, 1), [(0.5 * np.eye(2),), (0.5 * np.eye(3),)])
+        with pytest.raises(ValueError, match="square matrices of one size"):
+            StateTransformer((0,), [(np.ones((2, 3)) / 3,)])
 
 
 class TestObservableStack:
@@ -452,6 +473,17 @@ class TestTransformers:
             ((Operator(np.zeros((2, 2))),), (identity(2),)),
         )
         assert is_repeatable(tf)
+
+    def test_luders_elements_square_to_effects(self):
+        rng = np.random.default_rng(7)
+        for full_rank in (True, False):
+            obs = DiscreteObservable(range(3), _unsharp(rng, 5, 3, full_rank))
+            tf = luders_transformer(obs)
+            assert np.array_equal(tf.owner, np.arange(3))
+            for root, e in zip(tf.kraus, obs.mats):
+                assert_allclose(root, root.conj().T, atol=1e-12)
+                assert np.linalg.eigvalsh(root).min() >= -1e-12
+                assert_allclose(root @ root, e, atol=1e-12)
 
     def test_first_kind_for_luders(self):
         obs = DiscreteObservable(
@@ -840,10 +872,163 @@ class TestJointFeasibility:
         assert min(certified.values()) >= 5, certified
 
 
-class TestStateSample:
-    def test_deterministic(self):
-        a = state_sample(3)
-        b = state_sample(3)
-        for sa, sb in zip(a, b):
-            assert np.array_equal(sa.op.mat, sb.op.mat)
-        assert len(a) == 3 + 32
+def reference_state_sample(dim, n_random=32, seed=20240917):
+    """Computational basis plus seeded Haar-random pure states."""
+    rng = np.random.default_rng(seed)
+    return ([basis_state(i, dim) for i in range(dim)]
+            + [State(haar_vector(dim, rng).projector()) for _ in range(n_random)])
+
+
+def reference_is_repeatable(tf, states):
+    """Repeatability on a state sample: after outcome x and renormalisation,
+    outcome x again with probability 1 within 1e-8."""
+    for st in states:
+        for x in tf.outcomes:
+            once = apply_transformer(tf, x, st)
+            p1 = once.trace().real
+            if p1 < 1e-14:
+                continue  # zero map on this state: trivially repeatable
+            renorm = State(Operator((once.mat + once.mat.conj().T) / 2 / p1))
+            p2 = apply_transformer(tf, x, renorm).trace().real
+            if abs(p2 - 1.0) > 1e-8:
+                return False
+    return True
+
+
+def reference_is_first_kind(tf, obs, states):
+    """First kind on a state sample: tr[T F] = tr[I(Omega)(T) F] within 1e-9."""
+    for st in states:
+        after = apply_transformer(tf, tf.outcomes, st)
+        for _, e in obs:
+            if abs(probability(st, e) - float(np.trace(after.mat @ e.op.mat).real)) > 1e-9:
+                return False
+    return True
+
+
+def own_observable(tf):
+    """The observable E(x) = sum M†M of a complete transformer."""
+    effects = np.zeros((len(tf.outcomes), tf.dim, tf.dim), dtype=complex)
+    np.add.at(effects, tf.owner, np.einsum("mji,mjk->mik", tf.kraus.conj(), tf.kraus))
+    return DiscreteObservable(tf.outcomes, effects)
+
+
+def _instruments(rng):
+    """Complete instruments on C^d, d = 2..5, 40 of each kind."""
+    for i in range(240):
+        d, k = int(rng.integers(2, 6)), int(rng.integers(2, 5))
+        kind = i % 6
+        if kind == 0:
+            # Lüders transformer of a coarse-grained PVM
+            pvm = _blocks(random_unitary(d, rng), rng.integers(0, k, d), k)
+            yield "luders_pvm", luders_transformer(DiscreteObservable(range(k), pvm))
+        elif kind == 1:
+            # Lüders transformer of an unsharp observable
+            obs = DiscreteObservable(range(k), _unsharp(rng, d, k, bool(rng.integers(2))))
+            yield "luders_unsharp", luders_transformer(obs)
+        elif kind == 2:
+            # Lüders transformer of commuting unsharp effects U diag(p_x) U†
+            u = random_unitary(d, rng)
+            weights = rng.dirichlet(np.ones(k), size=d).T
+            obs = DiscreteObservable(range(k), [(u * w) @ u.conj().T for w in weights])
+            yield "luders_commuting", luders_transformer(obs)
+        elif kind == 3:
+            yield "scheme", scheme_transformer(random_scheme(d, int(rng.integers(2, 4)), rng))
+        elif kind == 4:
+            # V_x P_x: V_x keeps range(P_x) when block-diagonal in the PVM's basis
+            u = random_unitary(d, rng)
+            labels = rng.integers(0, k, d)
+            pvm = _blocks(u, labels, k)
+            kept = bool(rng.integers(2))
+            kraus = []
+            for x in range(k):
+                if kept:
+                    v = np.eye(d, dtype=complex)
+                    cols = np.flatnonzero(labels == x)
+                    if cols.size:
+                        v[np.ix_(cols, cols)] = random_unitary(cols.size, rng)
+                    kraus.append([u @ v @ u.conj().T @ pvm[x]])
+                else:
+                    kraus.append([random_unitary(d, rng) @ pvm[x]])
+            yield "rotated_pvm", StateTransformer(range(k), kraus)
+        else:
+            # measure and prepare: |b_j><e_j| for each basis column e_j of
+            # P_x, with b_j a unit vector in range(P_x) or anywhere. The map
+            # is not unital, so I_Omega(P_x) differs from I_Omega*(P_x).
+            u = random_unitary(d, rng)
+            labels = rng.integers(0, k, d)
+            inside = bool(rng.integers(2))
+            kraus = [[] for _ in range(k)]
+            for j, x in enumerate(labels):
+                cols = u[:, labels == x] if inside else u
+                b = cols @ haar_vector(cols.shape[1], rng).vec
+                kraus[x].append(np.outer(b, u[:, j].conj()))
+            yield "prepare", StateTransformer(range(k), kraus)
+
+
+class TestTransformerReference:
+    def test_exact_deciders_agree_with_the_sampled_checks(self):
+        verdicts = {}
+        for kind, tf in _instruments(np.random.default_rng(20240917)):
+            obs = own_observable(tf)
+            states = reference_state_sample(tf.dim)
+            repeatable, first_kind = is_repeatable(tf), is_first_kind(tf, obs)
+            assert repeatable == reference_is_repeatable(tf, states), kind
+            assert first_kind == reference_is_first_kind(tf, obs, states), kind
+            assert first_kind or not repeatable, kind
+            verdicts.setdefault(kind, set()).add((repeatable, first_kind))
+        assert {v for vs in verdicts.values() for v in vs} == {
+            (True, True), (False, True), (False, False)}
+        assert verdicts["luders_pvm"] == {(True, True)}
+        assert verdicts["luders_commuting"] == {(False, True)}
+        for kind in ("rotated_pvm", "prepare"):
+            assert verdicts[kind] == {(True, True), (False, False)}, kind
+
+    def test_first_kind_depends_on_the_observable(self):
+        z = DiscreteObservable([0, 1], [basis_projector(2, 0), basis_projector(2, 1)])
+        x = DiscreteObservable([0, 1], [np.full((2, 2), 0.5), [[0.5, -0.5], [-0.5, 0.5]]])
+        tf = luders_transformer(z)
+        states = reference_state_sample(2)
+        assert is_first_kind(tf, z) and reference_is_first_kind(tf, z, states)
+        assert not is_first_kind(tf, x) and not reference_is_first_kind(tf, x, states)
+
+    def test_deciders_build_no_state(self, monkeypatch):
+        built = []
+        check = State.__post_init__
+        monkeypatch.setattr(State, "__post_init__", lambda st: built.append(st) or check(st))
+        joint = spin.joint_spin_observable([0.6, 0, 0], [0, 0.6, 0])
+        tf = luders_transformer(joint)
+        assert not is_repeatable(tf)
+        assert not is_first_kind(tf, joint)
+        assert built == []
+        # the counter sees the states the sampled reference builds
+        assert not reference_is_repeatable(tf, [maximally_mixed(2)])
+        assert len(built) > 0
+
+    def test_scheme_elements_match_the_per_vector_loop(self):
+        rng = np.random.default_rng(12)
+        scheme = random_scheme(3, 4, rng, probe_rank=2)
+        # coarse-grain the pointer into two labels of rank-two effects
+        pointer = scheme.pointer
+        coarse = DiscreteObservable(["a", "b"], [pointer.mats[0] + pointer.mats[2],
+                                                 pointer.mats[1] + pointer.mats[3]])
+        for sch in (scheme, MeasurementScheme(scheme.coupling, scheme.probe_state, pointer,
+                                              {0: "b", 1: "a", 2: "b", 3: "b"}),
+                    MeasurementScheme(scheme.coupling, scheme.probe_state, coarse, None)):
+            tf = scheme_transformer(sch)
+            ds, dp = sch.system_dim, sch.probe_dim
+            u4 = sch.coupling.mat.reshape(ds, dp, ds, dp)
+            qs, chis = np.linalg.eigh(sch.probe_state.op.mat)
+            grouped = {}
+            for zx, zmat in zip(sch.pointer.outcomes, sch.pointer.mats):
+                wz, vz = np.linalg.eigh(zmat)
+                ms = grouped.setdefault(sch.map_outcome(zx), [])
+                for zval, zeta in zip(wz, vz.T):
+                    if zval < 1e-12:
+                        continue
+                    for q, chi in zip(qs, chis.T):
+                        if q > 1e-14:
+                            ms.append(np.sqrt(zval * q)
+                                      * np.einsum("i,aibc,c->ab", zeta.conj(), u4, chi))
+            assert list(tf.outcomes) == sorted(grouped)
+            for i, x in enumerate(tf.outcomes):
+                assert_allclose(tf.kraus[tf.owner == i], np.array(grouped[x]), atol=1e-12)
