@@ -8,8 +8,11 @@ kerr-tradeoff, visibility non-increasing and path confidence non-decreasing
 in the amplitude, within 1e-9; for spin, oracle and criterion agree; for
 spin-phase, covariance residual <= 1e-10 and uniformity residual <= 1e-12.
 Identical configuration produces byte-identical output files. Only
-spin-phase takes --seed (it draws the rotation angles), and its --spin is
-at most 200 (dimension 401), checked before any matrix is built.
+spin-phase takes --seed (it draws the rotation angles). Its --spin is at
+most 200 (dimension 401), it takes at most 1024 intervals (from --bins or
+--intervals), and with --format json those intervals' effect matrices hold at
+most 2^22 entries in all (32 bins at --spin 20 hold 53,792); each bound is
+checked before any matrix is built.
 
 JSON output is one object with the keys "config", "rows" and "checks". Keys
 are sorted and nesting is indented by two spaces, one item per line, except
@@ -37,6 +40,8 @@ EXIT_VERIFY = 2
 EXIT_USAGE = 64
 
 MAX_SPIN = 200  # spin-phase --spin: each bin's effect has (2s+1)^2 entries
+MAX_INTERVALS = 1024  # spin-phase intervals per run
+MAX_JSON_ENTRIES = 1 << 22  # spin-phase --format json: effect-matrix entries per run
 
 
 class _Parser(argparse.ArgumentParser):
@@ -234,13 +239,24 @@ def cmd_spin(args) -> int:
 def cmd_spin_phase(args) -> int:
     if args.spin > MAX_SPIN:
         raise ValueError(f"--spin must be at most {MAX_SPIN}, got {args.spin:g}")
-    space = spin.SpinPhaseSpace(args.spin)
+    try:
+        space = spin.SpinPhaseSpace(args.spin)
+    except ValueError as exc:
+        raise ValueError(f"--spin: {exc}") from None
     if args.intervals is not None:
         intervals = [tuple(_parse_floats(chunk, "--intervals", ":", 2))
                      for chunk in args.intervals.split(";")]
+        flag, count = "--intervals", len(intervals)
     else:
         if args.bins < 1:
             raise ValueError(f"--bins must be at least 1, got {args.bins}")
+        flag, count = "--bins", args.bins
+    if count > MAX_INTERVALS:
+        raise ValueError(f"{flag} must give at most {MAX_INTERVALS} intervals, got {count}")
+    if args.format == "json" and count * space.dim ** 2 > MAX_JSON_ENTRIES:
+        raise ValueError(f"{flag} must give at most {MAX_JSON_ENTRIES // space.dim ** 2} "
+                         f"intervals with --format json at --spin {args.spin:g}, got {count}")
+    if args.intervals is None:
         edges = np.linspace(0.0, 2 * np.pi, args.bins + 1)
         intervals = [(float(edges[i]), float(edges[i + 1])) for i in range(args.bins)]
     rng = np.random.default_rng(args.seed)

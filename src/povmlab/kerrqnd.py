@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import Operator, identity, partial_trace, tensor
+from .linalg import Operator, partial_trace, tensor
 from .mzi import (
     BSParams,
     FockSpace,
@@ -33,7 +33,7 @@ from .povm import (
     MeasurementScheme,
     State,
     _compressed_effects,
-    _controlled_shift,
+    _count_register_scheme,
     basis_state,
     marginal,
     product_observable,
@@ -402,11 +402,7 @@ def kerr_measurement_scheme(circuit: KerrCircuit) -> MeasurementScheme:
     count register fed by the a-mode number, and the pointer reads (register,
     readout bin). Its induced observable reproduces the (n, bin) effects."""
     da, db, dc = circuit.dims
-    m = three_mode_unitary(circuit)
     dr = da
-    perm = _controlled_shift(np.arange(da), db * dc, dr)
-    # no name holds the dense m x I_r, so it is freed before the coupling checks run
-    coupling = Operator(tensor(m, identity(dr)).mat[perm], (da, db, dc, dr))
     probe_state = State(
         tensor(basis_state(0, db).op, circuit.probe.probe_state.op, basis_state(0, dr).op)
     )
@@ -417,4 +413,5 @@ def kerr_measurement_scheme(circuit: KerrCircuit) -> MeasurementScheme:
     pointer_function = {
         (0, x, k): (k, x) for x in circuit.probe.readout.outcomes for k in range(dr)
     }
-    return MeasurementScheme(coupling, probe_state, pointer, pointer_function)
+    return _count_register_scheme(three_mode_unitary(circuit), dr, probe_state, pointer,
+                                  pointer_function)

@@ -25,13 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Operator, Vector, expm, identity, tensor
+from .linalg import Operator, Vector, expm, tensor
 from .povm import (
     DiscreteObservable,
     Effect,
     MeasurementScheme,
     State,
-    _controlled_shift,
+    _count_register_scheme,
     basis_state,
     product_observable,
 )
@@ -242,13 +242,12 @@ def mzi_measurement_scheme(params: MZIParams, space: FockSpace) -> MeasurementSc
     position) reads both counts.
     """
     d = space.dim
-    u = tensor(mzi_unitary(params, space), identity(d))
-    coupling = Operator(u.mat[_controlled_shift(np.arange(d), d, d)], (d, d, d))
     vac = basis_state(0, d).op
     probe = State(tensor(vac, vac))
     pointer = product_observable(number_observable(d), number_observable(d))
     pointer_function = {(n2, k): (k, n2) for n2 in range(d) for k in range(d)}
-    return MeasurementScheme(coupling, probe, pointer, pointer_function)
+    return _count_register_scheme(mzi_unitary(params, space), d, probe, pointer,
+                                  pointer_function)
 
 
 def prepared_single_photon(eps1: float, theta1: float, delta: float) -> Vector:

@@ -22,6 +22,32 @@ cross term 0 <= I_x*(E(y)), y != x, vanish, so outcome sets follow. It is
 of the first kind for F iff I_Omega*(F(x)) = F(x) for each x, and sets
 follow by linearity. Repeatable implies first kind for F = E, since then
 I_y*(E(x)) = 0 for y != x. Both are operator identities: no state sample.
+
+Products and count-register couplings are certified from their checked
+factors. ``eigvalsh`` reads a d x d row X through the Hermitian matrix L(X)
+that shares X's lower triangle, whose entries differ from X's by at most the
+Hermiticity residual h_X = max|X - X†|, and returns spec L(X) within
+64 d eps for an effect (backward stability, with room). Each observable
+records its rows' extremes with a bound e on their distance from those of
+spec L(X): 64 d eps where they were computed, the margin below where they
+were derived. The spectrum of L(A) x L(B) is exactly {lambda mu}, so the
+extremes of a product row are the min and max of the four products of the
+factors' extremes; from the recorded ones they are within 2 (e_A + e_B), as
+every entry and eigenvalue of a factor has modulus below 2. Entrywise,
+A x B - L(A) x L(B) = (A - L(A)) x B + L(A) x (B - L(B)) is at most
+2 (h_A + h_B), and so is the Hermiticity residual of A x B, which bounds
+L(A x B) - A x B. A D x D matrix has spectral norm at most D times its
+largest entry, so by Weyl's inequality the extremes that eigvalsh would
+return for A x B lie within the margin 2 (e_A + e_B) + D (4 (h_A + h_B)
++ 64 eps) of the derived ones. Derived extremes that clear
+[-ATOL_POSITIVE, 1 + ATOL_POSITIVE] by that margin pass the check that the
+product would otherwise get; any other slice is diagonalised, so every
+rejection reports a computed spectrum. The product's own Hermiticity is
+still checked entry by entry.
+
+A coupling P (u x I_r), with P the row permutation of the register shift,
+has P (u x I_r) (P (u x I_r))† - I = P ((u u† - I) x I_r) P^T, whose largest
+entry is that of u u† - I: checking u is checking the coupling.
 """
 
 from __future__ import annotations
@@ -71,29 +97,57 @@ __all__ = [
 ]
 
 
-# Bytes of effect rows per batched check. Checked in one eigvalsh call, the
-# 24-row 144x144 Kerr-scheme pointer raised the peak RSS of an oracle
-# benchmark run from 58.4 to 63.1 MB; in slices of this size it stayed at
-# 58.4. A row larger than a slice is checked alone.
+# Bytes of effect rows per batched check. Checked in one eigvalsh call, a
+# 24-row stack of 144x144 effects raised the peak RSS of an oracle benchmark
+# run from 58.4 to 63.1 MB; in slices of this size it stayed at 58.4. A row
+# larger than a slice is checked alone.
 _CHECK_SLICE_BYTES = 1 << 18
 
+# eigvalsh error per unit of dimension for a matrix of norm about one
+# (module docstring).
+_EIG_ROUNDING = 64 * np.finfo(float).eps
 
-def _check_effects(mats: np.ndarray) -> None:
+
+def _hermitian_residual(mats: np.ndarray) -> float:
+    """Largest entry of X - X† over the rows X of a (k, d, d) stack."""
+    return np.max(np.abs(mats - mats.conj().swapaxes(1, 2)))
+
+
+def _check_effects(mats: np.ndarray, derived=None, margin: float = 0.0) -> np.ndarray:
     """Raise ``ValueError`` unless every row of the (k, d, d) stack ``mats``
     is an effect: Hermitian within ``ATOL_HERMITIAN`` with spectrum inside
     [0, 1] within ``ATOL_POSITIVE``. Slices of rows are checked in order, each
     for Hermiticity before spectra, so a non-Hermitian row is reported before
-    an earlier bad spectrum in the same slice."""
-    step = max(1, _CHECK_SLICE_BYTES // max(mats.itemsize * mats.shape[1] * mats.shape[2], 1))
+    an earlier bad spectrum in the same slice. Returns each row's
+    (lambda_min, lambda_max) as a read-only (k, 2) array.
+
+    ``derived`` is None or per-row extremes that :func:`product_observable`
+    derived within ``margin`` of those eigvalsh would return. A slice whose
+    derived extremes clear the bounds by ``margin`` keeps them without an
+    eigvalsh (module docstring)."""
+    d = mats.shape[1]
+    step = max(1, _CHECK_SLICE_BYTES // max(mats.itemsize * d * d, 1))
+    parts = []
     for start in range(0, mats.shape[0], step):
         s = mats[start:start + step]
-        if not np.max(np.abs(s - s.conj().swapaxes(1, 2))) <= ATOL_HERMITIAN:
+        if not _hermitian_residual(s) <= ATOL_HERMITIAN:
             raise ValueError("effect must be Hermitian within 1e-10")
+        if derived is not None:
+            ext = derived[start:start + step]
+            if ext.min() >= margin - ATOL_POSITIVE and ext.max() <= 1.0 + ATOL_POSITIVE - margin:
+                parts.append(ext)
+                continue
         w = np.linalg.eigvalsh(s)
-        if w.min() < -ATOL_POSITIVE or w.max() > 1.0 + ATOL_POSITIVE:
-            lo, hi = w[:, 0], w[:, -1]  # eigvalsh sorts each row ascending
+        # eigvalsh sorts each row ascending; for d > 1 columns 0 and d - 1 are a view
+        ends = w[:, ::d - 1] if d > 1 else w[:, [0, 0]]
+        if ends.min() < -ATOL_POSITIVE or ends.max() > 1.0 + ATOL_POSITIVE:
+            lo, hi = w[:, 0], w[:, -1]
             i = np.argmax((lo < -ATOL_POSITIVE) | (hi > 1.0 + ATOL_POSITIVE))
             raise ValueError(f"effect spectrum [{lo[i]:.3e}, {hi[i]:.6f}] outside [0, 1]")
+        parts.append(ends)
+    extremes = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    extremes.setflags(write=False)
+    return extremes
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,19 +216,26 @@ class DiscreteObservable:
     The effects are held as one read-only complex stack ``mats`` of shape
     (k, d, d), row i belonging to ``outcomes[i]``. They may be given as such
     a stack or as a sequence of Effects, Operators or matrices; the input is
-    copied, and the copy is checked by one :func:`_check_effects` call.
+    copied, and the copy is checked by one :func:`_check_effects` call. The
+    check's per-row (lambda_min, lambda_max) are kept as the read-only (k, 2)
+    array ``extremes``, with the bound on their error (module docstring).
 
     Outcome labels may be integers, strings or tuples (tuples mark product
     outcome spaces and enable :func:`marginal`).
     """
 
     def __init__(self, outcomes, effects):
-        outcomes = tuple(outcomes)
-        mats = np.array(
+        self._init(outcomes, np.array(
             [e.op.mat if isinstance(e, Effect) else e.mat if isinstance(e, Operator) else e
              for e in effects],
             dtype=complex,
-        )
+        ))
+
+    def _init(self, outcomes, mats: np.ndarray, *derived):
+        """Check and keep a fresh (k, d, d) stack; ``derived`` is empty or
+        the (extremes, margin) of :func:`_check_effects`, and the margin then
+        bounds the error of the kept extremes."""
+        outcomes = tuple(outcomes)
         if len(outcomes) != len(mats):
             raise ValueError("outcomes and effects must have equal length")
         if len(set(outcomes)) != len(outcomes):
@@ -183,12 +244,14 @@ class DiscreteObservable:
             raise ValueError("an observable needs at least one outcome")
         if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
             raise ValueError(f"expected a (k, d, d) stack of square matrices, got {mats.shape}")
-        _check_effects(mats)
+        extremes = _check_effects(mats, *derived)
         if np.max(np.abs(mats.sum(axis=0) - np.eye(mats.shape[1]))) > ATOL_COMPLETENESS:
             raise ValueError("effects do not sum to the identity within tolerance")
         mats.setflags(write=False)
         self.outcomes = outcomes
         self.mats = mats
+        self.extremes = extremes
+        self._extremes_error = derived[1] if derived else mats.shape[1] * _EIG_ROUNDING
         self._index = {x: i for i, x in enumerate(outcomes)}
 
     @cached_property
@@ -218,8 +281,7 @@ class DiscreteObservable:
 
     def is_projection_valued(self, atol: float = 1e-8) -> bool:
         m = self.mats
-        return bool(np.max(np.abs(m - m.conj().swapaxes(1, 2))) <= atol
-                    and np.max(np.abs(m @ m - m)) <= atol)
+        return bool(_hermitian_residual(m) <= atol and np.max(np.abs(m @ m - m)) <= atol)
 
 
 def _effect_view(mat: np.ndarray) -> Effect:
@@ -302,8 +364,10 @@ class MeasurementScheme:
     def __post_init__(self):
         if self.coupling.dims is None or len(self.coupling.dims) < 2:
             raise ValueError("coupling needs dims metadata (system, probe...)")
-        if not self.coupling.is_unitary():
-            raise ValueError("coupling is not unitary within 1e-10")
+        _check_unitary(self.coupling)
+        self._check_probe_dims()
+
+    def _check_probe_dims(self):
         dp = math.prod(self.coupling.dims[1:])
         if self.probe_state.dim != dp or self.pointer.dim != dp:
             raise ValueError("probe state / pointer dims inconsistent with coupling")
@@ -342,14 +406,53 @@ def product_observable(a: DiscreteObservable, b: DiscreteObservable) -> Discrete
     """Observable on the tensor product with tuple outcome labels.
 
     Components that already carry tuple labels are flattened, so products of
-    products keep a flat label arity.
+    products keep a flat label arity. Each row's extremes are derived from the
+    factors' ``extremes`` and an eigvalsh runs only where they do not clear
+    the effect bounds by the margin of the module docstring.
     """
     outcomes = [
         (xa if isinstance(xa, tuple) else (xa,)) + (xb if isinstance(xb, tuple) else (xb,))
         for xa in a.outcomes for xb in b.outcomes
     ]
     d = a.dim * b.dim
-    return DiscreteObservable(outcomes, np.kron(a.mats[:, None], b.mats[None]).reshape(-1, d, d))
+    corners = (a.extremes[:, None, :, None] * b.extremes[None, :, None, :]).reshape(-1, 4)
+    derived = np.stack((corners.min(axis=1), corners.max(axis=1)), axis=1)
+    margin = (2 * (a._extremes_error + b._extremes_error)
+              + d * (4 * (_hermitian_residual(a.mats) + _hermitian_residual(b.mats))
+                     + _EIG_ROUNDING))
+    obs = object.__new__(DiscreteObservable)
+    obs._init(outcomes, np.kron(a.mats[:, None], b.mats[None]).reshape(-1, d, d),
+              derived, margin)
+    return obs
+
+
+def _check_unitary(op: Operator):
+    if not op.is_unitary():
+        raise ValueError("coupling is not unitary within 1e-10")
+
+
+def _count_register_scheme(u: Operator, dim_reg: int, probe_state: State,
+                           pointer: DiscreteObservable,
+                           pointer_function: dict) -> MeasurementScheme:
+    """The scheme whose coupling runs ``u`` on system (x) probe factors and
+    then adds the system's basis index, mod ``dim_reg``, to a count register
+    appended as the last probe factor: P (u x I_r) with P the row
+    permutation of :func:`_controlled_shift`. ``u`` must carry dims metadata
+    whose first factor is the system. Only ``u`` is checked for unitarity;
+    that checks the coupling (module docstring)."""
+    _check_unitary(u)
+    du, ds = u.dim, u.dims[0]
+    blocks = np.zeros((du, dim_reg, du, dim_reg), dtype=complex)
+    levels = np.arange(dim_reg)
+    blocks[:, levels, :, levels] = u.mat  # u x I_r, without np.kron's temporaries
+    perm = _controlled_shift(np.arange(ds), du // ds, dim_reg)
+    coupling = Operator(blocks.reshape(du * dim_reg, -1)[perm], u.dims + (dim_reg,))
+    scheme = object.__new__(MeasurementScheme)
+    for name, value in (("coupling", coupling), ("probe_state", probe_state),
+                        ("pointer", pointer), ("pointer_function", pointer_function)):
+        object.__setattr__(scheme, name, value)
+    scheme._check_probe_dims()
+    return scheme
 
 
 def _controlled_shift(shifts, dim_other: int, dim_reg: int) -> np.ndarray:

@@ -189,6 +189,46 @@ def test_spin_bound(capsys, monkeypatch):
         assert "--spin" in err and "at most 200" in err
 
 
+@pytest.mark.parametrize("value", ["-1", "0.3"])
+def test_spin_must_be_a_positive_half_integer(value, capsys):
+    code, out, err = run(["spin-phase", f"--spin={value}", "--verify"], capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "--spin" in err and "positive half-integer" in err
+
+
+def test_interval_bounds(capsys, monkeypatch):
+    class Reached(Exception):
+        pass
+
+    def reached(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(spin, "phase_kernel", reached)
+    many = ";".join(["0:1"] * cli.MAX_INTERVALS)
+    json_bins = cli.MAX_JSON_ENTRIES // 401 ** 2
+    assert json_bins == 26
+    # at each bound the command goes on to build the first matrix
+    for argv in (["--bins", "1024"], ["--spin", "200", "--bins", "1024"],
+                 ["--intervals", many],
+                 ["--spin", "200", "--bins", str(json_bins), "--format", "json"],
+                 # 1024 bins of 64 x 64 hold exactly 2^22 entries
+                 ["--spin", "31.5", "--bins", "1024", "--format", "json"]):
+        with pytest.raises(Reached):
+            main(["spin-phase"] + argv)
+    for argv, flag in ((["--bins", "1025"], "--bins"),
+                       (["--intervals", many + ";1:2"], "--intervals"),
+                       (["--spin", "200", "--bins", "27", "--format", "json"], "--bins"),
+                       (["--spin", "200", "--bins", "1000", "--format", "json"], "--bins"),
+                       (["--spin", "32", "--bins", "993", "--format", "json"], "--bins"),
+                       (["--spin", "200", "--intervals", ";".join(["0:1"] * 27),
+                         "--format", "json"], "--intervals")):
+        code, out, err = run(["spin-phase"] + argv, capsys)
+        assert code == EXIT_USAGE, argv
+        assert out == ""
+        assert flag in err and "at most" in err
+
+
 def test_json_layout_of_nested_values():
     payload = {"b": [{"y": None, "x": [True, "s"]}, [], {}], "a": {"é": "\u2014", "n": []},
                "c": [["u", 1.5], [[None, 2]], [False, 0]]}

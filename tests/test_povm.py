@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from povmlab import mzi, povm, spin
+from povmlab import kerrqnd, mzi, povm, spin
 from povmlab.linalg import Operator, haar_vector, identity, tensor
 from povmlab.povm import (
     _CHECK_SLICE_BYTES,
@@ -1032,3 +1032,184 @@ class TestTransformerReference:
             assert list(tf.outcomes) == sorted(grouped)
             for i, x in enumerate(tf.outcomes):
                 assert_allclose(tf.kraus[tf.owner == i], np.array(grouped[x]), atol=1e-12)
+
+
+def fresh_extremes(obs):
+    w = np.linalg.eigvalsh(obs.mats)
+    return w[:, [0, -1]]
+
+
+MZI_PARAMS = mzi.MZIParams(mzi.BSParams(0.3, 0.7), mzi.BSParams(0.6, 2.1), 1.3)
+
+
+def kerr_circuit(amp, nmax, bins=4):
+    dim = kerrqnd.coherent_dim(amp)
+    probe = kerrqnd.ProbeConfig(kerrqnd.coherent_state(amp * np.exp(0.4j), dim), 0.9,
+                                kerrqnd.truncated_phase_povm(dim, bins))
+    return kerrqnd.KerrCircuit(MZI_PARAMS, probe, mzi.FockSpace(nmax))
+
+
+def kerr_scheme(amp, nmax):
+    return kerrqnd.kerr_measurement_scheme(kerr_circuit(amp, nmax))
+
+
+def mzi_scheme(nmax):
+    return mzi.mzi_measurement_scheme(MZI_PARAMS, mzi.FockSpace(nmax))
+
+
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    """Shapes of the stacks np.linalg.eigvalsh is called on."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
+
+
+def edge_observable(delta):
+    """Two diagonal qubit effects with eigenvalues 1 + delta and -delta."""
+    return DiscreteObservable("ab", [np.diag([1.0 + delta, 0.0]), np.diag([-delta, 1.0])])
+
+
+class TestDerivedExtremes:
+    def test_observables_keep_their_extremes(self):
+        rng = np.random.default_rng(41)
+        for pair in itertools.islice(_reference_instances(rng), 30):
+            obs = DiscreteObservable(range(len(pair[0])), pair[0])
+            assert obs.extremes.shape == (len(obs), 2)
+            assert not obs.extremes.flags.writeable
+            assert np.max(np.abs(obs.extremes - fresh_extremes(obs))) <= 1e-12
+
+    def test_products_of_reference_instances(self, eigvalsh_calls):
+        rng = np.random.default_rng(42)
+        nested = 0
+        for first, second in _reference_instances(rng):
+            a = DiscreteObservable(range(len(first)), first)
+            b = DiscreteObservable(range(len(second)), second)
+            eigvalsh_calls.clear()
+            prod = product_observable(a, b)
+            assert eigvalsh_calls == []  # the extremes below are derived ones
+            assert np.max(np.abs(prod.extremes - fresh_extremes(prod))) <= 1e-12
+            if nested < 5 and a.dim <= 3:
+                nested += 1
+                twice = product_observable(prod, a)
+                assert np.max(np.abs(twice.extremes - fresh_extremes(twice))) <= 1e-12
+        assert nested == 5
+
+    @staticmethod
+    def check_pointer(pointer, calls):
+        # no effect stack of the pointer's size was diagonalised
+        assert not [c for c in calls if len(c) == 3 and c[1] == pointer.dim]
+        assert np.max(np.abs(pointer.extremes - fresh_extremes(pointer))) <= 1e-12
+
+    @pytest.mark.parametrize("amp,nmax", [(0.5, 1), (0.5, 2), (1.0, 1), (1.0, 2)])
+    def test_kerr_pointers(self, amp, nmax, eigvalsh_calls):
+        self.check_pointer(kerr_scheme(amp, nmax).pointer, eigvalsh_calls)
+
+    @pytest.mark.parametrize("nmax", [1, 2, 3, 4])
+    def test_mzi_pointers(self, nmax, eigvalsh_calls):
+        self.check_pointer(mzi_scheme(nmax).pointer, eigvalsh_calls)
+
+    def test_certified_product_makes_no_eigvalsh(self, eigvalsh_calls):
+        number = mzi.number_observable(4)
+        unsharp = spin.spin_observable([0.3, 0.0, 0.5])
+        eigvalsh_calls.clear()
+        prod = product_observable(product_observable(unsharp, number), number)
+        assert eigvalsh_calls == []
+        assert prod.mats.shape == (32, 32, 32)
+
+    def test_edge_factors_are_rejected_from_a_computed_spectrum(self, eigvalsh_calls):
+        a = edge_observable(0.9e-10)
+        stack = np.kron(a.mats[:, None], a.mats[None]).reshape(4, 4, 4)
+        assert np.linalg.eigvalsh(stack[0]).max() > 1.0 + 1.8e-10 - 1e-15
+        expected = reference_error(stack)
+        assert expected is not None and "outside [0, 1]" in expected
+        eigvalsh_calls.clear()
+        with pytest.raises(ValueError) as err:
+            product_observable(a, a)
+        assert str(err.value) == expected
+        assert eigvalsh_calls
+
+    def test_factors_near_the_bounds_fall_back(self, eigvalsh_calls):
+        # the product's top eigenvalue lies 2e-15 inside the bound, within
+        # the margin: it is diagonalised, and it passes
+        a = edge_observable(np.sqrt(1.0 + 1e-10) - 1.0 - 1e-15)
+        eigvalsh_calls.clear()
+        prod = product_observable(a, a)
+        assert eigvalsh_calls
+        assert np.max(np.abs(prod.extremes - fresh_extremes(prod))) <= 1e-12
+
+    def test_hermiticity_residual_near_the_tolerance_falls_back(self, eigvalsh_calls):
+        x = np.array([[0.5, 0.25 + 0.9e-10], [0.25, 0.5]])
+        a = DiscreteObservable("xy", [x, np.eye(2) - x])
+        assert 0.8e-10 < povm._hermitian_residual(a.mats) <= 1e-10
+        number = mzi.number_observable(2)
+        eigvalsh_calls.clear()
+        prod = product_observable(a, number)
+        assert eigvalsh_calls
+        assert np.max(np.abs(prod.extremes - fresh_extremes(prod))) <= 1e-12
+
+    @pytest.mark.parametrize("skew", [0.0, 1e-14, 1e-12, 1e-11, 1e-10])
+    def test_kept_extremes_lie_within_their_error_bound(self, skew):
+        # factors whose upper triangles carry a residual of up to ``skew``
+        rng = np.random.default_rng(int(skew * 1e14) + 5)
+        for _ in range(10):
+            pair = []
+            for d in rng.integers(2, 5, 2):
+                mats = np.array(_unsharp(rng, d, int(rng.integers(2, 4)), True))
+                upper = np.triu(np.ones((d, d)), 1)
+                mats[0] += skew * upper * rng.uniform(0, 0.5, (d, d))
+                mats[1] -= skew * upper * rng.uniform(0, 0.5, (d, d))
+                pair.append(DiscreteObservable(range(len(mats)), mats))
+            prod = product_observable(*pair)
+            assert np.max(np.abs(prod.extremes - fresh_extremes(prod))) <= prod._extremes_error
+
+
+def unitary_residual(mat):
+    return np.max(np.abs(mat @ mat.conj().T - np.eye(len(mat))))
+
+
+def assembled_coupling(u, dim_reg):
+    """P (u x I_r) as the schemes assembled it before: np.kron, then the
+    register-shift row permutation."""
+    perm = povm._controlled_shift(np.arange(u.dims[0]), u.dim // u.dims[0], dim_reg)
+    return tensor(u, identity(dim_reg)).mat[perm]
+
+
+class TestCountRegisterScheme:
+    def test_block_residual_is_the_coupling_residual(self):
+        rng = np.random.default_rng(11)
+        cases = [(mzi.mzi_unitary(MZI_PARAMS, mzi.FockSpace(n)), mzi_scheme(n))
+                 for n in (1, 2, 3, 4)]
+        cases += [(kerrqnd.three_mode_unitary(kerr_circuit(amp, n)), kerr_scheme(amp, n))
+                  for amp, n in ((0.5, 1), (1.0, 2))]
+        for scale in (1.0, 1 + 3e-11):  # a residual of about 6e-11 is still accepted
+            u = Operator(random_unitary(32, rng) * scale, (8, 4))
+            cases.append((u, povm._count_register_scheme(
+                u, 5, random_state(20, rng), DiscreteObservable([0], np.eye(20)[None]), None)))
+        for u, scheme in cases:
+            old = assembled_coupling(u, scheme.coupling.dims[-1])
+            assert np.array_equal(scheme.coupling.mat, old)
+            assert abs(unitary_residual(u.mat) - unitary_residual(old)) <= 1e-15
+
+    def test_non_unitary_u_is_rejected(self, monkeypatch):
+        probe = maximally_mixed(4)
+        pointer = DiscreteObservable([0], np.eye(4)[None])
+        with pytest.raises(ValueError, match="^coupling is not unitary within 1e-10$"):
+            povm._count_register_scheme(Operator(1.001 * np.eye(4), (2, 2)), 2, probe,
+                                        pointer, None)
+        unitary = mzi.mzi_unitary
+        monkeypatch.setattr(mzi, "mzi_unitary",
+                            lambda *args: unitary(*args) * (1 + 1e-9))
+        with pytest.raises(ValueError, match="^coupling is not unitary within 1e-10$"):
+            mzi_scheme(2)
+
+    def test_probe_dims_are_checked(self):
+        with pytest.raises(ValueError, match="probe state / pointer dims inconsistent"):
+            povm._count_register_scheme(Operator(np.eye(4), (2, 2)), 3, maximally_mixed(4),
+                                        DiscreteObservable([0], np.eye(4)[None]), None)
