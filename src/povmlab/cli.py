@@ -11,8 +11,9 @@ Identical configuration produces byte-identical output files. Only
 spin-phase takes --seed (it draws the rotation angles). Its --spin is at
 most 200 (dimension 401), it takes at most 1024 intervals (from --bins or
 --intervals), and with --format json those intervals' effect matrices hold at
-most 2^22 entries in all (32 bins at --spin 20 hold 53,792); each bound is
-checked before any matrix is built.
+most 2^22 entries in all (32 bins at --spin 20 hold 53,792). mzi-scan takes at
+most 4096 --delta-steps, and its unitaries hold steps * (nmax + 1)^4 <= 2^22
+entries (33 steps admit --nmax 17). Each bound is checked before any matrix is built.
 
 JSON output is one object with the keys "config", "rows" and "checks". Keys
 are sorted and nesting is indented by two spaces, one item per line, except
@@ -33,7 +34,7 @@ import sys
 import numpy as np
 
 from . import kerrqnd, mzi, spin
-from .povm import basis_state
+from .povm import _check_effects, basis_state
 
 EXIT_OK = 0
 EXIT_VERIFY = 2
@@ -42,6 +43,10 @@ EXIT_USAGE = 64
 MAX_SPIN = 200  # spin-phase --spin: each bin's effect has (2s+1)^2 entries
 MAX_INTERVALS = 1024  # spin-phase intervals per run
 MAX_JSON_ENTRIES = 1 << 22  # spin-phase --format json: effect-matrix entries per run
+MAX_DELTA_STEPS = 4096  # mzi-scan --delta-steps
+MAX_SWEEP_ENTRIES = 1 << 22  # mzi-scan: steps * (nmax+1)^4, entries of the unitary stack
+
+_NOT_CONFIG = {"command", "func", "out", "verify"}  # parsed arguments left out of "config"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -142,8 +147,15 @@ def _parse_floats(text: str, flag: str, sep: str = ",", count: int | None = None
 def cmd_mzi_scan(args) -> int:
     if args.delta_steps < 1:
         raise ValueError(f"--delta-steps must be at least 1, got {args.delta_steps}")
+    if args.delta_steps > MAX_DELTA_STEPS:
+        raise ValueError(f"--delta-steps must be at most {MAX_DELTA_STEPS}, "
+                         f"got {args.delta_steps}")
     if args.nmax < 1:
         raise ValueError(f"--nmax must be at least 1, got {args.nmax}")
+    if args.delta_steps * (args.nmax + 1) ** 4 > MAX_SWEEP_ENTRIES:
+        largest = math.isqrt(math.isqrt(MAX_SWEEP_ENTRIES // args.delta_steps)) - 1
+        raise ValueError(f"--nmax must be at most {largest} at --delta-steps "
+                         f"{args.delta_steps}, got {args.nmax}")
     tol = _verify_tol()
     deltas = np.linspace(args.delta_min, args.delta_max, args.delta_steps)
     space = mzi.FockSpace(args.nmax)
@@ -163,11 +175,9 @@ def cmd_mzi_scan(args) -> int:
         worst = max(worst, err)
         rows.append([float(delta), p10, p01, other, eps, err, p10 + p01 + other])
     header = ["delta", "p10", "p01", "sum_other", "eps_analytic", "abs_err", "prob_sum"]
-    config = _config_dict(args, ["eps1", "eps2", "theta1", "theta2", "delta_min",
-                                 "delta_max", "delta_steps", "nmax"])
     checks = {"max_abs_err": worst, "tolerance": tol,
               "row_sums_ok": all(abs(r[-1] - 1.0) < 1e-9 for r in rows)}
-    _emit(config, header, rows, checks, args.format, args.out)
+    _emit(_config_dict(args), header, rows, checks, args.format, args.out)
     if args.verify and (worst > tol or not checks["row_sums_ok"]):
         return EXIT_VERIFY
     return EXIT_OK
@@ -198,9 +208,8 @@ def cmd_kerr_tradeoff(args) -> int:
                 monotone = False
             if b["path_confidence"] < a["path_confidence"] - 1e-9:
                 monotone = False
-    config = _config_dict(args, ["amp", "lam", "eps2", "probe"])
     checks = {"tradeoff_monotone": monotone}
-    _emit(config, header, rows, checks, args.format, args.out)
+    _emit(_config_dict(args), header, rows, checks, args.format, args.out)
     if args.verify and not monotone:
         return EXIT_VERIFY
     return EXIT_OK
@@ -213,24 +222,18 @@ def cmd_spin(args) -> int:
     decision = spin.coexist_criterion(a1, a2)
     oracle = spin.coexist_oracle(a1, a2)
     rows = []
-    min_eig_overall = math.inf
     if decision:
         joint = spin.joint_spin_observable(a1, a2)
-        for (s1, s2), e in joint:
-            w = np.linalg.eigvalsh(e.op.mat)
-            min_eig_overall = min(min_eig_overall, float(w.min()))
-            m = e.op.mat
-            rows.append([s1, s2, m[0, 0].real, m[0, 1].real, m[0, 1].imag,
-                         m[1, 1].real, float(w.min())])
+        for (s1, s2), m, lo in zip(joint.outcomes, joint.mats, joint.extremes[:, 0].tolist()):
+            rows.append([s1, s2, m[0, 0].real, m[0, 1].real, m[0, 1].imag, m[1, 1].real, lo])
     header = ["outcome1", "outcome2", "g00", "g01_re", "g01_im", "g11", "min_eig"]
-    config = _config_dict(args, ["a1", "a2"])
     checks = {
         "criterion_value": float(value),
         "coexistent": bool(decision),
         "oracle_agrees": bool(oracle == decision),
-        "joint_min_eig": None if not rows else min_eig_overall,
+        "joint_min_eig": min((r[-1] for r in rows), default=None),
     }
-    _emit(config, header, rows, checks, args.format, args.out)
+    _emit(_config_dict(args), header, rows, checks, args.format, args.out)
     if args.verify and not checks["oracle_agrees"]:
         return EXIT_VERIFY
     return EXIT_OK
@@ -244,7 +247,7 @@ def cmd_spin_phase(args) -> int:
     except ValueError as exc:
         raise ValueError(f"--spin: {exc}") from None
     if args.intervals is not None:
-        intervals = [tuple(_parse_floats(chunk, "--intervals", ":", 2))
+        intervals = [_parse_floats(chunk, "--intervals", ":", 2)
                      for chunk in args.intervals.split(";")]
         flag, count = "--intervals", len(intervals)
     else:
@@ -256,45 +259,42 @@ def cmd_spin_phase(args) -> int:
     if args.format == "json" and count * space.dim ** 2 > MAX_JSON_ENTRIES:
         raise ValueError(f"{flag} must give at most {MAX_JSON_ENTRIES // space.dim ** 2} "
                          f"intervals with --format json at --spin {args.spin:g}, got {count}")
-    if args.intervals is None:
-        edges = np.linspace(0.0, 2 * np.pi, args.bins + 1)
-        intervals = [(float(edges[i]), float(edges[i + 1])) for i in range(args.bins)]
+    intervals = spin._phase_intervals(args.bins if args.intervals is None else intervals)
     rng = np.random.default_rng(args.seed)
     rows = []
     matrices = []
     worst_cov = 0.0
     worst_uniform = 0.0
     for (u, v) in intervals:
-        e = spin.spin_phase_effect(space, (u, v))
-        w = np.linalg.eigvalsh(e.op.mat)
+        # one matrix at a time; the check returns its eigenvalue range
+        kernel = spin._phase_kernels(space.dim, [(u, v)])
+        (lo, hi), = _check_effects(kernel).tolist()
+        mat = kernel[0]
         alpha = float(rng.uniform(0.0, 2 * np.pi))
         cov = spin.spin_phase_covariance_residual(space, (u, v), alpha)
-        uniform = float(
-            np.max(np.abs(np.diag(e.op.mat).real - (v - u) / (2 * np.pi)))
-        )
+        uniform = float(np.max(np.abs(np.diag(mat).real - (v - u) / (2 * np.pi))))
         worst_cov = max(worst_cov, cov)
         worst_uniform = max(worst_uniform, uniform)
-        rows.append([u, v, float(w.min()), float(w.max()), alpha, cov, uniform])
+        rows.append([u, v, lo, hi, alpha, cov, uniform])
         if args.format == "json":
-            matrices.append(np.stack((e.op.mat.real, e.op.mat.imag), -1).tolist())
+            matrices.append(np.stack((mat.real, mat.imag), -1).tolist())
     header = ["u", "v", "eig_min", "eig_max", "alpha", "covariance_residual",
               "uniformity_residual"]
-    config = _config_dict(args, ["spin", "intervals", "bins", "seed"])
     checks = {
         "max_covariance_residual": worst_cov,
         "max_uniformity_residual": worst_uniform,
         "effect_matrices": matrices if args.format == "json" else "json only",
     }
-    _emit(config, header, rows, checks, args.format, args.out)
+    _emit(_config_dict(args), header, rows, checks, args.format, args.out)
     if args.verify and (worst_cov > 1e-10 or worst_uniform > 1e-12):
         return EXIT_VERIFY
     return EXIT_OK
 
 
-def _config_dict(args, keys) -> dict:
+def _config_dict(args) -> dict:
+    """The JSON ``config`` block: the subcommand and its parsed options."""
     return {"subcommand": args.command,
-            **{k: getattr(args, k) for k in keys},
-            "format": args.format}
+            **{k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}}
 
 
 def _add_common(p: argparse.ArgumentParser):

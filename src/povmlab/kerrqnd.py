@@ -39,7 +39,7 @@ from .povm import (
     product_observable,
     vector_state,
 )
-from .spin import _check_interval, phase_kernel
+from .spin import _phase_kernels
 
 __all__ = [
     "ProbeConfig",
@@ -166,17 +166,8 @@ def truncated_phase_povm(dim: int, bins) -> DiscreteObservable:
     Shift covariance under e^{i a N} holds only approximately near the
     truncation edge; the residual is reported by the tests, not asserted.
     """
-    if isinstance(bins, int):
-        edges = np.linspace(0.0, 2 * np.pi, bins + 1)
-        intervals = [(edges[i], edges[i + 1]) for i in range(bins)]
-    else:
-        intervals = [(float(u), float(v)) for u, v in bins]
-        for u, v in intervals:
-            _check_interval(u, v)
-    levels = np.arange(dim)
-    return DiscreteObservable(
-        range(len(intervals)), [phase_kernel(levels, u, v) for u, v in intervals]
-    )
+    kernels = _phase_kernels(dim, bins)
+    return DiscreteObservable(range(len(kernels)), kernels)
 
 
 def three_mode_unitary(circuit: KerrCircuit) -> Operator:
@@ -367,11 +358,12 @@ def path_confidence(povm: DiscreteObservable) -> float:
     return 0.5 + 0.25 * tv
 
 
-def tradeoff_scan(amplitudes, lam: float, eps2_values, theta2: float = math.pi / 2,
-                  bins: int = 8, probe_kind: str = "coherent") -> list[dict]:
+def tradeoff_scan(amplitudes, lam: float, eps2_values,
+                  probe_kind: str = "coherent") -> list[dict]:
     """Visibility/confidence table over coherent amplitudes and recombiner
-    transparencies. ``probe_kind="number"`` replaces each coherent probe by
-    the number state nearest its mean photon number."""
+    transparencies, with an 8-bin phase readout and theta2 = pi/2 (neither
+    column depends on theta2). ``probe_kind="number"`` replaces each coherent
+    probe by the number state nearest its mean photon number."""
     rows = []
     for amp in amplitudes:
         dim = coherent_dim(amp)
@@ -381,10 +373,10 @@ def tradeoff_scan(amplitudes, lam: float, eps2_values, theta2: float = math.pi /
             probe_state = basis_state(round(abs(amp) ** 2), dim)
         else:
             raise ValueError(f"unknown probe kind {probe_kind!r}")
-        readout = truncated_phase_povm(dim, bins)
+        readout = truncated_phase_povm(dim, 8)
         probe = ProbeConfig(probe_state, lam, readout)
         for eps2 in eps2_values:
-            povm = joint_path_interference_povm(eps2, theta2, probe)
+            povm = joint_path_interference_povm(eps2, math.pi / 2, probe)
             rows.append(
                 {
                     "amp": float(amp),

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Operator, eigh
+from .linalg import Operator, eigh, identity
 from .mzi import number_observable
 from .povm import (
     DiscreteObservable,
@@ -21,6 +21,7 @@ from .povm import (
     State,
     StateTransformer,
     _controlled_shift,
+    _count_register_scheme,
     vector_state,
 )
 
@@ -169,13 +170,8 @@ def position_measurement_scheme(phi, grid: CyclicGrid) -> MeasurementScheme:
         raise ValueError("pointer amplitudes do not match the grid")
     if abs(np.sum(np.abs(phi) ** 2) - 1.0) > 1e-12:
         raise ValueError("pointer amplitudes must be normalized")
-    coupling = np.eye(d * d, dtype=complex)[_controlled_shift(np.arange(d), 1, d)]
-    return MeasurementScheme(
-        Operator(coupling, (d, d)),
-        vector_state(phi),
-        position_observable(grid),
-        None,
-    )
+    return _count_register_scheme(identity(d, (d,)), d, vector_state(phi),
+                                  position_observable(grid), None)
 
 
 def unsharp_position_transformer(phi, grid: CyclicGrid) -> StateTransformer:

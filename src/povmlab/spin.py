@@ -167,24 +167,36 @@ def phase_kernel(levels: np.ndarray, u: float, v: float) -> np.ndarray:
     return out
 
 
-def _check_interval(u: float, v: float):
-    if not (0.0 <= u <= v <= 2 * np.pi + 1e-12):
-        raise ValueError(f"malformed interval [{u}, {v}]; need 0 <= u <= v <= 2pi")
+def _phase_intervals(bins) -> list[tuple[float, float]]:
+    """The intervals of ``bins``: a bin count is the uniform partition of
+    [0, 2pi], and a list of (u, v) pairs must have 0 <= u <= v <= 2pi each."""
+    if isinstance(bins, (int, np.integer)):
+        edges = np.linspace(0.0, 2 * np.pi, bins + 1).tolist()
+        return list(zip(edges[:-1], edges[1:]))
+    intervals = [(float(u), float(v)) for u, v in bins]
+    for u, v in intervals:
+        if not 0.0 <= u <= v <= 2 * np.pi + 1e-12:
+            raise ValueError(f"malformed interval [{u}, {v}]; need 0 <= u <= v <= 2pi")
+    return intervals
+
+
+def _phase_kernels(dim: int, bins) -> np.ndarray:
+    """Unchecked (k, dim, dim) stack of the phase effects of the intervals of
+    ``bins`` on the levels 0..dim-1; as the kernel reads only level
+    differences, it is bit for bit the stack on the spin levels -s..s."""
+    levels = np.arange(dim)
+    return np.array([phase_kernel(levels, u, v) for u, v in _phase_intervals(bins)],
+                    dtype=complex)
 
 
 def spin_phase_effect(space: SpinPhaseSpace, interval) -> Effect:
     """Covariant spin-phase effect of an interval [u, v] in [0, 2pi]."""
-    u, v = float(interval[0]), float(interval[1])
-    _check_interval(u, v)
-    return effect(phase_kernel(space.m_values, u, v))
+    return effect(_phase_kernels(space.dim, [interval])[0])
 
 
 def spin_phase_observable(space: SpinPhaseSpace, bins: int = 8) -> DiscreteObservable:
     """Spin phase coarse-grained over a uniform partition of [0, 2pi]."""
-    edges = np.linspace(0.0, 2 * np.pi, bins + 1)
-    return DiscreteObservable(
-        range(bins), [phase_kernel(space.m_values, edges[i], edges[i + 1]) for i in range(bins)]
-    )
+    return DiscreteObservable(range(bins), _phase_kernels(space.dim, bins))
 
 
 def _shifted_intervals(u: float, v: float, alpha: float):
@@ -200,13 +212,10 @@ def _shifted_intervals(u: float, v: float, alpha: float):
 def spin_phase_covariance_residual(space: SpinPhaseSpace, interval, alpha: float) -> float:
     """Max-entry residual of e^{-i a s3} S(X) e^{i a s3} - S(X + a mod 2pi)."""
     u, v = float(interval[0]), float(interval[1])
-    _check_interval(u, v)
+    kernels = _phase_kernels(space.dim, [(u, v)] + _shifted_intervals(u, v, alpha))
     phases = np.exp(-1j * alpha * space.m_values)
-    rotated = phases[:, None] * phase_kernel(space.m_values, u, v) * phases.conj()[None, :]
-    shifted = sum(
-        phase_kernel(space.m_values, a, b) for a, b in _shifted_intervals(u, v, alpha)
-    )
-    return float(np.max(np.abs(rotated - shifted)))
+    rotated = phases[:, None] * kernels[0] * phases.conj()[None, :]
+    return float(np.max(np.abs(rotated - kernels[1:].sum(axis=0))))
 
 
 def spin_phase_first_moment(space: SpinPhaseSpace) -> Operator:

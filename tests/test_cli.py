@@ -279,3 +279,70 @@ def test_mzi_scan_rows_match_per_delta_composition(nmax, capsys):
         assert abs(row["p01"] - diag[0, 1]) <= 1e-15
         assert abs(row["sum_other"] - (diag.sum() - diag[1, 0] - diag[0, 1])) <= 1e-15
         assert row["eps_analytic"] == mzi.effective_transparency(params)
+
+
+def test_spin_phase_extremes_are_the_effect_eigenvalues(capsys):
+    code, out, _ = run(["spin-phase", "--spin", "3.5", "--intervals",
+                        "0:1;1:3.5;2:6.2;0:6.283185307179586", "--format", "json",
+                        "--verify"], capsys)
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    mats = np.array(payload["checks"]["effect_matrices"])
+    for row, m in zip(payload["rows"], mats[..., 0] + 1j * mats[..., 1]):
+        w = np.linalg.eigvalsh(m)
+        assert (row["eig_min"], row["eig_max"]) == (w.min(), w.max())
+
+
+def test_spin_min_eig_is_the_effect_minimum(capsys):
+    a1, a2 = [0.6, 0.1, -0.2], [-0.1, 0.55, 0.3]
+    code, out, _ = run(["spin", f"--a1={','.join(map(str, a1))}",
+                        f"--a2={','.join(map(str, a2))}", "--format", "json"], capsys)
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    lows = [float(np.linalg.eigvalsh(e.op.mat).min())
+            for _, e in spin.joint_spin_observable(a1, a2)]
+    assert [r["min_eig"] for r in payload["rows"]] == lows
+    assert payload["checks"]["joint_min_eig"] == min(lows)
+
+
+def test_mzi_scan_size_bounds(capsys, monkeypatch):
+    class Reached(Exception):
+        pass
+
+    def reached(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(mzi, "beam_splitter", reached)
+    # at each bound the command goes on to build the first splitter; 1024
+    # steps of (7 + 1)^4 entries hold exactly 2^22
+    for argv in (["--delta-steps", "4096"], ["--nmax", "17"],
+                 ["--delta-steps", "1024", "--nmax", "7"]):
+        with pytest.raises(Reached):
+            main(["mzi-scan"] + argv)
+    for argv, flag in ((["--delta-steps", "4097"], "--delta-steps"),
+                       (["--delta-steps", "1000000000000"], "--delta-steps"),
+                       (["--nmax", "18"], "--nmax"),
+                       (["--nmax", "100000"], "--nmax"),
+                       (["--delta-steps", "1025", "--nmax", "7"], "--nmax"),
+                       (["--delta-steps", "4096", "--nmax", "5"], "--nmax")):
+        code, out, err = run(["mzi-scan", "--verify"] + argv, capsys)
+        assert code == EXIT_USAGE, argv
+        assert out == ""
+        assert flag in err and "at most" in err
+
+
+@pytest.mark.parametrize("argv, keys", [
+    (["mzi-scan"], {"eps1", "eps2", "theta1", "theta2", "delta_min", "delta_max",
+                    "delta_steps", "nmax"}),
+    (["kerr-tradeoff"], {"amp", "lam", "eps2", "probe"}),
+    (["spin", "--a1=0.6,0,0", "--a2=0,0.6,0"], {"a1", "a2"}),
+    (["spin-phase"], {"spin", "intervals", "bins", "seed"}),
+])
+def test_config_holds_the_subcommand_options(argv, keys, tmp_path, capsys):
+    path = tmp_path / "out.json"
+    code, _, _ = run(argv + ["--format", "json", "--verify", "--out", str(path)], capsys)
+    assert code == EXIT_OK
+    config = json.loads(path.read_text())["config"]
+    assert config.pop("subcommand") == argv[0]
+    assert config.pop("format") == "json"
+    assert set(config) == keys

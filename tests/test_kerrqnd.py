@@ -442,6 +442,22 @@ class TestTradeoff:
         assert all(b >= a - 1e-12 for a, b in zip(conf, conf[1:]))
 
 
+    def test_tradeoff_does_not_depend_on_the_recombiner_phase(self):
+        # the scan fixes theta2 = pi/2: the visibility reads the modulus of an
+        # off-diagonal entry and the path confidence reads diagonals
+        lam, amps, eps2_values = 0.9, (0.5, 2.0), (0.2, 0.5)
+        rows = tradeoff_scan(amps, lam, eps2_values)
+        for amp in amps:
+            dim = coherent_dim(amp)
+            probe = ProbeConfig(coherent_state(amp, dim), lam, truncated_phase_povm(dim, 8))
+            for eps2 in eps2_values:
+                row, = (r for r in rows if r["amp"] == amp and r["eps2"] == eps2)
+                for theta2 in (0.0, 1.0, math.pi / 2, 4.0):
+                    povm = joint_path_interference_povm(eps2, theta2, probe)
+                    assert path_confidence(povm) == row["path_confidence"]
+                    assert abs(interference_visibility(povm) - row["visibility"]) <= 1e-15
+
+
 def helstrom_readout(probe_state, lam):
     """Two-outcome readout that best tells rho0 = T' from
     rho1 = e^{-i lam N} T' e^{i lam N}: the projector onto the positive part

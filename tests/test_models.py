@@ -120,6 +120,22 @@ def test_position_coupling_equals_the_kronecker_sum():
     assert np.array_equal(coupling, kronecker_coupling(sites, grid))
 
 
+@pytest.mark.parametrize("d", [4, 7, 16])
+def test_position_scheme_is_the_shift_permutation(d):
+    grid = CyclicGrid(d)
+    phi = random_amplitudes(d, np.random.default_rng(d))
+    scheme = position_measurement_scheme(phi, grid)
+    sites = np.arange(d)
+    # row (q, k) of the coupling is row (q, k - q mod d) of the identity
+    perm = (sites[:, None] * d + (sites[None, :] - sites[:, None]) % d).reshape(-1)
+    assert np.array_equal(scheme.coupling.mat, np.eye(d * d)[perm])
+    assert scheme.coupling.dims == (d, d)
+    assert scheme.pointer_function is None
+    f = ConfidenceFunction(np.abs(phi) ** 2)
+    assert np.max(np.abs(induced_observable(scheme).mats
+                         - unsharp_position_observable(f, grid).mats)) <= TOL
+
+
 def test_toy_coupling_equals_the_kronecker_sum():
     grid = CyclicGrid(8)
     a, v = non_diagonal_operator(5)

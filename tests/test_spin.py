@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from povmlab import spin
+from povmlab.kerrqnd import truncated_phase_povm
 from povmlab.linalg import Operator
 from povmlab.povm import are_prob_complementary, marginal
 from povmlab.spin import (
@@ -10,6 +12,7 @@ from povmlab.spin import (
     coexist_oracle,
     criterion_value,
     joint_spin_observable,
+    phase_kernel,
     s3_operator,
     spin_effect,
     spin_observable,
@@ -228,10 +231,15 @@ class TestSpinPhase:
         assert np.max(np.abs(lhs - rhs)) < 1e-15
 
     def test_rejects_malformed_interval(self):
-        with pytest.raises(ValueError):
-            spin_phase_effect(SpinPhaseSpace(0.5), (1.0, 0.5))
-        with pytest.raises(ValueError):
-            spin_phase_effect(SpinPhaseSpace(0.5), (-0.1, 1.0))
+        # one interval rule for the effect, the covariance residual, the stack
+        # and the truncated readout
+        for bad in ((1.0, 0.5), (-0.1, 1.0), (0.0, 7.0), (np.nan, 1.0)):
+            for build in (lambda: spin_phase_effect(SpinPhaseSpace(0.5), bad),
+                          lambda: spin_phase_covariance_residual(SpinPhaseSpace(1), bad, 0.3),
+                          lambda: spin._phase_kernels(3, [(0.0, 1.0), bad]),
+                          lambda: truncated_phase_povm(3, [bad])):
+                with pytest.raises(ValueError, match="malformed interval"):
+                    build()
 
     def test_first_moment_structure(self):
         b = spin_phase_first_moment(SpinPhaseSpace(0.5)).mat
@@ -292,6 +300,59 @@ class TestSpinPhase:
         for length in (0.5, 2.0, 4.0):
             w = np.linalg.eigvalsh(spin_phase_effect(space, (0.0, length)).op.mat)
             assert w.min() > 0
+
+
+def reference_kernels(space, intervals):
+    """The phase kernels on the spin levels m = -s..s, one call each."""
+    return np.array([phase_kernel(space.m_values, u, v) for u, v in intervals])
+
+
+def reference_covariance_residual(space, interval, alpha):
+    """The covariance residual on the spin levels, the shifted interval's
+    pieces summed one call at a time."""
+    u, v = interval
+    phases = np.exp(-1j * alpha * space.m_values)
+    rotated = phases[:, None] * phase_kernel(space.m_values, u, v) * phases.conj()[None, :]
+    shifted = sum(phase_kernel(space.m_values, a, b)
+                  for a, b in spin._shifted_intervals(u, v, alpha))
+    return float(np.max(np.abs(rotated - shifted)))
+
+
+class TestPhaseKernelBuilder:
+    SPINS = (0.5, 1.0, 2.5, 7.0, 20.5)
+
+    def test_uniform_partition_equals_the_spin_level_kernels(self):
+        for s in self.SPINS:
+            space = SpinPhaseSpace(s)
+            for bins in (1, 2, 7, 16):
+                edges = np.linspace(0.0, 2 * np.pi, bins + 1)
+                reference = reference_kernels(space, zip(edges[:-1], edges[1:]))
+                observable = spin_phase_observable(space, bins)
+                assert np.array_equal(spin._phase_kernels(space.dim, bins), reference)
+                assert np.array_equal(observable.mats, reference)
+                assert np.array_equal(observable.mats, truncated_phase_povm(space.dim, bins).mats)
+
+    def test_intervals_equal_the_spin_level_kernels(self):
+        rng = np.random.default_rng(8)
+        for s in self.SPINS:
+            space = SpinPhaseSpace(s)
+            u = rng.uniform(0, 2 * np.pi, 6)
+            intervals = [(a, rng.uniform(a, 2 * np.pi)) for a in u] + [(0.0, 2 * np.pi)]
+            reference = reference_kernels(space, intervals)
+            assert np.array_equal(spin._phase_kernels(space.dim, intervals), reference)
+            for interval, m in zip(intervals, reference):
+                assert np.array_equal(spin_phase_effect(space, interval).op.mat, m)
+
+    def test_covariance_residual_equals_the_spin_level_form(self):
+        rng = np.random.default_rng(9)
+        for s in self.SPINS:
+            space = SpinPhaseSpace(s)
+            for _ in range(20):
+                u = rng.uniform(0, 2 * np.pi)
+                interval = (u, rng.uniform(u, 2 * np.pi))
+                alpha = rng.uniform(0, 2 * np.pi)
+                assert (spin_phase_covariance_residual(space, interval, alpha)
+                        == reference_covariance_residual(space, interval, alpha))
 
 
 class TestSpinPhaseSpace:
