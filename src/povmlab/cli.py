@@ -259,7 +259,10 @@ def cmd_spin_phase(args) -> int:
     if args.format == "json" and count * space.dim ** 2 > MAX_JSON_ENTRIES:
         raise ValueError(f"{flag} must give at most {MAX_JSON_ENTRIES // space.dim ** 2} "
                          f"intervals with --format json at --spin {args.spin:g}, got {count}")
-    intervals = spin._phase_intervals(args.bins if args.intervals is None else intervals)
+    try:
+        intervals = spin._phase_intervals(args.bins if args.intervals is None else intervals)
+    except ValueError as exc:
+        raise ValueError(f"--intervals: {exc}") from None
     rng = np.random.default_rng(args.seed)
     rows = []
     matrices = []

@@ -15,6 +15,7 @@ forms below are locked to the full three-mode unitary.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -34,6 +35,7 @@ from .povm import (
     State,
     _compressed_effects,
     _count_register_scheme,
+    _product_state,
     basis_state,
     marginal,
     product_observable,
@@ -138,10 +140,18 @@ def coherent_dim(amp: float) -> int:
 
 def coherent_state(z: complex, dim: int | None = None) -> State:
     """Truncated coherent state; raises when the truncation keeps less than
-    1 - 1e-8 of the amplitude mass."""
+    1 - 1e-8 of the amplitude mass, and for a non-finite z or one whose
+    Fock moduli e^(-|z|^2/2) |z|^n overflow."""
+    try:
+        r = abs(z)
+    except OverflowError:  # a finite complex z whose modulus overflows
+        r = math.inf
     if dim is None:
-        dim = coherent_dim(abs(z))
-    r = abs(z)
+        dim = coherent_dim(r)
+    if not cmath.isfinite(z):
+        raise ValueError(f"coherent amplitude {z} is not finite")
+    if not math.isfinite(r * r):
+        raise ValueError(f"coherent amplitude {z} overflows the Fock moduli")
     if r == 0.0:
         return basis_state(0, dim)
     n = np.arange(dim)
@@ -226,7 +236,7 @@ def _circuit_effects(circuit: KerrCircuit, inputs) -> DiscreteObservable:
     u4 = three_mode_unitary(circuit).mat.reshape(da, db * dc, da * db, dc)[:, :, inputs, :]
     readout = circuit.probe.readout
     pointer = np.kron(np.eye(db), readout.mats)  # I_b x E(x), one row per bin
-    f = _compressed_effects(u4, circuit.probe.probe_state.op.mat, pointer)
+    f = _compressed_effects(u4, circuit.probe.probe_state, pointer)
     outcomes = [(n, x) for n in range(da) for x in readout.outcomes]
     return DiscreteObservable(outcomes, f.reshape(-1, len(inputs), len(inputs)))
 
@@ -395,9 +405,8 @@ def kerr_measurement_scheme(circuit: KerrCircuit) -> MeasurementScheme:
     readout bin). Its induced observable reproduces the (n, bin) effects."""
     da, db, dc = circuit.dims
     dr = da
-    probe_state = State(
-        tensor(basis_state(0, db).op, circuit.probe.probe_state.op, basis_state(0, dr).op)
-    )
+    probe_state = _product_state(basis_state(0, db), circuit.probe.probe_state,
+                                 basis_state(0, dr))
     trivial_b = DiscreteObservable([0], np.eye(db)[None])
     pointer = product_observable(
         product_observable(trivial_b, circuit.probe.readout), number_observable(dr)

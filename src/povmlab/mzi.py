@@ -32,6 +32,7 @@ from .povm import (
     MeasurementScheme,
     State,
     _count_register_scheme,
+    _product_state,
     basis_state,
     product_observable,
 )
@@ -242,8 +243,8 @@ def mzi_measurement_scheme(params: MZIParams, space: FockSpace) -> MeasurementSc
     position) reads both counts.
     """
     d = space.dim
-    vac = basis_state(0, d).op
-    probe = State(tensor(vac, vac))
+    vac = basis_state(0, d)
+    probe = _product_state(vac, vac)
     pointer = product_observable(number_observable(d), number_observable(d))
     pointer_function = {(n2, k): (k, n2) for n2 in range(d) for k in range(d)}
     return _count_register_scheme(mzi_unitary(params, space), d, probe, pointer,

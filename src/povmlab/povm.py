@@ -45,6 +45,23 @@ product would otherwise get; any other slice is diagonalised, so every
 rejection reports a computed spectrum. The product's own Hermiticity is
 still checked entry by entry.
 
+A state T records its spectral decomposition: eigenvalues q on orthonormal
+columns chi, zero on their complement, within e of spec L(T). A pure state
+is T = fl(u u†) for its unit vector u, so the record is q = [1], chi = u,
+and no eigensolver runs. Each entry of T is within 3 eps |u_i| |u_j| of
+u u†, whose spectrum is {|u|^2, 0, ...}, and the computed trace is within
+(D + 1) eps |u|^2 of |u|^2; by Weyl's inequality the record lies within
+D (h_T + 16 eps) + |tr T - 1| of spec L(T). (h_T is 0 when the mirrored
+entries u_i u_j* and u_j u_i* round alike, as they do without fused
+multiply-adds, but it is measured.) The spectrum of L(A) x L(B) is exactly
+{lambda mu} on the eigenvectors chi_A x chi_B, so a product of states takes
+(q_A x q_B, chi_A x chi_B) from its factors' records, within the margin
+above with e_A, e_B the factors' errors; the margin bounds every eigenvalue,
+not only the extremes. Positivity is read from the record when its smallest
+eigenvalue clears -ATOL_POSITIVE by e; otherwise eigvalsh decides. Any
+other state is checked by eigvalsh and diagonalised by eigh once, when its
+decomposition is first needed.
+
 A coupling P (u x I_r), with P the row permutation of the register shift,
 has P (u x I_r) (P (u x I_r))† - I = P ((u u† - I) x I_r) P^T, whose largest
 entry is that of u u† - I: checking u is checking the coupling.
@@ -113,6 +130,13 @@ def _hermitian_residual(mats: np.ndarray) -> float:
     return np.max(np.abs(mats - mats.conj().swapaxes(1, 2)))
 
 
+def _product_margin(e_a: float, e_b: float, h_a: float, h_b: float, d: int) -> float:
+    """Bound on the distance between the spectrum of a d x d product A x B
+    derived from its factors' recorded spectra (errors e, Hermiticity
+    residuals h) and the one eigvalsh would return (module docstring)."""
+    return 2 * (e_a + e_b) + d * (4 * (h_a + h_b) + _EIG_ROUNDING)
+
+
 def _check_effects(mats: np.ndarray, derived=None, margin: float = 0.0) -> np.ndarray:
     """Raise ``ValueError`` unless every row of the (k, d, d) stack ``mats``
     is an effect: Hermitian within ``ATOL_HERMITIAN`` with spectrum inside
@@ -170,7 +194,12 @@ class Effect:
 
 @dataclass(frozen=True, eq=False)
 class State:
-    """A density operator: Hermitian, positive, trace one."""
+    """A density operator: Hermitian, positive, trace one.
+
+    Its spectral decomposition is ``_spectrum`` = (q, chi, e): eigenvalues q
+    on the orthonormal columns of chi, zero on their complement, within e of
+    spec L(T) (module docstring). Pure and product states record it when they
+    are built; any other state runs one eigh for it, on first use."""
 
     op: Operator
 
@@ -188,15 +217,63 @@ class State:
     def dim(self) -> int:
         return self.op.dim
 
+    @cached_property
+    def _spectrum(self) -> tuple[np.ndarray, np.ndarray, float]:
+        q, chi = np.linalg.eigh(self.op.mat)
+        return q, chi, self.dim * _EIG_ROUNDING
+
+
+def _recorded_state(op: Operator, spectrum, h: float) -> State:
+    """A State over ``op`` with the recorded ``spectrum`` (q, chi, e), given
+    the Hermiticity residual h of ``op``. It has the checks and messages of
+    :class:`State`, but positivity is read from the record when its smallest
+    eigenvalue clears -ATOL_POSITIVE by e; otherwise eigvalsh decides."""
+    if not h <= ATOL_HERMITIAN:
+        raise ValueError("state must be Hermitian within 1e-10")
+    q, chi, e = spectrum
+    lo = min(q.min(), 0.0) if chi.shape[1] < op.dim else q.min()
+    if not lo - e >= -ATOL_POSITIVE:
+        w = np.linalg.eigvalsh(op.mat)
+        if w.min() < -ATOL_POSITIVE:
+            raise ValueError(f"state not positive (min eig {w.min():.3e})")
+    tr = op.trace().real
+    if abs(tr - 1.0) > 1e-10:
+        raise ValueError(f"state trace {tr} != 1")
+    st = object.__new__(State)
+    object.__setattr__(st, "op", op)
+    st.__dict__["_spectrum"] = spectrum
+    return st
+
+
+def _product_state(*factors: State) -> State:
+    """The tensor product of states, with its spectral decomposition taken
+    from the factors' records by ``kron`` and its error bound from the
+    product margin of the module docstring."""
+    mat, (q, chi, e) = factors[0].op.mat, factors[0]._spectrum
+    h = _hermitian_residual(mat[None])
+    for f in factors[1:]:
+        qf, chif, ef = f._spectrum
+        hf = _hermitian_residual(f.op.mat[None])
+        mat = np.kron(mat, f.op.mat)
+        q, chi, e = np.kron(q, qf), np.kron(chi, chif), _product_margin(e, ef, h, hf, len(mat))
+        h = _hermitian_residual(mat[None])
+    dims = tuple(d for f in factors for d in (f.op.dims or (f.dim,)))
+    return _recorded_state(Operator(mat, dims), (q, chi, e), h)
+
 
 def effect(mat, dims=None) -> Effect:
     return Effect(Operator(mat, dims))
 
 
 def vector_state(vec, dims=None) -> State:
-    """Rank-one state from a (not necessarily normalized) vector."""
+    """Rank-one state from a (not necessarily normalized) vector; its unit
+    vector is recorded as the eigenvector of eigenvalue 1."""
     v = vec if isinstance(vec, Vector) else Vector(vec, dims)
-    return State(v.projector())
+    u = v.normalized().vec
+    op = Operator(np.outer(u, u.conj()), v.dims)
+    h = _hermitian_residual(op.mat[None])
+    e = op.dim * (h + 16 * np.finfo(float).eps) + abs(op.trace().real - 1.0)
+    return _recorded_state(op, (np.ones(1), u[:, None], e), h)
 
 
 def basis_state(k: int, dim: int) -> State:
@@ -417,9 +494,8 @@ def product_observable(a: DiscreteObservable, b: DiscreteObservable) -> Discrete
     d = a.dim * b.dim
     corners = (a.extremes[:, None, :, None] * b.extremes[None, :, None, :]).reshape(-1, 4)
     derived = np.stack((corners.min(axis=1), corners.max(axis=1)), axis=1)
-    margin = (2 * (a._extremes_error + b._extremes_error)
-              + d * (4 * (_hermitian_residual(a.mats) + _hermitian_residual(b.mats))
-                     + _EIG_ROUNDING))
+    margin = _product_margin(a._extremes_error, b._extremes_error,
+                             _hermitian_residual(a.mats), _hermitian_residual(b.mats), d)
     obs = object.__new__(DiscreteObservable)
     obs._init(outcomes, np.kron(a.mats[:, None], b.mats[None]).reshape(-1, d, d),
               derived, margin)
@@ -465,21 +541,21 @@ def _controlled_shift(shifts, dim_other: int, dim_reg: int) -> np.ndarray:
     return ((n * dim_other + m) * dim_reg + (k - shifts[n]) % dim_reg).reshape(-1)
 
 
-def _probe_isometries(u4: np.ndarray, probe: np.ndarray) -> np.ndarray:
+def _probe_isometries(u4: np.ndarray, probe: State) -> np.ndarray:
     """Weighted isometry stack of a coupling and a probe state.
 
     ``u4`` is the coupling reshaped to (d_out, d_probe_out, d_in, d_probe_in)
-    and ``probe`` the probe density matrix with spectral decomposition
+    and ``probe`` the probe state, whose recorded spectral decomposition is
     sum_l q_l |chi_l><chi_l|. Returns K[l, a, i, b] =
     sqrt(q_l) (<a| x <i|) U (|b> x |chi_l>), keeping only the weights
     q_l > 1e-14.
     """
-    qs, chis = np.linalg.eigh(probe)
+    qs, chis, _ = probe._spectrum
     keep = qs > 1e-14
     return np.einsum("aibc,cl->laib", u4, chis[:, keep] * np.sqrt(qs[keep]), optimize=True)
 
 
-def _compressed_effects(u4: np.ndarray, probe: np.ndarray,
+def _compressed_effects(u4: np.ndarray, probe: State,
                         pointer_effects: np.ndarray) -> np.ndarray:
     """Heisenberg-picture compression of stacked pointer effects Z_x.
 
@@ -508,7 +584,7 @@ def induced_observable(scheme: MeasurementScheme) -> DiscreteObservable:
     """
     ds, dp = scheme.system_dim, scheme.probe_dim
     u4 = scheme.coupling.mat.reshape(ds, dp, ds, dp)
-    fs = _compressed_effects(u4, scheme.probe_state.op.mat, scheme.pointer.mats).sum(axis=0)
+    fs = _compressed_effects(u4, scheme.probe_state, scheme.pointer.mats).sum(axis=0)
     return _grouped([scheme.map_outcome(zx) for zx in scheme.pointer.outcomes], fs)
 
 
@@ -553,7 +629,7 @@ def scheme_transformer(scheme: MeasurementScheme) -> StateTransformer:
     """
     ds, dp = scheme.system_dim, scheme.probe_dim
     u4 = scheme.coupling.mat.reshape(ds, dp, ds, dp)
-    k = _probe_isometries(u4, scheme.probe_state.op.mat)
+    k = _probe_isometries(u4, scheme.probe_state)
     wz, vz = np.linalg.eigh(scheme.pointer.mats)
     # sqrt(z) <zeta| K_l per pointer outcome x, eigenvector j and probe weight l
     roots = vz * np.sqrt(np.clip(wz, 0.0, None))[:, None, :]

@@ -24,7 +24,6 @@ __all__ = [
     "joint_spin_observable",
     "SpinPhaseSpace",
     "s3_operator",
-    "phase_kernel",
     "spin_phase_effect",
     "spin_phase_observable",
     "spin_phase_covariance_residual",
@@ -151,22 +150,6 @@ def s3_operator(space: SpinPhaseSpace) -> Operator:
     return Operator(np.diag(space.m_values.astype(complex)))
 
 
-def phase_kernel(levels: np.ndarray, u: float, v: float) -> np.ndarray:
-    """Closed-form matrix of the covariant phase effect on the given ladder
-    levels: entry (m, n) is the integral of e^{i(n-m)alpha}/2pi over [u, v].
-    """
-    levels = np.asarray(levels, dtype=float)
-    if v - u >= 2 * np.pi * (1 - 1e-15):
-        return np.eye(levels.size, dtype=complex)  # full circle: exact identity
-    k = levels[None, :] - levels[:, None]  # n - m
-    out = np.empty(k.shape, dtype=complex)
-    diag = np.abs(k) < 1e-12
-    out[diag] = (v - u) / (2 * np.pi)
-    kk = k[~diag]
-    out[~diag] = (np.exp(1j * kk * v) - np.exp(1j * kk * u)) / (2j * np.pi * kk)
-    return out
-
-
 def _phase_intervals(bins) -> list[tuple[float, float]]:
     """The intervals of ``bins``: a bin count is the uniform partition of
     [0, 2pi], and a list of (u, v) pairs must have 0 <= u <= v <= 2pi each."""
@@ -182,11 +165,25 @@ def _phase_intervals(bins) -> list[tuple[float, float]]:
 
 def _phase_kernels(dim: int, bins) -> np.ndarray:
     """Unchecked (k, dim, dim) stack of the phase effects of the intervals of
-    ``bins`` on the levels 0..dim-1; as the kernel reads only level
-    differences, it is bit for bit the stack on the spin levels -s..s."""
-    levels = np.arange(dim)
-    return np.array([phase_kernel(levels, u, v) for u, v in _phase_intervals(bins)],
-                    dtype=complex)
+    ``bins`` on the levels 0..dim-1.
+
+    Entry (m, n) of the effect of [u, v] is the integral of
+    e^{i(n-m)alpha}/2pi over [u, v]; it depends on n - m only, so each effect
+    is a Toeplitz matrix with 2 dim - 1 distinct entries (Holevo 1982). Those
+    are evaluated for every interval in one array expression and gathered at
+    n - m + dim - 1; a full circle is the exact identity. As the entries read
+    only level differences, the stack is bit for bit the one on the spin
+    levels -s..s."""
+    intervals = np.array(_phase_intervals(bins), dtype=float).reshape(-1, 2)
+    u, v = intervals[:, :1], intervals[:, 1:]
+    k = np.arange(1 - dim, dim, dtype=float)  # n - m
+    with np.errstate(divide="ignore", invalid="ignore"):
+        entries = (np.exp(1j * k * v) - np.exp(1j * k * u)) / (2j * np.pi * k)
+    width = (v - u)[:, 0]
+    entries[:, dim - 1] = width / (2 * np.pi)
+    entries[width >= 2 * np.pi * (1 - 1e-15)] = k == 0
+    n = np.arange(dim)
+    return entries[:, n[None, :] - n[:, None] + dim - 1]
 
 
 def spin_phase_effect(space: SpinPhaseSpace, interval) -> Effect:

@@ -91,6 +91,14 @@ def test_bad_numbers_are_usage_errors(argv, flag, capsys):
     assert flag in err
 
 
+@pytest.mark.parametrize("spec", ["2:1", "-1:1", "0:7"], ids=["reversed", "negative", "past-2pi"])
+def test_malformed_intervals_name_the_flag(spec, capsys):
+    code, out, err = run(["spin-phase", f"--intervals={spec}", "--verify"], capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "--intervals: malformed interval" in err
+
+
 def test_argparse_usage_error_exits_64(capsys):
     code, out, err = run(["mzi-scan", "--nmax", "two"], capsys)
     assert code == EXIT_USAGE
@@ -181,7 +189,7 @@ def test_spin_bound(capsys, monkeypatch):
     def no_matrix(*args, **kwargs):
         raise AssertionError("a matrix was built")
 
-    monkeypatch.setattr(spin, "phase_kernel", no_matrix)
+    monkeypatch.setattr(spin, "_phase_kernels", no_matrix)
     for value in ("200.5", "1e6"):
         code, out, err = run(["spin-phase", "--spin", value, "--verify"], capsys)
         assert code == EXIT_USAGE
@@ -204,7 +212,7 @@ def test_interval_bounds(capsys, monkeypatch):
     def reached(*args, **kwargs):
         raise Reached
 
-    monkeypatch.setattr(spin, "phase_kernel", reached)
+    monkeypatch.setattr(spin, "_phase_kernels", reached)
     many = ";".join(["0:1"] * cli.MAX_INTERVALS)
     json_bins = cli.MAX_JSON_ENTRIES // 401 ** 2
     assert json_bins == 26

@@ -43,6 +43,7 @@ from povmlab.povm import (
     probability,
     vector_state,
 )
+from povmlab.spin import _phase_kernels
 
 CANONICAL = MZIParams(BSParams(0.5, math.pi / 2), BSParams(0.5, math.pi / 2), 0.0)
 
@@ -128,6 +129,19 @@ class TestCoherentState:
         for amp in (6.0 + 1e-9, -7.0, 100.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="outside"):
                 coherent_dim(amp)
+
+    @pytest.mark.parametrize("z", [float("nan"), float("inf"), complex(1.0, float("-inf")),
+                                   complex(float("nan"), 0.0)])
+    def test_non_finite_amplitude_is_named(self, z):
+        with pytest.raises(ValueError, match=r"^coherent amplitude .* is not finite$") as err:
+            coherent_state(z, 16)
+        assert str(z) in str(err.value)
+
+    @pytest.mark.parametrize("z", [1e200, -2e154, complex(1e308, 1e308)])
+    def test_overflowing_moduli_are_named(self, z):
+        with pytest.raises(ValueError, match=r"^coherent amplitude .* overflows") as err:
+            coherent_state(z, 16)
+        assert str(z) in str(err.value)
 
     def test_phase_convention(self):
         st = coherent_state(1.0j, 20)
@@ -530,12 +544,9 @@ class TestTruncatedPhasePovm:
         for dim in (4, 8, 16, 32):
             lam = 0.37
             levels = np.arange(dim)
-            from povmlab.spin import phase_kernel
-
-            m = phase_kernel(levels, 0.5, 1.5)
+            m, shifted = _phase_kernels(dim, [(0.5, 1.5), (0.5 - lam, 1.5 - lam)])
             phases = np.exp(1j * lam * levels)
             rotated = phases[:, None] * m * phases.conj()[None, :]
-            shifted = phase_kernel(levels, 0.5 - lam, 1.5 - lam)
             residuals.append(float(np.max(np.abs(rotated - shifted))))
         print("shift-covariance residuals by dim:", residuals)
         assert all(r < 1e-12 for r in residuals)

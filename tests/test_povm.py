@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from povmlab import kerrqnd, mzi, povm, spin
+from povmlab import kerrqnd, models, mzi, povm, spin
 from povmlab.linalg import Operator, haar_vector, identity, tensor
 from povmlab.povm import (
     _CHECK_SLICE_BYTES,
@@ -1213,3 +1213,157 @@ class TestCountRegisterScheme:
         with pytest.raises(ValueError, match="probe state / pointer dims inconsistent"):
             povm._count_register_scheme(Operator(np.eye(4), (2, 2)), 3, maximally_mixed(4),
                                         DiscreteObservable([0], np.eye(4)[None]), None)
+
+
+def assert_spectrum_matches_eigh(st, tol=1e-12):
+    """The recorded (q, chi, e) against a fresh eigh: the spectrum (q padded
+    with zeros) within tol and within e, orthonormal eigenvectors that
+    rebuild the state, and the same eigenprojection for every eigenvalue
+    above 1e-6."""
+    q, chi, e = st._spectrum
+    w, v = np.linalg.eigh(st.op.mat)
+    full = np.sort(np.concatenate([q, np.zeros(st.dim - len(q))]))
+    assert np.max(np.abs(full - w)) <= min(tol, e)
+    assert np.max(np.abs(chi.conj().T @ chi - np.eye(len(q)))) <= tol
+    assert np.max(np.abs((chi * q) @ chi.conj().T - st.op.mat)) <= tol
+    for lam in q[q > 1e-6]:
+        rec, ref = chi[:, np.abs(q - lam) < 1e-6], v[:, np.abs(w - lam) < 1e-6]
+        assert np.max(np.abs(rec @ rec.conj().T - ref @ ref.conj().T)) <= tol
+
+
+@pytest.fixture
+def diagonalisations(monkeypatch):
+    """Shapes of the matrices np.linalg.eigvalsh and np.linalg.eigh are
+    called on."""
+    calls = []
+    for name in ("eigvalsh", "eigh"):
+        def counted(a, *args, _f=getattr(np.linalg, name), **kwargs):
+            calls.append(np.shape(a))
+            return _f(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def mixed_kerr_circuit(nmax=1, dim=16):
+    """A Kerr circuit whose probe is an equal mixture of |z> and |-z>."""
+    rho = sum(kerrqnd.coherent_state(z, dim).op.mat for z in (0.8, -0.8)) / 2
+    probe = kerrqnd.ProbeConfig(State(Operator(rho)), 0.9, kerrqnd.truncated_phase_povm(dim, 4))
+    return kerrqnd.KerrCircuit(MZI_PARAMS, probe, mzi.FockSpace(nmax))
+
+
+ORACLE_SCHEMES = ([("kerr", amp, nmax) for amp in (0.5, 1.0) for nmax in (1, 2)]
+                  + [("mzi", nmax) for nmax in (1, 2, 3, 4)]
+                  + [("position", sites) for sites in (4, 6, 8, 12, 16)])
+
+
+def oracle_scheme(kind, *args):
+    if kind == "kerr":
+        return kerr_scheme(*args)
+    if kind == "mzi":
+        return mzi_scheme(*args)
+    rng = np.random.default_rng(args[0])
+    z = rng.standard_normal(args[0]) + 1j * rng.standard_normal(args[0])
+    return models.position_measurement_scheme(z / np.linalg.norm(z), models.CyclicGrid(args[0]))
+
+
+class TestRecordedSpectra:
+    def test_basis_states(self):
+        for d in range(1, 9):
+            for k in range(d):
+                assert_spectrum_matches_eigh(basis_state(k, d))
+
+    @pytest.mark.parametrize("amp", [0.0, 0.5, 1.0, 2.0, 3.0, 4.0])
+    def test_coherent_probes(self, amp):
+        dim = kerrqnd.coherent_dim(amp)
+        assert_spectrum_matches_eigh(kerrqnd.coherent_state(amp * np.exp(0.7j), dim))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 17, 64, 200])
+    def test_haar_vectors(self, d):
+        rng = np.random.default_rng(d)
+        for _ in range(3):
+            v = haar_vector(d, rng)
+            assert_spectrum_matches_eigh(vector_state(v))
+            assert_spectrum_matches_eigh(vector_state(v.vec * 3.7))  # not normalized
+
+    @pytest.mark.parametrize("amp,nmax", [(0.5, 1), (0.5, 2), (1.0, 1), (1.0, 2)])
+    def test_kerr_probe_products(self, amp, nmax):
+        st = kerr_scheme(amp, nmax).probe_state
+        assert st.dim == (nmax + 1) ** 2 * kerrqnd.coherent_dim(amp)
+        assert_spectrum_matches_eigh(st)
+
+    @pytest.mark.parametrize("nmax", [1, 2, 3, 4])
+    def test_mzi_probe_products(self, nmax):
+        assert_spectrum_matches_eigh(mzi_scheme(nmax).probe_state)
+
+    def test_product_with_a_mixed_factor(self, diagonalisations):
+        circuit = mixed_kerr_circuit()
+        diagonalisations.clear()
+        st = kerrqnd.kerr_measurement_scheme(circuit).probe_state
+        # the mixed factor is diagonalised once, at its own size
+        assert [s for s in diagonalisations if s[-1] >= 16] == [(16, 16)]
+        assert len(st._spectrum[0]) == 16
+        assert_spectrum_matches_eigh(st)
+        diagonalisations.clear()
+        kerrqnd.kerr_measurement_scheme(circuit)
+        assert not [s for s in diagonalisations if s[-1] >= 16]
+
+    def test_general_state_runs_one_eigh_on_first_use(self, diagonalisations):
+        st = random_state(5, np.random.default_rng(3))
+        diagonalisations.clear()
+        assert_spectrum_matches_eigh(st)
+        st._spectrum
+        # the record's one eigh and the reference eigh; the second access runs none
+        assert diagonalisations.count((5, 5)) == 2
+
+    def test_products_of_products(self):
+        rng = np.random.default_rng(6)
+        a, b = random_state(3, rng), vector_state(haar_vector(4, rng))
+        prod = povm._product_state(povm._product_state(a, b), basis_state(1, 2), a)
+        assert prod.op.dims == (3, 4, 2, 3)
+        assert np.array_equal(prod.op.mat, tensor(a.op, b.op, basis_state(1, 2).op, a.op).mat)
+        assert_spectrum_matches_eigh(prod)
+
+    @pytest.mark.parametrize("spec", ORACLE_SCHEMES, ids=lambda s: "-".join(map(str, s)))
+    def test_oracle_schemes_compress_as_the_eigh_path(self, spec):
+        scheme = oracle_scheme(*spec)
+        ds, dp = scheme.system_dim, scheme.probe_dim
+        u4 = scheme.coupling.mat.reshape(ds, dp, ds, dp)
+        got = povm._compressed_effects(u4, scheme.probe_state, scheme.pointer.mats)
+        ref = povm._compressed_effects(u4, State(scheme.probe_state.op), scheme.pointer.mats)
+        assert np.max(np.abs(got - ref)) <= 1e-12
+
+    @pytest.mark.parametrize("amp,nmax", [(0.5, 1), (1.0, 2)])
+    def test_pure_kerr_scheme_diagonalises_nothing_of_its_size(self, amp, nmax,
+                                                               diagonalisations):
+        circuit = kerr_circuit(amp, nmax)
+        diagonalisations.clear()
+        scheme = kerrqnd.kerr_measurement_scheme(circuit)
+        induced_observable(scheme)
+        sizes = {scheme.coupling.dim, scheme.probe_dim, circuit.dims[2]}
+        assert diagonalisations and not [s for s in diagonalisations if s[-1] in sizes]
+
+    def test_vector_states_make_no_diagonalisation(self, diagonalisations):
+        vector_state(haar_vector(100, np.random.default_rng(1)))
+        kerrqnd.coherent_state(2.0)
+        assert diagonalisations == []
+
+    def test_near_hermitian_factor_falls_back(self, diagonalisations):
+        x = np.array([[0.5, 0.25 + 0.9e-10], [0.25, 0.5]])
+        a = State(Operator(x))
+        diagonalisations.clear()
+        prod = povm._product_state(a, basis_state(0, 3))
+        assert (6, 6) in diagonalisations
+        assert np.array_equal(prod.op.mat, np.kron(x, basis_state(0, 3).op.mat))
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("vec,message", [
+        ([0.0, 0.0], "cannot normalize the zero vector"),
+        ([np.nan, 1.0], "state must be Hermitian within 1e-10"),
+        ([np.inf, 1.0], "state must be Hermitian within 1e-10"),
+        ([1.0, -np.inf], "state must be Hermitian within 1e-10"),
+        ([1.0, complex(0.0, np.nan)], "state must be Hermitian within 1e-10"),
+    ])
+    def test_bad_vectors_keep_their_messages(self, vec, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            vector_state(np.array(vec))

@@ -12,7 +12,6 @@ from povmlab.spin import (
     coexist_oracle,
     criterion_value,
     joint_spin_observable,
-    phase_kernel,
     s3_operator,
     spin_effect,
     spin_observable,
@@ -300,6 +299,22 @@ class TestSpinPhase:
         for length in (0.5, 2.0, 4.0):
             w = np.linalg.eigvalsh(spin_phase_effect(space, (0.0, length)).op.mat)
             assert w.min() > 0
+
+
+def phase_kernel(levels, u, v):
+    """Per-entry reference for the covariant phase effect on the given ladder
+    levels: entry (m, n) is the integral of e^{i(n-m)alpha}/2pi over [u, v],
+    and a full circle is the exact identity."""
+    levels = np.asarray(levels, dtype=float)
+    if v - u >= 2 * np.pi * (1 - 1e-15):
+        return np.eye(levels.size, dtype=complex)
+    k = levels[None, :] - levels[:, None]  # n - m
+    out = np.empty(k.shape, dtype=complex)
+    diag = np.abs(k) < 1e-12
+    out[diag] = (v - u) / (2 * np.pi)
+    kk = k[~diag]
+    out[~diag] = (np.exp(1j * kk * v) - np.exp(1j * kk * u)) / (2j * np.pi * kk)
+    return out
 
 
 def reference_kernels(space, intervals):
