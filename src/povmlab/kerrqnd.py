@@ -27,7 +27,6 @@ from .mzi import (
     FockSpace,
     MZIParams,
     _interferometer_blocks,
-    number_observable,
 )
 from .povm import (
     DiscreteObservable,
@@ -46,7 +45,6 @@ from .spin import _phase_kernels
 __all__ = [
     "ProbeConfig",
     "KerrCircuit",
-    "kerr_unitary",
     "kerr_phase",
     "coherent_dim",
     "coherent_state",
@@ -78,6 +76,8 @@ class ProbeConfig:
     readout: DiscreteObservable
 
     def __post_init__(self):
+        if not math.isfinite(self.lam):
+            raise ValueError(f"Kerr coupling {self.lam} is not finite")
         if self.readout.dim != self.probe_state.dim:
             raise ValueError("readout and probe state dimensions differ")
 
@@ -116,17 +116,6 @@ def kerr_phase(dim: int, lam: float) -> np.ndarray:
     diagonal (number states pick up no spurious roundoff)."""
     n = np.arange(dim)
     return np.exp(-1j * lam * (n[:, None] - n[None, :]))
-
-
-def kerr_unitary(lam: float, dims: tuple[int, int, int]) -> Operator:
-    """Cross-Kerr unitary: diagonal phase e^{-i lam n_b n_c}, identity on
-    the first mode; commutes with every mode's photon number."""
-    da, db, dc = dims
-    nb = np.arange(db)
-    nc = np.arange(dc)
-    phases = np.exp(-1j * lam * np.outer(nb, nc)).reshape(-1)
-    diag = np.kron(np.ones(da), phases)
-    return Operator(np.diag(diag), dims)
 
 
 def coherent_dim(amp: float) -> int:
@@ -233,10 +222,12 @@ def _circuit_effects(circuit: KerrCircuit, inputs) -> DiscreteObservable:
     ``inputs`` (flattened (a, b) indices): Tr_bc[(I x T') M+ (P_n x I x E) M]
     on those columns of the full unitary M, with the count n kept as output."""
     da, db, dc = circuit.dims
-    u4 = three_mode_unitary(circuit).mat.reshape(da, db * dc, da * db, dc)[:, :, inputs, :]
+    # the output arm b joins the kept index, so the pointer I_b x E(x) is read
+    # as E(x) per (n, b) and summed over b; no I_b x E(x) is formed
+    u4 = three_mode_unitary(circuit).mat.reshape(da * db, dc, da * db, dc)[:, :, inputs, :]
     readout = circuit.probe.readout
-    pointer = np.kron(np.eye(db), readout.mats)  # I_b x E(x), one row per bin
-    f = _compressed_effects(u4, circuit.probe.probe_state, pointer)
+    f = _compressed_effects(u4, circuit.probe.probe_state, readout.mats)
+    f = f.reshape(da, db, *f.shape[1:]).sum(axis=1)
     outcomes = [(n, x) for n in range(da) for x in readout.outcomes]
     return DiscreteObservable(outcomes, f.reshape(-1, len(inputs), len(inputs)))
 
@@ -403,16 +394,12 @@ def kerr_measurement_scheme(circuit: KerrCircuit) -> MeasurementScheme:
     """The Kerr circuit as a coupling scheme: the apparatus is (b, c) plus a
     count register fed by the a-mode number, and the pointer reads (register,
     readout bin). Its induced observable reproduces the (n, bin) effects."""
-    da, db, dc = circuit.dims
-    dr = da
-    probe_state = _product_state(basis_state(0, db), circuit.probe.probe_state,
-                                 basis_state(0, dr))
+    da, db, _ = circuit.dims
+    probe_state = _product_state(basis_state(0, db), circuit.probe.probe_state)
     trivial_b = DiscreteObservable([0], np.eye(db)[None])
-    pointer = product_observable(
-        product_observable(trivial_b, circuit.probe.readout), number_observable(dr)
-    )
+    pointer = product_observable(trivial_b, circuit.probe.readout)
     pointer_function = {
-        (0, x, k): (k, x) for x in circuit.probe.readout.outcomes for k in range(dr)
+        (0, x, k): (k, x) for x in circuit.probe.readout.outcomes for k in range(da)
     }
-    return _count_register_scheme(three_mode_unitary(circuit), dr, probe_state, pointer,
-                                  pointer_function)
+    return _count_register_scheme(three_mode_unitary(circuit), da, probe_state,
+                                  basis_state(0, da), pointer, pointer_function)

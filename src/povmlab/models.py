@@ -9,6 +9,7 @@ artifacts are accepted because no continuum claim is made here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,8 @@ class CyclicGrid:
     d: int
 
     def __post_init__(self):
+        if not math.isfinite(self.d):
+            raise ValueError(f"grid size {self.d} is not finite")
         if self.d < 2:
             raise ValueError("grid needs at least 2 sites")
 
@@ -81,6 +84,8 @@ class ConfidenceFunction:
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
+        if not np.all(np.isfinite(w)):
+            raise ValueError(f"confidence weight {w[~np.isfinite(w)][0]} is not finite")
         if np.any(w < -1e-15):
             raise ValueError("confidence weights must be nonnegative")
         if abs(w.sum() - 1.0) > 1e-12:
@@ -166,12 +171,11 @@ def position_measurement_scheme(phi, grid: CyclicGrid) -> MeasurementScheme:
     """
     phi = np.asarray(phi, dtype=complex)
     d = grid.d
-    if phi.size != d:
-        raise ValueError("pointer amplitudes do not match the grid")
+    if phi.shape != (d,):
+        raise ValueError(f"pointer amplitudes of shape {phi.shape} do not match the {d}-site grid")
     if abs(np.sum(np.abs(phi) ** 2) - 1.0) > 1e-12:
         raise ValueError("pointer amplitudes must be normalized")
-    return _count_register_scheme(identity(d, (d,)), d, vector_state(phi),
-                                  position_observable(grid), None)
+    return _count_register_scheme(identity(d, (d,)), d, None, vector_state(phi), None, None)
 
 
 def unsharp_position_transformer(phi, grid: CyclicGrid) -> StateTransformer:

@@ -32,9 +32,8 @@ from .povm import (
     MeasurementScheme,
     State,
     _count_register_scheme,
-    _product_state,
+    _number_observable,
     basis_state,
-    product_observable,
 )
 
 __all__ = [
@@ -70,6 +69,8 @@ class FockSpace:
     nmax: int
 
     def __post_init__(self):
+        if not math.isfinite(self.nmax):
+            raise ValueError(f"nmax {self.nmax} is not finite")
         if self.nmax < 1:
             raise ValueError("need nmax >= 1")
 
@@ -88,6 +89,8 @@ class BSParams:
     def __post_init__(self):
         if not 0.0 <= self.eps <= 1.0:
             raise ValueError(f"transparency {self.eps} outside [0, 1]")
+        if not math.isfinite(self.theta):
+            raise ValueError(f"splitter phase {self.theta} is not finite")
         object.__setattr__(self, "theta", float(self.theta) % (2 * math.pi))
 
     @property
@@ -103,6 +106,8 @@ class MZIParams:
     delta: float = 0.0
 
     def __post_init__(self):
+        if not math.isfinite(self.delta):
+            raise ValueError(f"phase shift {self.delta} is not finite")
         object.__setattr__(self, "delta", float(self.delta) % (2 * math.pi))
 
 
@@ -122,10 +127,7 @@ def number(dim: int) -> Operator:
 
 def number_observable(dim: int) -> DiscreteObservable:
     """Spectral measure of the number operator."""
-    levels = np.arange(dim)
-    mats = np.zeros((dim, dim, dim), dtype=complex)
-    mats[levels, levels, levels] = 1.0
-    return DiscreteObservable(range(dim), mats)
+    return _number_observable(dim)
 
 
 def beam_splitter(params: BSParams, space: FockSpace) -> Operator:
@@ -244,11 +246,9 @@ def mzi_measurement_scheme(params: MZIParams, space: FockSpace) -> MeasurementSc
     """
     d = space.dim
     vac = basis_state(0, d)
-    probe = _product_state(vac, vac)
-    pointer = product_observable(number_observable(d), number_observable(d))
     pointer_function = {(n2, k): (k, n2) for n2 in range(d) for k in range(d)}
-    return _count_register_scheme(mzi_unitary(params, space), d, probe, pointer,
-                                  pointer_function)
+    return _count_register_scheme(mzi_unitary(params, space), d, vac, vac,
+                                  number_observable(d), pointer_function)
 
 
 def prepared_single_photon(eps1: float, theta1: float, delta: float) -> Vector:

@@ -62,9 +62,21 @@ eigenvalue clears -ATOL_POSITIVE by e; otherwise eigvalsh decides. Any
 other state is checked by eigvalsh and diagonalised by eigh once, when its
 decomposition is first needed.
 
-A coupling P (u x I_r), with P the row permutation of the register shift,
-has P (u x I_r) (P (u x I_r))† - I = P ((u u† - I) x I_r) P^T, whose largest
-entry is that of u u† - I: checking u is checking the coupling.
+A count-register scheme couples the system to probe factors o and a count
+register r of d_r levels through P (u x I_r): u acts on system (x) o, and
+the permutation P adds the output system index a to the register,
+|a, m, r> -> |a, m, r + a mod d_r>. Its unitarity residual
+P (u x I_r) (P (u x I_r))† - I = P ((u u† - I) x I_r) P^T has the largest
+entry of u u† - I: checking u is checking the coupling. P is block diagonal
+in a, so P† (I x Z' x |k><k|) P = sum_a |a><a| x Z' x |k - a><k - a|: the
+pointer Z' x |k><k| reads the register before the shift at k - a. For a
+probe T_o x rho_r, with p_r the diagonal of rho_r, the induced effects are
+
+    F(z', k) = sum_a p_r(k - a mod d_r) f_a(z'),
+    f_a(z') = tr_o[(I x T_o) u† (|a><a| x Z'(z')) u],
+
+the per-output-index compression of u alone: the register's coherences
+drop out, and neither the coupling nor the pointer Z' x N_r is formed.
 """
 
 from __future__ import annotations
@@ -442,9 +454,6 @@ class MeasurementScheme:
         if self.coupling.dims is None or len(self.coupling.dims) < 2:
             raise ValueError("coupling needs dims metadata (system, probe...)")
         _check_unitary(self.coupling)
-        self._check_probe_dims()
-
-    def _check_probe_dims(self):
         dp = math.prod(self.coupling.dims[1:])
         if self.probe_state.dim != dp or self.pointer.dim != dp:
             raise ValueError("probe state / pointer dims inconsistent with coupling")
@@ -461,6 +470,14 @@ class MeasurementScheme:
         if self.pointer_function is None:
             return pointer_outcome
         return self.pointer_function[pointer_outcome]
+
+    def _pointer_effects(self) -> tuple[tuple, np.ndarray]:
+        """The pointer outcomes and, for each, the system effect F(z) with
+        tr[T F(z)] = tr[U (T x T') U† (I x Z(z))] for every system state T."""
+        ds, dp = self.system_dim, self.probe_dim
+        u4 = self.coupling.mat.reshape(ds, dp, ds, dp)
+        return (self.pointer.outcomes,
+                _compressed_effects(u4, self.probe_state, self.pointer.mats).sum(axis=0))
 
 
 def probability(st: State, e: Effect) -> float:
@@ -479,6 +496,14 @@ def _clamped(p: float) -> float:
     return p
 
 
+def _product_labels(first, second) -> list[tuple]:
+    """Outcome labels of a product, with tuple components flattened."""
+    return [
+        (xa if isinstance(xa, tuple) else (xa,)) + (xb if isinstance(xb, tuple) else (xb,))
+        for xa in first for xb in second
+    ]
+
+
 def product_observable(a: DiscreteObservable, b: DiscreteObservable) -> DiscreteObservable:
     """Observable on the tensor product with tuple outcome labels.
 
@@ -487,10 +512,7 @@ def product_observable(a: DiscreteObservable, b: DiscreteObservable) -> Discrete
     factors' ``extremes`` and an eigvalsh runs only where they do not clear
     the effect bounds by the margin of the module docstring.
     """
-    outcomes = [
-        (xa if isinstance(xa, tuple) else (xa,)) + (xb if isinstance(xb, tuple) else (xb,))
-        for xa in a.outcomes for xb in b.outcomes
-    ]
+    outcomes = _product_labels(a.outcomes, b.outcomes)
     d = a.dim * b.dim
     corners = (a.extremes[:, None, :, None] * b.extremes[None, :, None, :]).reshape(-1, 4)
     derived = np.stack((corners.min(axis=1), corners.max(axis=1)), axis=1)
@@ -507,27 +529,95 @@ def _check_unitary(op: Operator):
         raise ValueError("coupling is not unitary within 1e-10")
 
 
-def _count_register_scheme(u: Operator, dim_reg: int, probe_state: State,
-                           pointer: DiscreteObservable,
-                           pointer_function: dict) -> MeasurementScheme:
-    """The scheme whose coupling runs ``u`` on system (x) probe factors and
-    then adds the system's basis index, mod ``dim_reg``, to a count register
-    appended as the last probe factor: P (u x I_r) with P the row
-    permutation of :func:`_controlled_shift`. ``u`` must carry dims metadata
-    whose first factor is the system. Only ``u`` is checked for unitarity;
-    that checks the coupling (module docstring)."""
+def _number_observable(dim: int) -> DiscreteObservable:
+    """Spectral measure of the number operator of a ``dim``-level mode."""
+    levels = np.arange(dim)
+    mats = np.zeros((dim, dim, dim), dtype=complex)
+    mats[levels, levels, levels] = 1.0
+    return DiscreteObservable(range(dim), mats)
+
+
+# the probe of a scheme with no probe factor besides its register
+_NO_PROBE = basis_state(0, 1)
+
+
+class _CountRegisterScheme(MeasurementScheme):
+    """A count-register scheme kept as its factors: ``u`` on system (x) other
+    probe factors, the register size ``_dim_reg``, the states and pointer of
+    the other factors (None when there are none) and the register state.
+    ``coupling``, ``probe_state`` and ``pointer`` are built on first read;
+    :func:`induced_observable` needs none of them (module docstring)."""
+
+    @cached_property
+    def coupling(self) -> Operator:
+        u, dr = self._u, self._dim_reg
+        du, ds = u.dim, u.dims[0]
+        blocks = np.zeros((du, dr, du, dr), dtype=complex)
+        levels = np.arange(dr)
+        blocks[:, levels, :, levels] = u.mat  # u x I_r, without np.kron's temporaries
+        perm = _controlled_shift(np.arange(ds), du // ds, dr)
+        return Operator(blocks.reshape(du * dr, -1)[perm], u.dims + (dr,))
+
+    @cached_property
+    def probe_state(self) -> State:
+        if self._other_state is None:
+            return self._register_state
+        return _product_state(self._other_state, self._register_state)
+
+    @cached_property
+    def pointer(self) -> DiscreteObservable:
+        register = _number_observable(self._dim_reg)
+        if self._other_pointer is None:
+            return register
+        return product_observable(self._other_pointer, register)
+
+    @property
+    def system_dim(self) -> int:
+        return self._u.dims[0]
+
+    @property
+    def probe_dim(self) -> int:
+        return self._u.dim // self.system_dim * self._dim_reg
+
+    def _pointer_effects(self) -> tuple[list, np.ndarray]:
+        """F(z', k) = sum_a p_r(k - a mod d_r) f_a(z') (module docstring)."""
+        u, dr, ds = self._u, self._dim_reg, self.system_dim
+        if self._other_pointer is None:
+            other, zmats, labels = _NO_PROBE, np.ones((1, 1, 1)), list(range(dr))
+        else:
+            other, zmats = self._other_state, self._other_pointer.mats
+            labels = _product_labels(self._other_pointer.outcomes, range(dr))
+        do = u.dim // ds
+        f = _compressed_effects(u.mat.reshape(ds, do, ds, do), other, zmats)
+        k, a = np.indices((dr, ds))
+        weights = np.diagonal(self._register_state.op.mat).real[(k - a) % dr]
+        return labels, np.einsum("ka,axij->xkij", weights, f).reshape(-1, ds, ds)
+
+
+def _count_register_scheme(u: Operator, dim_reg: int, other_state: State | None,
+                           register_state: State, other_pointer: DiscreteObservable | None,
+                           pointer_function: dict | None) -> MeasurementScheme:
+    """The scheme whose coupling runs ``u`` on system (x) other probe factors
+    and then adds the system's basis index, mod ``dim_reg``, to a count
+    register appended as the last probe factor: P (u x I_r) with P the row
+    permutation of :func:`_controlled_shift`. The probe starts in
+    ``other_state`` (x) ``register_state`` and the pointer is
+    ``other_pointer`` (x) the register's number observable; both other
+    factors are None when ``u`` acts on the system alone. ``u`` must carry
+    dims metadata whose first factor is the system. Only ``u`` is checked
+    for unitarity; that checks the coupling (module docstring)."""
     _check_unitary(u)
-    du, ds = u.dim, u.dims[0]
-    blocks = np.zeros((du, dim_reg, du, dim_reg), dtype=complex)
-    levels = np.arange(dim_reg)
-    blocks[:, levels, :, levels] = u.mat  # u x I_r, without np.kron's temporaries
-    perm = _controlled_shift(np.arange(ds), du // ds, dim_reg)
-    coupling = Operator(blocks.reshape(du * dim_reg, -1)[perm], u.dims + (dim_reg,))
-    scheme = object.__new__(MeasurementScheme)
-    for name, value in (("coupling", coupling), ("probe_state", probe_state),
-                        ("pointer", pointer), ("pointer_function", pointer_function)):
+    do = u.dim // u.dims[0]
+    other_dims = {1} if other_state is None and other_pointer is None else {
+        f.dim if f is not None else 0 for f in (other_state, other_pointer)}
+    if other_dims != {do} or register_state.dim != dim_reg:
+        raise ValueError("probe state / pointer dims inconsistent with coupling")
+    scheme = object.__new__(_CountRegisterScheme)
+    for name, value in (("_u", u), ("_dim_reg", dim_reg), ("_other_state", other_state),
+                        ("_register_state", register_state),
+                        ("_other_pointer", other_pointer),
+                        ("pointer_function", pointer_function)):
         object.__setattr__(scheme, name, value)
-    scheme._check_probe_dims()
     return scheme
 
 
@@ -580,12 +670,11 @@ def induced_observable(scheme: MeasurementScheme) -> DiscreteObservable:
 
     The effect of an outcome set X satisfies
     tr[T F(X)] = tr[U (T x T') U† (I x Z(f^-1(X)))] for every system state T;
-    effects are grouped over pointer-function preimages.
+    effects are grouped over pointer-function preimages. A count-register
+    scheme is compressed through its factors (module docstring).
     """
-    ds, dp = scheme.system_dim, scheme.probe_dim
-    u4 = scheme.coupling.mat.reshape(ds, dp, ds, dp)
-    fs = _compressed_effects(u4, scheme.probe_state, scheme.pointer.mats).sum(axis=0)
-    return _grouped([scheme.map_outcome(zx) for zx in scheme.pointer.outcomes], fs)
+    labels, fs = scheme._pointer_effects()
+    return _grouped([scheme.map_outcome(zx) for zx in labels], fs)
 
 
 def marginal(obs: DiscreteObservable, keep: int) -> DiscreteObservable:

@@ -16,7 +16,6 @@ from povmlab.kerrqnd import (
     joint_povm_compressed,
     kerr_measurement_scheme,
     kerr_phase,
-    kerr_unitary,
     marginal_over_bins,
     marginal_over_counts,
     path_confidence,
@@ -60,6 +59,14 @@ def fock(dim, n):
 
 def small_probe(lam=0.5, dim=12, bins=4, amp=0.5):
     return ProbeConfig(coherent_state(amp, dim), lam, truncated_phase_povm(dim, bins))
+
+
+def kerr_unitary(lam, dims):
+    """Dense reference of the cross-Kerr unitary: the diagonal phase
+    e^{-i lam n_b n_c}, identity on the first mode."""
+    da, db, dc = dims
+    phases = np.exp(-1j * lam * np.outer(np.arange(db), np.arange(dc))).reshape(-1)
+    return Operator(np.diag(np.kron(np.ones(da), phases)), dims)
 
 
 def mixed_probe(lam=0.5, dim=16, bins=4, amp=1.0):
@@ -136,6 +143,12 @@ class TestCoherentState:
         with pytest.raises(ValueError, match=r"^coherent amplitude .* is not finite$") as err:
             coherent_state(z, 16)
         assert str(z) in str(err.value)
+
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_kerr_coupling_is_named(self, lam):
+        probe = small_probe()
+        with pytest.raises(ValueError, match=f"^Kerr coupling {lam} is not finite$"):
+            ProbeConfig(probe.probe_state, lam, probe.readout)
 
     @pytest.mark.parametrize("z", [1e200, -2e154, complex(1e308, 1e308)])
     def test_overflowing_moduli_are_named(self, z):

@@ -143,3 +143,21 @@ def test_toy_coupling_equals_the_kronecker_sum():
     spaces = {val: v[:, cols] @ v[:, cols].conj().T
               for val, cols in ((0, [0]), (2, [1, 2]), (5, [3]))}
     assert np.max(np.abs(coupling - kronecker_coupling(spaces, grid))) <= TOL
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_confidence_weight_is_named(bad):
+    with pytest.raises(ValueError, match=f"^confidence weight {bad} is not finite$"):
+        ConfidenceFunction([bad, 1.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("d", [float("nan"), float("inf")])
+def test_non_finite_grid_size_is_named(d):
+    with pytest.raises(ValueError, match=f"^grid size {d} is not finite$"):
+        CyclicGrid(d)
+
+
+@pytest.mark.parametrize("phi", [[[1, 0], [0, 0]], [[1], [0], [0], [0]], [1, 0, 0]])
+def test_position_scheme_needs_one_amplitude_per_site(phi):
+    with pytest.raises(ValueError, match="^pointer amplitudes of shape .* do not match"):
+        position_measurement_scheme(phi, CyclicGrid(4))

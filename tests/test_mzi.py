@@ -428,3 +428,24 @@ class TestExpandedInterferometer:
     def test_rejects_bad_phase_shifter_mode(self):
         with pytest.raises(ValueError, match="phase-shifter mode -1"):
             expanded_mzi_observable([("ps", 0.3, -1)])
+
+
+NON_FINITE = [float("nan"), float("inf"), -float("inf")]
+
+
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize("theta", NON_FINITE)
+    def test_splitter_phase(self, theta):
+        with pytest.raises(ValueError, match=f"^splitter phase {theta} is not finite$"):
+            BSParams(0.5, theta)
+
+    @pytest.mark.parametrize("delta", NON_FINITE)
+    def test_phase_shift(self, delta):
+        half = BSParams(0.5)
+        with pytest.raises(ValueError, match=f"^phase shift {delta} is not finite$"):
+            MZIParams(half, half, delta=delta)
+
+    @pytest.mark.parametrize("nmax", NON_FINITE)
+    def test_fock_cutoff(self, nmax):
+        with pytest.raises(ValueError, match=f"^nmax {nmax} is not finite$"):
+            FockSpace(nmax)

@@ -1191,18 +1191,19 @@ class TestCountRegisterScheme:
         for scale in (1.0, 1 + 3e-11):  # a residual of about 6e-11 is still accepted
             u = Operator(random_unitary(32, rng) * scale, (8, 4))
             cases.append((u, povm._count_register_scheme(
-                u, 5, random_state(20, rng), DiscreteObservable([0], np.eye(20)[None]), None)))
+                u, 5, random_state(4, rng), random_state(5, rng),
+                DiscreteObservable([0], np.eye(4)[None]), None)))
         for u, scheme in cases:
             old = assembled_coupling(u, scheme.coupling.dims[-1])
             assert np.array_equal(scheme.coupling.mat, old)
             assert abs(unitary_residual(u.mat) - unitary_residual(old)) <= 1e-15
 
     def test_non_unitary_u_is_rejected(self, monkeypatch):
-        probe = maximally_mixed(4)
-        pointer = DiscreteObservable([0], np.eye(4)[None])
+        probe = maximally_mixed(2)
+        pointer = DiscreteObservable([0], np.eye(2)[None])
         with pytest.raises(ValueError, match="^coupling is not unitary within 1e-10$"):
             povm._count_register_scheme(Operator(1.001 * np.eye(4), (2, 2)), 2, probe,
-                                        pointer, None)
+                                        basis_state(0, 2), pointer, None)
         unitary = mzi.mzi_unitary
         monkeypatch.setattr(mzi, "mzi_unitary",
                             lambda *args: unitary(*args) * (1 + 1e-9))
@@ -1210,9 +1211,143 @@ class TestCountRegisterScheme:
             mzi_scheme(2)
 
     def test_probe_dims_are_checked(self):
-        with pytest.raises(ValueError, match="probe state / pointer dims inconsistent"):
-            povm._count_register_scheme(Operator(np.eye(4), (2, 2)), 3, maximally_mixed(4),
-                                        DiscreteObservable([0], np.eye(4)[None]), None)
+        # (other state, other pointer, register state, register size) for a u
+        # on system (x) one 2-level probe factor; None is no other factor
+        for other, pointer, reg, dim_reg in [(3, 3, 2, 2), (2, 3, 2, 2), (3, 2, 2, 2),
+                                             (2, 2, 2, 3), (None, None, 2, 2),
+                                             (2, None, 2, 2), (None, 2, 2, 2)]:
+            with pytest.raises(ValueError, match="probe state / pointer dims inconsistent"):
+                povm._count_register_scheme(
+                    Operator(np.eye(4), (2, 2)), dim_reg,
+                    None if other is None else maximally_mixed(other), maximally_mixed(reg),
+                    None if pointer is None else DiscreteObservable([0], np.eye(pointer)[None]),
+                    None)
+
+
+def dense_induced(scheme):
+    """Reference: the induced effects through the dense coupling and the full
+    pointer, F(z) = tr_probe[(I x T') U† (I x Z(z)) U], summed over each
+    pointer-function preimage; returns (sorted labels, effect stack)."""
+    ds, dp = scheme.system_dim, scheme.probe_dim
+    u4 = scheme.coupling.mat.reshape(ds, dp, ds, dp)
+    fs = np.einsum("amib,xmn,anjc,cb->xij", u4.conj(), scheme.pointer.mats, u4,
+                   scheme.probe_state.op.mat, optimize=True)
+    grouped = {}
+    for z, f in zip(scheme.pointer.outcomes, fs):
+        x = scheme.map_outcome(z)
+        grouped[x] = grouped.get(x, 0) + f
+    labels = sorted(grouped)
+    return tuple(labels), np.array([grouped[x] for x in labels])
+
+
+def assert_matches_dense(scheme, tol=1e-12):
+    obs = induced_observable(scheme)
+    labels, mats = dense_induced(scheme)
+    assert obs.outcomes == labels
+    assert np.max(np.abs(obs.mats - mats)) <= tol
+    return obs
+
+
+def random_register_scheme(rng, ds, do, dim_reg, register_state):
+    other = random_state(do, rng, rank=2)
+    pointer = random_scheme(1, do, rng).pointer
+    u = Operator(random_unitary(ds * do, rng), (ds, do))
+    return povm._count_register_scheme(u, dim_reg, other, register_state, pointer, None)
+
+
+def position_scheme(d, rng):
+    z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return models.position_measurement_scheme(z / np.linalg.norm(z), models.CyclicGrid(d))
+
+
+def kerr_probe_pointer(circuit):
+    """The probe state and pointer the Kerr scheme was assembled from as
+    one (b, c, register) product each."""
+    da, db, _ = circuit.dims
+    trivial_b = DiscreteObservable([0], np.eye(db)[None])
+    return (povm._product_state(basis_state(0, db), circuit.probe.probe_state,
+                                basis_state(0, da)),
+            product_observable(product_observable(trivial_b, circuit.probe.readout),
+                               mzi.number_observable(da)))
+
+
+class TestStructuredInduction:
+    @pytest.mark.parametrize("amp,nmax", [(0.5, 1), (0.5, 2), (1.0, 1), (1.0, 2)])
+    def test_kerr_schemes(self, amp, nmax):
+        assert_matches_dense(kerr_scheme(amp, nmax))
+
+    @pytest.mark.parametrize("nmax", [1, 2])
+    def test_kerr_scheme_with_a_mixed_probe(self, nmax):
+        assert_matches_dense(kerrqnd.kerr_measurement_scheme(mixed_kerr_circuit(nmax)))
+
+    @pytest.mark.parametrize("nmax", [1, 2, 3, 4])
+    def test_mzi_schemes(self, nmax):
+        rng = np.random.default_rng(nmax)
+        for _ in range(3):
+            eps1, eps2 = rng.uniform(0.05, 0.95, 2)
+            theta1, theta2, delta = rng.uniform(0, 2 * np.pi, 3)
+            params = mzi.MZIParams(mzi.BSParams(eps1, theta1), mzi.BSParams(eps2, theta2), delta)
+            space = mzi.FockSpace(nmax)
+            obs = assert_matches_dense(mzi.mzi_measurement_scheme(params, space))
+            assert np.max(np.abs(obs.mats - mzi.induced_mzi_observable(params, space).mats)) <= 1e-12
+
+    @pytest.mark.parametrize("d", range(2, 17))
+    def test_position_schemes(self, d):
+        assert_matches_dense(position_scheme(d, np.random.default_rng(d)))
+
+    @pytest.mark.parametrize("ds,do,dim_reg", [(3, 2, 5), (3, 4, 3), (4, 2, 2), (2, 3, 4)])
+    def test_only_the_register_populations_enter(self, ds, do, dim_reg):
+        rng = np.random.default_rng(ds * 100 + do * 10 + dim_reg)
+        register = random_state(dim_reg, rng, rank=1)
+        assert np.max(np.abs(register.op.mat - np.diag(np.diag(register.op.mat)))) > 0.05
+        dephased = State(Operator(np.diag(np.diag(register.op.mat))))
+        rng_state = rng.bit_generator.state
+        scheme = random_register_scheme(rng, ds, do, dim_reg, register)
+        rng.bit_generator.state = rng_state
+        diagonal = random_register_scheme(rng, ds, do, dim_reg, dephased)
+        obs = assert_matches_dense(scheme)
+        assert np.array_equal(obs.mats, induced_observable(diagonal).mats)
+        assert_matches_dense(diagonal)
+
+    @pytest.mark.parametrize("kind", ["kerr", "mzi", "position", "random"])
+    def test_induction_builds_no_coupling_probe_or_pointer(self, kind):
+        rng = np.random.default_rng(5)
+        scheme = {"kerr": lambda: kerr_scheme(1.0, 2), "mzi": lambda: mzi_scheme(3),
+                  "position": lambda: position_scheme(6, rng),
+                  "random": lambda: random_register_scheme(rng, 3, 2, 4, random_state(4, rng)),
+                  }[kind]()
+        induced_observable(scheme)
+        assert not {"coupling", "probe_state", "pointer"} & set(vars(scheme))
+        assert_matches_dense(scheme)  # builds them on first read
+        assert {"coupling", "probe_state", "pointer"} <= set(vars(scheme))
+
+    @pytest.mark.parametrize("amp,nmax", [(0.5, 1), (1.0, 2)])
+    def test_kerr_parts_are_built_as_one_product_each(self, amp, nmax):
+        circuit = kerr_circuit(amp, nmax)
+        scheme = kerrqnd.kerr_measurement_scheme(circuit)
+        probe, pointer = kerr_probe_pointer(circuit)
+        assert np.array_equal(scheme.probe_state.op.mat, probe.op.mat)
+        assert scheme.probe_state.op.dims == probe.op.dims
+        for got, ref in zip(scheme.probe_state._spectrum, probe._spectrum):
+            assert np.array_equal(got, ref)
+        assert scheme.pointer.outcomes == pointer.outcomes
+        assert np.array_equal(scheme.pointer.mats, pointer.mats)
+        assert np.array_equal(scheme.pointer.extremes, pointer.extremes)
+
+    @pytest.mark.parametrize("kind", ["kerr", "mzi", "position"])
+    def test_scheme_transformer_reads_the_built_parts(self, kind):
+        rng = np.random.default_rng(8)
+        scheme = {"kerr": lambda: kerr_scheme(0.5, 1), "mzi": lambda: mzi_scheme(2),
+                  "position": lambda: position_scheme(5, rng)}[kind]()
+        dense = MeasurementScheme(scheme.coupling, scheme.probe_state, scheme.pointer,
+                                  scheme.pointer_function)
+        got, ref = scheme_transformer(scheme), scheme_transformer(dense)
+        assert got.outcomes == ref.outcomes
+        assert np.array_equal(got.owner, ref.owner)
+        assert np.array_equal(got.kraus, ref.kraus)
+        # and the transformer's effects are the induced ones
+        effects = povm._heisenberg(got, np.tile(np.eye(got.dim), (len(got.outcomes), 1, 1)))
+        assert np.max(np.abs(effects - induced_observable(scheme).mats)) <= 1e-12
 
 
 def assert_spectrum_matches_eigh(st, tol=1e-12):
