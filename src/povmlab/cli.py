@@ -2,18 +2,21 @@
 statistics export in diff-friendly CSV or JSON.
 
 Exit codes: 0 on success, 2 on a --verify failure, 64 on usage or I/O
-errors. --verify checks: for mzi-scan, max_abs_err <= POVMLAB_TOL (default
-1e-9; nothing else reads it) and row sums within 1e-9 of one; for
-kerr-tradeoff, visibility non-increasing and path confidence non-decreasing
-in the amplitude, within 1e-9; for spin, oracle and criterion agree; for
-spin-phase, covariance residual <= 1e-10 and uniformity residual <= 1e-12.
+errors. --verify checks, each against a fixed bound: for mzi-scan,
+max_abs_err <= 1e-9 (reported as checks.tolerance) and row sums within 1e-9
+of one; for kerr-tradeoff, visibility non-increasing and path confidence
+non-decreasing in the amplitude, within 1e-9; for spin, oracle and criterion
+agree; for spin-phase, covariance residual <= 1e-10 and uniformity residual
+<= 1e-12. No environment variable changes a bound.
 Identical configuration produces byte-identical output files. Only
 spin-phase takes --seed (it draws the rotation angles). Its --spin is at
 most 200 (dimension 401), it takes at most 1024 intervals (from --bins or
 --intervals), and with --format json those intervals' effect matrices hold at
 most 2^22 entries in all (32 bins at --spin 20 hold 53,792). mzi-scan takes at
-most 4096 --delta-steps, and its unitaries hold steps * (nmax + 1)^4 <= 2^22
-entries (33 steps admit --nmax 17). Each bound is checked before any matrix is built.
+most 4096 --delta-steps. It propagates the one input column |1, 0> through
+each step's interferometer, which costs (nmax + 1)^4 multiply-adds a step, and
+it bounds the sweep's steps * (nmax + 1)^4 <= 2^22 (33 steps admit --nmax 17).
+Each bound is checked before any matrix is built.
 
 JSON output is one object with the keys "config", "rows" and "checks". Keys
 are sorted and nesting is indented by two spaces, one item per line, except
@@ -28,13 +31,12 @@ import argparse
 import itertools
 import json
 import math
-import os
 import sys
 
 import numpy as np
 
 from . import kerrqnd, mzi, spin
-from .povm import _check_effects, basis_state
+from .povm import _check_effects
 
 EXIT_OK = 0
 EXIT_VERIFY = 2
@@ -44,7 +46,7 @@ MAX_SPIN = 200  # spin-phase --spin: each bin's effect has (2s+1)^2 entries
 MAX_INTERVALS = 1024  # spin-phase intervals per run
 MAX_JSON_ENTRIES = 1 << 22  # spin-phase --format json: effect-matrix entries per run
 MAX_DELTA_STEPS = 4096  # mzi-scan --delta-steps
-MAX_SWEEP_ENTRIES = 1 << 22  # mzi-scan: steps * (nmax+1)^4, entries of the unitary stack
+MAX_SWEEP_ENTRIES = 1 << 22  # mzi-scan: steps * (nmax+1)^4, multiply-adds of the sweep
 
 _NOT_CONFIG = {"command", "func", "out", "verify"}  # parsed arguments left out of "config"
 
@@ -107,19 +109,6 @@ def _emit(config: dict, header: list[str], rows: list[list], checks: dict,
             fh.write(text)
 
 
-def _verify_tol() -> float:
-    raw = os.environ.get("POVMLAB_TOL")
-    if raw is None:
-        return 1e-9
-    try:
-        tol = float(raw)
-    except ValueError:
-        tol = math.nan
-    if not 0.0 <= tol < math.inf:
-        raise ValueError(f"POVMLAB_TOL must be a finite number >= 0, got {raw!r}")
-    return tol
-
-
 def _finite_float(text: str) -> float:
     """argparse type of the float flags: argparse names the flag when it
     reports the error."""
@@ -156,29 +145,28 @@ def cmd_mzi_scan(args) -> int:
         largest = math.isqrt(math.isqrt(MAX_SWEEP_ENTRIES // args.delta_steps)) - 1
         raise ValueError(f"--nmax must be at most {largest} at --delta-steps "
                          f"{args.delta_steps}, got {args.nmax}")
-    tol = _verify_tol()
     deltas = np.linspace(args.delta_min, args.delta_max, args.delta_steps)
-    space = mzi.FockSpace(args.nmax)
     bs1 = mzi.BSParams(args.eps1, args.theta1)
     bs2 = mzi.BSParams(args.eps2, args.theta2)
-    states = mzi.mzi_output_states(basis_state(1, space.dim), basis_state(0, space.dim),
-                                   bs1, bs2, deltas, space)
+    d = args.nmax + 1
+    # amplitudes <n1, n2| U |1, 0> (column 1 * d + 0), one d x d row per phase shift
+    amps = mzi._sweep_columns(bs1, bs2, deltas, mzi.FockSpace(args.nmax), d)
+    probs = (np.abs(amps) ** 2).reshape(-1, d, d)
+    single = np.add.outer(np.arange(d), np.arange(d)) == 1
+    others = probs[:, ~single].sum(axis=1)
     rows = []
     worst = 0.0
-    for delta, w in zip(deltas, states):
-        probs = mzi.detection_probabilities(w)
-        p10 = probs[(1, 0)]
-        p01 = probs[(0, 1)]
-        other = sum(p for (n1, n2), p in probs.items() if n1 + n2 != 1)
-        eps = mzi.effective_transparency(mzi.MZIParams(bs1, bs2, float(delta)))
+    for delta, p10, p01, other in zip(deltas.tolist(), probs[:, 1, 0].tolist(),
+                                      probs[:, 0, 1].tolist(), others.tolist()):
+        eps = mzi.effective_transparency(mzi.MZIParams(bs1, bs2, delta))
         err = abs(p10 - eps)
         worst = max(worst, err)
-        rows.append([float(delta), p10, p01, other, eps, err, p10 + p01 + other])
+        rows.append([delta, p10, p01, other, eps, err, p10 + p01 + other])
     header = ["delta", "p10", "p01", "sum_other", "eps_analytic", "abs_err", "prob_sum"]
-    checks = {"max_abs_err": worst, "tolerance": tol,
+    checks = {"max_abs_err": worst, "tolerance": 1e-9,
               "row_sums_ok": all(abs(r[-1] - 1.0) < 1e-9 for r in rows)}
     _emit(_config_dict(args), header, rows, checks, args.format, args.out)
-    if args.verify and (worst > tol or not checks["row_sums_ok"]):
+    if args.verify and (worst > checks["tolerance"] or not checks["row_sums_ok"]):
         return EXIT_VERIFY
     return EXIT_OK
 

@@ -296,8 +296,7 @@ def joint_path_interference_povm(eps2: float, theta2: float,
     interference observable; marginalizing n yields the smeared path
     observable, diagonal in the path basis.
     """
-    if not 0.0 <= eps2 <= 1.0:
-        raise ValueError("transparency outside [0, 1]")
+    BSParams(eps2, theta2)  # names a bad parameter
     lam = probe.lam
     dc = probe.probe_state.dim
     tp = probe.probe_state.op.mat

@@ -84,6 +84,8 @@ class ConfidenceFunction:
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
+        if w.ndim != 1:
+            raise ValueError(f"confidence weights must be one-dimensional, got shape {w.shape}")
         if not np.all(np.isfinite(w)):
             raise ValueError(f"confidence weight {w[~np.isfinite(w)][0]} is not finite")
         if np.any(w < -1e-15):
@@ -161,6 +163,19 @@ def unsharp_position_observable(f: ConfidenceFunction,
     return DiscreteObservable(range(d), mats)
 
 
+def _pointer_amplitudes(phi, grid: CyclicGrid) -> np.ndarray:
+    """``phi`` as a normalized, finite amplitude per grid site."""
+    phi = np.asarray(phi, dtype=complex)
+    if phi.shape != (grid.d,):
+        raise ValueError(f"pointer amplitudes of shape {phi.shape} do not match "
+                         f"the {grid.d}-site grid")
+    if not np.all(np.isfinite(phi)):
+        raise ValueError(f"pointer amplitude {phi[~np.isfinite(phi)][0]} is not finite")
+    if abs(np.sum(np.abs(phi) ** 2) - 1.0) > 1e-12:
+        raise ValueError("pointer amplitudes must be normalized")
+    return phi
+
+
 def position_measurement_scheme(phi, grid: CyclicGrid) -> MeasurementScheme:
     """Position monitoring through a shift coupling: site q shifts the
     pointer by q, the pointer position is read directly.
@@ -169,12 +184,8 @@ def position_measurement_scheme(phi, grid: CyclicGrid) -> MeasurementScheme:
     f = |phi|^2 exactly (the convolution convention used there absorbs the
     reflection ambiguity).
     """
-    phi = np.asarray(phi, dtype=complex)
     d = grid.d
-    if phi.shape != (d,):
-        raise ValueError(f"pointer amplitudes of shape {phi.shape} do not match the {d}-site grid")
-    if abs(np.sum(np.abs(phi) ** 2) - 1.0) > 1e-12:
-        raise ValueError("pointer amplitudes must be normalized")
+    phi = _pointer_amplitudes(phi, grid)
     return _count_register_scheme(identity(d, (d,)), d, None, vector_state(phi), None, None)
 
 
@@ -185,10 +196,8 @@ def unsharp_position_transformer(phi, grid: CyclicGrid) -> StateTransformer:
     Compatible with the unsharp position observable built from f = |phi|^2;
     a delta profile reduces to the projective position transformer.
     """
-    phi = np.asarray(phi, dtype=complex)
     d = grid.d
-    if abs(np.sum(np.abs(phi) ** 2) - 1.0) > 1e-12:
-        raise ValueError("pointer amplitudes must be normalized")
+    phi = _pointer_amplitudes(phi, grid)
     sites = np.arange(d)
     kraus = np.einsum("xq,qr->xqr", phi[(sites[:, None] - sites[None, :]) % d], np.eye(d))
     return StateTransformer(range(d), kraus[:, None])

@@ -47,7 +47,6 @@ __all__ = [
     "phase_shifter",
     "mzi_unitary",
     "mzi_output_state",
-    "mzi_output_states",
     "detection_probabilities",
     "effective_transparency",
     "induced_mzi_observable",
@@ -167,30 +166,30 @@ def mzi_unitary(params: MZIParams, space: FockSpace) -> Operator:
     return Operator(blocks[0], (space.dim, space.dim))
 
 
-def mzi_output_states(t: State, t_idle: State, bs1: BSParams, bs2: BSParams,
-                      deltas, space: FockSpace) -> list[State]:
-    """Two-mode states emerging from the interferometer for input t x t_idle,
-    one for each phase shift in the sequence ``deltas`` (reduced mod 2 pi, as
-    in :class:`MZIParams`). Each splitter is built once for the whole sweep;
-    the phase shifts enter as the rows e^{i delta n1} of one block stack."""
-    if t.dim != space.dim or t_idle.dim != space.dim:
-        raise ValueError("input states do not match the mode dimension")
+def _sweep_columns(bs1: BSParams, bs2: BSParams, deltas, space: FockSpace,
+                   column: int) -> np.ndarray:
+    """Column ``column`` of the interferometer unitary for each phase shift in
+    the sequence ``deltas`` (reduced mod 2 pi, as in :class:`MZIParams`),
+    shape (steps, dim**2). Each splitter is built once for the whole sweep.
+    The chain is associated as B2^dagger (e^{i delta n1} (B1 e_column)), not
+    as the (B2^dagger V) B1 of :func:`_interferometer_blocks`: the splitters
+    act on vectors, so no dim**2 x dim**2 product is formed per step."""
+    b1 = beam_splitter(bs1, space).mat
+    b2h = beam_splitter(bs2, space).mat.conj().T
     reduced = np.mod(np.asarray(deltas, dtype=float), 2 * math.pi)
-    phases = np.exp(1j * reduced[:, None] * np.arange(space.dim))
-    blocks = _interferometer_blocks(MZIParams(bs1, bs2), space,
-                                    np.repeat(phases, space.dim, axis=1))
-    joint = tensor(t.op, t_idle.op).mat
-    states = []
-    for u in blocks:
-        out = u @ joint @ u.conj().T
-        states.append(State(Operator((out + out.conj().T) / 2, (space.dim, space.dim))))
-    return states
+    phases = np.repeat(np.exp(1j * reduced[:, None] * np.arange(space.dim)), space.dim, axis=1)
+    return (phases * b1[:, column]) @ b2h.T
 
 
 def mzi_output_state(t: State, t_idle: State, params: MZIParams,
                      space: FockSpace) -> State:
-    """Two-mode state emerging from the interferometer for input t x t_idle."""
-    return mzi_output_states(t, t_idle, params.bs1, params.bs2, [params.delta], space)[0]
+    """Two-mode state U (t x t_idle) U^dagger emerging from the interferometer:
+    the Schroedinger-picture reference of the one-column sweep in `mzi-scan`."""
+    if t.dim != space.dim or t_idle.dim != space.dim:
+        raise ValueError("input states do not match the mode dimension")
+    u = mzi_unitary(params, space).mat
+    out = u @ tensor(t.op, t_idle.op).mat @ u.conj().T
+    return State(Operator((out + out.conj().T) / 2, (space.dim, space.dim)))
 
 
 def detection_probabilities(w: State) -> dict:
@@ -253,6 +252,7 @@ def mzi_measurement_scheme(params: MZIParams, space: FockSpace) -> MeasurementSc
 
 def prepared_single_photon(eps1: float, theta1: float, delta: float) -> Vector:
     """The prepared single-photon two-path state in the {|10>, |01>} basis."""
+    MZIParams(BSParams(eps1, theta1), BSParams(1.0), delta)  # names a bad eps1, theta1 or delta
     return Vector(
         [
             math.sqrt(eps1),
@@ -266,8 +266,7 @@ def single_photon_observable(eps2: float, theta2: float = 0.0) -> DiscreteObserv
     {|10>, |01>}: the (1,0) effect projects onto
     sqrt(eps2)|10> + e^{-i theta2} sqrt(1-eps2)|01>, the (0,1) effect is its
     orthocomplement; all other count pairs carry the zero effect."""
-    if not 0.0 <= eps2 <= 1.0:
-        raise ValueError("transparency outside [0, 1]")
+    BSParams(eps2, theta2)  # names a bad parameter
     w = np.array([math.sqrt(eps2), np.exp(-1j * theta2) * math.sqrt(1 - eps2)])
     f10 = np.outer(w, w.conj())
     return DiscreteObservable([(1, 0), (0, 1)], [f10, np.eye(2) - f10])
@@ -369,6 +368,8 @@ def expanded_mzi_observable(circuit=None) -> DiscreteObservable:
             if element[2] not in range(_EXPANDED_MODES):
                 raise ValueError(f"phase-shifter mode {element[2]!r} is not in "
                                  f"0..{_EXPANDED_MODES - 1}")
+            if not math.isfinite(element[1]):
+                raise ValueError(f"phase-shifter angle {element[1]} is not finite")
             d = np.ones(_EXPANDED_MODES, dtype=complex)
             d[element[2]] = np.exp(1j * element[1])
             u = np.diag(d) @ u

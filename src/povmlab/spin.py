@@ -133,6 +133,8 @@ class SpinPhaseSpace:
     s: float
 
     def __post_init__(self):
+        if not np.isfinite(self.s):
+            raise ValueError(f"spin {self.s} is not finite")
         two_s = round(2 * self.s)
         if abs(2 * self.s - two_s) > 1e-12 or two_s < 1:
             raise ValueError(f"spin must be a positive half-integer, got {self.s}")

@@ -5,6 +5,7 @@ import pytest
 
 from povmlab import cli, mzi, spin
 from povmlab.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
+from povmlab.povm import State, basis_state
 
 
 def run(argv, capsys):
@@ -33,13 +34,6 @@ class TestSpinJson:
 
 
 class TestUsageErrors:
-    def test_malformed_tolerance(self, capsys, monkeypatch):
-        monkeypatch.setenv("POVMLAB_TOL", "abc")
-        code, out, err = run(["mzi-scan", "--verify"], capsys)
-        assert code == EXIT_USAGE
-        assert out == ""
-        assert "POVMLAB_TOL" in err and "'abc'" in err
-
     def test_zero_delta_steps(self, capsys):
         code, out, err = run(["mzi-scan", "--delta-steps", "0", "--verify"], capsys)
         assert code == EXIT_USAGE
@@ -108,12 +102,27 @@ def test_argparse_usage_error_exits_64(capsys):
 
 def test_failing_verify_exits_2(capsys, monkeypatch):
     argv = ["mzi-scan", "--verify", "--eps1", "0.3", "--theta1", "0.3", "--format", "json"]
-    monkeypatch.setenv("POVMLAB_TOL", "0")
+    closed_form = mzi.effective_transparency
+    monkeypatch.setattr(mzi, "effective_transparency", lambda params: closed_form(params) + 1e-6)
     code, out, _ = run(argv, capsys)
     checks = json.loads(out)["checks"]
-    assert checks["tolerance"] == 0.0
-    assert checks["max_abs_err"] > 0.0
+    assert checks["tolerance"] == 1e-9
+    assert checks["max_abs_err"] > checks["tolerance"]
     assert code == EXIT_VERIFY
+
+
+def test_mzi_scan_builds_no_state(capsys, monkeypatch):
+    built = []
+    check = State.__post_init__
+    monkeypatch.setattr(State, "__post_init__", lambda st: built.append(st) or check(st))
+    code, _, _ = run(["mzi-scan", "--nmax", "3", "--verify"], capsys)
+    assert code == EXIT_OK
+    assert built == []
+    # the counter sees the states the Schroedinger-picture reference builds
+    half = mzi.BSParams(0.5)
+    mzi.mzi_output_state(basis_state(1, 4), basis_state(0, 4), mzi.MZIParams(half, half),
+                         mzi.FockSpace(3))
+    assert len(built) > 0
 
 
 def test_spin_phase_intervals_one_row_each(capsys):

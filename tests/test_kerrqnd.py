@@ -336,6 +336,11 @@ class TestInducedAModeObservable:
 
 
 class TestJointPovm:
+    @pytest.mark.parametrize("theta2", [float("nan"), float("inf")])
+    def test_non_finite_phase_is_named(self, theta2):
+        with pytest.raises(ValueError, match=f"^splitter phase {theta2} is not finite$"):
+            joint_path_interference_povm(0.5, theta2, small_probe())
+
     def test_closed_form_matches_compression(self):
         for eps2 in (0.5, 0.75):
             for lam in (0.1, 1.0):

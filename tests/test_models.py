@@ -161,3 +161,22 @@ def test_non_finite_grid_size_is_named(d):
 def test_position_scheme_needs_one_amplitude_per_site(phi):
     with pytest.raises(ValueError, match="^pointer amplitudes of shape .* do not match"):
         position_measurement_scheme(phi, CyclicGrid(4))
+
+
+def test_position_transformer_needs_one_amplitude_per_site():
+    # a fifth amplitude on four sites used to be dropped without a word
+    with pytest.raises(ValueError, match=r"^pointer amplitudes of shape \(5,\) do not match"):
+        unsharp_position_transformer([0.6, 0.8, 0, 0, 0], CyclicGrid(4))
+
+
+@pytest.mark.parametrize("build", [position_measurement_scheme, unsharp_position_transformer])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_pointer_amplitude_is_named(build, bad):
+    with pytest.raises(ValueError, match=r"^pointer amplitude .* is not finite$") as err:
+        build([bad, 1.0, 0.0, 0.0], CyclicGrid(4))
+    assert str(bad) in str(err.value)
+
+
+def test_confidence_weights_are_one_dimensional():
+    with pytest.raises(ValueError, match=r"^confidence weights must be one-dimensional"):
+        ConfidenceFunction([[0.5, 0.5], [0.0, 0.0]])

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from povmlab.linalg import Operator, haar_vector, tensor
+from povmlab.linalg import Operator, tensor
 from povmlab.mzi import (
+    _sweep_columns,
     BSParams,
     FockSpace,
     MZIParams,
@@ -21,7 +22,6 @@ from povmlab.mzi import (
     induced_mzi_observable,
     mzi_measurement_scheme,
     mzi_output_state,
-    mzi_output_states,
     mzi_unitary,
     number,
     phase_shifter,
@@ -150,24 +150,20 @@ class TestOutputState:
     def test_sweep_matches_per_delta_composition(self):
         # reference: the splitters and the phase shifter rebuilt for every
         # delta (reduced by MZIParams) and composed as dense products; the
-        # sweep performs the same floating-point operations
-        rng = np.random.default_rng(31)
+        # sweep applies the same factors to one column at a time
         bs1 = BSParams(0.35, 1.2)
         bs2 = BSParams(0.6, 4.0)
         deltas = np.linspace(-7.0, 9.0, 9)
         for nmax in (1, 2, 4):
             space = FockSpace(nmax)
-            t, t_idle = (vector_state(haar_vector(space.dim, rng).vec) for _ in range(2))
-            states = mzi_output_states(t, t_idle, bs1, bs2, deltas, space)
-            assert len(states) == len(deltas)
-            joint = tensor(t.op, t_idle.op).mat
-            for delta, w in zip(deltas, states):
-                params = MZIParams(bs1, bs2, delta)
-                u = (beam_splitter(bs2, space).dag() @ phase_shifter(params.delta, space)
-                     @ beam_splitter(bs1, space)).mat
-                out = u @ joint @ u.conj().T
-                assert w.op.dims == (space.dim, space.dim)
-                assert np.array_equal(w.op.mat, (out + out.conj().T) / 2)
+            chains = [(beam_splitter(bs2, space).dag()
+                       @ phase_shifter(MZIParams(bs1, bs2, delta).delta, space)
+                       @ beam_splitter(bs1, space)).mat for delta in deltas]
+            for column in range(space.dim**2):
+                cols = _sweep_columns(bs1, bs2, deltas, space, column)
+                assert cols.shape == (len(deltas), space.dim**2)
+                for u, col in zip(chains, cols):
+                    assert np.max(np.abs(col - u[:, column])) <= 1e-15
 
 
 class TestInterferenceLaw:
@@ -444,6 +440,25 @@ class TestNonFiniteParameters:
         half = BSParams(0.5)
         with pytest.raises(ValueError, match=f"^phase shift {delta} is not finite$"):
             MZIParams(half, half, delta=delta)
+
+    @pytest.mark.parametrize("theta", NON_FINITE)
+    def test_single_photon_observable_phase(self, theta):
+        with pytest.raises(ValueError, match=f"^splitter phase {theta} is not finite$"):
+            single_photon_observable(0.5, theta)
+
+    @pytest.mark.parametrize("args, message", [
+        ((float("nan"), 0.0, 0.0), "transparency nan outside"),
+        ((0.5, float("inf"), 0.0), "splitter phase inf is not finite"),
+        ((0.5, 0.0, float("nan")), "phase shift nan is not finite"),
+    ])
+    def test_prepared_single_photon(self, args, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            prepared_single_photon(*args)
+
+    @pytest.mark.parametrize("gamma", NON_FINITE)
+    def test_expanded_phase_shifter_angle(self, gamma):
+        with pytest.raises(ValueError, match=f"^phase-shifter angle {gamma} is not finite$"):
+            expanded_mzi_observable([("ps", gamma, 3)])
 
     @pytest.mark.parametrize("nmax", NON_FINITE)
     def test_fock_cutoff(self, nmax):

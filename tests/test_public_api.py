@@ -1,7 +1,10 @@
+import ast
 import inspect
+import pathlib
 
 import pytest
 
+import povmlab
 from povmlab import kerrqnd, linalg, models, mzi, povm, spin
 
 
@@ -30,6 +33,20 @@ KEPT_TOLERANCE_KEYWORDS = {
     "linalg.Operator.is_hermitian",
     "povm.DiscreteObservable.is_projection_valued",
 }
+
+
+def test_no_module_reads_the_environment():
+    # a tolerance or any other setting comes in through an argument, never
+    # through os.environ or os.getenv
+    readers = []
+    for path in sorted(pathlib.Path(povmlab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in {"environ", "getenv"}:
+                readers.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os" and {
+                    alias.name for alias in node.names} & {"environ", "getenv"}:
+                readers.append(f"{path.name}:{node.lineno}")
+    assert readers == []
 
 
 def _public_callables(module):

@@ -379,5 +379,10 @@ class TestSpinPhaseSpace:
         with pytest.raises(ValueError):
             SpinPhaseSpace(0.3)
 
+    @pytest.mark.parametrize("s", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_spin_is_named(self, s):
+        with pytest.raises(ValueError, match=f"^spin {s} is not finite$"):
+            SpinPhaseSpace(s)
+
     def test_m_ordering_ascending(self):
         assert_allclose(SpinPhaseSpace(1.0).m_values, [-1.0, 0.0, 1.0])
