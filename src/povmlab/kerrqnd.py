@@ -34,13 +34,14 @@ from .povm import (
     State,
     _compressed_effects,
     _count_register_scheme,
+    _diagonal_observable,
     _product_state,
     basis_state,
     marginal,
     product_observable,
     vector_state,
 )
-from .spin import _phase_kernels
+from .spin import _phase_observable
 
 __all__ = [
     "ProbeConfig",
@@ -160,13 +161,17 @@ def truncated_phase_povm(dim: int, bins) -> DiscreteObservable:
     """Covariant phase observable on Fock levels 0..dim-1, coarse-grained
     over a partition of [0, 2pi].
 
-    ``bins`` is either a bin count (uniform partition) or an explicit list
-    of (u, v) intervals, each with 0 <= u <= v <= 2pi, covering [0, 2pi].
-    Shift covariance under e^{i a N} holds only approximately near the
-    truncation edge; the residual is reported by the tests, not asserted.
+    ``bins`` is either a positive bin count (uniform partition) or an
+    explicit list of (u, v) intervals, each with 0 <= u <= v <= 2pi, whose
+    effects must sum to the identity; ``dim`` is a positive integer. Each
+    effect is the section of the Toeplitz matrix of its interval's
+    indicator on those levels, so its spectrum lies in [0, 1] by
+    construction and no eigensolver checks it (:mod:`povmlab.povm`). The
+    entries depend on level differences only, so at every truncation
+    conjugation by e^{-i a N} translates each interval by a (mod 2pi),
+    exactly up to rounding.
     """
-    kernels = _phase_kernels(dim, bins)
-    return DiscreteObservable(range(len(kernels)), kernels)
+    return _phase_observable(dim, bins)
 
 
 def three_mode_unitary(circuit: KerrCircuit) -> Operator:
@@ -262,7 +267,7 @@ def induced_a_mode_observable(circuit: KerrCircuit,
     readout = circuit.probe.readout
     k = np.arange(dc)
     theta = (delta + lam * k) / 2.0
-    mats = np.zeros((da, len(readout), da, da), dtype=complex)
+    diagonals = np.zeros((da, len(readout), da))
     for n in range(da):
         for total in range(n, da):
             d_diag = (
@@ -273,9 +278,9 @@ def induced_a_mode_observable(circuit: KerrCircuit,
             # tr[T' D+ E D] for every bin at once
             weighted = tprime * d_diag[:, None] * d_diag.conj()[None, :]
             traces = np.einsum("ij,xji->x", weighted, readout.mats).real
-            mats[n, :, total, total] = math.comb(total, n) * traces
+            diagonals[n, :, total] = math.comb(total, n) * traces
     outcomes = [(n, x) for n in range(da) for x in readout.outcomes]
-    return DiscreteObservable(outcomes, mats.reshape(-1, da, da))
+    return _diagonal_observable(outcomes, diagonals.reshape(-1, da))
 
 
 def joint_path_interference_povm(eps2: float, theta2: float,

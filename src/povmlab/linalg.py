@@ -220,8 +220,13 @@ def expm(op: Operator) -> Operator:
     gen = Operator(1j * op.mat)
     if not gen.is_hermitian():
         raise ValueError("expm: generator is not anti-Hermitian within tolerance")
-    w, v = np.linalg.eigh(gen.mat)
-    return Operator((v * np.exp(-1j * w)) @ v.conj().T, op.dims)
+    return Operator(_exp_minus_i(gen.mat), op.dims)
+
+
+def _exp_minus_i(h: np.ndarray) -> np.ndarray:
+    """exp(-iH) = V diag(e^{-iw}) V† for a Hermitian matrix H = V diag(w) V†."""
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(-1j * w)) @ v.conj().T
 
 
 def eigh(op: Operator):

@@ -23,6 +23,7 @@ from .povm import (
     StateTransformer,
     _controlled_shift,
     _count_register_scheme,
+    _diagonal_observable,
     vector_state,
 )
 
@@ -157,10 +158,8 @@ def unsharp_position_observable(f: ConfidenceFunction,
         raise ValueError("confidence function does not match the grid")
     d = grid.d
     sites = np.arange(d)
-    mats = np.zeros((d, d, d), dtype=complex)
     # row x, diagonal entry q: f((x - q) mod d)
-    mats[:, sites, sites] = f.weights[(sites[:, None] - sites[None, :]) % d]
-    return DiscreteObservable(range(d), mats)
+    return _diagonal_observable(range(d), f.weights[(sites[:, None] - sites[None, :]) % d])
 
 
 def _pointer_amplitudes(phi, grid: CyclicGrid) -> np.ndarray:

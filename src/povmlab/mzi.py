@@ -25,13 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Operator, Vector, expm, tensor
+from .linalg import Operator, Vector, _exp_minus_i, tensor
 from .povm import (
     DiscreteObservable,
     Effect,
     MeasurementScheme,
     State,
     _count_register_scheme,
+    _diagonal_observable,
     _number_observable,
     basis_state,
 )
@@ -131,12 +132,19 @@ def number_observable(dim: int) -> DiscreteObservable:
 
 def beam_splitter(params: BSParams, space: FockSpace) -> Operator:
     """Two-mode beam-splitter unitary; block diagonal over total photon
-    number."""
-    a = annihilation(space.dim)
-    adag = a.dag()
+    number.
+
+    The generator conj(alpha) a x a+ - alpha a+ x a is filled directly: the
+    nonzero entries of a x a+ are sqrt(n1) sqrt(n2 + 1), at row
+    (n1 - 1, n2 + 1) and column (n1, n2), and a+ x a is its transpose. The
+    entries, and so the unitary, are bit for bit those of the Kronecker
+    products and :func:`expm`."""
+    d = space.dim
+    n1, n2 = np.meshgrid(np.arange(1, d), np.arange(d - 1), indexing="ij")
+    a_adag = np.zeros((d * d, d * d), dtype=complex)
+    a_adag[(n1 - 1) * d + n2 + 1, n1 * d + n2] = np.sqrt(n1) * np.sqrt(n2 + 1)
     alpha = params.alpha
-    gen = np.conj(alpha) * tensor(a, adag).mat - alpha * tensor(adag, a).mat
-    return expm(Operator(gen, (space.dim, space.dim)))
+    return Operator(_exp_minus_i(1j * (np.conj(alpha) * a_adag - alpha * a_adag.T)), (d, d))
 
 
 def phase_shifter(delta: float, space: FockSpace) -> Operator:
@@ -226,12 +234,12 @@ def induced_mzi_observable(params: MZIParams, space: FockSpace) -> DiscreteObser
     eps = effective_transparency(params)
     dim = space.dim
     outcomes = [(n1, n2) for n1 in range(dim) for n2 in range(dim)]
-    mats = np.zeros((len(outcomes), dim, dim), dtype=complex)
+    diagonals = np.zeros((len(outcomes), dim))
     for i, (n1, n2) in enumerate(outcomes):
         total = n1 + n2
         if total < dim:
-            mats[i, total, total] = math.comb(total, n1) * eps**n1 * (1 - eps) ** n2
-    return DiscreteObservable(outcomes, mats)
+            diagonals[i, total] = math.comb(total, n1) * eps**n1 * (1 - eps) ** n2
+    return _diagonal_observable(outcomes, diagonals)
 
 
 def mzi_measurement_scheme(params: MZIParams, space: FockSpace) -> MeasurementScheme:

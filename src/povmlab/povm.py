@@ -23,27 +23,52 @@ of the first kind for F iff I_Omega*(F(x)) = F(x) for each x, and sets
 follow by linearity. Repeatable implies first kind for F = E, since then
 I_y*(E(x)) = 0 for y != x. Both are operator identities: no state sample.
 
-Products and count-register couplings are certified from their checked
-factors. ``eigvalsh`` reads a d x d row X through the Hermitian matrix L(X)
+Effects are certified from the structure that built them where it is
+known. ``eigvalsh`` reads a d x d row X through the Hermitian matrix L(X)
 that shares X's lower triangle, whose entries differ from X's by at most the
 Hermiticity residual h_X = max|X - X†|, and returns spec L(X) within
 64 d eps for an effect (backward stability, with room). Each observable
-records its rows' extremes with a bound e on their distance from those of
-spec L(X): 64 d eps where they were computed, the margin below where they
-were derived. The spectrum of L(A) x L(B) is exactly {lambda mu}, so the
-extremes of a product row are the min and max of the four products of the
-factors' extremes; from the recorded ones they are within 2 (e_A + e_B), as
-every entry and eigenvalue of a factor has modulus below 2. Entrywise,
+keeps a private enclosure record: per row an interval [lo, hi], and one
+error e such that spec L(X) and the spectrum eigvalsh returns for X both lie
+in [lo - e, hi + e]. A row that eigvalsh checked records its computed
+extremes with e = 64 d eps. A row whose enclosure clears
+[-ATOL_POSITIVE, 1 + ATOL_POSITIVE] by e passes the check that eigvalsh
+would give it; any other slice is diagonalised, so every rejection reports
+a computed spectrum. Hermiticity and completeness are still checked entry
+by entry. The public ``extremes`` are always eigenvalues: computed by the
+check, exact, or, where an enclosure passed, computed by one eigvalsh on
+first read; no bound is presented as an eigenvalue.
+
+A diagonal row with real entries is its own L(X), and its spectrum is
+exactly its diagonal. Its record is the diagonal's min and max, which are
+its exact extremes, with e = 64 d eps for eigvalsh's rounding, and no
+eigensolver runs.
+
+A row of a covariant phase readout is the d x d section [c(n - m)] of the
+Toeplitz matrix whose symbol is the indicator of an arc [u, v],
+c(k) = (e^{ikv} - e^{iku}) / (2 pi i k) and c(0) = (v - u) / 2pi
+(Grenander & Szegő, Toeplitz Forms and Their Applications, 1958). It is
+the compression, to the span of d Fourier modes, of multiplication by that
+indicator, a projection on L^2 of the circle, so its spectrum lies in
+[0, 1]. Every computed entry is within delta of the exact one (the rounding
+count is in ``spin``), so L(X) is the exact section plus a Hermitian error
+whose entries are at most delta and whose spectral norm is at most d delta.
+By Weyl's inequality the record is [0, 1] with e = d (delta + 64 eps). A
+full circle is the exact identity. The bound does not say where in [0, 1]
+the spectrum lies: the largest eigenvalue is 1 - 2.6e-9 at d = 58, so only
+an enclosure, not a derived extreme, can skip this check.
+
+Products are certified from their checked factors. The spectrum of
+L(A) x L(B) is exactly {lambda mu}, so the min and max of the four products
+of the factors' interval ends enclose it up to 2 (e_A + e_B), as every
+value involved has modulus below 2. Entrywise,
 A x B - L(A) x L(B) = (A - L(A)) x B + L(A) x (B - L(B)) is at most
 2 (h_A + h_B), and so is the Hermiticity residual of A x B, which bounds
 L(A x B) - A x B. A D x D matrix has spectral norm at most D times its
-largest entry, so by Weyl's inequality the extremes that eigvalsh would
-return for A x B lie within the margin 2 (e_A + e_B) + D (4 (h_A + h_B)
-+ 64 eps) of the derived ones. Derived extremes that clear
-[-ATOL_POSITIVE, 1 + ATOL_POSITIVE] by that margin pass the check that the
-product would otherwise get; any other slice is diagonalised, so every
-rejection reports a computed spectrum. The product's own Hermiticity is
-still checked entry by entry.
+largest entry, so by Weyl's inequality spec L(A x B), and the spectrum
+eigvalsh returns for A x B, lie within the margin 2 (e_A + e_B)
++ D (4 (h_A + h_B) + 64 eps) of the product interval: that margin is the
+product's e.
 
 A state T records its spectral decomposition: eigenvalues q on orthonormal
 columns chi, zero on their complement, within e of spec L(T). A pure state
@@ -143,24 +168,26 @@ def _hermitian_residual(mats: np.ndarray) -> float:
 
 
 def _product_margin(e_a: float, e_b: float, h_a: float, h_b: float, d: int) -> float:
-    """Bound on the distance between the spectrum of a d x d product A x B
-    derived from its factors' recorded spectra (errors e, Hermiticity
-    residuals h) and the one eigvalsh would return (module docstring)."""
+    """The error of a d x d product A x B's enclosure, the corner rule on
+    its factors' records (errors e, Hermiticity residuals h): it covers
+    spec L(A x B) and the spectrum eigvalsh would return (module
+    docstring)."""
     return 2 * (e_a + e_b) + d * (4 * (h_a + h_b) + _EIG_ROUNDING)
 
 
-def _check_effects(mats: np.ndarray, derived=None, margin: float = 0.0) -> np.ndarray:
+def _check_effects(mats: np.ndarray, enclosure=None, margin: float = 0.0) -> np.ndarray:
     """Raise ``ValueError`` unless every row of the (k, d, d) stack ``mats``
     is an effect: Hermitian within ``ATOL_HERMITIAN`` with spectrum inside
     [0, 1] within ``ATOL_POSITIVE``. Slices of rows are checked in order, each
     for Hermiticity before spectra, so a non-Hermitian row is reported before
-    an earlier bad spectrum in the same slice. Returns each row's
-    (lambda_min, lambda_max) as a read-only (k, 2) array.
+    an earlier bad spectrum in the same slice. Returns each row's [lo, hi] as
+    a read-only (k, 2) array: the computed (lambda_min, lambda_max) of every
+    slice it diagonalised, and ``enclosure`` on every other slice.
 
-    ``derived`` is None or per-row extremes that :func:`product_observable`
-    derived within ``margin`` of those eigvalsh would return. A slice whose
-    derived extremes clear the bounds by ``margin`` keeps them without an
-    eigvalsh (module docstring)."""
+    ``enclosure`` is None or per-row intervals that, widened by ``margin``,
+    contain spec L(X) and the spectrum eigvalsh would return. A slice whose
+    intervals clear the bounds by ``margin`` passes without an eigvalsh
+    (module docstring)."""
     d = mats.shape[1]
     step = max(1, _CHECK_SLICE_BYTES // max(mats.itemsize * d * d, 1))
     parts = []
@@ -168,8 +195,8 @@ def _check_effects(mats: np.ndarray, derived=None, margin: float = 0.0) -> np.nd
         s = mats[start:start + step]
         if not _hermitian_residual(s) <= ATOL_HERMITIAN:
             raise ValueError("effect must be Hermitian within 1e-10")
-        if derived is not None:
-            ext = derived[start:start + step]
+        if enclosure is not None:
+            ext = enclosure[start:start + step]
             if ext.min() >= margin - ATOL_POSITIVE and ext.max() <= 1.0 + ATOL_POSITIVE - margin:
                 parts.append(ext)
                 continue
@@ -181,9 +208,9 @@ def _check_effects(mats: np.ndarray, derived=None, margin: float = 0.0) -> np.nd
             i = np.argmax((lo < -ATOL_POSITIVE) | (hi > 1.0 + ATOL_POSITIVE))
             raise ValueError(f"effect spectrum [{lo[i]:.3e}, {hi[i]:.6f}] outside [0, 1]")
         parts.append(ends)
-    extremes = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    extremes.setflags(write=False)
-    return extremes
+    checked = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    checked.setflags(write=False)
+    return checked
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,9 +332,10 @@ class DiscreteObservable:
     The effects are held as one read-only complex stack ``mats`` of shape
     (k, d, d), row i belonging to ``outcomes[i]``. They may be given as such
     a stack or as a sequence of Effects, Operators or matrices; the input is
-    copied, and the copy is checked by one :func:`_check_effects` call. The
-    check's per-row (lambda_min, lambda_max) are kept as the read-only (k, 2)
-    array ``extremes``, with the bound on their error (module docstring).
+    copied, and the copy is checked by one :func:`_check_effects` call, whose
+    per-row (lambda_min, lambda_max) are kept as the read-only (k, 2) array
+    ``extremes``. Private builders certify stacks whose spectra are known by
+    construction and skip that eigvalsh (module docstring).
 
     Outcome labels may be integers, strings or tuples (tuples mark product
     outcome spaces and enable :func:`marginal`).
@@ -320,10 +348,11 @@ class DiscreteObservable:
             dtype=complex,
         ))
 
-    def _init(self, outcomes, mats: np.ndarray, *derived):
-        """Check and keep a fresh (k, d, d) stack; ``derived`` is empty or
-        the (extremes, margin) of :func:`_check_effects`, and the margin then
-        bounds the error of the kept extremes."""
+    def _init(self, outcomes, mats: np.ndarray, *record):
+        """Check and keep a fresh (k, d, d) stack. With no ``record`` every
+        row is diagonalised and its computed extremes are its record. A
+        ``record`` (enclosure, error) is what the check starts from, and the
+        extremes are then computed on first read (module docstring)."""
         outcomes = tuple(outcomes)
         if len(outcomes) != len(mats):
             raise ValueError("outcomes and effects must have equal length")
@@ -333,15 +362,24 @@ class DiscreteObservable:
             raise ValueError("an observable needs at least one outcome")
         if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
             raise ValueError(f"expected a (k, d, d) stack of square matrices, got {mats.shape}")
-        extremes = _check_effects(mats, *derived)
+        checked = _check_effects(mats, *record)
         if np.max(np.abs(mats.sum(axis=0) - np.eye(mats.shape[1]))) > ATOL_COMPLETENESS:
             raise ValueError("effects do not sum to the identity within tolerance")
         mats.setflags(write=False)
         self.outcomes = outcomes
         self.mats = mats
-        self.extremes = extremes
-        self._extremes_error = derived[1] if derived else mats.shape[1] * _EIG_ROUNDING
+        if not record:
+            self.extremes = checked
+        self._enclosure = checked
+        self._enclosure_error = record[1] if record else mats.shape[1] * _EIG_ROUNDING
         self._index = {x: i for i, x in enumerate(outcomes)}
+
+    @cached_property
+    def extremes(self) -> np.ndarray:
+        """Each row's (lambda_min, lambda_max) as a read-only (k, 2) array:
+        those the check computed, or, for a stack certified by its enclosure,
+        those of one computed check on first read."""
+        return _check_effects(self.mats)
 
     @cached_property
     def effects(self) -> tuple[Effect, ...]:
@@ -508,19 +546,43 @@ def product_observable(a: DiscreteObservable, b: DiscreteObservable) -> Discrete
     """Observable on the tensor product with tuple outcome labels.
 
     Components that already carry tuple labels are flattened, so products of
-    products keep a flat label arity. Each row's extremes are derived from the
-    factors' ``extremes`` and an eigvalsh runs only where they do not clear
-    the effect bounds by the margin of the module docstring.
+    products keep a flat label arity. Each row's enclosure is the corner rule
+    on the factors' enclosures, and an eigvalsh runs only where it does not
+    clear the effect bounds by the margin of the module docstring.
     """
     outcomes = _product_labels(a.outcomes, b.outcomes)
     d = a.dim * b.dim
-    corners = (a.extremes[:, None, :, None] * b.extremes[None, :, None, :]).reshape(-1, 4)
-    derived = np.stack((corners.min(axis=1), corners.max(axis=1)), axis=1)
-    margin = _product_margin(a._extremes_error, b._extremes_error,
+    corners = (a._enclosure[:, None, :, None] * b._enclosure[None, :, None, :]).reshape(-1, 4)
+    enclosure = np.stack((corners.min(axis=1), corners.max(axis=1)), axis=1)
+    margin = _product_margin(a._enclosure_error, b._enclosure_error,
                              _hermitian_residual(a.mats), _hermitian_residual(b.mats), d)
+    return _enclosed_observable(outcomes, np.kron(a.mats[:, None], b.mats[None]).reshape(-1, d, d),
+                                enclosure, margin)
+
+
+def _enclosed_observable(outcomes, mats: np.ndarray, enclosure: np.ndarray,
+                         error: float) -> DiscreteObservable:
+    """The observable over a fresh (k, d, d) stack whose rows' spectra are
+    enclosed, within ``error``, by the (k, 2) intervals ``enclosure``
+    (module docstring)."""
     obs = object.__new__(DiscreteObservable)
-    obs._init(outcomes, np.kron(a.mats[:, None], b.mats[None]).reshape(-1, d, d),
-              derived, margin)
+    obs._init(outcomes, mats, enclosure, error)
+    return obs
+
+
+def _diagonal_observable(outcomes, diagonals) -> DiscreteObservable:
+    """The observable whose effects are diagonal with the real rows of the
+    (k, d) array ``diagonals``. Their spectra are their diagonals, so the
+    extremes are exact and no eigvalsh runs unless a row misses the effect
+    bounds by the margin (module docstring)."""
+    diagonals = np.asarray(diagonals, dtype=float)
+    d = diagonals.shape[1]
+    mats = np.zeros(diagonals.shape + (d,), dtype=complex)
+    levels = np.arange(d)
+    mats[:, levels, levels] = diagonals
+    ends = np.stack((diagonals.min(axis=1), diagonals.max(axis=1)), axis=1)
+    obs = _enclosed_observable(outcomes, mats, ends, d * _EIG_ROUNDING)
+    obs.extremes = obs._enclosure
     return obs
 
 
@@ -531,10 +593,7 @@ def _check_unitary(op: Operator):
 
 def _number_observable(dim: int) -> DiscreteObservable:
     """Spectral measure of the number operator of a ``dim``-level mode."""
-    levels = np.arange(dim)
-    mats = np.zeros((dim, dim, dim), dtype=complex)
-    mats[levels, levels, levels] = 1.0
-    return DiscreteObservable(range(dim), mats)
+    return _diagonal_observable(range(dim), np.eye(dim))
 
 
 # the probe of a scheme with no probe factor besides its register

@@ -1,16 +1,21 @@
 """Unsharp spin-1/2 effects, the geometric coexistence criterion with its
 ball-intersection oracle, the explicit joint observable for coexistent
 pairs, and the covariant spin-phase POVM for arbitrary spin.
+
+A spin space has at most 2s + 1 <= 1024 levels: a phase effect there is a
+16 MiB dense matrix, and the enclosure that certifies it (``povm`` module
+docstring) still clears the effect bounds by a factor of six.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import Operator
-from .povm import DiscreteObservable, Effect, effect
+from .povm import _EIG_ROUNDING, DiscreteObservable, Effect, _enclosed_observable, effect
 
 __all__ = [
     "PAULI_X",
@@ -38,6 +43,16 @@ _PAULI = (PAULI_X, PAULI_Y, PAULI_Z)
 # Positivity of the joint observable degenerates exactly on the boundary of
 # the coexistence region, so the <= 2 comparison gets a strict 1e-12 slack.
 BOUNDARY_TOL = 1e-12
+
+# The largest spin dimension 2s + 1 (module docstring).
+_MAX_SPIN_DIM = 1024
+
+# Bound on the rounding error of each entry that _phase_kernels computes. An
+# off-diagonal entry rounds k v, two complex exponentials, their difference,
+# 2 pi k and the quotient, about 4 eps in all for |u|, |v| <= 2 pi; this is
+# twice that. The largest error measured against 200-bit arithmetic, up to
+# dim 401, was 0.64 eps.
+_TOEPLITZ_ENTRY_ERROR = 8 * np.finfo(float).eps
 
 
 def _bloch(a) -> np.ndarray:
@@ -135,7 +150,9 @@ class SpinPhaseSpace:
     def __post_init__(self):
         if not np.isfinite(self.s):
             raise ValueError(f"spin {self.s} is not finite")
-        two_s = round(2 * self.s)
+        if not 2 * self.s + 1 <= _MAX_SPIN_DIM:
+            raise ValueError(f"spin {self.s} exceeds the ceiling 2s + 1 <= {_MAX_SPIN_DIM}")
+        two_s = round(2 * self.s) if self.s > 0 else 0  # round(-inf) overflows
         if abs(2 * self.s - two_s) > 1e-12 or two_s < 1:
             raise ValueError(f"spin must be a positive half-integer, got {self.s}")
 
@@ -152,10 +169,20 @@ def s3_operator(space: SpinPhaseSpace) -> Operator:
     return Operator(np.diag(space.m_values.astype(complex)))
 
 
+def _check_positive_int(value, name: str):
+    """Raise ``ValueError`` naming ``value`` unless it is a positive integer
+    (a bool is not one)."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)) \
+            or value < 1:
+        raise ValueError(f"{name} {value!r} is not a positive integer")
+
+
 def _phase_intervals(bins) -> list[tuple[float, float]]:
     """The intervals of ``bins``: a bin count is the uniform partition of
-    [0, 2pi], and a list of (u, v) pairs must have 0 <= u <= v <= 2pi each."""
-    if isinstance(bins, (int, np.integer)):
+    [0, 2pi] and must be a positive integer, and a list of (u, v) pairs must
+    have 0 <= u <= v <= 2pi each."""
+    if not isinstance(bins, Iterable):
+        _check_positive_int(bins, "bin count")
         edges = np.linspace(0.0, 2 * np.pi, bins + 1).tolist()
         return list(zip(edges[:-1], edges[1:]))
     intervals = [(float(u), float(v)) for u, v in bins]
@@ -175,7 +202,8 @@ def _phase_kernels(dim: int, bins) -> np.ndarray:
     are evaluated for every interval in one array expression and gathered at
     n - m + dim - 1; a full circle is the exact identity. As the entries read
     only level differences, the stack is bit for bit the one on the spin
-    levels -s..s."""
+    levels -s..s. ``dim`` must be a positive integer."""
+    _check_positive_int(dim, "phase dimension")
     intervals = np.array(_phase_intervals(bins), dtype=float).reshape(-1, 2)
     u, v = intervals[:, :1], intervals[:, 1:]
     k = np.arange(1 - dim, dim, dtype=float)  # n - m
@@ -188,14 +216,26 @@ def _phase_kernels(dim: int, bins) -> np.ndarray:
     return entries[:, n[None, :] - n[:, None] + dim - 1]
 
 
+def _phase_observable(dim: int, bins) -> DiscreteObservable:
+    """The phase effects of ``bins`` on the levels 0..dim-1 as an observable,
+    certified by the enclosure [0, 1] of Toeplitz sections, widened by
+    dim (delta + 64 eps) (``povm`` module docstring): no eigvalsh runs unless
+    that misses the effect bounds."""
+    kernels = _phase_kernels(dim, bins)
+    enclosure = np.tile([0.0, 1.0], (len(kernels), 1))
+    return _enclosed_observable(range(len(kernels)), kernels, enclosure,
+                                dim * (_TOEPLITZ_ENTRY_ERROR + _EIG_ROUNDING))
+
+
 def spin_phase_effect(space: SpinPhaseSpace, interval) -> Effect:
     """Covariant spin-phase effect of an interval [u, v] in [0, 2pi]."""
     return effect(_phase_kernels(space.dim, [interval])[0])
 
 
 def spin_phase_observable(space: SpinPhaseSpace, bins: int = 8) -> DiscreteObservable:
-    """Spin phase coarse-grained over a uniform partition of [0, 2pi]."""
-    return DiscreteObservable(range(bins), _phase_kernels(space.dim, bins))
+    """Spin phase coarse-grained over a uniform partition of [0, 2pi] into
+    ``bins`` intervals, certified as :func:`_phase_observable` certifies."""
+    return _phase_observable(space.dim, bins)
 
 
 def _shifted_intervals(u: float, v: float, alpha: float):

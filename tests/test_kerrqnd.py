@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -547,6 +548,22 @@ class TestTruncatedPhasePovm:
         for interval in ((0.0, 7.0), (2.0, 1.0)):
             with pytest.raises(ValueError, match="malformed interval"):
                 truncated_phase_povm(4, [interval])
+
+    @pytest.mark.parametrize("dim", [0, -3, 2.5, 16.0, True, np.True_, "8"])
+    def test_bad_dim_is_named(self, dim):
+        with pytest.raises(ValueError, match=rf"^phase dimension {re.escape(repr(dim))} is not a "
+                                             "positive integer$"):
+            truncated_phase_povm(dim, 8)
+
+    @pytest.mark.parametrize("bins", [0, -2, 2.5, 8.0, True, np.True_, None])
+    def test_bad_bin_count_is_named(self, bins):
+        with pytest.raises(ValueError, match=rf"^bin count {re.escape(repr(bins))} is not a "
+                                             "positive integer$"):
+            truncated_phase_povm(16, bins)
+
+    def test_integer_types_are_accepted(self):
+        for dim, bins in ((np.int64(5), 3), (5, np.int32(3))):
+            assert truncated_phase_povm(dim, bins).mats.shape == (3, 5, 5)
 
     def test_uniform_in_number_states(self):
         povm = truncated_phase_povm(10, 8)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from povmlab.linalg import Operator, tensor
+from povmlab.linalg import Operator, expm, tensor
 from povmlab.mzi import (
     _sweep_columns,
     BSParams,
@@ -99,6 +99,22 @@ class TestBeamSplitter:
 
     def test_unitary(self):
         assert beam_splitter(BSParams(0.2, 5.1), SPACE4).is_unitary()
+
+    def test_direct_fill_equals_the_kronecker_construction(self):
+        # reference: the generator from Kronecker products of the ladder
+        # matrices, exponentiated by expm
+        rng = np.random.default_rng(17)
+        params = [BSParams(1.0), BSParams(0.0, 2.0), BSParams(0.5, math.pi / 2)]
+        params += [BSParams(rng.uniform(), rng.uniform(-9, 9)) for _ in range(5)]
+        for nmax in range(1, 7):
+            space = FockSpace(nmax)
+            a = annihilation(space.dim)
+            for p in params:
+                gen = np.conj(p.alpha) * tensor(a, a.dag()).mat - p.alpha * tensor(a.dag(), a).mat
+                reference = expm(Operator(gen, (space.dim, space.dim)))
+                u = beam_splitter(p, space)
+                assert np.array_equal(u.mat, reference.mat)
+                assert u.dims == reference.dims
 
 
 class TestPhaseShifter:

@@ -1167,7 +1167,226 @@ class TestDerivedExtremes:
                 mats[1] -= skew * upper * rng.uniform(0, 0.5, (d, d))
                 pair.append(DiscreteObservable(range(len(mats)), mats))
             prod = product_observable(*pair)
-            assert np.max(np.abs(prod.extremes - fresh_extremes(prod))) <= prod._extremes_error
+            assert np.max(np.abs(prod._enclosure - fresh_extremes(prod))) <= prod._enclosure_error
+
+
+def assert_enclosed(obs):
+    """Every row's fresh eigvalsh spectrum lies in its recorded interval
+    widened by the recorded error, with no extra slack."""
+    w = np.linalg.eigvalsh(obs.mats)
+    lo, hi = obs._enclosure[:, 0], obs._enclosure[:, 1]
+    err = obs._enclosure_error
+    assert np.all(w[:, 0] >= lo - err), np.min(w[:, 0] - lo + err)
+    assert np.all(w[:, -1] <= hi + err), np.max(w[:, -1] - hi - err)
+
+
+def random_partition(rng, k):
+    """k intervals covering [0, 2pi] at sorted random cuts."""
+    edges = np.concatenate(([0.0], np.sort(rng.uniform(0, 2 * np.pi, k - 1)), [2 * np.pi]))
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def diagonal_stacks():
+    """The diagonal producers: number, the MZI closed form, the a-mode
+    closed form and unsharp position."""
+    rng = np.random.default_rng(61)
+    out = [mzi.number_observable(d) for d in (1, 2, 5, 16)]
+    for nmax in (1, 2, 4):
+        params = mzi.MZIParams(mzi.BSParams(rng.uniform(), rng.uniform(0, 7)),
+                               mzi.BSParams(rng.uniform(), rng.uniform(0, 7)), rng.uniform(0, 7))
+        out.append(mzi.induced_mzi_observable(params, mzi.FockSpace(nmax)))
+    canonical = mzi.MZIParams(mzi.BSParams(0.5, np.pi / 2), mzi.BSParams(0.5, np.pi / 2), 0.8)
+    for amp, nmax in ((0.5, 1), (1.0, 2), (3.0, 2)):
+        dim = kerrqnd.coherent_dim(amp)
+        probe = kerrqnd.ProbeConfig(kerrqnd.coherent_state(amp * np.exp(0.3j), dim), 1.1,
+                                    kerrqnd.truncated_phase_povm(dim, 8))
+        circuit = kerrqnd.KerrCircuit(canonical, probe, mzi.FockSpace(nmax))
+        out.append(kerrqnd.induced_a_mode_observable(circuit, method="closed_form"))
+    for d in (2, 7, 16):
+        z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        f = models.ConfidenceFunction(np.abs(z / np.linalg.norm(z)) ** 2)
+        out.append(models.unsharp_position_observable(f, models.CyclicGrid(d)))
+    return out
+
+
+@pytest.fixture
+def eigvalsh_arrays(monkeypatch):
+    """The arrays np.linalg.eigvalsh is called on."""
+    arrays = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recorded(a, *args, **kwargs):
+        arrays.append(a)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+    return arrays
+
+
+class TestStructuralEnclosures:
+    @pytest.mark.parametrize("dim", range(1, 65))
+    def test_phase_readouts(self, dim, eigvalsh_calls):
+        for bins in (1, 2, 3, 5, 8, 13, 21, 32, dim % 32 + 1):
+            eigvalsh_calls.clear()
+            readout = kerrqnd.truncated_phase_povm(dim, bins)
+            assert eigvalsh_calls == []
+            assert_enclosed(readout)
+
+    def test_every_bin_count_at_large_dims(self):
+        for bins in range(1, 33):
+            for dim in (40, 58, 64):
+                assert_enclosed(kerrqnd.truncated_phase_povm(dim, bins))
+
+    def test_interval_lists(self, eigvalsh_calls):
+        rng = np.random.default_rng(62)
+        lists = [[(0.0, 2 * np.pi)], [(0.0, 2 * np.pi), (1.0, 1.0)],
+                 [(0.0, 0.0), (0.0, 2 * np.pi), (2 * np.pi, 2 * np.pi)]]
+        lists += [random_partition(rng, int(k)) for k in rng.integers(1, 33, 40)]
+        for intervals in lists:
+            for dim in (1, 2, 9, 33, 64):
+                eigvalsh_calls.clear()
+                readout = kerrqnd.truncated_phase_povm(dim, intervals)
+                assert eigvalsh_calls == []
+                assert_enclosed(readout)
+
+    def test_spin_phase_stacks(self, eigvalsh_calls):
+        for s in (0.5, 1.0, 2.5, 7.0, 20.5, 100.0):
+            for bins in (1, 4, 8, 32):
+                eigvalsh_calls.clear()
+                obs = spin.spin_phase_observable(spin.SpinPhaseSpace(s), bins)
+                assert eigvalsh_calls == []
+                assert_enclosed(obs)
+
+    def test_readout_records_the_toeplitz_enclosure(self):
+        for dim in (1, 16, 58):
+            readout = kerrqnd.truncated_phase_povm(dim, 8)
+            assert np.array_equal(readout._enclosure, np.tile([0.0, 1.0], (8, 1)))
+            assert readout._enclosure_error == dim * (spin._TOEPLITZ_ENTRY_ERROR
+                                                      + povm._EIG_ROUNDING)
+
+    def test_products_of_certified_factors(self):
+        rng = np.random.default_rng(63)
+        for dim, bins in ((16, 4), (17, 8), (3, 2)):
+            readout = kerrqnd.truncated_phase_povm(dim, bins)
+            trivial = DiscreteObservable([0], np.eye(2)[None])
+            first = product_observable(trivial, readout)
+            assert_enclosed(first)
+            assert_enclosed(product_observable(readout, mzi.number_observable(3)))
+            unsharp = DiscreteObservable(range(3), _unsharp(rng, 2, 3, True))
+            assert_enclosed(product_observable(product_observable(unsharp, first), trivial))
+
+    def test_diagonal_extremes_are_the_exact_diagonal_ends(self, eigvalsh_calls):
+        stacks = diagonal_stacks()
+        eigvalsh_calls.clear()
+        for obs in stacks:
+            diag = np.diagonal(obs.mats, axis1=1, axis2=2).real
+            assert np.array_equal(obs.extremes, np.stack((diag.min(1), diag.max(1)), 1))
+            assert not obs.extremes.flags.writeable
+            assert_enclosed(obs)
+        assert len(eigvalsh_calls) == len(stacks)  # assert_enclosed's own
+
+    def test_diagonal_rows_near_the_bounds_fall_back(self, eigvalsh_calls):
+        # within the margin of 1 + ATOL_POSITIVE: diagonalised, and it passes
+        top = 1.0 + 1e-10 - 1e-15
+        eigvalsh_calls.clear()
+        obs = povm._diagonal_observable("ab", [[top, 0.0], [1.0 - top, 1.0]])
+        assert eigvalsh_calls
+        assert np.array_equal(obs.extremes, [[0.0, top], [1.0 - top, 1.0]])
+        # beyond it: rejected from a computed spectrum, with its message
+        bad = [[1.0 + 2e-10, 0.0], [-2e-10, 1.0]]
+        expected = reference_error(np.array([np.diag(row) for row in bad], dtype=complex))
+        eigvalsh_calls.clear()
+        with pytest.raises(ValueError) as err:
+            povm._diagonal_observable("ab", bad)
+        assert str(err.value) == expected and eigvalsh_calls
+
+    def test_lazy_extremes_are_computed_eigenvalues(self, eigvalsh_calls):
+        rng = np.random.default_rng(64)
+        readout = kerrqnd.truncated_phase_povm(58, 8)
+        stacks = [readout, spin.spin_phase_observable(spin.SpinPhaseSpace(20.5), 32),
+                  kerrqnd.truncated_phase_povm(9, random_partition(rng, 5)),
+                  product_observable(DiscreteObservable([0], np.eye(2)[None]), readout),
+                  product_observable(spin.spin_observable([0.3, 0.0, 0.5]),
+                                     mzi.number_observable(4))]
+        for obs in stacks:
+            eigvalsh_calls.clear()
+            extremes = obs.extremes
+            assert eigvalsh_calls  # computed on first read
+            assert not extremes.flags.writeable
+            assert np.max(np.abs(extremes - fresh_extremes(obs))) <= 1e-12
+            eigvalsh_calls.clear()
+            assert obs.extremes is extremes and eigvalsh_calls == []
+        # the bound is not an eigenvalue: the top of a 58-level bin is below 1
+        assert readout.extremes[:, 1].max() < 1.0 - 1e-9
+
+    def test_product_of_trivial_and_readout_runs_no_eigvalsh(self, eigvalsh_calls):
+        for dim, bins in ((16, 4), (26, 8), (35, 8)):
+            readout = kerrqnd.truncated_phase_povm(dim, bins)
+            trivial = DiscreteObservable([0], np.eye(3)[None])
+            eigvalsh_calls.clear()
+            prod = product_observable(trivial, readout)
+            assert eigvalsh_calls == []
+            assert prod.mats.shape == (bins, 3 * dim, 3 * dim)
+
+    def test_oracle_round_diagonalises_no_readout_or_diagonal_stack(self, eigvalsh_arrays):
+        rng = np.random.default_rng(65)
+        canonical = mzi.MZIParams(mzi.BSParams(0.5, np.pi / 2), mzi.BSParams(0.5, np.pi / 2),
+                                  rng.uniform(0, 7))
+
+        def probe(amp, bins):
+            dim = kerrqnd.coherent_dim(amp)
+            return kerrqnd.ProbeConfig(kerrqnd.coherent_state(amp * np.exp(0.7j), dim),
+                                       rng.uniform(0.2, 2.5), kerrqnd.truncated_phase_povm(dim, bins))
+
+        structured, computed = [], []
+        for amp, nmax in ((0.5, 1), (1.0, 2), (3.0, 2)):
+            circuit = kerrqnd.KerrCircuit(canonical, probe(amp, 8), mzi.FockSpace(nmax))
+            structured += [circuit.probe.readout,
+                           kerrqnd.induced_a_mode_observable(circuit, method="closed_form")]
+            computed.append(kerrqnd.induced_a_mode_observable(circuit, method="unitary"))
+        for amp in (0.5, 4.0):
+            p = probe(amp, 8)
+            structured.append(p.readout)
+            computed.append(kerrqnd.joint_path_interference_povm(0.4, 1.3, p))
+            kerrqnd.joint_povm_compressed(0.4, 1.3, p)
+        for amp, nmax in ((0.5, 1), (1.0, 2)):
+            circuit = kerrqnd.KerrCircuit(canonical, probe(amp, 4), mzi.FockSpace(nmax))
+            scheme = kerrqnd.kerr_measurement_scheme(circuit)
+            structured += [circuit.probe.readout, scheme._other_pointer]
+            povm.induced_observable(scheme)
+        for nmax in (1, 2, 4):
+            params = mzi.MZIParams(mzi.BSParams(0.3, 1.0), mzi.BSParams(0.6, 2.0), 0.5)
+            structured.append(mzi.induced_mzi_observable(params, mzi.FockSpace(nmax)))
+            povm.induced_observable(mzi.mzi_measurement_scheme(params, mzi.FockSpace(nmax)))
+        for d in (4, 16):
+            phi = np.exp(1j * rng.uniform(0, 7, d)) / np.sqrt(d)
+            grid = models.CyclicGrid(d)
+            structured.append(models.unsharp_position_observable(
+                models.ConfidenceFunction(np.abs(phi) ** 2), grid))
+            povm.induced_observable(models.position_measurement_scheme(phi, grid))
+        for obs in structured:
+            assert not [a for a in eigvalsh_arrays if np.shares_memory(a, obs.mats)]
+        # the counter sees the stacks that have no structure
+        for obs in computed:
+            assert [a for a in eigvalsh_arrays if np.shares_memory(a, obs.mats)]
+
+    @pytest.mark.parametrize("intervals,message", [
+        ([(0.0, 1.0), (1.0, 3.0)], "effects do not sum to the identity within tolerance"),
+        ([(0.0, 4.0), (3.0, 2 * np.pi)], "effects do not sum to the identity within tolerance"),
+        ([(0.0, 2 * np.pi), (0.0, 2 * np.pi)],
+         "effects do not sum to the identity within tolerance"),
+        ([(2.0, 1.0)], "malformed interval [2.0, 1.0]; need 0 <= u <= v <= 2pi"),
+        ([], "an observable needs at least one outcome"),
+    ])
+    def test_bad_partitions_keep_their_messages(self, intervals, message):
+        for dim in (1, 5, 30):
+            with pytest.raises(ValueError) as err:
+                kerrqnd.truncated_phase_povm(dim, intervals)
+            assert str(err.value) == message
+            if intervals and message.startswith("effects"):
+                # the generic constructor reports the same
+                with pytest.raises(ValueError, match="^effects do not sum"):
+                    DiscreteObservable(range(len(intervals)), spin._phase_kernels(dim, intervals))
 
 
 def unitary_residual(mat):

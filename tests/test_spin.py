@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -383,6 +385,26 @@ class TestSpinPhaseSpace:
     def test_non_finite_spin_is_named(self, s):
         with pytest.raises(ValueError, match=f"^spin {s} is not finite$"):
             SpinPhaseSpace(s)
+
+    @pytest.mark.parametrize("s", [1e200, 1e308, 512.0, 1e6 + 0.5])
+    def test_spin_above_the_ceiling_is_named(self, s):
+        message = f"spin {s} exceeds the ceiling 2s + 1 <= 1024"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SpinPhaseSpace(s)
+
+    @pytest.mark.parametrize("s", [-1e308, -0.5, 0.0, 1e-13])
+    def test_spin_below_one_half_is_named(self, s):
+        message = f"spin must be a positive half-integer, got {s}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SpinPhaseSpace(s)
+
+    def test_ceiling_is_reachable(self):
+        assert SpinPhaseSpace(511.5).dim == 1024
+
+    @pytest.mark.parametrize("bins", [0, 2.5, True])
+    def test_bad_bin_count_is_named(self, bins):
+        with pytest.raises(ValueError, match=f"^bin count {bins!r} is not a positive integer$"):
+            spin_phase_observable(SpinPhaseSpace(1.0), bins)
 
     def test_m_ordering_ascending(self):
         assert_allclose(SpinPhaseSpace(1.0).m_values, [-1.0, 0.0, 1.0])
