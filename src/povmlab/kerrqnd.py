@@ -9,8 +9,14 @@ and commutes with both photon numbers, so it reads the path without
 changing the arm photon numbers between the splitters. The detector counts
 after the recombiner do change: their interference visibility drops by the
 factor |tr[T' e^{i lambda N}]| of the probe state T'. Splitter and
-composition conventions are shared with :mod:`povmlab.mzi`; all closed
-forms below are locked to the full three-mode unitary.
+composition conventions are shared with :mod:`povmlab.mzi`.
+
+Every element of the circuit commutes with the probe photon number, so the
+three-mode unitary is the direct sum over probe levels c of the
+interferometer with the Kerr phases e^{-i lambda n_b c}. The unitary oracles
+compress those level blocks (:mod:`povmlab.povm`) and never form the dense
+unitary; :func:`three_mode_unitary` is their dense direct sum. All closed
+forms below are locked to these oracles.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from .povm import (
     _compressed_effects,
     _count_register_scheme,
     _diagonal_observable,
+    _direct_sum,
     _product_state,
     basis_state,
     marginal,
@@ -174,19 +181,23 @@ def truncated_phase_povm(dim: int, bins) -> DiscreteObservable:
     return _phase_observable(dim, bins)
 
 
-def three_mode_unitary(circuit: KerrCircuit) -> Operator:
-    """Full circuit unitary on (a, b, c): splitter, phase shift, Kerr
-    element, reversed recombiner. Every factor commutes with the probe
-    number, so it is the direct sum over probe levels c of the interferometer
-    with the Kerr phases e^{-i lam n_b c}."""
+def _circuit_blocks(circuit: KerrCircuit) -> np.ndarray:
+    """The circuit on the arms (a, b) at each probe level c, shape
+    (dc, d**2, d**2): splitter, phase shift, the Kerr phases e^{-i lam n_b c},
+    reversed recombiner. Every factor commutes with the probe number, so the
+    three-mode unitary is the direct sum of these blocks."""
     d = circuit.arm_space.dim
-    dc = circuit.probe.probe_state.dim
-    levels = np.arange(dc)
+    levels = np.arange(circuit.probe.probe_state.dim)
     n_b = np.arange(d * d) % d  # arm b photon number of each (a, b) index
     kerr = np.exp(-1j * circuit.probe.lam * np.outer(levels, n_b))
-    m = np.zeros((d * d, dc, d * d, dc), dtype=complex)
-    m[:, levels, :, levels] = _interferometer_blocks(circuit.mzi, circuit.arm_space, kerr)
-    return Operator(m.reshape(d * d * dc, d * d * dc), (d, d, dc))
+    return _interferometer_blocks(circuit.mzi, circuit.arm_space, kerr)
+
+
+def three_mode_unitary(circuit: KerrCircuit) -> Operator:
+    """Full circuit unitary on (a, b, c): splitter, phase shift, Kerr
+    element, reversed recombiner, as the dense direct sum over probe levels c
+    of the interferometer with the Kerr phases e^{-i lam n_b c}."""
+    return Operator(_direct_sum(_circuit_blocks(circuit)), circuit.dims)
 
 
 def three_mode_output(t: State, circuit: KerrCircuit) -> State:
@@ -225,13 +236,16 @@ def detection_statistics(w: State, readout: DiscreteObservable) -> dict:
 def _circuit_effects(circuit: KerrCircuit, inputs) -> DiscreteObservable:
     """Observable of the (n, bin) statistics on the span of the arm inputs
     ``inputs`` (flattened (a, b) indices): Tr_bc[(I x T') M+ (P_n x I x E) M]
-    on those columns of the full unitary M, with the count n kept as output."""
-    da, db, dc = circuit.dims
+    on those columns of the three-mode unitary M, compressed from its probe
+    level blocks, with the count n kept as output."""
+    da, db, _ = circuit.dims
     # the output arm b joins the kept index, so the pointer I_b x E(x) is read
-    # as E(x) per (n, b) and summed over b; no I_b x E(x) is formed
-    u4 = three_mode_unitary(circuit).mat.reshape(da * db, dc, da * db, dc)[:, :, inputs, :]
+    # as E(x) per (n, b) and summed over b; no I_b x E(x) is formed. The probe
+    # level c is the only probe factor, so the blocks have no other factor m
+    blocks = _circuit_blocks(circuit)[:, :, inputs]
     readout = circuit.probe.readout
-    f = _compressed_effects(u4, circuit.probe.probe_state, readout.mats)
+    f = _compressed_effects(blocks[:, :, None, :, None], circuit.probe.probe_state,
+                            readout.mats)
     f = f.reshape(da, db, *f.shape[1:]).sum(axis=1)
     outcomes = [(n, x) for n in range(da) for x in readout.outcomes]
     return DiscreteObservable(outcomes, f.reshape(-1, len(inputs), len(inputs)))
@@ -247,7 +261,8 @@ def induced_a_mode_observable(circuit: KerrCircuit,
     (n, bin) effect is C(N, n) tr[T' D+ E(bin) D] with
     D = e^{-i N lam N_c / 2} cos^n(Theta) sin^(N-n)(Theta) and
     Theta = (delta I + lam N_c)/2. ``method="unitary"`` computes the same
-    effects from the full three-mode unitary and works for any parameters.
+    effects from the three-mode unitary, held as its probe-level blocks, and
+    works for any parameters.
     """
     da, db, _ = circuit.dims
     if method == "unitary":
@@ -323,9 +338,10 @@ def joint_path_interference_povm(eps2: float, theta2: float,
 
 def joint_povm_compressed(eps2: float, theta2: float,
                           probe: ProbeConfig) -> DiscreteObservable:
-    """The same joint POVM computed from the full three-mode measurement
-    part (Kerr element then reversed recombiner), compressed to the
-    single-photon subspace. Serves as the oracle for the closed form."""
+    """The same joint POVM computed from the three-mode measurement part
+    (Kerr element then reversed recombiner), held as its probe-level blocks
+    and compressed to the single-photon subspace. Serves as the oracle for
+    the closed form."""
     # a transparent first splitter is exactly the identity; the inputs |10>
     # and |01> are the flattened (a, b) indices 2 and 1
     circuit = KerrCircuit(MZIParams(BSParams(1.0), BSParams(eps2, theta2)), probe)
@@ -405,5 +421,5 @@ def kerr_measurement_scheme(circuit: KerrCircuit) -> MeasurementScheme:
     pointer_function = {
         (0, x, k): (k, x) for x in circuit.probe.readout.outcomes for k in range(da)
     }
-    return _count_register_scheme(three_mode_unitary(circuit), da, probe_state,
+    return _count_register_scheme(_circuit_blocks(circuit), circuit.dims, da, probe_state,
                                   basis_state(0, da), pointer, pointer_function)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Operator, eigh, identity
+from .linalg import Operator, eigh
 from .mzi import number_observable
 from .povm import (
     DiscreteObservable,
@@ -185,7 +185,8 @@ def position_measurement_scheme(phi, grid: CyclicGrid) -> MeasurementScheme:
     """
     d = grid.d
     phi = _pointer_amplitudes(phi, grid)
-    return _count_register_scheme(identity(d, (d,)), d, None, vector_state(phi), None, None)
+    return _count_register_scheme(np.eye(d, dtype=complex)[None], (d,), d, None,
+                                  vector_state(phi), None, None)
 
 
 def unsharp_position_transformer(phi, grid: CyclicGrid) -> StateTransformer:

@@ -254,8 +254,9 @@ def mzi_measurement_scheme(params: MZIParams, space: FockSpace) -> MeasurementSc
     d = space.dim
     vac = basis_state(0, d)
     pointer_function = {(n2, k): (k, n2) for n2 in range(d) for k in range(d)}
-    return _count_register_scheme(mzi_unitary(params, space), d, vac, vac,
-                                  number_observable(d), pointer_function)
+    u = mzi_unitary(params, space)
+    return _count_register_scheme(u.mat[None], u.dims, d, vac, vac, number_observable(d),
+                                  pointer_function)
 
 
 def prepared_single_photon(eps1: float, theta1: float, delta: float) -> Vector:

@@ -87,14 +87,30 @@ eigenvalue clears -ATOL_POSITIVE by e; otherwise eigvalsh decides. Any
 other state is checked by eigvalsh and diagonalised by eigh once, when its
 decomposition is first needed.
 
+A coupling that conserves the level c of its last probe factor, as the
+cross-Kerr circuit conserves the probe photon number (Imoto, Haus &
+Yamamoto, PRA 32, 2287, 1985), is the direct sum U = sum_c B_c x |c><c| of
+its level blocks, and is held as the (d_c, n_out, n_in) stack of the B_c; a
+dense coupling is the one-level stack. U U† - I = sum_c (B_c B_c† - I) x
+|c><c|, so U is unitary iff every block is, and the largest entry of
+U U† - I is the largest over the blocks: unitarity is checked per block,
+at d_c n^3 work instead of (d_c n)^3. With the other probe factors m and
+the probe state T' = sum_l q_l |chi_l><chi_l| on (m, c), the isometry
+blocks of the compression below are
+
+    K[l, a', (m', c), a] = sum_m B_c[(a', m'), (a, m)] chi_l[(m, c)] sqrt(q_l),
+
+because <a', m', c'| U |a, m, c> vanishes for c' != c: one product per
+level, and no work on the zero blocks between levels.
+
 A count-register scheme couples the system to probe factors o and a count
 register r of d_r levels through P (u x I_r): u acts on system (x) o, and
 the permutation P adds the output system index a to the register,
 |a, m, r> -> |a, m, r + a mod d_r>. Its unitarity residual
 P (u x I_r) (P (u x I_r))† - I = P ((u u† - I) x I_r) P^T has the largest
-entry of u u† - I: checking u is checking the coupling. P is block diagonal
-in a, so P† (I x Z' x |k><k|) P = sum_a |a><a| x Z' x |k - a><k - a|: the
-pointer Z' x |k><k| reads the register before the shift at k - a. For a
+entry of u u† - I: checking u's blocks is checking the coupling. P is block
+diagonal in a, so P† (I x Z' x |k><k|) P = sum_a |a><a| x Z' x |k - a><k - a|:
+the pointer Z' x |k><k| reads the register before the shift at k - a. For a
 probe T_o x rho_r, with p_r the diagonal of rho_r, the induced effects are
 
     F(z', k) = sum_a p_r(k - a mod d_r) f_a(z'),
@@ -116,6 +132,7 @@ from .linalg import (
     ATOL_COMPLETENESS,
     ATOL_HERMITIAN,
     ATOL_POSITIVE,
+    ATOL_UNITARY,
     Operator,
     Vector,
     eigh,
@@ -491,7 +508,7 @@ class MeasurementScheme:
     def __post_init__(self):
         if self.coupling.dims is None or len(self.coupling.dims) < 2:
             raise ValueError("coupling needs dims metadata (system, probe...)")
-        _check_unitary(self.coupling)
+        _check_unitary(self.coupling.mat[None])
         dp = math.prod(self.coupling.dims[1:])
         if self.probe_state.dim != dp or self.pointer.dim != dp:
             raise ValueError("probe state / pointer dims inconsistent with coupling")
@@ -513,9 +530,9 @@ class MeasurementScheme:
         """The pointer outcomes and, for each, the system effect F(z) with
         tr[T F(z)] = tr[U (T x T') U† (I x Z(z))] for every system state T."""
         ds, dp = self.system_dim, self.probe_dim
-        u4 = self.coupling.mat.reshape(ds, dp, ds, dp)
+        u5 = self.coupling.mat.reshape(1, ds, dp, ds, dp)
         return (self.pointer.outcomes,
-                _compressed_effects(u4, self.probe_state, self.pointer.mats).sum(axis=0))
+                _compressed_effects(u5, self.probe_state, self.pointer.mats).sum(axis=0))
 
 
 def probability(st: State, e: Effect) -> float:
@@ -586,9 +603,23 @@ def _diagonal_observable(outcomes, diagonals) -> DiscreteObservable:
     return obs
 
 
-def _check_unitary(op: Operator):
-    if not op.is_unitary():
+def _check_unitary(blocks: np.ndarray):
+    """Raise unless the direct sum of the (dc, n, n) level-block stack
+    ``blocks`` is unitary: its largest entry of U U† - I is the largest over
+    the blocks (module docstring)."""
+    residual = blocks @ blocks.conj().swapaxes(1, 2) - np.eye(blocks.shape[1])
+    if not np.max(np.abs(residual)) <= ATOL_UNITARY:
         raise ValueError("coupling is not unitary within 1e-10")
+
+
+def _direct_sum(blocks: np.ndarray) -> np.ndarray:
+    """The dense matrix sum_c B_c x |c><c| of a (dc, n_out, n_in) level-block
+    stack, the level c being the last tensor factor."""
+    dc, n_out, n_in = blocks.shape
+    m = np.zeros((n_out, dc, n_in, dc), dtype=complex)
+    levels = np.arange(dc)
+    m[:, levels, :, levels] = blocks
+    return m.reshape(n_out * dc, n_in * dc)
 
 
 def _number_observable(dim: int) -> DiscreteObservable:
@@ -601,21 +632,20 @@ _NO_PROBE = basis_state(0, 1)
 
 
 class _CountRegisterScheme(MeasurementScheme):
-    """A count-register scheme kept as its factors: ``u`` on system (x) other
-    probe factors, the register size ``_dim_reg``, the states and pointer of
-    the other factors (None when there are none) and the register state.
-    ``coupling``, ``probe_state`` and ``pointer`` are built on first read;
+    """A count-register scheme kept as its factors: u as its level blocks
+    ``_blocks`` with dims ``_dims`` on system (x) other probe factors, the
+    register size ``_dim_reg``, the states and pointer of the other factors
+    (None when there are none) and the register state. ``coupling``,
+    ``probe_state`` and ``pointer`` are built on first read;
     :func:`induced_observable` needs none of them (module docstring)."""
 
     @cached_property
     def coupling(self) -> Operator:
-        u, dr = self._u, self._dim_reg
-        du, ds = u.dim, u.dims[0]
-        blocks = np.zeros((du, dr, du, dr), dtype=complex)
-        levels = np.arange(dr)
-        blocks[:, levels, :, levels] = u.mat  # u x I_r, without np.kron's temporaries
-        perm = _controlled_shift(np.arange(ds), du // ds, dr)
-        return Operator(blocks.reshape(du * dr, -1)[perm], u.dims + (dr,))
+        u, dr, ds = _direct_sum(self._blocks), self._dim_reg, self.system_dim
+        # u x I_r is the direct sum of d_r copies of u
+        u_reg = _direct_sum(np.broadcast_to(u, (dr,) + u.shape))
+        perm = _controlled_shift(np.arange(ds), len(u) // ds, dr)
+        return Operator(u_reg[perm], self._dims + (dr,))
 
     @cached_property
     def probe_state(self) -> State:
@@ -632,48 +662,51 @@ class _CountRegisterScheme(MeasurementScheme):
 
     @property
     def system_dim(self) -> int:
-        return self._u.dims[0]
+        return self._dims[0]
 
     @property
     def probe_dim(self) -> int:
-        return self._u.dim // self.system_dim * self._dim_reg
+        return math.prod(self._dims[1:]) * self._dim_reg
 
     def _pointer_effects(self) -> tuple[list, np.ndarray]:
         """F(z', k) = sum_a p_r(k - a mod d_r) f_a(z') (module docstring)."""
-        u, dr, ds = self._u, self._dim_reg, self.system_dim
+        blocks, dr, ds = self._blocks, self._dim_reg, self.system_dim
         if self._other_pointer is None:
             other, zmats, labels = _NO_PROBE, np.ones((1, 1, 1)), list(range(dr))
         else:
             other, zmats = self._other_state, self._other_pointer.mats
             labels = _product_labels(self._other_pointer.outcomes, range(dr))
-        do = u.dim // ds
-        f = _compressed_effects(u.mat.reshape(ds, do, ds, do), other, zmats)
+        dm = blocks.shape[1] // ds
+        f = _compressed_effects(blocks.reshape(-1, ds, dm, ds, dm), other, zmats)
         k, a = np.indices((dr, ds))
         weights = np.diagonal(self._register_state.op.mat).real[(k - a) % dr]
         return labels, np.einsum("ka,axij->xkij", weights, f).reshape(-1, ds, ds)
 
 
-def _count_register_scheme(u: Operator, dim_reg: int, other_state: State | None,
-                           register_state: State, other_pointer: DiscreteObservable | None,
+def _count_register_scheme(blocks: np.ndarray, dims: tuple[int, ...], dim_reg: int,
+                           other_state: State | None, register_state: State,
+                           other_pointer: DiscreteObservable | None,
                            pointer_function: dict | None) -> MeasurementScheme:
-    """The scheme whose coupling runs ``u`` on system (x) other probe factors
-    and then adds the system's basis index, mod ``dim_reg``, to a count
-    register appended as the last probe factor: P (u x I_r) with P the row
-    permutation of :func:`_controlled_shift`. The probe starts in
-    ``other_state`` (x) ``register_state`` and the pointer is
-    ``other_pointer`` (x) the register's number observable; both other
-    factors are None when ``u`` acts on the system alone. ``u`` must carry
-    dims metadata whose first factor is the system. Only ``u`` is checked
-    for unitarity; that checks the coupling (module docstring)."""
-    _check_unitary(u)
-    do = u.dim // u.dims[0]
+    """The scheme whose coupling runs u on system (x) other probe factors and
+    then adds the system's basis index, mod ``dim_reg``, to a count register
+    appended as the last probe factor: P (u x I_r) with P the row permutation
+    of :func:`_controlled_shift`. u is given as its level blocks: ``blocks``
+    is a (dc, n, n) stack and ``dims`` are u's tensor factors, the system
+    first and, when dc > 1, the conserved level last; a dense u is the
+    one-level stack u[None]. The probe starts in ``other_state`` (x)
+    ``register_state`` and the pointer is ``other_pointer`` (x) the
+    register's number observable; both other factors are None when u acts on
+    the system alone. Each block is checked for unitarity; that checks the
+    coupling (module docstring)."""
+    _check_unitary(blocks)
+    do = math.prod(dims[1:])
     other_dims = {1} if other_state is None and other_pointer is None else {
         f.dim if f is not None else 0 for f in (other_state, other_pointer)}
     if other_dims != {do} or register_state.dim != dim_reg:
         raise ValueError("probe state / pointer dims inconsistent with coupling")
     scheme = object.__new__(_CountRegisterScheme)
-    for name, value in (("_u", u), ("_dim_reg", dim_reg), ("_other_state", other_state),
-                        ("_register_state", register_state),
+    for name, value in (("_blocks", blocks), ("_dims", dims), ("_dim_reg", dim_reg),
+                        ("_other_state", other_state), ("_register_state", register_state),
                         ("_other_pointer", other_pointer),
                         ("pointer_function", pointer_function)):
         object.__setattr__(scheme, name, value)
@@ -690,37 +723,51 @@ def _controlled_shift(shifts, dim_other: int, dim_reg: int) -> np.ndarray:
     return ((n * dim_other + m) * dim_reg + (k - shifts[n]) % dim_reg).reshape(-1)
 
 
-def _probe_isometries(u4: np.ndarray, probe: State) -> np.ndarray:
-    """Weighted isometry stack of a coupling and a probe state.
+def _probe_isometries(u5: np.ndarray, probe: State) -> np.ndarray:
+    """Weighted isometry stack of a level-block coupling and a probe state.
 
-    ``u4`` is the coupling reshaped to (d_out, d_probe_out, d_in, d_probe_in)
-    and ``probe`` the probe state, whose recorded spectral decomposition is
-    sum_l q_l |chi_l><chi_l|. Returns K[l, a, i, b] =
-    sqrt(q_l) (<a| x <i|) U (|b> x |chi_l>), keeping only the weights
+    ``u5`` holds the coupling's blocks B_c as (d_c, d_out, d_m, d_in, d_m):
+    B_c[(a, m'), (b, m)] couples system and the other probe factors m at
+    probe level c, the last probe factor, which it conserves (d_c = 1 for a
+    dense coupling). ``probe`` is the probe state, whose recorded spectral
+    decomposition is sum_l q_l |chi_l><chi_l|. Returns K[l, a, (m', c), b] =
+    sum_m B_c[(a, m'), (b, m)] chi_l[(m, c)] sqrt(q_l), which is
+    sqrt(q_l) (<a| x <m', c|) U (|b> x |chi_l>), keeping only the weights
     q_l > 1e-14.
     """
+    dc, d_out, dm, d_in, _ = u5.shape
     qs, chis, _ = probe._spectrum
     keep = qs > 1e-14
-    return np.einsum("aibc,cl->laib", u4, chis[:, keep] * np.sqrt(qs[keep]), optimize=True)
+    # chi_l[(m, c)] as (c, m, l): block c meets the probe at level c only
+    chi = (chis[:, keep] * np.sqrt(qs[keep])).reshape(dm, dc, -1).transpose(1, 0, 2)
+    k = u5.reshape(dc, d_out * dm * d_in, dm) @ chi
+    return k.reshape(dc, d_out, dm, d_in, -1).transpose(4, 1, 2, 0, 3).reshape(
+        -1, d_out, dm * dc, d_in)
 
 
-def _compressed_effects(u4: np.ndarray, probe: State,
+def _compressed_effects(u5: np.ndarray, probe: State,
                         pointer_effects: np.ndarray) -> np.ndarray:
     """Heisenberg-picture compression of stacked pointer effects Z_x.
 
     The probe state is T' = sum_l q_l |chi_l><chi_l|, and K_la is the
-    isometry block K_la[i, b] = (<a| x <i|) U (|b> x |chi_l>), taken from
-    :func:`_probe_isometries` (weights q_l <= 1e-14 are dropped). Returns the
-    Hermitian-symmetrised F[a, x] = sum_l q_l K_la^dagger Z_x K_la for every
-    output-system index a and outcome x, shape (d_out, k, d_in, d_in).
-    Summed over a this is tr_probe[(I x T') U^dagger (I x Z_x) U]; no dense
-    U^dagger (I x Z_x) U is formed.
+    isometry block K_la[i, b] = (<a| x <i|) U (|b> x |chi_l>) of the
+    level-block coupling ``u5``, taken from :func:`_probe_isometries`
+    (weights q_l <= 1e-14 are dropped). Returns the Hermitian-symmetrised
+    F[a, x] = sum_l q_l K_la^dagger Z_x K_la for every output-system index a
+    and outcome x, shape (d_out, k, d_in, d_in). Summed over a this is
+    tr_probe[(I x T') U^dagger (I x Z_x) U]; no dense U^dagger (I x Z_x) U is
+    formed.
     """
-    k = _probe_isometries(u4, probe)
-    # Z_x K first: the default greedy path refuses that intermediate for
-    # mixed probes and falls back to an unblocked loop, ~100x slower
-    f = np.einsum("laib,xij,lajc->axbc", k.conj(), pointer_effects, k,
-                  optimize=["einsum_path", (1, 2), (0, 1)])
+    k = _probe_isometries(u5, probe)
+    nl, d_out, dp, d_in = k.shape
+    nx = len(pointer_effects)
+    # Z_x K_la for every x, l, a: one (nx dp, dp) @ (dp, nl d_out d_in) product
+    zk = pointer_effects.reshape(-1, dp) @ k.transpose(2, 0, 1, 3).reshape(dp, -1)
+    zk = zk.reshape(nx, dp, nl, d_out, d_in).transpose(3, 2, 1, 0, 4)
+    # then K_la^dagger (Z_x K_la) summed over (l, i), one product per a
+    ka = k.transpose(1, 0, 2, 3).reshape(d_out, nl * dp, d_in)
+    f = ka.conj().swapaxes(1, 2) @ zk.reshape(d_out, nl * dp, nx * d_in)
+    f = f.reshape(d_out, d_in, nx, d_in).transpose(0, 2, 1, 3)
     return (f + f.conj().swapaxes(-1, -2)) / 2
 
 
@@ -776,8 +823,7 @@ def scheme_transformer(scheme: MeasurementScheme) -> StateTransformer:
     function.
     """
     ds, dp = scheme.system_dim, scheme.probe_dim
-    u4 = scheme.coupling.mat.reshape(ds, dp, ds, dp)
-    k = _probe_isometries(u4, scheme.probe_state)
+    k = _probe_isometries(scheme.coupling.mat.reshape(1, ds, dp, ds, dp), scheme.probe_state)
     wz, vz = np.linalg.eigh(scheme.pointer.mats)
     # sqrt(z) <zeta| K_l per pointer outcome x, eigenvector j and probe weight l
     roots = vz * np.sqrt(np.clip(wz, 0.0, None))[:, None, :]

@@ -9,6 +9,8 @@ docstring) still clears the effect bounds by a factor of six.
 
 from __future__ import annotations
 
+import math
+import numbers
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -148,7 +150,9 @@ class SpinPhaseSpace:
     s: float
 
     def __post_init__(self):
-        if not np.isfinite(self.s):
+        if not _is_real(self.s):
+            raise ValueError(f"spin {self.s!r} is not a real number")
+        if not isinstance(self.s, numbers.Integral) and not math.isfinite(self.s):
             raise ValueError(f"spin {self.s} is not finite")
         if not 2 * self.s + 1 <= _MAX_SPIN_DIM:
             raise ValueError(f"spin {self.s} exceeds the ceiling 2s + 1 <= {_MAX_SPIN_DIM}")
@@ -177,15 +181,31 @@ def _check_positive_int(value, name: str):
         raise ValueError(f"{name} {value!r} is not a positive integer")
 
 
+def _is_real(value) -> bool:
+    """Whether ``value`` is a real number; a bool is not one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
+
+
+def _interval(item) -> tuple[float, float]:
+    """The (u, v) of one item of an interval list; raise ``ValueError``
+    naming the item unless it is a pair of real numbers."""
+    pair = tuple(item) if isinstance(item, Iterable) and not isinstance(item, (str, bytes)) else ()
+    if len(pair) != 2 or not all(_is_real(x) for x in pair):
+        raise ValueError(f"interval {item!r} is not a (u, v) pair of real numbers")
+    return float(pair[0]), float(pair[1])
+
+
 def _phase_intervals(bins) -> list[tuple[float, float]]:
     """The intervals of ``bins``: a bin count is the uniform partition of
-    [0, 2pi] and must be a positive integer, and a list of (u, v) pairs must
-    have 0 <= u <= v <= 2pi each."""
+    [0, 2pi] and must be a positive integer, and a list of (u, v) pairs of
+    real numbers must have 0 <= u <= v <= 2pi each. A string is neither."""
+    if isinstance(bins, (str, bytes)):
+        raise ValueError(f"bins {bins!r} is neither a bin count nor a list of (u, v) intervals")
     if not isinstance(bins, Iterable):
         _check_positive_int(bins, "bin count")
         edges = np.linspace(0.0, 2 * np.pi, bins + 1).tolist()
         return list(zip(edges[:-1], edges[1:]))
-    intervals = [(float(u), float(v)) for u, v in bins]
+    intervals = [_interval(item) for item in bins]
     for u, v in intervals:
         if not 0.0 <= u <= v <= 2 * np.pi + 1e-12:
             raise ValueError(f"malformed interval [{u}, {v}]; need 0 <= u <= v <= 2pi")
@@ -250,7 +270,7 @@ def _shifted_intervals(u: float, v: float, alpha: float):
 
 def spin_phase_covariance_residual(space: SpinPhaseSpace, interval, alpha: float) -> float:
     """Max-entry residual of e^{-i a s3} S(X) e^{i a s3} - S(X + a mod 2pi)."""
-    u, v = float(interval[0]), float(interval[1])
+    u, v = _interval(interval)
     kernels = _phase_kernels(space.dim, [(u, v)] + _shifted_intervals(u, v, alpha))
     phases = np.exp(-1j * alpha * space.m_values)
     rotated = phases[:, None] * kernels[0] * phases.conj()[None, :]

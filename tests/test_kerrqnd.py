@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from povmlab import kerrqnd, povm
 from povmlab.kerrqnd import (
     KerrCircuit,
     ProbeConfig,
@@ -30,6 +31,7 @@ from povmlab.mzi import (
     BSParams,
     FockSpace,
     MZIParams,
+    _interferometer_blocks,
     beam_splitter,
     mzi_output_state,
     phase_shifter,
@@ -38,9 +40,11 @@ from povmlab.mzi import (
 from povmlab.povm import (
     DiscreteObservable,
     State,
+    _product_state,
     basis_state,
     induced_observable,
     probability,
+    product_observable,
     vector_state,
 )
 from povmlab.spin import _phase_kernels
@@ -334,6 +338,150 @@ class TestInducedAModeObservable:
         via_scheme = induced_observable(kerr_measurement_scheme(circuit))
         for x, e in direct:
             assert np.max(np.abs(e.op.mat - via_scheme.effect_for(x).op.mat)) < 1e-9
+
+
+def assembled_three_mode_unitary(circuit):
+    """Reference: the dense three-mode unitary as it was assembled before
+    the Kerr paths kept its blocks, each probe level's interferometer written
+    into a zero (d^2, dc, d^2, dc) array."""
+    d, dc = circuit.arm_space.dim, circuit.probe.probe_state.dim
+    levels = np.arange(dc)
+    kerr = np.exp(-1j * circuit.probe.lam * np.outer(levels, np.arange(d * d) % d))
+    m = np.zeros((d * d, dc, d * d, dc), dtype=complex)
+    m[:, levels, :, levels] = _interferometer_blocks(circuit.mzi, circuit.arm_space, kerr)
+    return m.reshape(d * d * dc, d * d * dc)
+
+
+def dense_compressed_effects(u4, probe, pointer_effects):
+    """Reference: the dense compression kernel on the full coupling reshaped
+    to (d_out, d_probe, d_in, d_probe), F[a, x] = sum_l K_la† Z_x K_la with
+    K from one einsum over the probe's recorded eigenvectors."""
+    qs, chis, _ = probe._spectrum
+    keep = qs > 1e-14
+    k = np.einsum("aibc,cl->laib", u4, chis[:, keep] * np.sqrt(qs[keep]), optimize=True)
+    f = np.einsum("laib,xij,lajc->axbc", k.conj(), pointer_effects, k,
+                  optimize=["einsum_path", (1, 2), (0, 1)])
+    return (f + f.conj().swapaxes(-1, -2)) / 2
+
+
+def dense_circuit_effects(circuit, inputs):
+    """Reference for the (n, bin) effects on the arm inputs ``inputs``: the
+    dense three-mode unitary, compressed over the probe with I_b x E(bin)
+    read per (n, b) and summed over b."""
+    da, db, dc = circuit.dims
+    u4 = three_mode_unitary(circuit).mat.reshape(da * db, dc, da * db, dc)[:, :, inputs, :]
+    f = dense_compressed_effects(u4, circuit.probe.probe_state, circuit.probe.readout.mats)
+    return f.reshape(da, db, *f.shape[1:]).sum(axis=1).reshape(-1, len(inputs), len(inputs))
+
+
+def dense_kerr_scheme_effects(circuit):
+    """Reference for the Kerr scheme's induced effects, outcomes (n, bin) in
+    order: the dense three-mode unitary compressed over the probe |0>_b x T'
+    with the pointer I_b x E(bin). The register starts in |0>, so the effect
+    of count n is the compression at output index a = n."""
+    da, db, dc = circuit.dims
+    u4 = three_mode_unitary(circuit).mat.reshape(da, db * dc, da, db * dc)
+    trivial_b = DiscreteObservable([0], np.eye(db)[None])
+    pointer = product_observable(trivial_b, circuit.probe.readout)
+    probe = _product_state(basis_state(0, db), circuit.probe.probe_state)
+    return dense_compressed_effects(u4, probe, pointer.mats).reshape(-1, da, da)
+
+
+def random_params(rng):
+    return MZIParams(BSParams(rng.uniform(0.05, 0.95), rng.uniform(0, 2 * np.pi)),
+                     BSParams(rng.uniform(0.05, 0.95), rng.uniform(0, 2 * np.pi)),
+                     rng.uniform(0, 2 * np.pi))
+
+
+def level_block_probe(kind, rng):
+    """A pure or rank-2 mixed probe with complex amplitudes, so a conjugated
+    eigenvector changes the result."""
+    lam, amp = rng.uniform(0.2, 2.5), 0.8 * np.exp(1j * rng.uniform(0.3, 1.2))
+    return small_probe(lam=lam, amp=amp) if kind == "pure" else mixed_probe(lam=lam, amp=amp)
+
+
+LEVEL_BLOCK_CIRCUITS = [(probe, splitters, nmax) for probe in ("pure", "mixed")
+                        for splitters in ("canonical", "random") for nmax in (1, 2, 3)]
+
+
+def level_block_circuit(probe, splitters, nmax):
+    rng = np.random.default_rng([nmax, probe == "mixed", splitters == "random"])
+    config = level_block_probe(probe, rng)
+    params = (canonical(rng.uniform(0, 2 * np.pi)) if splitters == "canonical"
+              else random_params(rng))
+    return KerrCircuit(params, config, FockSpace(nmax))
+
+
+class TestLevelBlockCircuit:
+    """The Kerr oracles compress the circuit's probe-level blocks; the dense
+    three-mode unitary through the dense kernel is the reference."""
+
+    @pytest.mark.parametrize("spec", LEVEL_BLOCK_CIRCUITS, ids=lambda s: "-".join(map(str, s)))
+    def test_a_mode_observable_matches_the_dense_path(self, spec):
+        circuit = level_block_circuit(*spec)
+        da, db, _ = circuit.dims
+        got = induced_a_mode_observable(circuit, method="unitary").mats
+        ref = dense_circuit_effects(circuit, [a * db for a in range(da)])
+        assert np.max(np.abs(got - ref)) <= 1e-14
+
+    @pytest.mark.parametrize("spec", LEVEL_BLOCK_CIRCUITS, ids=lambda s: "-".join(map(str, s)))
+    def test_kerr_scheme_matches_the_dense_path(self, spec):
+        circuit = level_block_circuit(*spec)
+        obs = induced_observable(kerr_measurement_scheme(circuit))
+        bins = range(len(circuit.probe.readout))
+        assert obs.outcomes == tuple((n, x) for n in range(circuit.dims[0]) for x in bins)
+        assert np.max(np.abs(obs.mats - dense_kerr_scheme_effects(circuit))) <= 1e-14
+
+    @pytest.mark.parametrize("probe", ["pure", "mixed"])
+    def test_joint_povm_matches_the_dense_path(self, probe):
+        rng = np.random.default_rng(probe == "mixed")
+        for _ in range(4):
+            eps2, theta2 = rng.uniform(0.05, 0.95), rng.uniform(0, 2 * np.pi)
+            config = level_block_probe(probe, rng)
+            got = joint_povm_compressed(eps2, theta2, config).mats
+            circuit = KerrCircuit(MZIParams(BSParams(1.0), BSParams(eps2, theta2)), config)
+            assert np.max(np.abs(got - dense_circuit_effects(circuit, [2, 1]))) <= 1e-14
+
+    @pytest.mark.parametrize("spec", LEVEL_BLOCK_CIRCUITS, ids=lambda s: "-".join(map(str, s)))
+    def test_dense_unitary_and_coupling_are_bit_identical(self, spec):
+        circuit = level_block_circuit(*spec)
+        old = assembled_three_mode_unitary(circuit)
+        assert np.array_equal(three_mode_unitary(circuit).mat, old)
+        da = circuit.dims[0]
+        if da <= 3:  # the coupling as np.kron and the register-shift permutation built it
+            perm = povm._controlled_shift(np.arange(da), len(old) // da, da)
+            scheme = kerr_measurement_scheme(circuit)
+            assert np.array_equal(scheme.coupling.mat, np.kron(old, np.eye(da))[perm])
+
+    @pytest.mark.parametrize("scale,rejected", [(1 + 1e-9, True), (1 + 3e-11, False)])
+    def test_one_perturbed_block_is_rejected(self, monkeypatch, scale, rejected):
+        circuit = level_block_circuit("pure", "random", 2)
+        blocks = kerrqnd._circuit_blocks
+
+        def perturbed(c):
+            b = blocks(c)
+            b[5] *= scale
+            return b
+
+        monkeypatch.setattr(kerrqnd, "_circuit_blocks", perturbed)
+        u = three_mode_unitary(circuit).mat  # the dense residual decides as the blocks do
+        assert (np.max(np.abs(u @ u.conj().T - np.eye(len(u)))) > 1e-10) == rejected
+        if rejected:
+            with pytest.raises(ValueError, match="^coupling is not unitary within 1e-10$"):
+                kerr_measurement_scheme(circuit)
+        else:
+            kerr_measurement_scheme(circuit)
+
+    def test_no_oracle_forms_the_dense_unitary(self, monkeypatch):
+        def dense(circuit):
+            raise AssertionError("the dense three-mode unitary was formed")
+
+        monkeypatch.setattr(kerrqnd, "three_mode_unitary", dense)
+        for spec in (("pure", "canonical", 2), ("mixed", "random", 1)):
+            circuit = level_block_circuit(*spec)
+            induced_a_mode_observable(circuit, method="unitary")
+            induced_observable(kerr_measurement_scheme(circuit))
+            joint_povm_compressed(0.4, 1.3, circuit.probe)
 
 
 class TestJointPovm:

@@ -1410,7 +1410,7 @@ class TestCountRegisterScheme:
         for scale in (1.0, 1 + 3e-11):  # a residual of about 6e-11 is still accepted
             u = Operator(random_unitary(32, rng) * scale, (8, 4))
             cases.append((u, povm._count_register_scheme(
-                u, 5, random_state(4, rng), random_state(5, rng),
+                u.mat[None], u.dims, 5, random_state(4, rng), random_state(5, rng),
                 DiscreteObservable([0], np.eye(4)[None]), None)))
         for u, scheme in cases:
             old = assembled_coupling(u, scheme.coupling.dims[-1])
@@ -1421,7 +1421,7 @@ class TestCountRegisterScheme:
         probe = maximally_mixed(2)
         pointer = DiscreteObservable([0], np.eye(2)[None])
         with pytest.raises(ValueError, match="^coupling is not unitary within 1e-10$"):
-            povm._count_register_scheme(Operator(1.001 * np.eye(4), (2, 2)), 2, probe,
+            povm._count_register_scheme(1.001 * np.eye(4)[None], (2, 2), 2, probe,
                                         basis_state(0, 2), pointer, None)
         unitary = mzi.mzi_unitary
         monkeypatch.setattr(mzi, "mzi_unitary",
@@ -1437,7 +1437,7 @@ class TestCountRegisterScheme:
                                              (2, None, 2, 2), (None, 2, 2, 2)]:
             with pytest.raises(ValueError, match="probe state / pointer dims inconsistent"):
                 povm._count_register_scheme(
-                    Operator(np.eye(4), (2, 2)), dim_reg,
+                    np.eye(4)[None], (2, 2), dim_reg,
                     None if other is None else maximally_mixed(other), maximally_mixed(reg),
                     None if pointer is None else DiscreteObservable([0], np.eye(pointer)[None]),
                     None)
@@ -1471,7 +1471,19 @@ def random_register_scheme(rng, ds, do, dim_reg, register_state):
     other = random_state(do, rng, rank=2)
     pointer = random_scheme(1, do, rng).pointer
     u = Operator(random_unitary(ds * do, rng), (ds, do))
-    return povm._count_register_scheme(u, dim_reg, other, register_state, pointer, None)
+    return povm._count_register_scheme(u.mat[None], u.dims, dim_reg, other, register_state,
+                                       pointer, None)
+
+
+def random_level_block_scheme(rng, ds, dm, dc, dim_reg):
+    """A count-register scheme whose u is dc random unitary blocks on
+    system (x) m, one per level of a last probe factor c, with a probe state
+    that is not a product over (m, c)."""
+    blocks = np.array([random_unitary(ds * dm, rng) for _ in range(dc)])
+    other = random_state(dm * dc, rng, rank=2)
+    pointer = random_scheme(1, dm * dc, rng).pointer
+    return povm._count_register_scheme(blocks, (ds, dm, dc), dim_reg, other,
+                                       random_state(dim_reg, rng), pointer, None)
 
 
 def position_scheme(d, rng):
@@ -1509,6 +1521,16 @@ class TestStructuredInduction:
             space = mzi.FockSpace(nmax)
             obs = assert_matches_dense(mzi.mzi_measurement_scheme(params, space))
             assert np.max(np.abs(obs.mats - mzi.induced_mzi_observable(params, space).mats)) <= 1e-12
+
+    @pytest.mark.parametrize("ds,dm,dc,dim_reg", [(2, 1, 3, 2), (3, 2, 4, 3), (2, 3, 2, 4),
+                                                  (3, 2, 1, 2)])
+    def test_level_block_schemes(self, ds, dm, dc, dim_reg):
+        scheme = random_level_block_scheme(np.random.default_rng([ds, dm, dc, dim_reg]),
+                                           ds, dm, dc, dim_reg)
+        assert_matches_dense(scheme)
+        # the coupling is the direct sum of the blocks, then the register shift
+        assert np.array_equal(scheme.coupling.mat, assembled_coupling(
+            Operator(povm._direct_sum(scheme._blocks), scheme._dims), dim_reg))
 
     @pytest.mark.parametrize("d", range(2, 17))
     def test_position_schemes(self, d):
@@ -1682,9 +1704,9 @@ class TestRecordedSpectra:
     def test_oracle_schemes_compress_as_the_eigh_path(self, spec):
         scheme = oracle_scheme(*spec)
         ds, dp = scheme.system_dim, scheme.probe_dim
-        u4 = scheme.coupling.mat.reshape(ds, dp, ds, dp)
-        got = povm._compressed_effects(u4, scheme.probe_state, scheme.pointer.mats)
-        ref = povm._compressed_effects(u4, State(scheme.probe_state.op), scheme.pointer.mats)
+        u5 = scheme.coupling.mat.reshape(1, ds, dp, ds, dp)
+        got = povm._compressed_effects(u5, scheme.probe_state, scheme.pointer.mats)
+        ref = povm._compressed_effects(u5, State(scheme.probe_state.op), scheme.pointer.mats)
         assert np.max(np.abs(got - ref)) <= 1e-12
 
     @pytest.mark.parametrize("amp,nmax", [(0.5, 1), (1.0, 2)])

@@ -242,6 +242,34 @@ class TestSpinPhase:
                 with pytest.raises(ValueError, match="malformed interval"):
                     build()
 
+    @pytest.mark.parametrize("bins,message", [
+        ([(0, 1, 2)], "interval (0, 1, 2) is not a (u, v) pair of real numbers"),
+        ([0.5], "interval 0.5 is not a (u, v) pair of real numbers"),
+        ([(0.0, 3.0), [np.pi]],
+         "interval [3.141592653589793] is not a (u, v) pair of real numbers"),
+        ([(0.0, "1")], "interval (0.0, '1') is not a (u, v) pair of real numbers"),
+        ([(False, 1.0)], "interval (False, 1.0) is not a (u, v) pair of real numbers"),
+        ([(0.0, 1j)], "interval (0.0, 1j) is not a (u, v) pair of real numbers"),
+        (["01"], "interval '01' is not a (u, v) pair of real numbers"),
+        ("8", "bins '8' is neither a bin count nor a list of (u, v) intervals"),
+        (b"8", "bins b'8' is neither a bin count nor a list of (u, v) intervals"),
+    ])
+    def test_malformed_interval_list_names_the_item(self, bins, message):
+        for build in (lambda: spin._phase_intervals(bins),
+                      lambda: truncated_phase_povm(4, bins),
+                      lambda: spin_phase_observable(SpinPhaseSpace(1.5), bins)):
+            with pytest.raises(ValueError) as err:
+                build()
+            assert str(err.value) == message
+
+    @pytest.mark.parametrize("interval", [(0.0, 1.0, 2.0), "01", 0.5, (0.0, None)])
+    def test_malformed_single_interval_is_named(self, interval):
+        message = f"interval {interval!r} is not a (u, v) pair of real numbers"
+        for build in (lambda: spin_phase_effect(SpinPhaseSpace(1.0), interval),
+                      lambda: spin_phase_covariance_residual(SpinPhaseSpace(1.0), interval, 0.3)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                build()
+
     def test_first_moment_structure(self):
         b = spin_phase_first_moment(SpinPhaseSpace(0.5)).mat
         assert_allclose(b, [[0, 0], [1, 0]])
@@ -385,6 +413,20 @@ class TestSpinPhaseSpace:
     def test_non_finite_spin_is_named(self, s):
         with pytest.raises(ValueError, match=f"^spin {s} is not finite$"):
             SpinPhaseSpace(s)
+
+    @pytest.mark.parametrize("s", ["1", None, 1 + 0j, True, np.bool_(True), [1.0]])
+    def test_spin_that_is_not_a_real_number_is_named(self, s):
+        message = f"spin {s!r} is not a real number"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SpinPhaseSpace(s)
+
+    @pytest.mark.parametrize("s", [1, 3, np.int64(2), np.float32(1.5)])
+    def test_integer_and_numpy_spins_are_accepted(self, s):
+        assert SpinPhaseSpace(s).dim == round(2 * float(s)) + 1
+
+    def test_huge_integer_spin_is_above_the_ceiling(self):
+        with pytest.raises(ValueError, match="exceeds the ceiling 2s"):
+            SpinPhaseSpace(10**400)
 
     @pytest.mark.parametrize("s", [1e200, 1e308, 512.0, 1e6 + 0.5])
     def test_spin_above_the_ceiling_is_named(self, s):
