@@ -12,7 +12,8 @@ Identical configuration produces byte-identical output files. Only
 spin-phase takes --seed (it draws the rotation angles). Its --spin is at
 most 200 (dimension 401), it takes at most 1024 intervals (from --bins or
 --intervals), and with --format json those intervals' effect matrices hold at
-most 2^22 entries in all (32 bins at --spin 20 hold 53,792). mzi-scan takes at
+most 2^18 entries in all (32 bins at --spin 20 hold 53,792; 16 bins at --spin
+63.5 hold exactly 2^18, and such a run peaks at about 130 MB). mzi-scan takes at
 most 4096 --delta-steps. It propagates the one input column |1, 0> through
 each step's interferometer, which costs (nmax + 1)^4 multiply-adds a step, and
 it bounds the sweep's steps * (nmax + 1)^4 <= 2^22 (33 steps admit --nmax 17).
@@ -44,7 +45,7 @@ EXIT_USAGE = 64
 
 MAX_SPIN = 200  # spin-phase --spin: each bin's effect has (2s+1)^2 entries
 MAX_INTERVALS = 1024  # spin-phase intervals per run
-MAX_JSON_ENTRIES = 1 << 22  # spin-phase --format json: effect-matrix entries per run
+MAX_JSON_ENTRIES = 1 << 18  # spin-phase --format json: effect-matrix entries per run
 MAX_DELTA_STEPS = 4096  # mzi-scan --delta-steps
 MAX_SWEEP_ENTRIES = 1 << 22  # mzi-scan: steps * (nmax+1)^4, multiply-adds of the sweep
 
@@ -133,7 +134,7 @@ def _parse_floats(text: str, flag: str, sep: str = ",", count: int | None = None
     return values
 
 
-def cmd_mzi_scan(args) -> int:
+def cmd_mzi_scan(args) -> tuple[list[str], list[list], dict, bool]:
     if args.delta_steps < 1:
         raise ValueError(f"--delta-steps must be at least 1, got {args.delta_steps}")
     if args.delta_steps > MAX_DELTA_STEPS:
@@ -165,13 +166,10 @@ def cmd_mzi_scan(args) -> int:
     header = ["delta", "p10", "p01", "sum_other", "eps_analytic", "abs_err", "prob_sum"]
     checks = {"max_abs_err": worst, "tolerance": 1e-9,
               "row_sums_ok": all(abs(r[-1] - 1.0) < 1e-9 for r in rows)}
-    _emit(_config_dict(args), header, rows, checks, args.format, args.out)
-    if args.verify and (worst > checks["tolerance"] or not checks["row_sums_ok"]):
-        return EXIT_VERIFY
-    return EXIT_OK
+    return header, rows, checks, worst <= checks["tolerance"] and checks["row_sums_ok"]
 
 
-def cmd_kerr_tradeoff(args) -> int:
+def cmd_kerr_tradeoff(args) -> tuple[list[str], list[list], dict, bool]:
     amps = _parse_floats(args.amp, "--amp")
     eps2_values = _parse_floats(args.eps2, "--eps2")
     try:
@@ -197,13 +195,10 @@ def cmd_kerr_tradeoff(args) -> int:
             if b["path_confidence"] < a["path_confidence"] - 1e-9:
                 monotone = False
     checks = {"tradeoff_monotone": monotone}
-    _emit(_config_dict(args), header, rows, checks, args.format, args.out)
-    if args.verify and not monotone:
-        return EXIT_VERIFY
-    return EXIT_OK
+    return header, rows, checks, monotone
 
 
-def cmd_spin(args) -> int:
+def cmd_spin(args) -> tuple[list[str], list[list], dict, bool]:
     a1 = _parse_floats(args.a1, "--a1", count=3)
     a2 = _parse_floats(args.a2, "--a2", count=3)
     value = spin.criterion_value(a1, a2)
@@ -221,13 +216,10 @@ def cmd_spin(args) -> int:
         "oracle_agrees": bool(oracle == decision),
         "joint_min_eig": min((r[-1] for r in rows), default=None),
     }
-    _emit(_config_dict(args), header, rows, checks, args.format, args.out)
-    if args.verify and not checks["oracle_agrees"]:
-        return EXIT_VERIFY
-    return EXIT_OK
+    return header, rows, checks, checks["oracle_agrees"]
 
 
-def cmd_spin_phase(args) -> int:
+def cmd_spin_phase(args) -> tuple[list[str], list[list], dict, bool]:
     if args.spin > MAX_SPIN:
         raise ValueError(f"--spin must be at most {MAX_SPIN}, got {args.spin:g}")
     try:
@@ -276,10 +268,7 @@ def cmd_spin_phase(args) -> int:
         "max_uniformity_residual": worst_uniform,
         "effect_matrices": matrices if args.format == "json" else "json only",
     }
-    _emit(_config_dict(args), header, rows, checks, args.format, args.out)
-    if args.verify and (worst_cov > 1e-10 or worst_uniform > 1e-12):
-        return EXIT_VERIFY
-    return EXIT_OK
+    return header, rows, checks, worst_cov <= 1e-10 and worst_uniform <= 1e-12
 
 
 def _config_dict(args) -> dict:
@@ -342,10 +331,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        header, rows, checks, passed = args.func(args)
+        _emit(_config_dict(args), header, rows, checks, args.format, args.out)
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"povmlab: error: {exc}\n")
         return EXIT_USAGE
+    return EXIT_VERIFY if args.verify and not passed else EXIT_OK
 
 
 if __name__ == "__main__":

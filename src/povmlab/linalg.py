@@ -14,6 +14,7 @@ so everything here is safe to use from any number of threads.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +40,19 @@ ATOL_HERMITIAN = 1e-10
 ATOL_POSITIVE = 1e-10      # minimum eigenvalue >= -ATOL_POSITIVE
 ATOL_COMPLETENESS = 1e-9   # POVM elements sum to identity within this
 ATOL_UNITARY = 1e-10
+
+
+def _check_positive_int(value, name: str):
+    """Raise ``ValueError`` naming ``value`` unless it is a positive integer
+    (a bool is not one)."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)) \
+            or value < 1:
+        raise ValueError(f"{name} {value!r} is not a positive integer")
+
+
+def _is_real(value) -> bool:
+    """Whether ``value`` is a real number; a bool is not one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
 
 
 def _as_complex_matrix(mat) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Operator, eigh
+from .linalg import Operator, _check_positive_int, eigh
 from .mzi import number_observable
 from .povm import (
     DiscreteObservable,
@@ -51,6 +51,7 @@ class CyclicGrid:
     def __post_init__(self):
         if not math.isfinite(self.d):
             raise ValueError(f"grid size {self.d} is not finite")
+        _check_positive_int(self.d, "grid size")
         if self.d < 2:
             raise ValueError("grid needs at least 2 sites")
 

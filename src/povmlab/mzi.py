@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Operator, Vector, _exp_minus_i, tensor
+from .linalg import Operator, Vector, _check_positive_int, _exp_minus_i, tensor
 from .povm import (
     DiscreteObservable,
     Effect,
@@ -71,8 +71,7 @@ class FockSpace:
     def __post_init__(self):
         if not math.isfinite(self.nmax):
             raise ValueError(f"nmax {self.nmax} is not finite")
-        if self.nmax < 1:
-            raise ValueError("need nmax >= 1")
+        _check_positive_int(self.nmax, "nmax")
 
     @property
     def dim(self) -> int:
@@ -113,8 +112,7 @@ class MZIParams:
 
 def annihilation(dim: int) -> Operator:
     """Truncated ladder matrix a|n> = sqrt(n)|n-1>."""
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
+    _check_positive_int(dim, "dim")
     mat = np.zeros((dim, dim), dtype=complex)
     for n in range(1, dim):
         mat[n - 1, n] = math.sqrt(n)

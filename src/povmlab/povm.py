@@ -4,12 +4,16 @@ coexistence / complementarity decision procedures.
 An observable is a finite outcome-labeled family of effects summing to the
 identity. Complementarity intersects ranges of outcome-set effects of
 projection-valued observables; probabilistic complementarity intersects
-eigenvalue-1 eigenspaces and so applies to unsharp observables as well.
-Both are decided exactly on the k1*k2 pairs of maximal nontrivial outcome
-sets Omega minus {x}, not on all 2^k1*2^k2 pairs of sets: the complement of
-a nontrivial set is nontrivial, ranges and eigenvalue-1 eigenspaces only
-grow with the set (E(X)v = v and E(X) <= E(X') <= I give E(X')v = v), and
-every nontrivial set lies inside some Omega minus {x} with E(x) not O or I.
+eigenvalue-1 eigenspaces and so applies to unsharp observables as well. A
+projection's range is its eigenvalue-1 eigenspace, so both are one decision
+(Busch, Lahti & Mittelstaedt 1996), exact on the k1*k2 pairs of maximal
+nontrivial outcome sets Omega minus {x}, not on all 2^k1*2^k2 pairs of sets:
+the complement of a nontrivial set is nontrivial, eigenvalue-1 eigenspaces
+only grow with the set (E(X)v = v and E(X) <= E(X') <= I give E(X')v = v),
+and every nontrivial set lies inside some Omega minus {x} with E(x) not O or
+I. The eigenvalue-1 eigenspace of I - E(x) is ker E(x): one batched eigh
+reads it (eigenvalues <= 1e-8), and two kernels P, Q meet nontrivially when
+(I - P) + (I - Q) has an eigenvalue below 1e-8.
 Joint measurability of two-valued qubit observables is decided exactly by
 the closed-form criterion of Yu, Liu, Li & Oh for biased qubit effects.
 
@@ -902,25 +906,24 @@ def meet_projections(p: Operator, q: Operator) -> Operator:
     return Operator(cols @ cols.conj().T)
 
 
-def _maximal_set_effects(obs: DiscreteObservable) -> list[Effect]:
-    """Effects I - E(x) of the maximal nontrivial outcome sets Omega minus
-    {x}, one per outcome whose effect is neither O nor I within 1e-8."""
-    eye = np.eye(obs.dim)
-    return [
-        e.complement() for e in obs.effects
-        if np.max(np.abs(e.op.mat)) > 1e-8 and np.max(np.abs(e.op.mat - eye)) > 1e-8
-    ]
+def _kernel_projections(obs: DiscreteObservable) -> list[Operator]:
+    """Projections onto ker E(x), the eigenvalues at most 1e-8 of one
+    batched eigh, for each outcome whose effect is neither O nor I within
+    1e-8."""
+    m = obs.mats
+    nontrivial = ((np.max(np.abs(m), axis=(1, 2)) > 1e-8)
+                  & (np.max(np.abs(m - np.eye(obs.dim)), axis=(1, 2)) > 1e-8))
+    w, v = np.linalg.eigh(m[nontrivial])
+    return [Operator(b[:, k] @ b[:, k].conj().T) for b, k in zip(v, w <= 1e-8)]
 
 
-def _maximal_sets_disjoint(e1: DiscreteObservable, e2: DiscreteObservable,
-                           subspace) -> bool:
-    """Whether the projections ``subspace(I - E1(x))`` and
-    ``subspace(I - E2(y))`` meet only in {0} for every pair of maximal
-    nontrivial sets; False when either side has none."""
+def _maximal_sets_disjoint(e1: DiscreteObservable, e2: DiscreteObservable) -> bool:
+    """Whether ker E1(x) and ker E2(y) meet only in {0} for every pair of
+    outcomes whose effects are neither O nor I; False when either side has
+    none."""
     if e1.dim != e2.dim:
         raise ValueError("observables act on different spaces")
-    firsts = [subspace(f) for f in _maximal_set_effects(e1)]
-    seconds = [subspace(f) for f in _maximal_set_effects(e2)]
+    firsts, seconds = _kernel_projections(e1), _kernel_projections(e2)
     if not firsts or not seconds:
         return False
     return all(
@@ -935,9 +938,9 @@ def are_complementary(e1: DiscreteObservable, e2: DiscreteObservable) -> bool:
     likewise against the complement sets. Returns False when every pair is
     trivial (complementarity is a nontrivial relation).
 
-    Exact on the maximal sets (module docstring): the relation holds iff
-    range(I - E1(x)) ∩ range(I - E2(y)) = {0} for all outcomes x, y whose
-    effects are neither O nor I.
+    For projections the range of I - E(x) is ker E(x), so past the
+    projection-valued guard this is the decision of
+    :func:`are_prob_complementary` (module docstring).
 
     Raises for observables that are not projection valued; use
     :func:`are_prob_complementary` for general effects.
@@ -947,18 +950,17 @@ def are_complementary(e1: DiscreteObservable, e2: DiscreteObservable) -> bool:
             raise ValueError(
                 "are_complementary is defined for projection-valued observables"
             )
-    return _maximal_sets_disjoint(e1, e2, lambda f: f.op)
+    return _maximal_sets_disjoint(e1, e2)
 
 
 def are_prob_complementary(e1: DiscreteObservable, e2: DiscreteObservable) -> bool:
     """Probabilistic complementarity: certainty of a nontrivial outcome set
     of one observable excludes certainty or impossibility of any nontrivial
-    outcome set of the other. Decided through eigenvalue-1 eigenspaces,
-    exactly on the maximal sets (module docstring): the relation holds iff
-    eigenspace_one(I - E1(x)) ∩ eigenspace_one(I - E2(y)) = {0} for all
-    outcomes x, y whose effects are neither O nor I. False when either side
-    has no such outcome."""
-    return _maximal_sets_disjoint(e1, e2, eigenspace_one)
+    outcome set of the other. Exact on the maximal sets (module docstring):
+    the relation holds iff ker E1(x) ∩ ker E2(y) = {0} for all outcomes x, y
+    whose effects are neither O nor I. False when either side has no such
+    outcome."""
+    return _maximal_sets_disjoint(e1, e2)
 
 
 def effect_bloch(e: Effect) -> tuple[float, np.ndarray]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Operator
+from .linalg import Operator, _check_positive_int, _is_real
 from .povm import _EIG_ROUNDING, DiscreteObservable, Effect, _enclosed_observable, effect
 
 __all__ = [
@@ -171,19 +171,6 @@ class SpinPhaseSpace:
 
 def s3_operator(space: SpinPhaseSpace) -> Operator:
     return Operator(np.diag(space.m_values.astype(complex)))
-
-
-def _check_positive_int(value, name: str):
-    """Raise ``ValueError`` naming ``value`` unless it is a positive integer
-    (a bool is not one)."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)) \
-            or value < 1:
-        raise ValueError(f"{name} {value!r} is not a positive integer")
-
-
-def _is_real(value) -> bool:
-    """Whether ``value`` is a real number; a bool is not one."""
-    return isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
 
 
 def _interval(item) -> tuple[float, float]:

@@ -224,21 +224,22 @@ def test_interval_bounds(capsys, monkeypatch):
     monkeypatch.setattr(spin, "_phase_kernels", reached)
     many = ";".join(["0:1"] * cli.MAX_INTERVALS)
     json_bins = cli.MAX_JSON_ENTRIES // 401 ** 2
-    assert json_bins == 26
+    assert json_bins == 1
     # at each bound the command goes on to build the first matrix
     for argv in (["--bins", "1024"], ["--spin", "200", "--bins", "1024"],
                  ["--intervals", many],
                  ["--spin", "200", "--bins", str(json_bins), "--format", "json"],
-                 # 1024 bins of 64 x 64 hold exactly 2^22 entries
-                 ["--spin", "31.5", "--bins", "1024", "--format", "json"]):
+                 # 64 bins of 64 x 64 hold exactly 2^18 entries
+                 ["--spin", "31.5", "--bins", "64", "--format", "json"]):
         with pytest.raises(Reached):
             main(["spin-phase"] + argv)
     for argv, flag in ((["--bins", "1025"], "--bins"),
                        (["--intervals", many + ";1:2"], "--intervals"),
-                       (["--spin", "200", "--bins", "27", "--format", "json"], "--bins"),
+                       (["--spin", "200", "--bins", "2", "--format", "json"], "--bins"),
                        (["--spin", "200", "--bins", "1000", "--format", "json"], "--bins"),
-                       (["--spin", "32", "--bins", "993", "--format", "json"], "--bins"),
-                       (["--spin", "200", "--intervals", ";".join(["0:1"] * 27),
+                       (["--spin", "32", "--bins", "63", "--format", "json"], "--bins"),
+                       (["--spin", "31.5", "--bins", "65", "--format", "json"], "--bins"),
+                       (["--spin", "200", "--intervals", ";".join(["0:1"] * 2),
                          "--format", "json"], "--intervals")):
         code, out, err = run(["spin-phase"] + argv, capsys)
         assert code == EXIT_USAGE, argv

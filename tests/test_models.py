@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,18 @@ def test_non_finite_confidence_weight_is_named(bad):
 def test_non_finite_grid_size_is_named(d):
     with pytest.raises(ValueError, match=f"^grid size {d} is not finite$"):
         CyclicGrid(d)
+
+
+@pytest.mark.parametrize("d", [4.5, np.float64(4.0), True, np.bool_(True), 0])
+def test_grid_size_is_a_positive_integer(d):
+    with pytest.raises(ValueError, match=f"^grid size {re.escape(repr(d))} is not a positive integer$"):
+        CyclicGrid(d)
+
+
+def test_integer_grid_sizes_keep_their_range_check():
+    assert CyclicGrid(np.int64(3)).d == 3
+    with pytest.raises(ValueError, match="^grid needs at least 2 sites$"):
+        CyclicGrid(1)
 
 
 @pytest.mark.parametrize("phi", [[[1, 0], [0, 0]], [[1], [0], [0], [0]], [1, 0, 0]])

@@ -480,3 +480,18 @@ class TestNonFiniteParameters:
     def test_fock_cutoff(self, nmax):
         with pytest.raises(ValueError, match=f"^nmax {nmax} is not finite$"):
             FockSpace(nmax)
+
+
+NOT_SIZES = [2.5, np.float64(4.0), True, np.bool_(True), 0, -3]
+
+
+@pytest.mark.parametrize("nmax", NOT_SIZES)
+def test_fock_cutoff_is_a_positive_integer(nmax):
+    with pytest.raises(ValueError, match=f"^nmax {re.escape(repr(nmax))} is not a positive integer$"):
+        FockSpace(nmax)
+
+
+@pytest.mark.parametrize("dim", NOT_SIZES)
+def test_ladder_dimension_is_a_positive_integer(dim):
+    with pytest.raises(ValueError, match=f"^dim {re.escape(repr(dim))} is not a positive integer$"):
+        annihilation(dim)

@@ -709,6 +709,12 @@ def _reference_instances(rng):
         yield tuple(pair)
 
 
+def _reference_observables():
+    rng = np.random.default_rng(20261018)
+    return [tuple(DiscreteObservable(range(len(ms)), np.array(ms)) for ms in pair)
+            for pair in _reference_instances(rng)]
+
+
 class TestComplementarityReference:
     def test_maximal_sets_agree_with_subset_enumeration(self):
         rng = np.random.default_rng(20261018)
@@ -724,6 +730,54 @@ class TestComplementarityReference:
                 assert sharp == brute_force_complementarity(e1, e2, _range)
                 verdicts["sharp"].add(sharp)
         assert verdicts == {"sharp": {True, False}, "prob": {True, False}}
+
+    def test_decisions_build_no_effect_and_no_complement(self, monkeypatch):
+        pairs = _reference_observables()
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(povm, "_check_effects", counted("check", povm._check_effects))
+        monkeypatch.setattr(Effect, "__post_init__", counted("Effect", Effect.__post_init__))
+        monkeypatch.setattr(povm, "eigenspace_one", counted("eigenspace", povm.eigenspace_one))
+        for e1, e2 in pairs:
+            povm.are_prob_complementary(e1, e2)
+            if e1.is_projection_valued() and e2.is_projection_valued():
+                povm.are_complementary(e1, e2)
+        assert calls == []
+
+    def test_compared_eigenvalues_clear_the_threshold(self):
+        # every eigenvalue the decision compares with 1e-8, of E(x) and of
+        # (I - P) + (I - Q), is far from it, so no verdict rests on rounding
+        compared = []
+        for e1, e2 in _reference_observables():
+            for obs in (e1, e2):
+                m = obs.mats
+                nontrivial = ((np.max(np.abs(m), axis=(1, 2)) > 1e-8)
+                              & (np.max(np.abs(m - np.eye(obs.dim)), axis=(1, 2)) > 1e-8))
+                compared.append(np.linalg.eigvalsh(m[nontrivial]).ravel())
+            eye = np.eye(e1.dim)
+            for p in povm._kernel_projections(e1):
+                for q in povm._kernel_projections(e2):
+                    gap = (eye - p.mat) + (eye - q.mat)
+                    compared.append(np.linalg.eigvalsh((gap + gap.conj().T) / 2))
+        values = np.concatenate(compared)
+        near = np.abs(values) <= 1e-8
+        assert near.any() and (~near).any()
+        assert np.max(np.abs(values[near])) < 1e-12
+        assert np.min(values[~near]) > 1e-6
+
+    def test_sharp_and_probabilistic_agree_on_projection_valued_pairs(self):
+        sharp_pairs = 0
+        for e1, e2 in _reference_observables():
+            if e1.is_projection_valued() and e2.is_projection_valued():
+                sharp_pairs += 1
+                assert are_complementary(e1, e2) == are_prob_complementary(e1, e2)
+        assert sharp_pairs >= 30
 
 
 def _two_valued(first):
