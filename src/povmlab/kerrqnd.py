@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import Operator, partial_trace, tensor
+from .linalg import Operator, _check_positive_int, partial_trace, tensor
 from .mzi import (
     BSParams,
     FockSpace,
@@ -42,10 +42,8 @@ from .povm import (
     _count_register_scheme,
     _diagonal_observable,
     _direct_sum,
-    _product_state,
     basis_state,
     marginal,
-    product_observable,
     vector_state,
 )
 from .spin import _phase_observable
@@ -121,9 +119,14 @@ class KerrCircuit:
 def kerr_phase(dim: int, lam: float) -> np.ndarray:
     """Entrywise probe phases exp(-i lam (m - n)); multiplying a probe
     matrix by this implements conjugation by e^{-i lam N} exactly on the
-    diagonal (number states pick up no spurious roundoff)."""
+    diagonal (number states pick up no spurious roundoff). The matrix is
+    Toeplitz: its 2 dim - 1 exponentials, one per m - n, are gathered into
+    it. ``dim`` must be a positive integer and ``lam`` finite."""
+    _check_positive_int(dim, "probe dimension")
+    if not math.isfinite(lam):
+        raise ValueError(f"Kerr coupling {lam} is not finite")
     n = np.arange(dim)
-    return np.exp(-1j * lam * (n[:, None] - n[None, :]))
+    return np.exp(-1j * lam * np.arange(1 - dim, dim))[n[:, None] - n[None, :] + dim - 1]
 
 
 def coherent_dim(amp: float) -> int:
@@ -137,14 +140,16 @@ def coherent_dim(amp: float) -> int:
 
 def coherent_state(z: complex, dim: int | None = None) -> State:
     """Truncated coherent state; raises when the truncation keeps less than
-    1 - 1e-8 of the amplitude mass, and for a non-finite z or one whose
-    Fock moduli e^(-|z|^2/2) |z|^n overflow."""
+    1 - 1e-8 of the amplitude mass, for a non-finite z or one whose Fock
+    moduli e^(-|z|^2/2) |z|^n overflow, and for a ``dim`` that is not a
+    positive integer."""
     try:
         r = abs(z)
     except OverflowError:  # a finite complex z whose modulus overflows
         r = math.inf
     if dim is None:
         dim = coherent_dim(r)
+    _check_positive_int(dim, "coherent dimension")
     if not cmath.isfinite(z):
         raise ValueError(f"coherent amplitude {z} is not finite")
     if not math.isfinite(r * r):
@@ -176,7 +181,9 @@ def truncated_phase_povm(dim: int, bins) -> DiscreteObservable:
     construction and no eigensolver checks it (:mod:`povmlab.povm`). The
     entries depend on level differences only, so at every truncation
     conjugation by e^{-i a N} translates each interval by a (mod 2pi),
-    exactly up to rounding.
+    exactly up to rounding. The 2 dim - 1 symbol entries of each interval
+    are computed once; the Hermiticity and completeness residuals are read
+    from them and recorded, and the dense stack is gathered from them.
     """
     return _phase_observable(dim, bins)
 
@@ -282,18 +289,16 @@ def induced_a_mode_observable(circuit: KerrCircuit,
     readout = circuit.probe.readout
     k = np.arange(dc)
     theta = (delta + lam * k) / 2.0
+    n, total = np.triu_indices(da)  # every pair n <= N
+    d_diag = (np.exp(-1j * total[:, None] * lam * k / 2) * np.cos(theta) ** n[:, None]
+              * np.sin(theta) ** (total - n)[:, None])
+    # tr[T' D+ E D] = sum_ij W[i, j] E[j, i] for every pair and bin: one product
+    weighted = tprime * d_diag[:, :, None] * d_diag.conj()[:, None, :]
+    traces = weighted.reshape(len(n), -1) @ readout.mats.swapaxes(1, 2).reshape(
+        len(readout), -1).T
+    combs = np.array([math.comb(t, m) for m, t in zip(n.tolist(), total.tolist())])
     diagonals = np.zeros((da, len(readout), da))
-    for n in range(da):
-        for total in range(n, da):
-            d_diag = (
-                np.exp(-1j * total * lam * k / 2)
-                * np.cos(theta) ** n
-                * np.sin(theta) ** (total - n)
-            )
-            # tr[T' D+ E D] for every bin at once
-            weighted = tprime * d_diag[:, None] * d_diag.conj()[None, :]
-            traces = np.einsum("ij,xji->x", weighted, readout.mats).real
-            diagonals[n, :, total] = math.comb(total, n) * traces
+    diagonals[n, :, total] = combs[:, None] * traces.real
     outcomes = [(n, x) for n in range(da) for x in readout.outcomes]
     return _diagonal_observable(outcomes, diagonals.reshape(-1, da))
 
@@ -413,13 +418,15 @@ def tradeoff_scan(amplitudes, lam: float, eps2_values,
 def kerr_measurement_scheme(circuit: KerrCircuit) -> MeasurementScheme:
     """The Kerr circuit as a coupling scheme: the apparatus is (b, c) plus a
     count register fed by the a-mode number, and the pointer reads (register,
-    readout bin). Its induced observable reproduces the (n, bin) effects."""
+    readout bin). Its induced observable reproduces the (n, bin) effects.
+
+    Arm b starts in vacuum and is not read, so the pointer reads it by the
+    trivial observable, outcome 0: the scheme keeps b and the probe as
+    separate factors, and the induction forms neither I_b x E nor
+    |0><0|_b x T' (:mod:`povmlab.povm`)."""
     da, db, _ = circuit.dims
-    probe_state = _product_state(basis_state(0, db), circuit.probe.probe_state)
-    trivial_b = DiscreteObservable([0], np.eye(db)[None])
-    pointer = product_observable(trivial_b, circuit.probe.readout)
-    pointer_function = {
-        (0, x, k): (k, x) for x in circuit.probe.readout.outcomes for k in range(da)
-    }
-    return _count_register_scheme(_circuit_blocks(circuit), circuit.dims, da, probe_state,
-                                  basis_state(0, da), pointer, pointer_function)
+    readout = circuit.probe.readout
+    pointer_function = {(0, x, k): (k, x) for x in readout.outcomes for k in range(da)}
+    return _count_register_scheme(_circuit_blocks(circuit), circuit.dims, da,
+                                  (basis_state(0, db), circuit.probe.probe_state),
+                                  basis_state(0, da), (None, readout), pointer_function)

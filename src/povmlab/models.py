@@ -186,8 +186,8 @@ def position_measurement_scheme(phi, grid: CyclicGrid) -> MeasurementScheme:
     """
     d = grid.d
     phi = _pointer_amplitudes(phi, grid)
-    return _count_register_scheme(np.eye(d, dtype=complex)[None], (d,), d, None,
-                                  vector_state(phi), None, None)
+    return _count_register_scheme(np.eye(d, dtype=complex)[None], (d,), d, (),
+                                  vector_state(phi), (), None)
 
 
 def unsharp_position_transformer(phi, grid: CyclicGrid) -> StateTransformer:

@@ -253,7 +253,7 @@ def mzi_measurement_scheme(params: MZIParams, space: FockSpace) -> MeasurementSc
     vac = basis_state(0, d)
     pointer_function = {(n2, k): (k, n2) for n2 in range(d) for k in range(d)}
     u = mzi_unitary(params, space)
-    return _count_register_scheme(u.mat[None], u.dims, d, vac, vac, number_observable(d),
+    return _count_register_scheme(u.mat[None], u.dims, d, (vac,), vac, (number_observable(d),),
                                   pointer_function)
 
 

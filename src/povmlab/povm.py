@@ -38,10 +38,14 @@ in [lo - e, hi + e]. A row that eigvalsh checked records its computed
 extremes with e = 64 d eps. A row whose enclosure clears
 [-ATOL_POSITIVE, 1 + ATOL_POSITIVE] by e passes the check that eigvalsh
 would give it; any other slice is diagonalised, so every rejection reports
-a computed spectrum. Hermiticity and completeness are still checked entry
-by entry. The public ``extremes`` are always eigenvalues: computed by the
-check, exact, or, where an enclosure passed, computed by one eigvalsh on
-first read; no bound is presented as an eigenvalue.
+a computed spectrum. Hermiticity and completeness are checked entry by
+entry, except for a Toeplitz section, whose residuals are read from its
+symbol (below). Observables and states keep their Hermiticity residual,
+recorded where a builder read it and computed once otherwise, and a
+product reads its factors' residuals. The public
+``extremes`` are always eigenvalues: computed by the check, exact, or,
+where an enclosure passed, computed by one eigvalsh on first read; no
+bound is presented as an eigenvalue.
 
 A diagonal row with real entries is its own L(X), and its spectrum is
 exactly its diagonal. Its record is the diagonal's min and max, which are
@@ -60,7 +64,13 @@ whose entries are at most delta and whose spectral norm is at most d delta.
 By Weyl's inequality the record is [0, 1] with e = d (delta + 64 eps). A
 full circle is the exact identity. The bound does not say where in [0, 1]
 the spectrum lies: the largest eigenvalue is 1 - 2.6e-9 at d = 58, so only
-an enclosure, not a derived extreme, can skip this check.
+an enclosure, not a derived extreme, can skip this check. The 2d - 1
+symbol entries fix every matrix entry, so the residuals are read from
+them: entry (m, n) of X - X† is c(j) - conj(c(-j)), and entry (m, n) of
+sum_x X_x - I is sum_x c_x(j) - [j = 0], with j = n - m. Every lag occurs
+in the section, so the largest entries over the 2d - 1 lags are those over
+the d^2 entries, and the Hermiticity residual is the same floating-point
+number.
 
 Products are certified from their checked factors. The spectrum of
 L(A) x L(B) is exactly {lambda mu}, so the min and max of the four products
@@ -122,10 +132,19 @@ probe T_o x rho_r, with p_r the diagonal of rho_r, the induced effects are
 
 the per-output-index compression of u alone: the register's coherences
 drop out, and neither the coupling nor the pointer Z' x N_r is formed.
+The other probe factors are kept apart, each with its state and, if it is
+read, its pointer. T_o is the kron of their states, so its spectral record
+is the kron of their records. A factor that is not read is read by its
+identity, and K† (I x Z'') K is the sum over that factor's output index o'
+of K_(a, o')† Z'' K_(a, o'): so the output index of each unread factor
+joins the kept index a, Z'' is the kron of the read factors' pointers
+alone, and the compressions are summed over those indices. Neither
+I x Z'' nor the dense T_o is formed.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -139,6 +158,7 @@ from .linalg import (
     ATOL_UNITARY,
     Operator,
     Vector,
+    _check_positive_int,
     eigh,
     identity,
     zero,
@@ -196,7 +216,8 @@ def _product_margin(e_a: float, e_b: float, h_a: float, h_b: float, d: int) -> f
     return 2 * (e_a + e_b) + d * (4 * (h_a + h_b) + _EIG_ROUNDING)
 
 
-def _check_effects(mats: np.ndarray, enclosure=None, margin: float = 0.0) -> np.ndarray:
+def _check_effects(mats: np.ndarray, enclosure=None, margin: float = 0.0,
+                   hermitian=None) -> np.ndarray:
     """Raise ``ValueError`` unless every row of the (k, d, d) stack ``mats``
     is an effect: Hermitian within ``ATOL_HERMITIAN`` with spectrum inside
     [0, 1] within ``ATOL_POSITIVE``. Slices of rows are checked in order, each
@@ -208,13 +229,16 @@ def _check_effects(mats: np.ndarray, enclosure=None, margin: float = 0.0) -> np.
     ``enclosure`` is None or per-row intervals that, widened by ``margin``,
     contain spec L(X) and the spectrum eigvalsh would return. A slice whose
     intervals clear the bounds by ``margin`` passes without an eigvalsh
-    (module docstring)."""
+    (module docstring). ``hermitian`` is None or the rows' Hermiticity
+    residuals, read from the structure that built them; the check then
+    forms no X - X†."""
     d = mats.shape[1]
     step = max(1, _CHECK_SLICE_BYTES // max(mats.itemsize * d * d, 1))
     parts = []
     for start in range(0, mats.shape[0], step):
         s = mats[start:start + step]
-        if not _hermitian_residual(s) <= ATOL_HERMITIAN:
+        h = _hermitian_residual(s) if hermitian is None else hermitian[start:start + step].max()
+        if not h <= ATOL_HERMITIAN:
             raise ValueError("effect must be Hermitian within 1e-10")
         if enclosure is not None:
             ext = enclosure[start:start + step]
@@ -282,6 +306,12 @@ class State:
         q, chi = np.linalg.eigh(self.op.mat)
         return q, chi, self.dim * _EIG_ROUNDING
 
+    @cached_property
+    def _hermitian(self) -> float:
+        """The Hermiticity residual max|T - T†|: recorded by the builders of
+        pure and product states, computed on first read otherwise."""
+        return _hermitian_residual(self.op.mat[None])
+
 
 def _recorded_state(op: Operator, spectrum, h: float) -> State:
     """A State over ``op`` with the recorded ``spectrum`` (q, chi, e), given
@@ -301,21 +331,21 @@ def _recorded_state(op: Operator, spectrum, h: float) -> State:
         raise ValueError(f"state trace {tr} != 1")
     st = object.__new__(State)
     object.__setattr__(st, "op", op)
-    st.__dict__["_spectrum"] = spectrum
+    st.__dict__.update(_spectrum=spectrum, _hermitian=h)
     return st
 
 
 def _product_state(*factors: State) -> State:
     """The tensor product of states, with its spectral decomposition taken
     from the factors' records by ``kron`` and its error bound from the
-    product margin of the module docstring."""
-    mat, (q, chi, e) = factors[0].op.mat, factors[0]._spectrum
-    h = _hermitian_residual(mat[None])
+    product margin of the module docstring, on the factors' recorded
+    Hermiticity residuals."""
+    mat, (q, chi, e), h = factors[0].op.mat, factors[0]._spectrum, factors[0]._hermitian
     for f in factors[1:]:
         qf, chif, ef = f._spectrum
-        hf = _hermitian_residual(f.op.mat[None])
         mat = np.kron(mat, f.op.mat)
-        q, chi, e = np.kron(q, qf), np.kron(chi, chif), _product_margin(e, ef, h, hf, len(mat))
+        e = _product_margin(e, ef, h, f._hermitian, len(mat))
+        q, chi = np.kron(q, qf), np.kron(chi, chif)
         h = _hermitian_residual(mat[None])
     dims = tuple(d for f in factors for d in (f.op.dims or (f.dim,)))
     return _recorded_state(Operator(mat, dims), (q, chi, e), h)
@@ -337,7 +367,12 @@ def vector_state(vec, dims=None) -> State:
 
 
 def basis_state(k: int, dim: int) -> State:
-    """The basis state |k><k| of a ``dim``-dimensional space."""
+    """The basis state |k><k| of a ``dim``-dimensional space; ``dim`` must be
+    a positive integer and ``k`` an integer in [0, dim)."""
+    _check_positive_int(dim, "dimension")
+    if isinstance(k, (bool, np.bool_)) or not isinstance(k, (int, np.integer)) \
+            or not 0 <= k < dim:
+        raise ValueError(f"basis index {k!r} is not an integer in [0, {dim})")
     v = np.zeros(dim, dtype=complex)
     v[k] = 1.0
     return vector_state(v)
@@ -369,11 +404,15 @@ class DiscreteObservable:
             dtype=complex,
         ))
 
-    def _init(self, outcomes, mats: np.ndarray, *record):
-        """Check and keep a fresh (k, d, d) stack. With no ``record`` every
-        row is diagonalised and its computed extremes are its record. A
-        ``record`` (enclosure, error) is what the check starts from, and the
-        extremes are then computed on first read (module docstring)."""
+    def _init(self, outcomes, mats: np.ndarray, enclosure=None, error: float = 0.0,
+              hermitian=None, completeness=None):
+        """Check and keep a fresh (k, d, d) stack. With no ``enclosure``
+        every row is diagonalised and its computed extremes are its record.
+        An ``enclosure`` with its ``error`` is what the check starts from, and
+        the extremes are then computed on first read (module docstring).
+        ``hermitian`` (per row) and ``completeness`` are residuals a builder
+        read from the structure of the stack, used in place of the entrywise
+        ones; both residuals are recorded."""
         outcomes = tuple(outcomes)
         if len(outcomes) != len(mats):
             raise ValueError("outcomes and effects must have equal length")
@@ -383,16 +422,22 @@ class DiscreteObservable:
             raise ValueError("an observable needs at least one outcome")
         if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
             raise ValueError(f"expected a (k, d, d) stack of square matrices, got {mats.shape}")
-        checked = _check_effects(mats, *record)
-        if np.max(np.abs(mats.sum(axis=0) - np.eye(mats.shape[1]))) > ATOL_COMPLETENESS:
+        checked = _check_effects(mats, enclosure, error, hermitian)
+        if completeness is None:
+            completeness = np.max(np.abs(mats.sum(axis=0) - np.eye(mats.shape[1])))
+        if completeness > ATOL_COMPLETENESS:
             raise ValueError("effects do not sum to the identity within tolerance")
         mats.setflags(write=False)
         self.outcomes = outcomes
         self.mats = mats
-        if not record:
+        if enclosure is None:
             self.extremes = checked
+            error = mats.shape[1] * _EIG_ROUNDING
+        if hermitian is not None:
+            self._hermitian = hermitian.max()
         self._enclosure = checked
-        self._enclosure_error = record[1] if record else mats.shape[1] * _EIG_ROUNDING
+        self._enclosure_error = error
+        self._completeness = completeness
         self._index = {x: i for i, x in enumerate(outcomes)}
 
     @cached_property
@@ -401,6 +446,13 @@ class DiscreteObservable:
         those the check computed, or, for a stack certified by its enclosure,
         those of one computed check on first read."""
         return _check_effects(self.mats)
+
+    @cached_property
+    def _hermitian(self) -> float:
+        """The Hermiticity residual max|X - X†| over the rows: recorded by a
+        builder that read it from the structure, computed on first read
+        otherwise."""
+        return _hermitian_residual(self.mats)
 
     @cached_property
     def effects(self) -> tuple[Effect, ...]:
@@ -569,25 +621,32 @@ def product_observable(a: DiscreteObservable, b: DiscreteObservable) -> Discrete
     Components that already carry tuple labels are flattened, so products of
     products keep a flat label arity. Each row's enclosure is the corner rule
     on the factors' enclosures, and an eigvalsh runs only where it does not
-    clear the effect bounds by the margin of the module docstring.
+    clear the effect bounds by the margin of the module docstring, on the
+    factors' recorded Hermiticity residuals.
     """
     outcomes = _product_labels(a.outcomes, b.outcomes)
-    d = a.dim * b.dim
     corners = (a._enclosure[:, None, :, None] * b._enclosure[None, :, None, :]).reshape(-1, 4)
     enclosure = np.stack((corners.min(axis=1), corners.max(axis=1)), axis=1)
-    margin = _product_margin(a._enclosure_error, b._enclosure_error,
-                             _hermitian_residual(a.mats), _hermitian_residual(b.mats), d)
-    return _enclosed_observable(outcomes, np.kron(a.mats[:, None], b.mats[None]).reshape(-1, d, d),
-                                enclosure, margin)
+    margin = _product_margin(a._enclosure_error, b._enclosure_error, a._hermitian, b._hermitian,
+                             a.dim * b.dim)
+    return _enclosed_observable(outcomes, _kron_stacks(a.mats, b.mats), enclosure, margin)
 
 
-def _enclosed_observable(outcomes, mats: np.ndarray, enclosure: np.ndarray,
-                         error: float) -> DiscreteObservable:
+def _kron_stacks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The (k_a k_b, d_a d_b, d_a d_b) stack of every A x B, row-major in
+    (row of a, row of b)."""
+    d = a.shape[1] * b.shape[1]
+    return np.kron(a[:, None], b[None]).reshape(-1, d, d)
+
+
+def _enclosed_observable(outcomes, mats: np.ndarray, enclosure: np.ndarray, error: float,
+                         hermitian=None, completeness=None) -> DiscreteObservable:
     """The observable over a fresh (k, d, d) stack whose rows' spectra are
     enclosed, within ``error``, by the (k, 2) intervals ``enclosure``
-    (module docstring)."""
+    (module docstring), with the residuals its builder read from its
+    structure, if any."""
     obs = object.__new__(DiscreteObservable)
-    obs._init(outcomes, mats, enclosure, error)
+    obs._init(outcomes, mats, enclosure, error, hermitian, completeness)
     return obs
 
 
@@ -631,17 +690,14 @@ def _number_observable(dim: int) -> DiscreteObservable:
     return _diagonal_observable(range(dim), np.eye(dim))
 
 
-# the probe of a scheme with no probe factor besides its register
-_NO_PROBE = basis_state(0, 1)
-
-
 class _CountRegisterScheme(MeasurementScheme):
     """A count-register scheme kept as its factors: u as its level blocks
     ``_blocks`` with dims ``_dims`` on system (x) other probe factors, the
-    register size ``_dim_reg``, the states and pointer of the other factors
-    (None when there are none) and the register state. ``coupling``,
-    ``probe_state`` and ``pointer`` are built on first read;
-    :func:`induced_observable` needs none of them (module docstring)."""
+    register size ``_dim_reg``, the states ``_states`` and pointers
+    ``_pointers`` of the other factors (a pointer of None marks a factor
+    that is not read) and the register state. ``coupling``, ``probe_state``
+    and ``pointer`` are built on first read; :func:`induced_observable` needs
+    none of them (module docstring)."""
 
     @cached_property
     def coupling(self) -> Operator:
@@ -653,9 +709,17 @@ class _CountRegisterScheme(MeasurementScheme):
 
     @cached_property
     def probe_state(self) -> State:
-        if self._other_state is None:
+        if not self._states:
             return self._register_state
-        return _product_state(self._other_state, self._register_state)
+        return _product_state(*self._states, self._register_state)
+
+    @cached_property
+    def _other_pointer(self) -> DiscreteObservable | None:
+        """The other factors' pointers as one product, an unread factor read
+        by its trivial observable; None when there are no other factors."""
+        pointers = [DiscreteObservable([0], np.eye(st.dim)[None]) if z is None else z
+                    for st, z in zip(self._states, self._pointers)]
+        return functools.reduce(product_observable, pointers) if pointers else None
 
     @cached_property
     def pointer(self) -> DiscreteObservable:
@@ -673,23 +737,41 @@ class _CountRegisterScheme(MeasurementScheme):
         return math.prod(self._dims[1:]) * self._dim_reg
 
     def _pointer_effects(self) -> tuple[list, np.ndarray]:
-        """F(z', k) = sum_a p_r(k - a mod d_r) f_a(z') (module docstring)."""
+        """F(z', k) = sum_a p_r(k - a mod d_r) f_a(z'), from the krons of the
+        factors' records and of the read pointers, with the output index of
+        every unread factor summed out of the kept index (module
+        docstring)."""
         blocks, dr, ds = self._blocks, self._dim_reg, self.system_dim
-        if self._other_pointer is None:
-            other, zmats, labels = _NO_PROBE, np.ones((1, 1, 1)), list(range(dr))
-        else:
-            other, zmats = self._other_state, self._other_pointer.mats
-            labels = _product_labels(self._other_pointer.outcomes, range(dr))
+        q, chi = np.ones(1), np.ones((1, 1))
+        for st in self._states:
+            # the krons _product_state takes, without np.kron's overhead
+            qs, chis = st._spectrum[:2]
+            q = np.multiply.outer(q, qs).reshape(-1)
+            chi = np.multiply.outer(chi, chis).transpose(0, 2, 1, 3).reshape(
+                len(chi) * len(chis), -1)
+        read = [z.mats for z in self._pointers if z is not None]
+        zmats = functools.reduce(_kron_stacks, read) if read else np.ones((1, 1, 1))
+        labels = list(functools.reduce(_product_labels, [
+            (0,) if z is None else z.outcomes for z in self._pointers] + [range(dr)]))
         dm = blocks.shape[1] // ds
-        f = _compressed_effects(blocks.reshape(-1, ds, dm, ds, dm), other, zmats)
+        iso = _probe_isometries(blocks.reshape(-1, ds, dm, ds, dm), q, chi)
+        # K[l, a', (o_1, ..., o_n), a]: the unread factors' outputs join a'
+        dims = [st.dim for st in self._states]
+        unread = [i for i, z in enumerate(self._pointers) if z is None]
+        order = unread + [i for i, z in enumerate(self._pointers) if z is not None]
+        iso = iso.reshape(len(iso), ds, *dims, ds).transpose(
+            0, 1, *(2 + i for i in order), len(dims) + 2)
+        nu = math.prod(dims[i] for i in unread)
+        f = _compress_isometries(iso.reshape(len(iso), ds * nu, -1, ds), zmats)
+        f = f.reshape(ds, nu, *f.shape[1:]).sum(axis=1)
         k, a = np.indices((dr, ds))
         weights = np.diagonal(self._register_state.op.mat).real[(k - a) % dr]
         return labels, np.einsum("ka,axij->xkij", weights, f).reshape(-1, ds, ds)
 
 
 def _count_register_scheme(blocks: np.ndarray, dims: tuple[int, ...], dim_reg: int,
-                           other_state: State | None, register_state: State,
-                           other_pointer: DiscreteObservable | None,
+                           states: tuple[State, ...], register_state: State,
+                           pointers: tuple[DiscreteObservable | None, ...],
                            pointer_function: dict | None) -> MeasurementScheme:
     """The scheme whose coupling runs u on system (x) other probe factors and
     then adds the system's basis index, mod ``dim_reg``, to a count register
@@ -697,22 +779,21 @@ def _count_register_scheme(blocks: np.ndarray, dims: tuple[int, ...], dim_reg: i
     of :func:`_controlled_shift`. u is given as its level blocks: ``blocks``
     is a (dc, n, n) stack and ``dims`` are u's tensor factors, the system
     first and, when dc > 1, the conserved level last; a dense u is the
-    one-level stack u[None]. The probe starts in ``other_state`` (x)
-    ``register_state`` and the pointer is ``other_pointer`` (x) the
-    register's number observable; both other factors are None when u acts on
-    the system alone. Each block is checked for unitarity; that checks the
+    one-level stack u[None]. The other probe factors start in ``states``, in
+    order, and are read by ``pointers``, one per factor, None for a factor
+    that is not read; the register starts in ``register_state`` and is read
+    by its number observable. Both tuples are empty when u acts on the
+    system alone. Each block is checked for unitarity; that checks the
     coupling (module docstring)."""
     _check_unitary(blocks)
-    do = math.prod(dims[1:])
-    other_dims = {1} if other_state is None and other_pointer is None else {
-        f.dim if f is not None else 0 for f in (other_state, other_pointer)}
-    if other_dims != {do} or register_state.dim != dim_reg:
+    if (len(states) != len(pointers) or register_state.dim != dim_reg
+            or math.prod(st.dim for st in states) != math.prod(dims[1:])
+            or any(z is not None and z.dim != st.dim for st, z in zip(states, pointers))):
         raise ValueError("probe state / pointer dims inconsistent with coupling")
     scheme = object.__new__(_CountRegisterScheme)
     for name, value in (("_blocks", blocks), ("_dims", dims), ("_dim_reg", dim_reg),
-                        ("_other_state", other_state), ("_register_state", register_state),
-                        ("_other_pointer", other_pointer),
-                        ("pointer_function", pointer_function)):
+                        ("_states", states), ("_register_state", register_state),
+                        ("_pointers", pointers), ("pointer_function", pointer_function)):
         object.__setattr__(scheme, name, value)
     return scheme
 
@@ -727,20 +808,20 @@ def _controlled_shift(shifts, dim_other: int, dim_reg: int) -> np.ndarray:
     return ((n * dim_other + m) * dim_reg + (k - shifts[n]) % dim_reg).reshape(-1)
 
 
-def _probe_isometries(u5: np.ndarray, probe: State) -> np.ndarray:
+def _probe_isometries(u5: np.ndarray, qs: np.ndarray, chis: np.ndarray) -> np.ndarray:
     """Weighted isometry stack of a level-block coupling and a probe state.
 
     ``u5`` holds the coupling's blocks B_c as (d_c, d_out, d_m, d_in, d_m):
     B_c[(a, m'), (b, m)] couples system and the other probe factors m at
     probe level c, the last probe factor, which it conserves (d_c = 1 for a
-    dense coupling). ``probe`` is the probe state, whose recorded spectral
-    decomposition is sum_l q_l |chi_l><chi_l|. Returns K[l, a, (m', c), b] =
+    dense coupling). ``qs`` and the columns of ``chis`` are the probe state's
+    recorded spectral decomposition sum_l q_l |chi_l><chi_l|. Returns
+    K[l, a, (m', c), b] =
     sum_m B_c[(a, m'), (b, m)] chi_l[(m, c)] sqrt(q_l), which is
     sqrt(q_l) (<a| x <m', c|) U (|b> x |chi_l>), keeping only the weights
     q_l > 1e-14.
     """
     dc, d_out, dm, d_in, _ = u5.shape
-    qs, chis, _ = probe._spectrum
     keep = qs > 1e-14
     # chi_l[(m, c)] as (c, m, l): block c meets the probe at level c only
     chi = (chis[:, keep] * np.sqrt(qs[keep])).reshape(dm, dc, -1).transpose(1, 0, 2)
@@ -751,18 +832,25 @@ def _probe_isometries(u5: np.ndarray, probe: State) -> np.ndarray:
 
 def _compressed_effects(u5: np.ndarray, probe: State,
                         pointer_effects: np.ndarray) -> np.ndarray:
+    """Heisenberg-picture compression of stacked pointer effects Z_x by the
+    level-block coupling ``u5`` and the recorded spectrum of ``probe``
+    (:func:`_probe_isometries`, :func:`_compress_isometries`)."""
+    return _compress_isometries(_probe_isometries(u5, *probe._spectrum[:2]), pointer_effects)
+
+
+def _compress_isometries(k: np.ndarray, pointer_effects: np.ndarray) -> np.ndarray:
     """Heisenberg-picture compression of stacked pointer effects Z_x.
 
-    The probe state is T' = sum_l q_l |chi_l><chi_l|, and K_la is the
-    isometry block K_la[i, b] = (<a| x <i|) U (|b> x |chi_l>) of the
-    level-block coupling ``u5``, taken from :func:`_probe_isometries`
-    (weights q_l <= 1e-14 are dropped). Returns the Hermitian-symmetrised
+    The probe state is T' = sum_l q_l |chi_l><chi_l|, and ``k`` holds the
+    weighted isometry blocks sqrt(q_l) K_la, K_la[i, b] =
+    (<a| x <i|) U (|b> x |chi_l>), of :func:`_probe_isometries`, shape
+    (l, d_out, d_p, d_in); weights q_l <= 1e-14 are dropped there. Returns
+    the Hermitian-symmetrised
     F[a, x] = sum_l q_l K_la^dagger Z_x K_la for every output-system index a
     and outcome x, shape (d_out, k, d_in, d_in). Summed over a this is
     tr_probe[(I x T') U^dagger (I x Z_x) U]; no dense U^dagger (I x Z_x) U is
     formed.
     """
-    k = _probe_isometries(u5, probe)
     nl, d_out, dp, d_in = k.shape
     nx = len(pointer_effects)
     # Z_x K_la for every x, l, a: one (nx dp, dp) @ (dp, nl d_out d_in) product
@@ -827,7 +915,8 @@ def scheme_transformer(scheme: MeasurementScheme) -> StateTransformer:
     function.
     """
     ds, dp = scheme.system_dim, scheme.probe_dim
-    k = _probe_isometries(scheme.coupling.mat.reshape(1, ds, dp, ds, dp), scheme.probe_state)
+    k = _probe_isometries(scheme.coupling.mat.reshape(1, ds, dp, ds, dp),
+                          *scheme.probe_state._spectrum[:2])
     wz, vz = np.linalg.eigh(scheme.pointer.mats)
     # sqrt(z) <zeta| K_l per pointer outcome x, eigenvector j and probe weight l
     roots = vz * np.sqrt(np.clip(wz, 0.0, None))[:, None, :]

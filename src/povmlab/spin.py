@@ -49,7 +49,7 @@ BOUNDARY_TOL = 1e-12
 # The largest spin dimension 2s + 1 (module docstring).
 _MAX_SPIN_DIM = 1024
 
-# Bound on the rounding error of each entry that _phase_kernels computes. An
+# Bound on the rounding error of each entry that _phase_symbols computes. An
 # off-diagonal entry rounds k v, two complex exponentials, their difference,
 # 2 pi k and the quotient, about 4 eps in all for |u|, |v| <= 2 pi; this is
 # twice that. The largest error measured against 200-bit arithmetic, up to
@@ -199,39 +199,67 @@ def _phase_intervals(bins) -> list[tuple[float, float]]:
     return intervals
 
 
-def _phase_kernels(dim: int, bins) -> np.ndarray:
-    """Unchecked (k, dim, dim) stack of the phase effects of the intervals of
-    ``bins`` on the levels 0..dim-1.
+def _phase_symbols(dim: int, bins) -> np.ndarray:
+    """The (k, 2 dim - 1) symbols of the phase effects of the intervals of
+    ``bins`` on the levels 0..dim-1: column j + dim - 1 is c(j), j = n - m.
 
     Entry (m, n) of the effect of [u, v] is the integral of
     e^{i(n-m)alpha}/2pi over [u, v]; it depends on n - m only, so each effect
-    is a Toeplitz matrix with 2 dim - 1 distinct entries (Holevo 1982). Those
-    are evaluated for every interval in one array expression and gathered at
-    n - m + dim - 1; a full circle is the exact identity. As the entries read
-    only level differences, the stack is bit for bit the one on the spin
-    levels -s..s. ``dim`` must be a positive integer."""
+    is a Toeplitz matrix with 2 dim - 1 distinct entries (Holevo 1982), all
+    evaluated here in one array expression; a full circle is the exact
+    identity. Where each interval starts at the end of the one before, as in
+    a partition, the exponentials are taken once per shared edge, with the
+    same values. ``dim`` must be a positive integer."""
     _check_positive_int(dim, "phase dimension")
     intervals = np.array(_phase_intervals(bins), dtype=float).reshape(-1, 2)
-    u, v = intervals[:, :1], intervals[:, 1:]
+    u, v = intervals[:, 0], intervals[:, 1]
     k = np.arange(1 - dim, dim, dtype=float)  # n - m
+    if np.array_equal(u[1:], v[:-1]):
+        edges = np.exp(1j * k * np.append(u, v[-1:])[:, None])
+        lo, hi = edges[:-1], edges[1:]
+    else:
+        lo, hi = np.exp(1j * k * u[:, None]), np.exp(1j * k * v[:, None])
     with np.errstate(divide="ignore", invalid="ignore"):
-        entries = (np.exp(1j * k * v) - np.exp(1j * k * u)) / (2j * np.pi * k)
-    width = (v - u)[:, 0]
+        entries = (hi - lo) / (2j * np.pi * k)
+    width = v - u
     entries[:, dim - 1] = width / (2 * np.pi)
     entries[width >= 2 * np.pi * (1 - 1e-15)] = k == 0
+    return entries
+
+
+def _toeplitz(symbols: np.ndarray) -> np.ndarray:
+    """The (k, dim, dim) stack [c(n - m)] of (k, 2 dim - 1) symbols."""
+    dim = (symbols.shape[1] + 1) // 2
     n = np.arange(dim)
-    return entries[:, n[None, :] - n[:, None] + dim - 1]
+    return symbols[:, n[None, :] - n[:, None] + dim - 1]
+
+
+def _phase_kernels(dim: int, bins) -> np.ndarray:
+    """Unchecked (k, dim, dim) stack of the phase effects of the intervals of
+    ``bins`` on the levels 0..dim-1, gathered from their symbols
+    (:func:`_phase_symbols`). As the entries read only level differences,
+    the stack is bit for bit the one on the spin levels -s..s."""
+    return _toeplitz(_phase_symbols(dim, bins))
 
 
 def _phase_observable(dim: int, bins) -> DiscreteObservable:
     """The phase effects of ``bins`` on the levels 0..dim-1 as an observable,
     certified by the enclosure [0, 1] of Toeplitz sections, widened by
     dim (delta + 64 eps) (``povm`` module docstring): no eigvalsh runs unless
-    that misses the effect bounds."""
-    kernels = _phase_kernels(dim, bins)
-    enclosure = np.tile([0.0, 1.0], (len(kernels), 1))
-    return _enclosed_observable(range(len(kernels)), kernels, enclosure,
-                                dim * (_TOEPLITZ_ENTRY_ERROR + _EIG_ROUNDING))
+    that misses the effect bounds.
+
+    Both entrywise checks are read from the symbols: entry (m, n) of X - X†
+    is c(j) - conj(c(-j)) and entry (m, n) of sum_x X_x - I is
+    sum_x c_x(j) - [j = 0], for j = n - m, and every j in (-dim, dim) occurs,
+    so the largest entries over 2 dim - 1 lags are those over dim^2
+    entries."""
+    symbols = _phase_symbols(dim, bins)
+    hermitian = np.max(np.abs(symbols - symbols[:, ::-1].conj()), axis=1)
+    completeness = np.max(np.abs(symbols.sum(axis=0) - (np.arange(1 - dim, dim) == 0)))
+    enclosure = np.tile([0.0, 1.0], (len(symbols), 1))
+    return _enclosed_observable(range(len(symbols)), _toeplitz(symbols), enclosure,
+                                dim * (_TOEPLITZ_ENTRY_ERROR + _EIG_ROUNDING),
+                                hermitian, completeness)
 
 
 def spin_phase_effect(space: SpinPhaseSpace, interval) -> Effect:

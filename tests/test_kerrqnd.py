@@ -161,6 +161,13 @@ class TestCoherentState:
             coherent_state(z, 16)
         assert str(z) in str(err.value)
 
+    @pytest.mark.parametrize("z", [0.0, 0.1])
+    @pytest.mark.parametrize("dim", [0, -1, 2.5, 16.0, True])
+    def test_bad_dim_is_named(self, z, dim):
+        with pytest.raises(ValueError, match=rf"^coherent dimension {re.escape(repr(dim))} is not "
+                                             "a positive integer$"):
+            coherent_state(z, dim)
+
     def test_phase_convention(self):
         st = coherent_state(1.0j, 20)
         # amplitude arg shows up as e^{i n arg z} on the number amplitudes
@@ -275,6 +282,25 @@ class TestDetectionStatistics:
             assert abs(got - expected) < 1e-10
 
 
+def closed_form_loop(circuit):
+    """Reference for the a-mode closed form: the (n x bin, N) diagonals, one
+    einsum over the probe levels per pair n <= N."""
+    da = circuit.dims[0]
+    lam, readout = circuit.probe.lam, circuit.probe.readout
+    tprime = circuit.probe.probe_state.op.mat
+    k = np.arange(len(tprime))
+    theta = (circuit.mzi.delta + lam * k) / 2.0
+    diagonals = np.zeros((da, len(readout), da))
+    for n in range(da):
+        for total in range(n, da):
+            d_diag = (np.exp(-1j * total * lam * k / 2) * np.cos(theta) ** n
+                      * np.sin(theta) ** (total - n))
+            weighted = tprime * d_diag[:, None] * d_diag.conj()[None, :]
+            traces = np.einsum("ij,xji->x", weighted, readout.mats).real
+            diagonals[n, :, total] = math.comb(total, n) * traces
+    return diagonals.reshape(-1, da)
+
+
 class TestInducedAModeObservable:
     def test_closed_form_matches_unitary(self):
         probe = small_probe(lam=0.4, dim=12, bins=4)
@@ -290,6 +316,21 @@ class TestInducedAModeObservable:
         unit = induced_a_mode_observable(circuit, method="unitary")
         for x, e in closed:
             assert np.max(np.abs(e.op.mat - unit.effect_for(x).op.mat)) < 1e-8
+
+    def test_closed_form_equals_the_per_pair_loop(self):
+        rng = np.random.default_rng(23)
+        for amp in (0.5, 1.0, 2.0, 3.0, 6.0):
+            for nmax in (1, 2, 3):
+                for bins in (1, 4, 8, 13):
+                    dim = coherent_dim(amp)
+                    probe = ProbeConfig(coherent_state(amp * np.exp(1j * rng.uniform(0, 7)), dim),
+                                        rng.uniform(0.2, 2.5), truncated_phase_povm(dim, bins))
+                    circuit = KerrCircuit(canonical(rng.uniform(0, 7)), probe, FockSpace(nmax))
+                    got = induced_a_mode_observable(circuit).mats
+                    levels = np.arange(nmax + 1)
+                    # summation order only: the pair traces sum dim^2 terms
+                    assert np.max(np.abs(got[:, levels, levels] - closed_form_loop(circuit))) \
+                        <= dim * np.finfo(float).eps
 
     def test_closed_form_requires_canonical(self):
         params = MZIParams(BSParams(0.6, math.pi / 2), BSParams(0.5, math.pi / 2), 0.0)
@@ -686,6 +727,26 @@ class TestEnglertDuality:
             probe = ProbeConfig(state, lam, helstrom_readout(state, lam))
             povm = joint_path_interference_povm(0.5, math.pi / 2, probe)
             assert englert_sum(povm) <= 1 + 1e-12
+
+
+class TestKerrPhase:
+    def test_is_the_dense_exponential(self):
+        for dim in list(range(1, 65)) + [101, 401]:
+            n = np.arange(dim)
+            for lam in (0.0, 0.37, -1.3, 2.5, 1e3):
+                dense = np.exp(-1j * lam * (n[:, None] - n[None, :]))
+                assert np.array_equal(kerr_phase(dim, lam), dense), (dim, lam)
+
+    @pytest.mark.parametrize("dim", [0, -2, 2.5, True])
+    def test_bad_dim_is_named(self, dim):
+        with pytest.raises(ValueError, match=rf"^probe dimension {re.escape(repr(dim))} is not a "
+                                             "positive integer$"):
+            kerr_phase(dim, 0.3)
+
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_coupling_is_named(self, lam):
+        with pytest.raises(ValueError, match=f"^Kerr coupling {lam} is not finite$"):
+            kerr_phase(3, lam)
 
 
 class TestTruncatedPhasePovm:

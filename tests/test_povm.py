@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -287,7 +288,7 @@ class TestBatchedEffectCheck:
         calls = []
         check = povm._check_effects
 
-        def counted(mats):
+        def counted(mats, *args):
             calls.append(mats.shape)
             check(mats)
 
@@ -305,6 +306,27 @@ class TestBasisState:
         for dim, k in ((2, 0), (5, 3), (16, 15)):
             expected = np.diag([1.0 if i == k else 0.0 for i in range(dim)])
             assert np.array_equal(basis_state(k, dim).op.mat, expected)
+        assert np.array_equal(basis_state(np.int64(1), np.int32(3)).op.mat, np.diag([0, 1, 0]))
+
+    @pytest.mark.parametrize("k", [-1, -3])
+    def test_negative_index_is_rejected(self, k):
+        with pytest.raises(ValueError, match=rf"^basis index {k} is not an integer in \[0, 3\)$"):
+            basis_state(k, 3)
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_index_past_the_dimension_is_rejected(self, k):
+        with pytest.raises(ValueError, match=rf"^basis index {k} is not an integer in \[0, 3\)$"):
+            basis_state(k, 3)
+
+    @pytest.mark.parametrize("k", [1.0, 0.5, True])
+    def test_non_integer_index_is_rejected(self, k):
+        with pytest.raises(ValueError, match=rf"^basis index {k!r} is not an integer in \[0, 3\)$"):
+            basis_state(k, 3)
+
+    @pytest.mark.parametrize("dim", [0, -2, 2.5, 3.0, True])
+    def test_dimension_must_be_a_positive_integer(self, dim):
+        with pytest.raises(ValueError, match=rf"^dimension {dim!r} is not a positive integer$"):
+            basis_state(0, dim)
 
 
 class TestProbability:
@@ -1424,6 +1446,47 @@ class TestStructuralEnclosures:
         for obs in computed:
             assert [a for a in eigvalsh_arrays if np.shares_memory(a, obs.mats)]
 
+    @pytest.mark.parametrize("dim", list(range(1, 65)) + [101, 200, 401])
+    def test_residuals_read_from_the_symbols_are_the_entrywise_ones(self, dim, monkeypatch):
+        rng = np.random.default_rng(dim)
+        wide = dim > 64  # fewer and smaller stacks where a row is large
+        lists = [1, 2, 8] + ([] if wide else [3, 13, dim % 32 + 1])
+        cuts = np.sort(rng.uniform(0, 2 * np.pi, 2))
+        lists += [random_partition(rng, int(k)) for k in rng.integers(1, 5 if wide else 17, 3)]
+        lists += [[(0.0, 2 * np.pi)], [(0.0, 0.0), (0.0, 2 * np.pi), (2 * np.pi, 2 * np.pi)],
+                  # a repeated cut, and edges out of order (no shared edges)
+                  [(0.0, cuts[0]), (cuts[0], cuts[0]), (cuts[0], cuts[1]), (cuts[1], 2 * np.pi)],
+                  [(cuts[0], cuts[1]), (0.0, cuts[0]), (cuts[1], 2 * np.pi)]]
+        residual = povm._hermitian_residual
+        for bins in lists:
+            calls = []
+            monkeypatch.setattr(povm, "_hermitian_residual",
+                                lambda m: calls.append(m) or residual(m))
+            readout = kerrqnd.truncated_phase_povm(dim, bins)
+            monkeypatch.undo()
+            assert calls == []  # no entrywise X - X†
+            assert readout._hermitian == residual(readout.mats), bins
+            dense = np.max(np.abs(readout.mats.sum(axis=0) - np.eye(dim)))
+            assert abs(readout._completeness - dense) <= 1e-15, bins
+
+    def test_products_reuse_the_recorded_residuals(self, monkeypatch):
+        readout = kerrqnd.truncated_phase_povm(16, 4)
+        number = mzi.number_observable(3)
+        probe, vacuum = kerrqnd.coherent_state(1.0, 16), basis_state(0, 2)
+        residual = povm._hermitian_residual
+        calls = []
+        monkeypatch.setattr(povm, "_hermitian_residual", lambda m: calls.append(m) or residual(m))
+        for _ in range(2):
+            product_observable(readout, number)
+            povm._product_state(vacuum, probe)
+        monkeypatch.undo()
+        assert not [m for m in calls if np.shares_memory(m, readout.mats)
+                    or np.shares_memory(m, probe.op.mat) or np.shares_memory(m, vacuum.op.mat)]
+        # a stack with no recorded residual computes it once
+        assert len([m for m in calls if np.shares_memory(m, number.mats)]) == 1
+        assert readout._hermitian == residual(readout.mats)
+        assert probe._hermitian == residual(probe.op.mat[None])
+
     @pytest.mark.parametrize("intervals,message", [
         ([(0.0, 1.0), (1.0, 3.0)], "effects do not sum to the identity within tolerance"),
         ([(0.0, 4.0), (3.0, 2 * np.pi)], "effects do not sum to the identity within tolerance"),
@@ -1464,8 +1527,8 @@ class TestCountRegisterScheme:
         for scale in (1.0, 1 + 3e-11):  # a residual of about 6e-11 is still accepted
             u = Operator(random_unitary(32, rng) * scale, (8, 4))
             cases.append((u, povm._count_register_scheme(
-                u.mat[None], u.dims, 5, random_state(4, rng), random_state(5, rng),
-                DiscreteObservable([0], np.eye(4)[None]), None)))
+                u.mat[None], u.dims, 5, (random_state(4, rng),), random_state(5, rng),
+                (DiscreteObservable([0], np.eye(4)[None]),), None)))
         for u, scheme in cases:
             old = assembled_coupling(u, scheme.coupling.dims[-1])
             assert np.array_equal(scheme.coupling.mat, old)
@@ -1475,8 +1538,8 @@ class TestCountRegisterScheme:
         probe = maximally_mixed(2)
         pointer = DiscreteObservable([0], np.eye(2)[None])
         with pytest.raises(ValueError, match="^coupling is not unitary within 1e-10$"):
-            povm._count_register_scheme(1.001 * np.eye(4)[None], (2, 2), 2, probe,
-                                        basis_state(0, 2), pointer, None)
+            povm._count_register_scheme(1.001 * np.eye(4)[None], (2, 2), 2, (probe,),
+                                        basis_state(0, 2), (pointer,), None)
         unitary = mzi.mzi_unitary
         monkeypatch.setattr(mzi, "mzi_unitary",
                             lambda *args: unitary(*args) * (1 + 1e-9))
@@ -1492,8 +1555,8 @@ class TestCountRegisterScheme:
             with pytest.raises(ValueError, match="probe state / pointer dims inconsistent"):
                 povm._count_register_scheme(
                     np.eye(4)[None], (2, 2), dim_reg,
-                    None if other is None else maximally_mixed(other), maximally_mixed(reg),
-                    None if pointer is None else DiscreteObservable([0], np.eye(pointer)[None]),
+                    () if other is None else (maximally_mixed(other),), maximally_mixed(reg),
+                    () if pointer is None else (DiscreteObservable([0], np.eye(pointer)[None]),),
                     None)
 
 
@@ -1525,8 +1588,8 @@ def random_register_scheme(rng, ds, do, dim_reg, register_state):
     other = random_state(do, rng, rank=2)
     pointer = random_scheme(1, do, rng).pointer
     u = Operator(random_unitary(ds * do, rng), (ds, do))
-    return povm._count_register_scheme(u.mat[None], u.dims, dim_reg, other, register_state,
-                                       pointer, None)
+    return povm._count_register_scheme(u.mat[None], u.dims, dim_reg, (other,), register_state,
+                                       (pointer,), None)
 
 
 def random_level_block_scheme(rng, ds, dm, dc, dim_reg):
@@ -1536,8 +1599,8 @@ def random_level_block_scheme(rng, ds, dm, dc, dim_reg):
     blocks = np.array([random_unitary(ds * dm, rng) for _ in range(dc)])
     other = random_state(dm * dc, rng, rank=2)
     pointer = random_scheme(1, dm * dc, rng).pointer
-    return povm._count_register_scheme(blocks, (ds, dm, dc), dim_reg, other,
-                                       random_state(dim_reg, rng), pointer, None)
+    return povm._count_register_scheme(blocks, (ds, dm, dc), dim_reg, (other,),
+                                       random_state(dim_reg, rng), (pointer,), None)
 
 
 def position_scheme(d, rng):
@@ -1628,6 +1691,35 @@ class TestStructuredInduction:
         assert scheme.pointer.outcomes == pointer.outcomes
         assert np.array_equal(scheme.pointer.mats, pointer.mats)
         assert np.array_equal(scheme.pointer.extremes, pointer.extremes)
+
+    @pytest.mark.parametrize("read", [(True, False, True), (False, True, False),
+                                      (True, True, False), (False, False, False)])
+    def test_unread_factors_are_folded_into_the_kept_index(self, read):
+        # u on system (x) three probe factors, the last the conserved level
+        rng = np.random.default_rng([19, *read])
+        ds, dims, dim_reg = 2, (2, 3, 2), 3
+        blocks = np.array([random_unitary(ds * 6, rng) for _ in range(dims[-1])])
+        states = tuple(random_state(d, rng, rank=2) for d in dims)
+        pointers = tuple(random_scheme(1, d, rng).pointer if r else None
+                         for d, r in zip(dims, read))
+        scheme = povm._count_register_scheme(blocks, (ds, *dims), dim_reg, states,
+                                             random_state(dim_reg, rng), pointers, None)
+        obs = assert_matches_dense(scheme)
+        assert len(obs) == dim_reg * math.prod(d for d, r in zip(dims, read) if r)
+
+    @pytest.mark.parametrize("amp,nmax", [(0.5, 1), (1.0, 2)])
+    def test_kerr_induction_forms_no_product_of_b_and_the_probe(self, amp, nmax, monkeypatch):
+        circuit = kerr_circuit(amp, nmax)
+
+        def refused(*args):
+            raise AssertionError("a product was formed")
+
+        monkeypatch.setattr(povm, "product_observable", refused)
+        monkeypatch.setattr(povm, "_product_state", refused)
+        scheme = kerrqnd.kerr_measurement_scheme(circuit)
+        induced_observable(scheme)
+        monkeypatch.undo()
+        assert_matches_dense(scheme)
 
     @pytest.mark.parametrize("kind", ["kerr", "mzi", "position"])
     def test_scheme_transformer_reads_the_built_parts(self, kind):
