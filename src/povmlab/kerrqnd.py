@@ -252,8 +252,7 @@ def _circuit_effects(circuit: KerrCircuit, inputs) -> DiscreteObservable:
     blocks = _circuit_blocks(circuit)[:, :, inputs]
     readout = circuit.probe.readout
     f = _compressed_effects(blocks[:, :, None, :, None], circuit.probe.probe_state,
-                            readout.mats)
-    f = f.reshape(da, db, *f.shape[1:]).sum(axis=1)
+                            readout.mats, db)
     outcomes = [(n, x) for n in range(da) for x in readout.outcomes]
     return DiscreteObservable(outcomes, f.reshape(-1, len(inputs), len(inputs)))
 

@@ -40,12 +40,9 @@ extremes with e = 64 d eps. A row whose enclosure clears
 would give it; any other slice is diagonalised, so every rejection reports
 a computed spectrum. Hermiticity and completeness are checked entry by
 entry, except for a Toeplitz section, whose residuals are read from its
-symbol (below). Observables and states keep their Hermiticity residual,
-recorded where a builder read it and computed once otherwise, and a
-product reads its factors' residuals. The public
-``extremes`` are always eigenvalues: computed by the check, exact, or,
-where an enclosure passed, computed by one eigvalsh on first read; no
-bound is presented as an eigenvalue.
+symbol (below). The public ``extremes`` are always eigenvalues: computed
+by the check, exact, or, where an enclosure passed, computed by one
+eigvalsh on first read; no bound is presented as an eigenvalue.
 
 A diagonal row with real entries is its own L(X), and its spectrum is
 exactly its diagonal. Its record is the diagonal's min and max, which are
@@ -306,12 +303,6 @@ class State:
         q, chi = np.linalg.eigh(self.op.mat)
         return q, chi, self.dim * _EIG_ROUNDING
 
-    @cached_property
-    def _hermitian(self) -> float:
-        """The Hermiticity residual max|T - T†|: recorded by the builders of
-        pure and product states, computed on first read otherwise."""
-        return _hermitian_residual(self.op.mat[None])
-
 
 def _recorded_state(op: Operator, spectrum, h: float) -> State:
     """A State over ``op`` with the recorded ``spectrum`` (q, chi, e), given
@@ -331,21 +322,21 @@ def _recorded_state(op: Operator, spectrum, h: float) -> State:
         raise ValueError(f"state trace {tr} != 1")
     st = object.__new__(State)
     object.__setattr__(st, "op", op)
-    st.__dict__.update(_spectrum=spectrum, _hermitian=h)
+    st.__dict__["_spectrum"] = spectrum
     return st
 
 
 def _product_state(*factors: State) -> State:
     """The tensor product of states, with its spectral decomposition taken
     from the factors' records by ``kron`` and its error bound from the
-    product margin of the module docstring, on the factors' recorded
-    Hermiticity residuals."""
-    mat, (q, chi, e), h = factors[0].op.mat, factors[0]._spectrum, factors[0]._hermitian
+    product margin of the module docstring."""
+    mat, (q, chi, e) = factors[0].op.mat, factors[0]._spectrum
+    h = _hermitian_residual(mat[None])
     for f in factors[1:]:
         qf, chif, ef = f._spectrum
+        hf = _hermitian_residual(f.op.mat[None])
         mat = np.kron(mat, f.op.mat)
-        e = _product_margin(e, ef, h, f._hermitian, len(mat))
-        q, chi = np.kron(q, qf), np.kron(chi, chif)
+        q, chi, e = np.kron(q, qf), np.kron(chi, chif), _product_margin(e, ef, h, hf, len(mat))
         h = _hermitian_residual(mat[None])
     dims = tuple(d for f in factors for d in (f.op.dims or (f.dim,)))
     return _recorded_state(Operator(mat, dims), (q, chi, e), h)
@@ -412,7 +403,7 @@ class DiscreteObservable:
         the extremes are then computed on first read (module docstring).
         ``hermitian`` (per row) and ``completeness`` are residuals a builder
         read from the structure of the stack, used in place of the entrywise
-        ones; both residuals are recorded."""
+        ones."""
         outcomes = tuple(outcomes)
         if len(outcomes) != len(mats):
             raise ValueError("outcomes and effects must have equal length")
@@ -433,11 +424,8 @@ class DiscreteObservable:
         if enclosure is None:
             self.extremes = checked
             error = mats.shape[1] * _EIG_ROUNDING
-        if hermitian is not None:
-            self._hermitian = hermitian.max()
         self._enclosure = checked
         self._enclosure_error = error
-        self._completeness = completeness
         self._index = {x: i for i, x in enumerate(outcomes)}
 
     @cached_property
@@ -446,13 +434,6 @@ class DiscreteObservable:
         those the check computed, or, for a stack certified by its enclosure,
         those of one computed check on first read."""
         return _check_effects(self.mats)
-
-    @cached_property
-    def _hermitian(self) -> float:
-        """The Hermiticity residual max|X - X†| over the rows: recorded by a
-        builder that read it from the structure, computed on first read
-        otherwise."""
-        return _hermitian_residual(self.mats)
 
     @cached_property
     def effects(self) -> tuple[Effect, ...]:
@@ -621,14 +602,14 @@ def product_observable(a: DiscreteObservable, b: DiscreteObservable) -> Discrete
     Components that already carry tuple labels are flattened, so products of
     products keep a flat label arity. Each row's enclosure is the corner rule
     on the factors' enclosures, and an eigvalsh runs only where it does not
-    clear the effect bounds by the margin of the module docstring, on the
-    factors' recorded Hermiticity residuals.
+    clear the effect bounds by the margin of the module docstring.
     """
     outcomes = _product_labels(a.outcomes, b.outcomes)
+    d = a.dim * b.dim
     corners = (a._enclosure[:, None, :, None] * b._enclosure[None, :, None, :]).reshape(-1, 4)
     enclosure = np.stack((corners.min(axis=1), corners.max(axis=1)), axis=1)
-    margin = _product_margin(a._enclosure_error, b._enclosure_error, a._hermitian, b._hermitian,
-                             a.dim * b.dim)
+    margin = _product_margin(a._enclosure_error, b._enclosure_error,
+                             _hermitian_residual(a.mats), _hermitian_residual(b.mats), d)
     return _enclosed_observable(outcomes, _kron_stacks(a.mats, b.mats), enclosure, margin)
 
 
@@ -762,8 +743,7 @@ class _CountRegisterScheme(MeasurementScheme):
         iso = iso.reshape(len(iso), ds, *dims, ds).transpose(
             0, 1, *(2 + i for i in order), len(dims) + 2)
         nu = math.prod(dims[i] for i in unread)
-        f = _compress_isometries(iso.reshape(len(iso), ds * nu, -1, ds), zmats)
-        f = f.reshape(ds, nu, *f.shape[1:]).sum(axis=1)
+        f = _compress_isometries(iso.reshape(len(iso), ds * nu, -1, ds), zmats, nu)
         k, a = np.indices((dr, ds))
         weights = np.diagonal(self._register_state.op.mat).real[(k - a) % dr]
         return labels, np.einsum("ka,axij->xkij", weights, f).reshape(-1, ds, ds)
@@ -830,15 +810,17 @@ def _probe_isometries(u5: np.ndarray, qs: np.ndarray, chis: np.ndarray) -> np.nd
         -1, d_out, dm * dc, d_in)
 
 
-def _compressed_effects(u5: np.ndarray, probe: State,
-                        pointer_effects: np.ndarray) -> np.ndarray:
+def _compressed_effects(u5: np.ndarray, probe: State, pointer_effects: np.ndarray,
+                        fold: int = 1) -> np.ndarray:
     """Heisenberg-picture compression of stacked pointer effects Z_x by the
     level-block coupling ``u5`` and the recorded spectrum of ``probe``
     (:func:`_probe_isometries`, :func:`_compress_isometries`)."""
-    return _compress_isometries(_probe_isometries(u5, *probe._spectrum[:2]), pointer_effects)
+    return _compress_isometries(_probe_isometries(u5, *probe._spectrum[:2]), pointer_effects,
+                                fold)
 
 
-def _compress_isometries(k: np.ndarray, pointer_effects: np.ndarray) -> np.ndarray:
+def _compress_isometries(k: np.ndarray, pointer_effects: np.ndarray,
+                         fold: int = 1) -> np.ndarray:
     """Heisenberg-picture compression of stacked pointer effects Z_x.
 
     The probe state is T' = sum_l q_l |chi_l><chi_l|, and ``k`` holds the
@@ -849,7 +831,9 @@ def _compress_isometries(k: np.ndarray, pointer_effects: np.ndarray) -> np.ndarr
     F[a, x] = sum_l q_l K_la^dagger Z_x K_la for every output-system index a
     and outcome x, shape (d_out, k, d_in, d_in). Summed over a this is
     tr_probe[(I x T') U^dagger (I x Z_x) U]; no dense U^dagger (I x Z_x) U is
-    formed.
+    formed. With ``fold`` > 1 the output index is (a, o'), o' the output of
+    the probe factors that are not read, of size ``fold``, and F is summed
+    over o' (module docstring), shape (d_out / fold, k, d_in, d_in).
     """
     nl, d_out, dp, d_in = k.shape
     nx = len(pointer_effects)
@@ -860,7 +844,8 @@ def _compress_isometries(k: np.ndarray, pointer_effects: np.ndarray) -> np.ndarr
     ka = k.transpose(1, 0, 2, 3).reshape(d_out, nl * dp, d_in)
     f = ka.conj().swapaxes(1, 2) @ zk.reshape(d_out, nl * dp, nx * d_in)
     f = f.reshape(d_out, d_in, nx, d_in).transpose(0, 2, 1, 3)
-    return (f + f.conj().swapaxes(-1, -2)) / 2
+    f = (f + f.conj().swapaxes(-1, -2)) / 2
+    return f.reshape(d_out // fold, fold, nx, d_in, d_in).sum(axis=1)
 
 
 def induced_observable(scheme: MeasurementScheme) -> DiscreteObservable:

@@ -207,21 +207,17 @@ def _phase_symbols(dim: int, bins) -> np.ndarray:
     e^{i(n-m)alpha}/2pi over [u, v]; it depends on n - m only, so each effect
     is a Toeplitz matrix with 2 dim - 1 distinct entries (Holevo 1982), all
     evaluated here in one array expression; a full circle is the exact
-    identity. Where each interval starts at the end of the one before, as in
-    a partition, the exponentials are taken once per shared edge, with the
-    same values. ``dim`` must be a positive integer."""
+    identity. The exponentials are taken once per distinct edge, so an edge
+    that two intervals share, as in a partition, is evaluated once.
+    ``dim`` must be a positive integer."""
     _check_positive_int(dim, "phase dimension")
     intervals = np.array(_phase_intervals(bins), dtype=float).reshape(-1, 2)
-    u, v = intervals[:, 0], intervals[:, 1]
     k = np.arange(1 - dim, dim, dtype=float)  # n - m
-    if np.array_equal(u[1:], v[:-1]):
-        edges = np.exp(1j * k * np.append(u, v[-1:])[:, None])
-        lo, hi = edges[:-1], edges[1:]
-    else:
-        lo, hi = np.exp(1j * k * u[:, None]), np.exp(1j * k * v[:, None])
+    edges, at = np.unique(intervals, return_inverse=True)
+    ends = np.exp(1j * k * edges[:, None])[at.reshape(-1)]  # rows u_0, v_0, u_1, ...
     with np.errstate(divide="ignore", invalid="ignore"):
-        entries = (hi - lo) / (2j * np.pi * k)
-    width = v - u
+        entries = (ends[1::2] - ends[0::2]) / (2j * np.pi * k)
+    width = intervals[:, 1] - intervals[:, 0]
     entries[:, dim - 1] = width / (2 * np.pi)
     entries[width >= 2 * np.pi * (1 - 1e-15)] = k == 0
     return entries

@@ -1457,35 +1457,22 @@ class TestStructuralEnclosures:
                   # a repeated cut, and edges out of order (no shared edges)
                   [(0.0, cuts[0]), (cuts[0], cuts[0]), (cuts[0], cuts[1]), (cuts[1], 2 * np.pi)],
                   [(cuts[0], cuts[1]), (0.0, cuts[0]), (cuts[1], 2 * np.pi)]]
-        residual = povm._hermitian_residual
+        residual, init = povm._hermitian_residual, DiscreteObservable._init
         for bins in lists:
-            calls = []
+            calls, passed = [], []
             monkeypatch.setattr(povm, "_hermitian_residual",
                                 lambda m: calls.append(m) or residual(m))
+            # _init(outcomes, mats, enclosure, error, hermitian, completeness)
+            monkeypatch.setattr(DiscreteObservable, "_init",
+                                lambda obs, *args: passed.append(args) or init(obs, *args))
             readout = kerrqnd.truncated_phase_povm(dim, bins)
             monkeypatch.undo()
             assert calls == []  # no entrywise X - X†
-            assert readout._hermitian == residual(readout.mats), bins
+            (mats, _, _, hermitian, completeness), = [args[1:] for args in passed]
+            assert mats is readout.mats
+            assert hermitian.tolist() == [residual(m[None]) for m in readout.mats], bins
             dense = np.max(np.abs(readout.mats.sum(axis=0) - np.eye(dim)))
-            assert abs(readout._completeness - dense) <= 1e-15, bins
-
-    def test_products_reuse_the_recorded_residuals(self, monkeypatch):
-        readout = kerrqnd.truncated_phase_povm(16, 4)
-        number = mzi.number_observable(3)
-        probe, vacuum = kerrqnd.coherent_state(1.0, 16), basis_state(0, 2)
-        residual = povm._hermitian_residual
-        calls = []
-        monkeypatch.setattr(povm, "_hermitian_residual", lambda m: calls.append(m) or residual(m))
-        for _ in range(2):
-            product_observable(readout, number)
-            povm._product_state(vacuum, probe)
-        monkeypatch.undo()
-        assert not [m for m in calls if np.shares_memory(m, readout.mats)
-                    or np.shares_memory(m, probe.op.mat) or np.shares_memory(m, vacuum.op.mat)]
-        # a stack with no recorded residual computes it once
-        assert len([m for m in calls if np.shares_memory(m, number.mats)]) == 1
-        assert readout._hermitian == residual(readout.mats)
-        assert probe._hermitian == residual(probe.op.mat[None])
+            assert abs(completeness - dense) <= 1e-15, bins
 
     @pytest.mark.parametrize("intervals,message", [
         ([(0.0, 1.0), (1.0, 3.0)], "effects do not sum to the identity within tolerance"),
