@@ -389,15 +389,15 @@ def tradeoff_scan(amplitudes, lam: float, eps2_values,
     transparencies, with an 8-bin phase readout and theta2 = pi/2 (neither
     column depends on theta2). ``probe_kind="number"`` replaces each coherent
     probe by the number state nearest its mean photon number."""
+    if probe_kind not in ("coherent", "number"):
+        raise ValueError(f"unknown probe kind {probe_kind!r}")
     rows = []
     for amp in amplitudes:
         dim = coherent_dim(amp)
         if probe_kind == "coherent":
             probe_state = coherent_state(amp, dim)
-        elif probe_kind == "number":
-            probe_state = basis_state(round(abs(amp) ** 2), dim)
         else:
-            raise ValueError(f"unknown probe kind {probe_kind!r}")
+            probe_state = basis_state(round(abs(amp) ** 2), dim)
         readout = truncated_phase_povm(dim, 8)
         probe = ProbeConfig(probe_state, lam, readout)
         for eps2 in eps2_values:

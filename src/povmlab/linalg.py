@@ -42,11 +42,15 @@ ATOL_COMPLETENESS = 1e-9   # POVM elements sum to identity within this
 ATOL_UNITARY = 1e-10
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is an integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, (bool, np.bool_))
+
+
 def _check_positive_int(value, name: str):
     """Raise ``ValueError`` naming ``value`` unless it is a positive integer
     (a bool is not one)."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)) \
-            or value < 1:
+    if not _is_int(value) or value < 1:
         raise ValueError(f"{name} {value!r} is not a positive integer")
 
 
@@ -263,5 +267,6 @@ def eigh(op: Operator):
 
 def haar_vector(dim: int, rng: np.random.Generator) -> Vector:
     """A Haar-random unit vector (Gaussian method)."""
+    _check_positive_int(dim, "dimension")
     z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return Vector(z / np.linalg.norm(z))

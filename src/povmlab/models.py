@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Operator, _check_positive_int, eigh
+from .linalg import Operator, _check_positive_int, _is_int, eigh
 from .mzi import number_observable
 from .povm import (
     DiscreteObservable,
@@ -41,6 +41,11 @@ __all__ = [
 ]
 
 
+def _check_steps(steps):
+    if not _is_int(steps):
+        raise ValueError(f"steps {steps!r} is not an integer")
+
+
 @dataclass(frozen=True)
 class CyclicGrid:
     """d sites with periodic shifts; the momentum basis is the discrete
@@ -61,6 +66,7 @@ class CyclicGrid:
 
     def shift(self, steps: int = 1) -> Operator:
         """Cyclic shift |q> -> |q + steps>."""
+        _check_steps(steps)
         mat = np.zeros((self.d, self.d), dtype=complex)
         for q in range(self.d):
             mat[(q + steps) % self.d, q] = 1.0
@@ -68,6 +74,7 @@ class CyclicGrid:
 
     def boost(self, steps: int = 1) -> Operator:
         """Diagonal phase |q> -> omega^{q steps} |q>."""
+        _check_steps(steps)
         phases = self.omega ** (steps * np.arange(self.d))
         return Operator(np.diag(phases))
 
@@ -117,6 +124,7 @@ def toy_discrete_measurement(a: Operator, grid: CyclicGrid,
     Requires the shifted pointer supports to be disjoint modulo the grid
     size; the induced observable is then exactly the spectral measure.
     """
+    _check_positive_int(pointer_width, "pointer width")
     w, v = eigh(a)
     rounded = np.round(w).astype(int)
     if np.max(np.abs(w - rounded)) > 1e-8:

@@ -98,6 +98,11 @@ class BSParams:
         return math.acos(math.sqrt(self.eps)) * np.exp(1j * self.theta)
 
 
+def _check_phase_shift(delta: float):
+    if not math.isfinite(delta):
+        raise ValueError(f"phase shift {delta} is not finite")
+
+
 @dataclass(frozen=True)
 class MZIParams:
     bs1: BSParams
@@ -105,8 +110,7 @@ class MZIParams:
     delta: float = 0.0
 
     def __post_init__(self):
-        if not math.isfinite(self.delta):
-            raise ValueError(f"phase shift {self.delta} is not finite")
+        _check_phase_shift(self.delta)
         object.__setattr__(self, "delta", float(self.delta) % (2 * math.pi))
 
 
@@ -120,6 +124,7 @@ def annihilation(dim: int) -> Operator:
 
 
 def number(dim: int) -> Operator:
+    _check_positive_int(dim, "dim")
     return Operator(np.diag(np.arange(dim, dtype=complex)))
 
 
@@ -147,6 +152,7 @@ def beam_splitter(params: BSParams, space: FockSpace) -> Operator:
 
 def phase_shifter(delta: float, space: FockSpace) -> Operator:
     """e^{i delta N} on the first mode, identity on the second."""
+    _check_phase_shift(delta)
     phases = np.exp(1j * delta * np.arange(space.dim))
     return Operator(
         np.kron(np.diag(phases), np.eye(space.dim)), (space.dim, space.dim)
@@ -366,19 +372,22 @@ def expanded_mzi_observable(circuit=None) -> DiscreteObservable:
         circuit = default_expanded_circuit()
     u = np.eye(_EXPANDED_MODES, dtype=complex)
     for element in circuit:
-        kind = element[0]
+        if not isinstance(element, (tuple, list)) or len(element) != 3:
+            raise ValueError(f"circuit element {element!r} is not a "
+                             "(kind, parameter, modes) triple")
+        kind, param, modes = element
         if kind == "bs":
-            u = _embed(_single_photon_block(element[1]), element[2]) @ u
+            u = _embed(_single_photon_block(param), modes) @ u
         elif kind == "bsr":
-            u = _embed(_single_photon_block(element[1]).conj().T, element[2]) @ u
+            u = _embed(_single_photon_block(param).conj().T, modes) @ u
         elif kind == "ps":
-            if element[2] not in range(_EXPANDED_MODES):
-                raise ValueError(f"phase-shifter mode {element[2]!r} is not in "
+            if modes not in range(_EXPANDED_MODES):
+                raise ValueError(f"phase-shifter mode {modes!r} is not in "
                                  f"0..{_EXPANDED_MODES - 1}")
-            if not math.isfinite(element[1]):
-                raise ValueError(f"phase-shifter angle {element[1]} is not finite")
+            if not math.isfinite(param):
+                raise ValueError(f"phase-shifter angle {param} is not finite")
             d = np.ones(_EXPANDED_MODES, dtype=complex)
-            d[element[2]] = np.exp(1j * element[1])
+            d[modes] = np.exp(1j * param)
             u = np.diag(d) @ u
         else:
             raise ValueError(f"unknown circuit element kind {kind!r}")

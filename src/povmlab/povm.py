@@ -69,18 +69,6 @@ in the section, so the largest entries over the 2d - 1 lags are those over
 the d^2 entries, and the Hermiticity residual is the same floating-point
 number.
 
-Products are certified from their checked factors. The spectrum of
-L(A) x L(B) is exactly {lambda mu}, so the min and max of the four products
-of the factors' interval ends enclose it up to 2 (e_A + e_B), as every
-value involved has modulus below 2. Entrywise,
-A x B - L(A) x L(B) = (A - L(A)) x B + L(A) x (B - L(B)) is at most
-2 (h_A + h_B), and so is the Hermiticity residual of A x B, which bounds
-L(A x B) - A x B. A D x D matrix has spectral norm at most D times its
-largest entry, so by Weyl's inequality spec L(A x B), and the spectrum
-eigvalsh returns for A x B, lie within the margin 2 (e_A + e_B)
-+ D (4 (h_A + h_B) + 64 eps) of the product interval: that margin is the
-product's e.
-
 A state T records its spectral decomposition: eigenvalues q on orthonormal
 columns chi, zero on their complement, within e of spec L(T). A pure state
 is T = fl(u u†) for its unit vector u, so the record is q = [1], chi = u,
@@ -89,14 +77,11 @@ u u†, whose spectrum is {|u|^2, 0, ...}, and the computed trace is within
 (D + 1) eps |u|^2 of |u|^2; by Weyl's inequality the record lies within
 D (h_T + 16 eps) + |tr T - 1| of spec L(T). (h_T is 0 when the mirrored
 entries u_i u_j* and u_j u_i* round alike, as they do without fused
-multiply-adds, but it is measured.) The spectrum of L(A) x L(B) is exactly
-{lambda mu} on the eigenvectors chi_A x chi_B, so a product of states takes
-(q_A x q_B, chi_A x chi_B) from its factors' records, within the margin
-above with e_A, e_B the factors' errors; the margin bounds every eigenvalue,
-not only the extremes. Positivity is read from the record when its smallest
-eigenvalue clears -ATOL_POSITIVE by e; otherwise eigvalsh decides. Any
-other state is checked by eigvalsh and diagonalised by eigh once, when its
-decomposition is first needed.
+multiply-adds, but it is measured.) Positivity is read from the record
+when its smallest eigenvalue clears -ATOL_POSITIVE by e; otherwise eigvalsh
+decides. Any other state is checked by eigvalsh and diagonalised by eigh
+once, when its decomposition is first needed. Products of observables and
+of states are checked like any input.
 
 A coupling that conserves the level c of its last probe factor, as the
 cross-Kerr circuit conserves the probe photon number (Imoto, Haus &
@@ -156,8 +141,10 @@ from .linalg import (
     Operator,
     Vector,
     _check_positive_int,
+    _is_int,
     eigh,
     identity,
+    tensor,
     zero,
 )
 
@@ -203,14 +190,6 @@ _EIG_ROUNDING = 64 * np.finfo(float).eps
 def _hermitian_residual(mats: np.ndarray) -> float:
     """Largest entry of X - X† over the rows X of a (k, d, d) stack."""
     return np.max(np.abs(mats - mats.conj().swapaxes(1, 2)))
-
-
-def _product_margin(e_a: float, e_b: float, h_a: float, h_b: float, d: int) -> float:
-    """The error of a d x d product A x B's enclosure, the corner rule on
-    its factors' records (errors e, Hermiticity residuals h): it covers
-    spec L(A x B) and the spectrum eigvalsh would return (module
-    docstring)."""
-    return 2 * (e_a + e_b) + d * (4 * (h_a + h_b) + _EIG_ROUNDING)
 
 
 def _check_effects(mats: np.ndarray, enclosure=None, margin: float = 0.0,
@@ -279,8 +258,8 @@ class State:
 
     Its spectral decomposition is ``_spectrum`` = (q, chi, e): eigenvalues q
     on the orthonormal columns of chi, zero on their complement, within e of
-    spec L(T) (module docstring). Pure and product states record it when they
-    are built; any other state runs one eigh for it, on first use."""
+    spec L(T) (module docstring). Pure states record it when they are built;
+    any other state runs one eigh for it, on first use."""
 
     op: Operator
 
@@ -326,22 +305,6 @@ def _recorded_state(op: Operator, spectrum, h: float) -> State:
     return st
 
 
-def _product_state(*factors: State) -> State:
-    """The tensor product of states, with its spectral decomposition taken
-    from the factors' records by ``kron`` and its error bound from the
-    product margin of the module docstring."""
-    mat, (q, chi, e) = factors[0].op.mat, factors[0]._spectrum
-    h = _hermitian_residual(mat[None])
-    for f in factors[1:]:
-        qf, chif, ef = f._spectrum
-        hf = _hermitian_residual(f.op.mat[None])
-        mat = np.kron(mat, f.op.mat)
-        q, chi, e = np.kron(q, qf), np.kron(chi, chif), _product_margin(e, ef, h, hf, len(mat))
-        h = _hermitian_residual(mat[None])
-    dims = tuple(d for f in factors for d in (f.op.dims or (f.dim,)))
-    return _recorded_state(Operator(mat, dims), (q, chi, e), h)
-
-
 def effect(mat, dims=None) -> Effect:
     return Effect(Operator(mat, dims))
 
@@ -361,8 +324,7 @@ def basis_state(k: int, dim: int) -> State:
     """The basis state |k><k| of a ``dim``-dimensional space; ``dim`` must be
     a positive integer and ``k`` an integer in [0, dim)."""
     _check_positive_int(dim, "dimension")
-    if isinstance(k, (bool, np.bool_)) or not isinstance(k, (int, np.integer)) \
-            or not 0 <= k < dim:
+    if not _is_int(k) or not 0 <= k < dim:
         raise ValueError(f"basis index {k!r} is not an integer in [0, {dim})")
     v = np.zeros(dim, dtype=complex)
     v[k] = 1.0
@@ -370,6 +332,7 @@ def basis_state(k: int, dim: int) -> State:
 
 
 def maximally_mixed(dim: int) -> State:
+    _check_positive_int(dim, "dimension")
     return State(Operator(np.eye(dim, dtype=complex) / dim))
 
 
@@ -600,17 +563,12 @@ def product_observable(a: DiscreteObservable, b: DiscreteObservable) -> Discrete
     """Observable on the tensor product with tuple outcome labels.
 
     Components that already carry tuple labels are flattened, so products of
-    products keep a flat label arity. Each row's enclosure is the corner rule
-    on the factors' enclosures, and an eigvalsh runs only where it does not
-    clear the effect bounds by the margin of the module docstring.
+    products keep a flat label arity. The product stack is checked like any
+    input stack, and its ``extremes`` are the eigenvalues that check computes.
     """
-    outcomes = _product_labels(a.outcomes, b.outcomes)
-    d = a.dim * b.dim
-    corners = (a._enclosure[:, None, :, None] * b._enclosure[None, :, None, :]).reshape(-1, 4)
-    enclosure = np.stack((corners.min(axis=1), corners.max(axis=1)), axis=1)
-    margin = _product_margin(a._enclosure_error, b._enclosure_error,
-                             _hermitian_residual(a.mats), _hermitian_residual(b.mats), d)
-    return _enclosed_observable(outcomes, _kron_stacks(a.mats, b.mats), enclosure, margin)
+    obs = object.__new__(DiscreteObservable)
+    obs._init(_product_labels(a.outcomes, b.outcomes), _kron_stacks(a.mats, b.mats))
+    return obs
 
 
 def _kron_stacks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -692,7 +650,7 @@ class _CountRegisterScheme(MeasurementScheme):
     def probe_state(self) -> State:
         if not self._states:
             return self._register_state
-        return _product_state(*self._states, self._register_state)
+        return State(tensor(*(st.op for st in self._states), self._register_state.op))
 
     @cached_property
     def _other_pointer(self) -> DiscreteObservable | None:
@@ -725,7 +683,6 @@ class _CountRegisterScheme(MeasurementScheme):
         blocks, dr, ds = self._blocks, self._dim_reg, self.system_dim
         q, chi = np.ones(1), np.ones((1, 1))
         for st in self._states:
-            # the krons _product_state takes, without np.kron's overhead
             qs, chis = st._spectrum[:2]
             q = np.multiply.outer(q, qs).reshape(-1)
             chi = np.multiply.outer(chi, chis).transpose(0, 2, 1, 3).reshape(
@@ -863,11 +820,15 @@ def induced_observable(scheme: MeasurementScheme) -> DiscreteObservable:
 def marginal(obs: DiscreteObservable, keep: int) -> DiscreteObservable:
     """Marginal observable over one component of tuple-labeled outcomes.
 
-    ``keep`` is the 0-based index of the label component to retain; effects
-    are summed over the discarded components.
+    ``keep`` is the 0-based index of the label component to retain, an
+    integer in [0, label arity); effects are summed over the discarded
+    components.
     """
     if not all(isinstance(x, tuple) for x in obs.outcomes):
         raise ValueError("marginal requires tuple outcome labels")
+    arity = min(map(len, obs.outcomes))
+    if not _is_int(keep) or not 0 <= keep < arity:
+        raise ValueError(f"keep {keep!r} is not an integer in [0, {arity})")
     return _grouped([x[keep] for x in obs.outcomes], obs.mats)
 
 

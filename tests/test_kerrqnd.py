@@ -40,7 +40,6 @@ from povmlab.mzi import (
 from povmlab.povm import (
     DiscreteObservable,
     State,
-    _product_state,
     basis_state,
     induced_observable,
     probability,
@@ -424,7 +423,7 @@ def dense_kerr_scheme_effects(circuit):
     u4 = three_mode_unitary(circuit).mat.reshape(da, db * dc, da, db * dc)
     trivial_b = DiscreteObservable([0], np.eye(db)[None])
     pointer = product_observable(trivial_b, circuit.probe.readout)
-    probe = _product_state(basis_state(0, db), circuit.probe.probe_state)
+    probe = State(tensor(basis_state(0, db).op, circuit.probe.probe_state.op))
     return dense_compressed_effects(u4, probe, pointer.mats).reshape(-1, da, da)
 
 
@@ -640,6 +639,10 @@ class TestJointPovm:
 
 
 class TestTradeoff:
+    def test_probe_kind_is_checked_before_the_scan(self):
+        with pytest.raises(ValueError, match="^unknown probe kind 'bogus'$"):
+            tradeoff_scan([], 0.5, [0.5], probe_kind="bogus")
+
     def test_vacuum_probe_no_information(self):
         rows = tradeoff_scan([0.0], 0.9, [0.5])
         assert rows[0]["path_confidence"] == 0.5

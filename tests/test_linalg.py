@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -9,6 +9,7 @@ from povmlab.linalg import (
     Vector,
     eigh,
     expm,
+    haar_vector,
     identity,
     partial_trace,
     tensor,
@@ -176,7 +177,6 @@ class TestExpm:
             with pytest.raises(ValueError, match="anti-Hermitian"):
                 expm(gen)
 
-    @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10**6))
     def test_anti_hermitian_gives_unitary(self, seed):
         rng = np.random.default_rng(seed)
@@ -202,3 +202,10 @@ class TestEigh:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             eigh(Operator(np.array([[0.0, 1.0], [0.0, 0.0]])))
+
+
+@pytest.mark.parametrize("dim", [0, -1, 2.5, True])
+def test_haar_vector_dimension_is_a_positive_integer(dim):
+    expected = f"dimension {dim!r} is not a positive integer"
+    with pytest.raises(ValueError, match=f"^{expected}$"):
+        haar_vector(dim, np.random.default_rng(0))

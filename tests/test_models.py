@@ -7,12 +7,16 @@ from povmlab.linalg import Operator
 from povmlab.models import (
     ConfidenceFunction,
     CyclicGrid,
+    parity_operator,
     phase_space_observable,
     position_measurement_scheme,
+    position_observable,
     toy_discrete_measurement,
     unsharp_position_observable,
     unsharp_position_transformer,
+    weyl_operator,
 )
+from povmlab.mzi import number_observable
 from povmlab.povm import State, induced_observable, marginal
 
 TOL = 1e-12
@@ -194,3 +198,52 @@ def test_non_finite_pointer_amplitude_is_named(build, bad):
 def test_confidence_weights_are_one_dimensional():
     with pytest.raises(ValueError, match=r"^confidence weights must be one-dimensional"):
         ConfidenceFunction([[0.5, 0.5], [0.0, 0.0]])
+
+
+@pytest.mark.parametrize("width", [0, -1, 1.5, True])
+def test_pointer_width_is_a_positive_integer(width):
+    a = Operator(np.diag([0.0, 2.0]))
+    expected = f"pointer width {width!r} is not a positive integer"
+    with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+        toy_discrete_measurement(a, CyclicGrid(8), width)
+
+
+@pytest.mark.parametrize("build", [
+    lambda grid, s: grid.shift(s),
+    lambda grid, s: grid.boost(s),
+    lambda grid, s: weyl_operator(grid, s, 0),
+    lambda grid, s: weyl_operator(grid, 0, s),
+], ids=["shift", "boost", "weyl-q", "weyl-p"])
+@pytest.mark.parametrize("steps", [1.5, float("nan"), np.float64(1.0), True])
+def test_steps_are_integers(build, steps):
+    expected = f"steps {steps!r} is not an integer"
+    with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+        build(CyclicGrid(3), steps)
+
+
+@pytest.mark.parametrize("d", [2, 3, 7])
+def test_weyl_operators(d):
+    grid = CyclicGrid(d)
+    x, z = grid.shift(1).mat, grid.boost(1).mat
+    assert np.max(np.abs(z @ x - grid.omega * x @ z)) <= TOL
+    for q in range(-1, d + 1):
+        for p in range(-1, d + 1):
+            w = weyl_operator(grid, q, p).mat
+            assert np.max(np.abs(w @ w.conj().T - np.eye(d))) <= TOL
+
+
+@pytest.mark.parametrize("d", [2, 3, 8])
+def test_parity_reflects_the_sites(d):
+    pi = parity_operator(CyclicGrid(d)).mat
+    assert np.array_equal(pi @ pi, np.eye(d))
+    for m in range(d):
+        assert np.array_equal(pi[:, m], np.eye(d)[(-m) % d])
+
+
+@pytest.mark.parametrize("d", [2, 5, 8])
+def test_position_observable_is_the_number_observable(d):
+    obs = position_observable(CyclicGrid(d))
+    assert obs.is_projection_valued()
+    number = number_observable(d)
+    assert obs.outcomes == number.outcomes
+    assert np.array_equal(obs.mats, number.mats)

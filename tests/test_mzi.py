@@ -437,6 +437,13 @@ class TestExpandedInterferometer:
         with pytest.raises(ValueError, match=re.escape(f"mode pair {pair!r}")):
             expanded_mzi_observable([(kind, BSParams(0.3), pair)])
 
+    @pytest.mark.parametrize("element", [("bs", BSParams(0.5)), ("ps", 0.3, 3, 0), ("bs",),
+                                         "bsr", 5, None])
+    def test_rejects_an_element_that_is_not_a_triple(self, element):
+        expected = f"circuit element {element!r} is not a (kind, parameter, modes) triple"
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+            expanded_mzi_observable([element])
+
     def test_rejects_bad_phase_shifter_mode(self):
         with pytest.raises(ValueError, match="phase-shifter mode -1"):
             expanded_mzi_observable([("ps", 0.3, -1)])
@@ -456,6 +463,11 @@ class TestNonFiniteParameters:
         half = BSParams(0.5)
         with pytest.raises(ValueError, match=f"^phase shift {delta} is not finite$"):
             MZIParams(half, half, delta=delta)
+
+    @pytest.mark.parametrize("delta", NON_FINITE)
+    def test_phase_shifter(self, delta):
+        with pytest.raises(ValueError, match=f"^phase shift {delta} is not finite$"):
+            phase_shifter(delta, SPACE1)
 
     @pytest.mark.parametrize("theta", NON_FINITE)
     def test_single_photon_observable_phase(self, theta):
@@ -495,3 +507,9 @@ def test_fock_cutoff_is_a_positive_integer(nmax):
 def test_ladder_dimension_is_a_positive_integer(dim):
     with pytest.raises(ValueError, match=f"^dim {re.escape(repr(dim))} is not a positive integer$"):
         annihilation(dim)
+
+
+@pytest.mark.parametrize("dim", NOT_SIZES + [-1])
+def test_number_dimension_is_a_positive_integer(dim):
+    with pytest.raises(ValueError, match=f"^dim {re.escape(repr(dim))} is not a positive integer$"):
+        number(dim)
