@@ -302,6 +302,23 @@ def induced_a_mode_observable(circuit: KerrCircuit,
     return _diagonal_observable(outcomes, diagonals.reshape(-1, da))
 
 
+def _probe_traces(probe: ProbeConfig) -> np.ndarray:
+    """The probe traces t0, t1, t0m and tp0 of
+    :func:`joint_path_interference_povm`, shape (4, bins): tr[W E(X)] for the
+    four weightings W of T', as sum_ji W[i, j] E(X)[j, i]. That is one product
+    of the transposed weights with the readout rows, which are read in place
+    as a (bins, dc**2) matrix."""
+    lam = probe.lam
+    dc = probe.probe_state.dim
+    tp = probe.probe_state.op.mat
+    conj_phase = kerr_phase(dc, lam)  # entry (m, n): e^{-i lam (m - n)}
+    minus = np.exp(-1j * lam * np.arange(dc))  # e^{-i lam N} diagonal
+    weights = np.stack([tp, tp * conj_phase.conj().T, tp * minus[:, None],
+                        tp * minus.conj()[None, :]])
+    mats = probe.readout.mats
+    return weights.swapaxes(1, 2).reshape(4, -1) @ mats.reshape(len(mats), -1).T
+
+
 def joint_path_interference_povm(eps2: float, theta2: float,
                                  probe: ProbeConfig) -> DiscreteObservable:
     """Joint unsharp path/interference POVM on the single-photon two-path
@@ -321,16 +338,8 @@ def joint_path_interference_povm(eps2: float, theta2: float,
     observable, diagonal in the path basis.
     """
     BSParams(eps2, theta2)  # names a bad parameter
-    lam = probe.lam
-    dc = probe.probe_state.dim
-    tp = probe.probe_state.op.mat
-    conj_phase = kerr_phase(dc, lam)  # entry (m, n): e^{-i lam (m - n)}
-    minus = np.exp(-1j * lam * np.arange(dc))  # e^{-i lam N} diagonal
+    t0, t1, t0m, tp0 = _probe_traces(probe)
     cross = math.sqrt(eps2 * (1 - eps2))
-    # tr[W E(X)] = sum_ij W[i, j] E(X)[j, i] for the four weightings W of T'
-    weights = np.stack([tp, tp * conj_phase.conj().T, tp * minus[:, None],
-                        tp * minus.conj()[None, :]])
-    t0, t1, t0m, tp0 = np.einsum("wij,xji->wx", weights, probe.readout.mats)
     upper = cross * np.exp(1j * theta2) * t0m
     lower = cross * np.exp(-1j * theta2) * tp0
     # row-major entries of F(1, X) and F(0, X)

@@ -283,25 +283,27 @@ class State:
         return q, chi, self.dim * _EIG_ROUNDING
 
 
-def _recorded_state(op: Operator, spectrum, h: float) -> State:
-    """A State over ``op`` with the recorded ``spectrum`` (q, chi, e), given
-    the Hermiticity residual h of ``op``. It has the checks and messages of
-    :class:`State`, but positivity is read from the record when its smallest
-    eigenvalue clears -ATOL_POSITIVE by e; otherwise eigvalsh decides."""
+def _recorded_state(op: Operator, u: np.ndarray, h: float) -> State:
+    """The pure State over ``op`` = fl(u u†) for the unit vector ``u``, given
+    the Hermiticity residual h of ``op``. It records q = [1] and chi = u
+    within e = D (h + 16 eps) + |tr T - 1| (module docstring), and has the
+    checks and messages of :class:`State`, but positivity is read from the
+    record when its smallest eigenvalue, 0 on the complement of u, clears
+    -ATOL_POSITIVE by e; otherwise eigvalsh decides."""
     if not h <= ATOL_HERMITIAN:
         raise ValueError("state must be Hermitian within 1e-10")
-    q, chi, e = spectrum
-    lo = min(q.min(), 0.0) if chi.shape[1] < op.dim else q.min()
+    tr = op.trace().real
+    e = op.dim * (h + 16 * np.finfo(float).eps) + abs(tr - 1.0)
+    lo = 1.0 if op.dim == 1 else 0.0
     if not lo - e >= -ATOL_POSITIVE:
         w = np.linalg.eigvalsh(op.mat)
         if w.min() < -ATOL_POSITIVE:
             raise ValueError(f"state not positive (min eig {w.min():.3e})")
-    tr = op.trace().real
     if abs(tr - 1.0) > 1e-10:
         raise ValueError(f"state trace {tr} != 1")
     st = object.__new__(State)
     object.__setattr__(st, "op", op)
-    st.__dict__["_spectrum"] = spectrum
+    st.__dict__["_spectrum"] = (np.ones(1), u[:, None], e)
     return st
 
 
@@ -315,20 +317,20 @@ def vector_state(vec, dims=None) -> State:
     v = vec if isinstance(vec, Vector) else Vector(vec, dims)
     u = v.normalized().vec
     op = Operator(np.outer(u, u.conj()), v.dims)
-    h = _hermitian_residual(op.mat[None])
-    e = op.dim * (h + 16 * np.finfo(float).eps) + abs(op.trace().real - 1.0)
-    return _recorded_state(op, (np.ones(1), u[:, None], e), h)
+    return _recorded_state(op, u, _hermitian_residual(op.mat[None]))
 
 
 def basis_state(k: int, dim: int) -> State:
     """The basis state |k><k| of a ``dim``-dimensional space; ``dim`` must be
-    a positive integer and ``k`` an integer in [0, dim)."""
+    a positive integer and ``k`` an integer in [0, dim). Its entries are
+    exact, so its Hermiticity residual is 0, and it is recorded as
+    :func:`vector_state` records e_k."""
     _check_positive_int(dim, "dimension")
     if not _is_int(k) or not 0 <= k < dim:
         raise ValueError(f"basis index {k!r} is not an integer in [0, {dim})")
-    v = np.zeros(dim, dtype=complex)
-    v[k] = 1.0
-    return vector_state(v)
+    u = np.zeros(dim, dtype=complex)
+    u[k] = 1.0
+    return _recorded_state(Operator(np.outer(u, u)), u, 0.0)
 
 
 def maximally_mixed(dim: int) -> State:

@@ -15,6 +15,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .linalg import Operator, _check_positive_int, _is_real
 from .povm import _EIG_ROUNDING, DiscreteObservable, Effect, _enclosed_observable, effect
@@ -224,10 +225,14 @@ def _phase_symbols(dim: int, bins) -> np.ndarray:
 
 
 def _toeplitz(symbols: np.ndarray) -> np.ndarray:
-    """The (k, dim, dim) stack [c(n - m)] of (k, 2 dim - 1) symbols."""
-    dim = (symbols.shape[1] + 1) // 2
-    n = np.arange(dim)
-    return symbols[:, n[None, :] - n[:, None] + dim - 1]
+    """The (k, dim, dim) stack [c(n - m)] of (k, 2 dim - 1) symbols, copied
+    from a strided view: row m is the window of symbols at lags -m..dim-1-m,
+    which starts at index dim - 1 - m, one entry before row m - 1's."""
+    k, width = symbols.shape
+    dim = (width + 1) // 2
+    step, lag = symbols.strides
+    return as_strided(symbols[:, dim - 1:], (k, dim, dim), (step, -lag, lag),
+                      writeable=False).copy()
 
 
 def _phase_kernels(dim: int, bins) -> np.ndarray:

@@ -524,7 +524,38 @@ class TestLevelBlockCircuit:
             joint_povm_compressed(0.4, 1.3, circuit.probe)
 
 
+def exact_traces(probe):
+    """The probe traces t0, t1, t0m, tp0 of the joint POVM from their
+    definitions, each sum_ij W[i, j] E(X)[j, i] summed exactly (math.fsum)
+    over the rounded products."""
+    lam, tp = probe.lam, probe.probe_state.op.mat
+    u = np.exp(-1j * lam * np.arange(probe.probe_state.dim))  # e^{-i lam N}
+    weights = [
+        tp,                                   # tr[T' E]
+        tp * kerr_phase(len(tp), lam),        # tr[T' U+ E U], (U+ E U)_ji = e^{-i lam (i - j)} E_ji
+        tp * u[:, None],                      # tr[T' E U]
+        tp * u.conj()[None, :],               # tr[T' U+ E]
+    ]
+    return np.array([[complex(math.fsum((w * e.T).real.ravel()), math.fsum((w * e.T).imag.ravel()))
+                      for e in probe.readout.mats] for w in weights])
+
+
 class TestJointPovm:
+    @pytest.mark.parametrize("amp", [0.5, 2.0, 3.0, 4.0])  # probe dimensions 16, 28, 42, 58
+    @pytest.mark.parametrize("kind", ["coherent", "number"])
+    def test_probe_traces_are_exact_sums_within_1e_15(self, kind, amp):
+        # np.einsum("wij,xji->wx") reads these up to 3.9e-15 from the exact
+        # sums at dimension 58; the one product reads them within 4.5e-16
+        rng = np.random.default_rng([int(4 * amp), kind == "number"])
+        dim = coherent_dim(amp)
+        for _ in range(3):
+            state = (coherent_state(amp * np.exp(1j * rng.uniform(0, 2 * math.pi)), dim)
+                     if kind == "coherent" else basis_state(round(amp**2), dim))
+            probe = ProbeConfig(state, rng.uniform(0.2, 2.5), truncated_phase_povm(dim, 8))
+            traces = kerrqnd._probe_traces(probe)
+            assert traces.shape == (4, 8)
+            assert np.max(np.abs(traces - exact_traces(probe))) <= 1e-15
+
     @pytest.mark.parametrize("theta2", [float("nan"), float("inf")])
     def test_non_finite_phase_is_named(self, theta2):
         with pytest.raises(ValueError, match=f"^splitter phase {theta2} is not finite$"):

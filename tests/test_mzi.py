@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from povmlab import mzi
 from povmlab.linalg import Operator, expm, tensor
 from povmlab.mzi import (
     _sweep_columns,
@@ -117,7 +118,53 @@ class TestBeamSplitter:
                 assert u.dims == reference.dims
 
 
+def direct_fill_settings():
+    """The (params, space) pairs of the Kronecker comparison above."""
+    rng = np.random.default_rng(17)
+    params = [BSParams(1.0), BSParams(0.0, 2.0), BSParams(0.5, math.pi / 2)]
+    params += [BSParams(rng.uniform(), rng.uniform(-9, 9)) for _ in range(5)]
+    return [(p, FockSpace(nmax)) for nmax in range(1, 7) for p in params]
+
+
+class TestSplitterMemo:
+    def test_memoised_splitter_equals_a_fresh_build(self):
+        for p, space in direct_fill_settings():
+            first = beam_splitter(p, space)
+            again = beam_splitter(BSParams(p.eps, p.theta), FockSpace(space.nmax))
+            fresh = mzi._beam_splitter.__wrapped__(p, space)
+            assert again is first
+            assert np.array_equal(first.mat, fresh.mat)
+            assert first.dims == fresh.dims == (space.dim, space.dim)
+
+    def test_repeated_call_returns_the_same_read_only_operator(self):
+        p = BSParams(0.3, 1.7)
+        u = beam_splitter(p, SPACE4)
+        assert beam_splitter(p, SPACE4) is u
+        assert not u.mat.flags.writeable
+        with pytest.raises(ValueError):
+            u.mat[0, 0] = 0.0
+
+    def test_memo_holds_at_most_its_maxsize(self):
+        mzi._beam_splitter.cache_clear()
+        maxsize = mzi._beam_splitter.cache_info().maxsize
+        assert maxsize == 16
+        for i in range(3 * maxsize):
+            beam_splitter(BSParams(i / (3 * maxsize), 0.1 * i), FockSpace(1 + i % 3))
+            assert mzi._beam_splitter.cache_info().currsize <= maxsize
+        assert mzi._beam_splitter.cache_info().currsize == maxsize
+
+
 class TestPhaseShifter:
+    def test_equals_the_kronecker_reference(self):
+        rng = np.random.default_rng(23)
+        for nmax in range(1, 7):
+            d = nmax + 1
+            for delta in [0.0, math.pi, -2.5, *rng.uniform(-9, 9, 4)]:
+                reference = np.kron(np.diag(np.exp(1j * delta * np.arange(d))), np.eye(d))
+                v = phase_shifter(delta, FockSpace(nmax))
+                assert np.array_equal(v.mat, reference)
+                assert v.dims == (d, d)
+
     def test_zero_is_identity(self):
         assert np.array_equal(phase_shifter(0.0, SPACE4).mat, np.eye(25))
 

@@ -1226,16 +1226,19 @@ class TestDerivedExtremes:
         assert str(err.value) == expected
         assert eigvalsh_calls
 
-    def test_factors_near_the_bounds_fall_back(self, eigvalsh_calls):
-        # the product's top eigenvalue lies 2e-15 inside the bound, within
-        # the margin: it is diagonalised, and it passes
+    def test_product_just_inside_the_bounds_is_diagonalised_and_passes(self, eigvalsh_calls):
+        # the product's top eigenvalue lies 2e-15 inside the bound: its
+        # stack is diagonalised like any input, and it passes
         a = edge_observable(np.sqrt(1.0 + 1e-10) - 1.0 - 1e-15)
         eigvalsh_calls.clear()
         prod = product_observable(a, a)
         assert eigvalsh_calls
         assert np.max(np.abs(prod.extremes - fresh_extremes(prod))) <= 1e-12
 
-    def test_hermiticity_residual_near_the_tolerance_falls_back(self, eigvalsh_calls):
+    def test_product_of_a_nearly_non_hermitian_factor_is_diagonalised(self, eigvalsh_calls):
+        # a factor whose Hermiticity residual lies just inside the tolerance:
+        # the product is diagonalised like any input, and its extremes are
+        # those of a fresh eigvalsh
         x = np.array([[0.5, 0.25 + 0.9e-10], [0.25, 0.5]])
         a = DiscreteObservable("xy", [x, np.eye(2) - x])
         assert 0.8e-10 < povm._hermitian_residual(a.mats) <= 1e-10
@@ -1246,8 +1249,10 @@ class TestDerivedExtremes:
         assert np.max(np.abs(prod.extremes - fresh_extremes(prod))) <= 1e-12
 
     @pytest.mark.parametrize("skew", [0.0, 1e-14, 1e-12, 1e-11, 1e-10])
-    def test_kept_extremes_lie_within_their_error_bound(self, skew):
-        # factors whose upper triangles carry a residual of up to ``skew``
+    def test_product_records_lie_within_their_error_bound(self, skew):
+        # factors whose upper triangles carry a residual of up to ``skew``;
+        # the product's record is the extremes its check computed, which lie
+        # within the recorded error of a fresh eigvalsh of the same rows
         rng = np.random.default_rng(int(skew * 1e14) + 5)
         for _ in range(10):
             pair = []
@@ -1853,9 +1858,25 @@ class TestRecordedSpectra:
     def test_vector_states_make_no_diagonalisation(self, diagonalisations):
         vector_state(haar_vector(100, np.random.default_rng(1)))
         kerrqnd.coherent_state(2.0)
+        kerrqnd.coherent_state(0.0)
+        basis_state(37, 100)
         assert diagonalisations == []
 
-    def test_near_hermitian_factor_falls_back(self, diagonalisations):
+    def test_basis_states_are_recorded_as_vector_states(self):
+        # exact entries and the record vector_state makes of e_k, bit for bit
+        for d in range(1, 9):
+            for k in range(d):
+                st, ref = basis_state(k, d), vector_state(np.eye(d)[k])
+                assert np.array_equal(st.op.mat, ref.op.mat)
+                assert st.op.dims == ref.op.dims
+                for got, expected in zip(st._spectrum, ref._spectrum):
+                    assert np.array_equal(got, expected)
+                    assert np.asarray(got).dtype == np.asarray(expected).dtype
+
+    def test_product_state_of_a_nearly_non_hermitian_factor_is_diagonalised(
+            self, diagonalisations):
+        # a product of states is checked like any state: its 6 x 6 matrix is
+        # diagonalised, and it is the kron of its factors
         x = np.array([[0.5, 0.25 + 0.9e-10], [0.25, 0.5]])
         a = State(Operator(x))
         diagonalisations.clear()

@@ -24,6 +24,11 @@ def test_all_lists_the_public_functions_and_classes(module):
         if inspect.isfunction(getattr(module, name)) or inspect.isclass(getattr(module, name))
     }
     assert listed == defined
+    # every other listed name is a constant: a decorated function (a memo, a
+    # partial) would drop out of this test and out of benchmarks/tracing.py,
+    # which wraps plain functions only, so decorators go on private helpers
+    others = {name for name in module.__all__ if callable(getattr(module, name))} - listed
+    assert others == set()
 
 
 # the thresholds callers set: is_hermitian is called at 1e-10 and 1e-8, and

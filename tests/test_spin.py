@@ -377,6 +377,20 @@ class TestPhaseKernelBuilder:
                 assert np.array_equal(observable.mats, reference)
                 assert np.array_equal(observable.mats, truncated_phase_povm(space.dim, bins).mats)
 
+    def test_toeplitz_view_equals_the_index_gather(self):
+        # reference: entry (m, n) gathered from symbol index n - m + dim - 1
+        rng = np.random.default_rng(10)
+        for dim in (1, 2, 3, 8, 58, 401):
+            for k in (1, 3):
+                symbols = rng.standard_normal((k, 2 * dim - 1)) + 1j * rng.standard_normal(
+                    (k, 2 * dim - 1))
+                n = np.arange(dim)
+                reference = symbols[:, n[None, :] - n[:, None] + dim - 1]
+                for layout in (symbols, np.asfortranarray(symbols)):
+                    got = spin._toeplitz(layout)
+                    assert np.array_equal(got, reference)
+                    assert got.flags.c_contiguous and not np.shares_memory(got, symbols)
+
     def test_intervals_equal_the_spin_level_kernels(self):
         rng = np.random.default_rng(8)
         for s in self.SPINS:
