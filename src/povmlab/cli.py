@@ -13,7 +13,8 @@ spin-phase takes --seed (it draws the rotation angles). Its --spin is at
 most 200 (dimension 401), it takes at most 1024 intervals (from --bins or
 --intervals), and with --format json those intervals' effect matrices hold at
 most 2^18 entries in all (32 bins at --spin 20 hold 53,792; 16 bins at --spin
-63.5 hold exactly 2^18, and such a run peaks at about 130 MB). mzi-scan takes at
+63.5 hold exactly 2^18, and such a run peaks at about 40 MB, 32 MB of which is
+the interpreter with povmlab imported). mzi-scan takes at
 most 4096 --delta-steps. It propagates the one input column |1, 0> through
 each step's interferometer, which costs (nmax + 1)^4 multiply-adds a step, and
 it bounds the sweep's steps * (nmax + 1)^4 <= 2^22 (33 steps admit --nmax 17).
@@ -24,6 +25,9 @@ are sorted and nesting is indented by two spaces, one item per line, except
 that a list of numbers or of lists of numbers (such as one row of a
 spin-phase effect matrix, written as [re, im] pairs) goes on a single line.
 Output with no such list is exactly json.dumps(indent=2, sort_keys=True).
+Output is written as it is produced, to --out or stdout: a spin-phase effect
+matrix is held as its 2 dim - 1 symbol entries, each formatted once, and its
+rows are written one at a time.
 """
 
 from __future__ import annotations
@@ -75,39 +79,80 @@ def _numeric_array(items: list) -> bool:
     return types == {list} and set(map(type, itertools.chain.from_iterable(items))) <= _NUMBERS
 
 
-def _json(value, indent: str = "") -> str:
-    """``value`` laid out as json.dumps(indent=2, sort_keys=True) lays it
-    out, except that a numeric array goes on one line, written by the C
-    encoder."""
+class _EffectRows:
+    """A spin-phase effect matrix [c(n - m)] for JSON output, held as its
+    symbol (``spin._phase_symbols``). Its rows are written from the 2 dim - 1
+    entries, each formatted once as [re, im] with float.__repr__, as
+    json.dumps writes a finite float (negative zeros included): row m is the
+    window of lags -m..dim-1-m, as in ``spin._toeplitz``."""
+
+    __slots__ = ("symbol",)
+
+    def __init__(self, symbol: np.ndarray):
+        self.symbol = symbol
+
+    def rows(self):
+        """Each row's JSON text, one row at a time."""
+        entries = list(map("[{!r}, {!r}]".format, self.symbol.real.tolist(),
+                           self.symbol.imag.tolist()))
+        dim = (len(entries) + 1) // 2
+        for start in range(dim - 1, -1, -1):
+            yield "[" + ", ".join(entries[start:start + dim]) + "]"
+
+
+def _json_pieces(value, indent: str = ""):
+    """The text of ``value`` in pieces, laid out as
+    json.dumps(indent=2, sort_keys=True) lays it out, except that a numeric
+    array goes on one line, written by the C encoder, and an
+    :class:`_EffectRows` is a list of its rows, one line each."""
     inner = indent + "  "
     if isinstance(value, dict) and value:
-        items = [f"{inner}{json.dumps(k)}: {_json(value[k], inner)}" for k in sorted(value)]
-        return "{\n" + ",\n".join(items) + "\n" + indent + "}"
-    if isinstance(value, (list, tuple)) and not _numeric_array(value):
-        items = [inner + _json(v, inner) for v in value]
-        return "[\n" + ",\n".join(items) + "\n" + indent + "]"
-    return json.dumps(value)
+        head = "{\n"
+        for key in sorted(value):
+            yield f"{head}{inner}{json.dumps(key)}: "
+            yield from _json_pieces(value[key], inner)
+            head = ",\n"
+        yield f"\n{indent}}}"
+    elif isinstance(value, _EffectRows):
+        head = "[\n" + inner
+        for row in value.rows():
+            yield head
+            yield row
+            head = ",\n" + inner
+        yield f"\n{indent}]"
+    elif isinstance(value, (list, tuple)) and not _numeric_array(value):
+        head = "[\n"
+        for item in value:
+            yield head + inner
+            yield from _json_pieces(item, inner)
+            head = ",\n"
+        yield f"\n{indent}]"
+    else:
+        yield json.dumps(value)
+
+
+def _json(value) -> str:
+    """``value`` as :func:`_json_pieces` writes it, in one string."""
+    return "".join(_json_pieces(value))
 
 
 def _emit(config: dict, header: list[str], rows: list[list], checks: dict,
           fmt: str, out_path: str | None):
+    """Write the report to ``out_path``, or to stdout, as it is produced."""
     if fmt == "csv":
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(_fmt(v) for v in row))
-        text = "\n".join(lines) + "\n"
+        pieces = (",".join(map(_fmt, row)) + "\n" for row in [header, *rows])
     else:
         payload = {
             "config": config,
             "rows": [dict(zip(header, row)) for row in rows],
             "checks": checks,
         }
-        text = _json(payload) + "\n"
+        pieces = itertools.chain(_json_pieces(payload), ["\n"])
     if out_path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         with open(out_path, "w", newline="") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
 
 
 def _finite_float(text: str) -> float:
@@ -248,19 +293,21 @@ def cmd_spin_phase(args) -> tuple[list[str], list[list], dict, bool]:
     matrices = []
     worst_cov = 0.0
     worst_uniform = 0.0
-    for (u, v) in intervals:
-        # one matrix at a time; the check returns its eigenvalue range
-        kernel = spin._phase_kernels(space.dim, [(u, v)])
-        (lo, hi), = _check_effects(kernel).tolist()
-        mat = kernel[0]
+    # every interval's symbol is held (2 dim - 1 entries each, 13 MB at the
+    # bounds), and one dense matrix at a time, for the check that returns its
+    # eigenvalue range
+    symbols = spin._phase_symbols(space.dim, intervals)
+    for (u, v), symbol in zip(intervals, symbols):
+        (lo, hi), = _check_effects(spin._toeplitz(symbol[None])).tolist()
         alpha = float(rng.uniform(0.0, 2 * np.pi))
         cov = spin.spin_phase_covariance_residual(space, (u, v), alpha)
-        uniform = float(np.max(np.abs(np.diag(mat).real - (v - u) / (2 * np.pi))))
+        # every diagonal entry is the symbol's lag 0
+        uniform = abs(float(symbol[space.dim - 1].real) - (v - u) / (2 * np.pi))
         worst_cov = max(worst_cov, cov)
         worst_uniform = max(worst_uniform, uniform)
         rows.append([u, v, lo, hi, alpha, cov, uniform])
         if args.format == "json":
-            matrices.append(np.stack((mat.real, mat.imag), -1).tolist())
+            matrices.append(_EffectRows(symbol))
     header = ["u", "v", "eig_min", "eig_max", "alpha", "covariance_residual",
               "uniformity_residual"]
     checks = {

@@ -291,10 +291,10 @@ def induced_a_mode_observable(circuit: KerrCircuit,
     n, total = np.triu_indices(da)  # every pair n <= N
     d_diag = (np.exp(-1j * total[:, None] * lam * k / 2) * np.cos(theta) ** n[:, None]
               * np.sin(theta) ** (total - n)[:, None])
-    # tr[T' D+ E D] = sum_ij W[i, j] E[j, i] for every pair and bin: one product
-    weighted = tprime * d_diag[:, :, None] * d_diag.conj()[:, None, :]
-    traces = weighted.reshape(len(n), -1) @ readout.mats.swapaxes(1, 2).reshape(
-        len(readout), -1).T
+    # tr[T' D+ E D] = sum_ji W[i, j] E[j, i] for every pair and bin: one product
+    # of the weights, formed transposed, with the readout rows read in place
+    weighted_t = tprime.T * d_diag[:, None, :] * d_diag.conj()[:, :, None]
+    traces = weighted_t.reshape(len(n), -1) @ readout.mats.reshape(len(readout), -1).T
     combs = np.array([math.comb(t, m) for m, t in zip(n.tolist(), total.tolist())])
     diagonals = np.zeros((da, len(readout), da))
     diagonals[n, :, total] = combs[:, None] * traces.real

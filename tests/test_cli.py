@@ -1,4 +1,7 @@
+import io
 import json
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -199,6 +202,7 @@ def test_spin_bound(capsys, monkeypatch):
         raise AssertionError("a matrix was built")
 
     monkeypatch.setattr(spin, "_phase_kernels", no_matrix)
+    monkeypatch.setattr(spin, "_phase_symbols", no_matrix)
     for value in ("200.5", "1e6"):
         code, out, err = run(["spin-phase", "--spin", value, "--verify"], capsys)
         assert code == EXIT_USAGE
@@ -222,10 +226,11 @@ def test_interval_bounds(capsys, monkeypatch):
         raise Reached
 
     monkeypatch.setattr(spin, "_phase_kernels", reached)
+    monkeypatch.setattr(spin, "_phase_symbols", reached)
     many = ";".join(["0:1"] * cli.MAX_INTERVALS)
     json_bins = cli.MAX_JSON_ENTRIES // 401 ** 2
     assert json_bins == 1
-    # at each bound the command goes on to build the first matrix
+    # at each bound the command goes on to build the effects' symbols
     for argv in (["--bins", "1024"], ["--spin", "200", "--bins", "1024"],
                  ["--intervals", many],
                  ["--spin", "200", "--bins", str(json_bins), "--format", "json"],
@@ -364,3 +369,120 @@ def test_config_holds_the_subcommand_options(argv, keys, tmp_path, capsys):
     assert config.pop("subcommand") == argv[0]
     assert config.pop("format") == "json"
     assert set(config) == keys
+
+
+def _reference_json(value, indent=""):
+    """The CLI JSON layout built as one recursive string: the reference for
+    the streamed writer."""
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        items = [f"{inner}{json.dumps(k)}: {_reference_json(value[k], inner)}"
+                 for k in sorted(value)]
+        return "{\n" + ",\n".join(items) + "\n" + indent + "}"
+    if isinstance(value, (list, tuple)) and not cli._numeric_array(value):
+        items = [inner + _reference_json(v, inner) for v in value]
+        return "[\n" + ",\n".join(items) + "\n" + indent + "]"
+    return json.dumps(value)
+
+
+def _first_difference(text, expected):
+    """None, or where two long texts first differ, with a few characters of
+    each (pytest's own diff of megabyte strings takes minutes)."""
+    if text == expected:
+        return None
+    at = next((i for i, (a, b) in enumerate(zip(text, expected)) if a != b),
+              min(len(text), len(expected)))
+    return at, text[at - 40:at + 40], expected[at - 40:at + 40]
+
+
+def _dense_matrix(dim, interval):
+    """The dense path: the effect of one interval built on its own, as
+    [re, im] pairs."""
+    m = spin._phase_kernels(dim, [interval])[0]
+    return np.stack((m.real, m.imag), -1).tolist()
+
+
+TWO_PI = "6.283185307179586"
+
+
+@pytest.mark.parametrize("spin_j, selection", [
+    (s, ["--bins", str(b)]) for s in ("0.5", "1.5", "3", "20") for b in (1, 64)
+] + [
+    ("63.5", ["--bins", "1"]),
+    ("63.5", ["--bins", "16"]),  # the JSON size bound, with negative zeros
+] + [
+    # a full circle, a zero-width interval (negative zeros) and a tiny width
+    (s, ["--intervals", f"0:{TWO_PI};1:1;2:2.0000000000001"]) for s in ("0.5", "3", "20", "63.5")
+])
+def test_spin_phase_json_equals_the_dense_path(spin_j, selection, capsys):
+    code, out, _ = run(["spin-phase", "--spin", spin_j, *selection, "--seed", "3",
+                        "--format", "json", "--verify"], capsys)
+    assert code == EXIT_OK
+    dim = int(2 * float(spin_j)) + 1
+    payload = json.loads(out)
+    intervals = [(r["u"], r["v"]) for r in payload["rows"]]
+    payload["checks"]["effect_matrices"] = [_dense_matrix(dim, iv) for iv in intervals]
+    assert _first_difference(out, _reference_json(payload) + "\n") is None
+    symbols = spin._phase_symbols(dim, intervals)
+    for iv, symbol, dense in zip(intervals, symbols, payload["checks"]["effect_matrices"]):
+        assert list(cli._EffectRows(symbol).rows()) == [json.dumps(row) for row in dense], iv
+    if selection[0] == "--intervals" or selection == ["--bins", "16"]:
+        assert re.search(r"-0\.0[,\]]", out)
+
+
+STREAMED = [
+    ["mzi-scan", "--nmax", "2", "--eps1", "0.3", "--theta1", "0.3"],
+    ["kerr-tradeoff", "--amp", "0,0.5,1", "--eps2", "0.3,0.5"],
+    ["spin", "--a1=0.6,0,0", "--a2=0,0.6,0"],
+    ["spin-phase", "--spin", "3", "--bins", "5", "--seed", "11"],
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", STREAMED)
+def test_streamed_output_is_the_report_text(argv, fmt, tmp_path, capsys):
+    argv = argv + ["--format", fmt, "--verify"]
+    code, printed, _ = run(argv, capsys)
+    assert code == EXIT_OK
+    written = []
+    for i in range(2):
+        path = tmp_path / f"run{i}"
+        code, out, _ = run(argv + ["--out", str(path)], capsys)
+        assert code == EXIT_OK and out == ""
+        written.append(path.read_bytes())
+    assert written[0] == written[1] == printed.encode()
+    args = cli.build_parser().parse_args(argv)
+    header, rows, checks, _ = args.func(args)
+    if fmt == "csv":
+        lines = [",".join(header)] + [",".join(cli._fmt(v) for v in row) for row in rows]
+        text = "\n".join(lines) + "\n"
+    else:
+        text = cli._json({"config": cli._config_dict(args),
+                          "rows": [dict(zip(header, row)) for row in rows],
+                          "checks": checks}) + "\n"
+    assert printed == text
+
+
+@pytest.mark.parametrize("to_file", [False, True])
+def test_json_is_written_a_row_at_a_time(to_file, monkeypatch):
+    class Recorder(io.StringIO):
+        def write(self, text):
+            pieces.append(len(text))
+            return super().write(text)
+
+        def close(self):  # keep the text readable after the with block
+            pass
+
+    pieces = []
+    output = Recorder()
+    argv = ["spin-phase", "--spin", "20", "--bins", "64", "--format", "json"]
+    if to_file:
+        monkeypatch.setattr(cli, "open", lambda *args, **kwargs: output, raising=False)
+        argv += ["--out", "unused.json"]
+    else:
+        monkeypatch.setattr(sys, "stdout", output)
+    assert main(argv) == EXIT_OK
+    lines = output.getvalue().splitlines()
+    assert len(lines) > 64 * 41
+    # no piece is longer than the longest line: one matrix row at most
+    assert max(pieces) <= max(map(len, lines))
