@@ -20,19 +20,18 @@ each step's interferometer, which costs (nmax + 1)^4 multiply-adds a step, and
 it bounds the sweep's steps * (nmax + 1)^4 <= 2^22 (33 steps admit --nmax 17).
 Each bound is checked before any matrix is built.
 
-JSON output is one object with the keys "config", "rows" and "checks". Keys
-are sorted and nesting is indented by two spaces, one item per line, except
-that a list of numbers or of lists of numbers (such as one row of a
-spin-phase effect matrix, written as [re, im] pairs) goes on a single line.
-Output with no such list is exactly json.dumps(indent=2, sort_keys=True).
-Output is written as it is produced, to --out or stdout: a spin-phase effect
-matrix is held as its 2 dim - 1 symbol entries, each formatted once, and its
-rows are written one at a time.
+JSON output is one object with the keys "config", "rows" and "checks",
+laid out exactly as json.dumps(indent=2, sort_keys=True) lays it out, except
+that each row of a spin-phase effect matrix, a list of [re, im] pairs, goes
+on a single line. Output is written as it is produced, to --out or stdout:
+a spin-phase effect matrix is held as its 2 dim - 1 symbol entries, each
+formatted once, and its rows are written one at a time.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -68,17 +67,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-_NUMBERS = {int, float}
-
-
-def _numeric_array(items: list) -> bool:
-    """A list of numbers, or of lists of numbers (one effect-matrix row)."""
-    types = set(map(type, items))
-    if types <= _NUMBERS:
-        return True
-    return types == {list} and set(map(type, itertools.chain.from_iterable(items))) <= _NUMBERS
-
-
 class _EffectRows:
     """A spin-phase effect matrix [c(n - m)] for JSON output, held as its
     symbol (``spin._phase_symbols``). Its rows are written from the 2 dim - 1
@@ -102,8 +90,7 @@ class _EffectRows:
 
 def _json_pieces(value, indent: str = ""):
     """The text of ``value`` in pieces, laid out as
-    json.dumps(indent=2, sort_keys=True) lays it out, except that a numeric
-    array goes on one line, written by the C encoder, and an
+    json.dumps(indent=2, sort_keys=True) lays it out, except that an
     :class:`_EffectRows` is a list of its rows, one line each."""
     inner = indent + "  "
     if isinstance(value, dict) and value:
@@ -120,7 +107,7 @@ def _json_pieces(value, indent: str = ""):
             yield row
             head = ",\n" + inner
         yield f"\n{indent}]"
-    elif isinstance(value, (list, tuple)) and not _numeric_array(value):
+    elif isinstance(value, (list, tuple)) and value:
         head = "[\n"
         for item in value:
             yield head + inner
@@ -129,11 +116,6 @@ def _json_pieces(value, indent: str = ""):
         yield f"\n{indent}]"
     else:
         yield json.dumps(value)
-
-
-def _json(value) -> str:
-    """``value`` as :func:`_json_pieces` writes it, in one string."""
-    return "".join(_json_pieces(value))
 
 
 def _emit(config: dict, header: list[str], rows: list[list], checks: dict,
@@ -167,11 +149,23 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _parse_floats(text: str, flag: str, sep: str = ",", count: int | None = None) -> list[float]:
-    """The finite floats of a ``sep``-separated list flag, ``count`` of them
-    when it is given."""
+def _transparency(text: str) -> float:
+    """argparse type of a splitter transparency, checked as
+    :class:`povmlab.mzi.BSParams` checks it."""
+    value = _finite_float(text)
     try:
-        values = [_finite_float(p) for p in text.split(sep)]
+        mzi.BSParams(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return value
+
+
+def _parse_floats(text: str, flag: str, sep: str = ",", count: int | None = None,
+                  kind=_finite_float) -> list[float]:
+    """The numbers of a ``sep``-separated list flag, each read by the
+    argparse type ``kind``, ``count`` of them when it is given."""
+    try:
+        values = [kind(p) for p in text.split(sep)]
     except argparse.ArgumentTypeError as exc:
         raise ValueError(f"{flag}: {exc}") from None
     if count not in (None, len(values)):
@@ -216,7 +210,7 @@ def cmd_mzi_scan(args) -> tuple[list[str], list[list], dict, bool]:
 
 def cmd_kerr_tradeoff(args) -> tuple[list[str], list[list], dict, bool]:
     amps = _parse_floats(args.amp, "--amp")
-    eps2_values = _parse_floats(args.eps2, "--eps2")
+    eps2_values = _parse_floats(args.eps2, "--eps2", kind=_transparency)
     try:
         probe_dims = {amp: kerrqnd.coherent_dim(amp) for amp in amps}
     except ValueError as exc:
@@ -229,11 +223,12 @@ def cmd_kerr_tradeoff(args) -> tuple[list[str], list[list], dict, bool]:
         rows.append([r["amp"], r["lam"], r["eps2"], r["visibility"],
                      r["path_confidence"], probe_dims[r["amp"]]])
     header = ["amp", "lambda", "eps2", "visibility", "path_confidence", "probe_dim"]
-    # monotone tradeoff along increasing amplitude at fixed eps2
+    # monotone tradeoff along increasing |amp| at fixed eps2; the rows of -a
+    # are those of a, up to rounding
     monotone = True
     for eps2 in eps2_values:
         series = [r for r in rows_raw if r["eps2"] == eps2]
-        series.sort(key=lambda r: r["amp"])
+        series.sort(key=lambda r: abs(r["amp"]))
         for a, b in zip(series, series[1:]):
             if b["visibility"] > a["visibility"] + 1e-9:
                 monotone = False
@@ -336,8 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("mzi-scan", help="single-photon interference sweep")
-    p.add_argument("--eps1", type=_finite_float, default=0.5)
-    p.add_argument("--eps2", type=_finite_float, default=0.5)
+    p.add_argument("--eps1", type=_transparency, default=0.5)
+    p.add_argument("--eps2", type=_transparency, default=0.5)
     p.add_argument("--theta1", type=_finite_float, default=0.0)
     p.add_argument("--theta2", type=_finite_float, default=0.0)
     p.add_argument("--delta-min", dest="delta_min", type=_finite_float, default=0.0)
@@ -374,11 +369,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built once per process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        header, rows, checks, passed = args.func(args)
+        # looked up when it runs: a cmd_* rebound after the parser was built,
+        # such as a tracing wrapper, is the one called
+        header, rows, checks, passed = globals()[args.func.__name__](args)
         _emit(_config_dict(args), header, rows, checks, args.format, args.out)
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"povmlab: error: {exc}\n")

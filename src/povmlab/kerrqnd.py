@@ -38,15 +38,17 @@ from .povm import (
     DiscreteObservable,
     MeasurementScheme,
     State,
-    _compressed_effects,
+    _clamped,
+    _compress_isometries,
     _count_register_scheme,
     _diagonal_observable,
     _direct_sum,
+    _probe_isometries,
     basis_state,
     marginal,
     vector_state,
 )
-from .spin import _phase_observable
+from .spin import _phase_observable, _toeplitz
 
 __all__ = [
     "ProbeConfig",
@@ -120,13 +122,12 @@ def kerr_phase(dim: int, lam: float) -> np.ndarray:
     """Entrywise probe phases exp(-i lam (m - n)); multiplying a probe
     matrix by this implements conjugation by e^{-i lam N} exactly on the
     diagonal (number states pick up no spurious roundoff). The matrix is
-    Toeplitz: its 2 dim - 1 exponentials, one per m - n, are gathered into
-    it. ``dim`` must be a positive integer and ``lam`` finite."""
+    Toeplitz: its symbol holds the 2 dim - 1 exponentials, one per m - n,
+    at lag n - m. ``dim`` must be a positive integer and ``lam`` finite."""
     _check_positive_int(dim, "probe dimension")
     if not math.isfinite(lam):
         raise ValueError(f"Kerr coupling {lam} is not finite")
-    n = np.arange(dim)
-    return np.exp(-1j * lam * np.arange(1 - dim, dim))[n[:, None] - n[None, :] + dim - 1]
+    return _toeplitz(np.exp(-1j * lam * np.arange(dim - 1, -dim, -1))[None])[0]
 
 
 def coherent_dim(amp: float) -> int:
@@ -225,7 +226,8 @@ def three_mode_output(t: State, circuit: KerrCircuit) -> State:
 
 def detection_statistics(w: State, readout: DiscreteObservable) -> dict:
     """Joint distribution of the a-mode count and the probe readout bin:
-    tr[W |n><n| x I x E(bin)]."""
+    tr[W |n><n| x I x E(bin)], clamped as :func:`povmlab.povm.probability`
+    clamps."""
     if w.op.dims is None or len(w.op.dims) != 3:
         raise ValueError("expected a three-mode state with dims metadata")
     da, db, dc = w.op.dims
@@ -235,8 +237,7 @@ def detection_statistics(w: State, readout: DiscreteObservable) -> dict:
         reduced = Operator(block, (db, dc))
         probe_block = partial_trace(reduced, keep=[1])
         for x, e in readout:
-            p = float(np.trace(probe_block.mat @ e.op.mat).real)
-            out[(n, x)] = 0.0 if -1e-10 <= p < 0.0 else p
+            out[(n, x)] = _clamped(float(np.trace(probe_block.mat @ e.op.mat).real))
     return out
 
 
@@ -251,8 +252,9 @@ def _circuit_effects(circuit: KerrCircuit, inputs) -> DiscreteObservable:
     # level c is the only probe factor, so the blocks have no other factor m
     blocks = _circuit_blocks(circuit)[:, :, inputs]
     readout = circuit.probe.readout
-    f = _compressed_effects(blocks[:, :, None, :, None], circuit.probe.probe_state,
-                            readout.mats, db)
+    iso = _probe_isometries(blocks[:, :, None, :, None],
+                            *circuit.probe.probe_state._spectrum[:2])
+    f = _compress_isometries(iso, readout.mats, db)
     outcomes = [(n, x) for n in range(da) for x in readout.outcomes]
     return DiscreteObservable(outcomes, f.reshape(-1, len(inputs), len(inputs)))
 
@@ -291,10 +293,9 @@ def induced_a_mode_observable(circuit: KerrCircuit,
     n, total = np.triu_indices(da)  # every pair n <= N
     d_diag = (np.exp(-1j * total[:, None] * lam * k / 2) * np.cos(theta) ** n[:, None]
               * np.sin(theta) ** (total - n)[:, None])
-    # tr[T' D+ E D] = sum_ji W[i, j] E[j, i] for every pair and bin: one product
-    # of the weights, formed transposed, with the readout rows read in place
-    weighted_t = tprime.T * d_diag[:, None, :] * d_diag.conj()[:, :, None]
-    traces = weighted_t.reshape(len(n), -1) @ readout.mats.reshape(len(readout), -1).T
+    # tr[T' D+ E D] for every pair and bin, with the weights formed transposed
+    traces = _readout_traces(tprime.T * d_diag[:, None, :] * d_diag.conj()[:, :, None],
+                             readout)
     combs = np.array([math.comb(t, m) for m, t in zip(n.tolist(), total.tolist())])
     diagonals = np.zeros((da, len(readout), da))
     diagonals[n, :, total] = combs[:, None] * traces.real
@@ -302,12 +303,19 @@ def induced_a_mode_observable(circuit: KerrCircuit,
     return _diagonal_observable(outcomes, diagonals.reshape(-1, da))
 
 
+def _readout_traces(weights_t: np.ndarray, readout: DiscreteObservable) -> np.ndarray:
+    """tr[W E(X)] = sum_ji W[i, j] E(X)[j, i] for every weight W and readout
+    bin X, shape (weights, bins), given the (k, dc, dc) stack of the
+    transposed weights W^T. That is one product of the weights with the
+    readout rows, which are read in place as a (bins, dc**2) matrix."""
+    mats = readout.mats
+    return weights_t.reshape(len(weights_t), -1) @ mats.reshape(len(mats), -1).T
+
+
 def _probe_traces(probe: ProbeConfig) -> np.ndarray:
     """The probe traces t0, t1, t0m and tp0 of
     :func:`joint_path_interference_povm`, shape (4, bins): tr[W E(X)] for the
-    four weightings W of T', as sum_ji W[i, j] E(X)[j, i]. That is one product
-    of the transposed weights with the readout rows, which are read in place
-    as a (bins, dc**2) matrix."""
+    four weightings W of T' (:func:`_readout_traces`)."""
     lam = probe.lam
     dc = probe.probe_state.dim
     tp = probe.probe_state.op.mat
@@ -315,8 +323,7 @@ def _probe_traces(probe: ProbeConfig) -> np.ndarray:
     minus = np.exp(-1j * lam * np.arange(dc))  # e^{-i lam N} diagonal
     weights = np.stack([tp, tp * conj_phase.conj().T, tp * minus[:, None],
                         tp * minus.conj()[None, :]])
-    mats = probe.readout.mats
-    return weights.swapaxes(1, 2).reshape(4, -1) @ mats.reshape(len(mats), -1).T
+    return _readout_traces(weights.swapaxes(1, 2), probe.readout)
 
 
 def joint_path_interference_povm(eps2: float, theta2: float,

@@ -59,6 +59,12 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
 
 
+def _hermitian_residual(mats: np.ndarray) -> float:
+    """Largest entry of X - X† over the matrix X, or over the rows X of a
+    (k, d, d) stack."""
+    return np.max(np.abs(mats - mats.conj().swapaxes(-1, -2)))
+
+
 def _as_complex_matrix(mat) -> np.ndarray:
     arr = np.array(mat, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -104,7 +110,7 @@ class Operator:
         return complex(np.trace(self.mat))
 
     def is_hermitian(self, atol: float = ATOL_HERMITIAN) -> bool:
-        return bool(np.max(np.abs(self.mat - self.mat.conj().T)) <= atol)
+        return bool(_hermitian_residual(self.mat) <= atol)
 
     def is_unitary(self) -> bool:
         delta = self.mat @ self.mat.conj().T - np.eye(self.dim)

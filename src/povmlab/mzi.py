@@ -32,6 +32,7 @@ from .povm import (
     Effect,
     MeasurementScheme,
     State,
+    _clamped,
     _count_register_scheme,
     _diagonal_observable,
     _number_observable,
@@ -221,17 +222,12 @@ def mzi_output_state(t: State, t_idle: State, params: MZIParams,
 
 
 def detection_probabilities(w: State) -> dict:
-    """Photon-count distribution <n1, n2| W |n1, n2> over both detectors."""
+    """Photon-count distribution <n1, n2| W |n1, n2> over both detectors,
+    clamped as :func:`povmlab.povm.probability` clamps."""
     if w.op.dims is None or len(w.op.dims) != 2:
         raise ValueError("expected a two-mode state with dims metadata")
-    d1, d2 = w.op.dims
-    diag = np.real(np.diag(w.op.mat)).reshape(d1, d2)
-    out = {}
-    for n1 in range(d1):
-        for n2 in range(d2):
-            p = float(diag[n1, n2])
-            out[(n1, n2)] = 0.0 if -1e-10 <= p < 0.0 else p
-    return out
+    diag = np.real(np.diag(w.op.mat)).reshape(w.op.dims).tolist()
+    return {(n1, n2): _clamped(p) for n1, row in enumerate(diag) for n2, p in enumerate(row)}
 
 
 def effective_transparency(params: MZIParams) -> float:

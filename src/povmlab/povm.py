@@ -40,9 +40,11 @@ extremes with e = 64 d eps. A row whose enclosure clears
 would give it; any other slice is diagonalised, so every rejection reports
 a computed spectrum. Hermiticity and completeness are checked entry by
 entry, except for a Toeplitz section, whose residuals are read from its
-symbol (below). The public ``extremes`` are always eigenvalues: computed
-by the check, exact, or, where an enclosure passed, computed by one
-eigvalsh on first read; no bound is presented as an eigenvalue.
+symbol (below). The Hermiticity residual h_X of effects and states, which
+``Operator.is_hermitian`` also reads, is ``linalg._hermitian_residual``.
+The public ``extremes`` are always eigenvalues: computed by the check,
+exact, or, where an enclosure passed, computed by one eigvalsh on first
+read; no bound is presented as an eigenvalue.
 
 A diagonal row with real entries is its own L(X), and its spectrum is
 exactly its diagonal. Its record is the diagonal's min and max, which are
@@ -141,6 +143,7 @@ from .linalg import (
     Operator,
     Vector,
     _check_positive_int,
+    _hermitian_residual,
     _is_int,
     eigh,
     identity,
@@ -185,11 +188,6 @@ _CHECK_SLICE_BYTES = 1 << 18
 # eigvalsh error per unit of dimension for a matrix of norm about one
 # (module docstring).
 _EIG_ROUNDING = 64 * np.finfo(float).eps
-
-
-def _hermitian_residual(mats: np.ndarray) -> float:
-    """Largest entry of X - X† over the rows X of a (k, d, d) stack."""
-    return np.max(np.abs(mats - mats.conj().swapaxes(1, 2)))
 
 
 def _check_effects(mats: np.ndarray, enclosure=None, margin: float = 0.0,
@@ -264,14 +262,7 @@ class State:
     op: Operator
 
     def __post_init__(self):
-        if not self.op.is_hermitian():
-            raise ValueError("state must be Hermitian within 1e-10")
-        w = np.linalg.eigvalsh(self.op.mat)
-        if w.min() < -ATOL_POSITIVE:
-            raise ValueError(f"state not positive (min eig {w.min():.3e})")
-        tr = self.op.trace().real
-        if abs(tr - 1.0) > 1e-10:
-            raise ValueError(f"state trace {tr} != 1")
+        _check_state(self.op, _hermitian_residual(self.op.mat))
 
     @property
     def dim(self) -> int:
@@ -283,24 +274,32 @@ class State:
         return q, chi, self.dim * _EIG_ROUNDING
 
 
-def _recorded_state(op: Operator, u: np.ndarray, h: float) -> State:
-    """The pure State over ``op`` = fl(u u†) for the unit vector ``u``, given
-    the Hermiticity residual h of ``op``. It records q = [1] and chi = u
-    within e = D (h + 16 eps) + |tr T - 1| (module docstring), and has the
-    checks and messages of :class:`State`, but positivity is read from the
-    record when its smallest eigenvalue, 0 on the complement of u, clears
-    -ATOL_POSITIVE by e; otherwise eigvalsh decides."""
+def _check_state(op: Operator, h: float, recorded: bool = False) -> float:
+    """Raise ``ValueError`` unless ``op``, with Hermiticity residual h, is a
+    state: Hermitian within ``ATOL_HERMITIAN``, then positive within
+    ``ATOL_POSITIVE``, then of trace one within 1e-10. Returns
+    e = D (h + 16 eps) + |tr T - 1|, the error of the record of a pure
+    state fl(u u†) (module docstring). When ``recorded``, positivity is read
+    from that record if its smallest eigenvalue, 0 on the complement of u,
+    clears -ATOL_POSITIVE by e; otherwise eigvalsh decides."""
     if not h <= ATOL_HERMITIAN:
         raise ValueError("state must be Hermitian within 1e-10")
     tr = op.trace().real
     e = op.dim * (h + 16 * np.finfo(float).eps) + abs(tr - 1.0)
-    lo = 1.0 if op.dim == 1 else 0.0
-    if not lo - e >= -ATOL_POSITIVE:
+    if not (recorded and (1.0 if op.dim == 1 else 0.0) - e >= -ATOL_POSITIVE):
         w = np.linalg.eigvalsh(op.mat)
         if w.min() < -ATOL_POSITIVE:
             raise ValueError(f"state not positive (min eig {w.min():.3e})")
     if abs(tr - 1.0) > 1e-10:
         raise ValueError(f"state trace {tr} != 1")
+    return e
+
+
+def _recorded_state(op: Operator, u: np.ndarray, h: float) -> State:
+    """The pure State over ``op`` = fl(u u†) for the unit vector ``u``, given
+    the Hermiticity residual h of ``op``, checked by :func:`_check_state`
+    from its record q = [1], chi = u."""
+    e = _check_state(op, h, recorded=True)
     st = object.__new__(State)
     object.__setattr__(st, "op", op)
     st.__dict__["_spectrum"] = (np.ones(1), u[:, None], e)
@@ -533,8 +532,8 @@ class MeasurementScheme:
         tr[T F(z)] = tr[U (T x T') U† (I x Z(z))] for every system state T."""
         ds, dp = self.system_dim, self.probe_dim
         u5 = self.coupling.mat.reshape(1, ds, dp, ds, dp)
-        return (self.pointer.outcomes,
-                _compressed_effects(u5, self.probe_state, self.pointer.mats).sum(axis=0))
+        iso = _probe_isometries(u5, *self.probe_state._spectrum[:2])
+        return self.pointer.outcomes, _compress_isometries(iso, self.pointer.mats).sum(axis=0)
 
 
 def probability(st: State, e: Effect) -> float:
@@ -568,9 +567,8 @@ def product_observable(a: DiscreteObservable, b: DiscreteObservable) -> Discrete
     products keep a flat label arity. The product stack is checked like any
     input stack, and its ``extremes`` are the eigenvalues that check computes.
     """
-    obs = object.__new__(DiscreteObservable)
-    obs._init(_product_labels(a.outcomes, b.outcomes), _kron_stacks(a.mats, b.mats))
-    return obs
+    return DiscreteObservable(_product_labels(a.outcomes, b.outcomes),
+                              _kron_stacks(a.mats, b.mats))
 
 
 def _kron_stacks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -655,19 +653,13 @@ class _CountRegisterScheme(MeasurementScheme):
         return State(tensor(*(st.op for st in self._states), self._register_state.op))
 
     @cached_property
-    def _other_pointer(self) -> DiscreteObservable | None:
-        """The other factors' pointers as one product, an unread factor read
-        by its trivial observable; None when there are no other factors."""
+    def pointer(self) -> DiscreteObservable:
+        """The other factors' pointers, an unread factor read by its trivial
+        observable, and the register's number observable as one product."""
         pointers = [DiscreteObservable([0], np.eye(st.dim)[None]) if z is None else z
                     for st, z in zip(self._states, self._pointers)]
-        return functools.reduce(product_observable, pointers) if pointers else None
-
-    @cached_property
-    def pointer(self) -> DiscreteObservable:
-        register = _number_observable(self._dim_reg)
-        if self._other_pointer is None:
-            return register
-        return product_observable(self._other_pointer, register)
+        return functools.reduce(product_observable,
+                                pointers + [_number_observable(self._dim_reg)])
 
     @property
     def system_dim(self) -> int:
@@ -767,15 +759,6 @@ def _probe_isometries(u5: np.ndarray, qs: np.ndarray, chis: np.ndarray) -> np.nd
     k = u5.reshape(dc, d_out * dm * d_in, dm) @ chi
     return k.reshape(dc, d_out, dm, d_in, -1).transpose(4, 1, 2, 0, 3).reshape(
         -1, d_out, dm * dc, d_in)
-
-
-def _compressed_effects(u5: np.ndarray, probe: State, pointer_effects: np.ndarray,
-                        fold: int = 1) -> np.ndarray:
-    """Heisenberg-picture compression of stacked pointer effects Z_x by the
-    level-block coupling ``u5`` and the recorded spectrum of ``probe``
-    (:func:`_probe_isometries`, :func:`_compress_isometries`)."""
-    return _compress_isometries(_probe_isometries(u5, *probe._spectrum[:2]), pointer_effects,
-                                fold)
 
 
 def _compress_isometries(k: np.ndarray, pointer_effects: np.ndarray,

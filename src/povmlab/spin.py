@@ -67,16 +67,23 @@ def _bloch(a) -> np.ndarray:
     return a
 
 
+def _qubit_matrices(t, b) -> np.ndarray:
+    """The (k, 2, 2) stack of (t_i I + b_i·sigma)/2 over the k weights t and
+    the rows b_i of the (k, 3) array b."""
+    t, b = np.asarray(t, dtype=float), np.asarray(b, dtype=float)
+    return (t[:, None, None] * np.eye(2, dtype=complex)
+            + sum(b[:, i, None, None] * s for i, s in enumerate(_PAULI))) / 2
+
+
 def spin_effect(a) -> Effect:
     """The unsharp spin property (I + a·sigma)/2; a projection iff |a| = 1."""
-    a = _bloch(a)
-    return effect((np.eye(2, dtype=complex) + sum(c * s for c, s in zip(a, _PAULI))) / 2)
+    return effect(_qubit_matrices([1.0], [_bloch(a)])[0])
 
 
 def spin_observable(a) -> DiscreteObservable:
     """Two-valued observable {+1: F(a), -1: F(-a)}, checked once as a stack."""
-    m = sum(c * s for c, s in zip(_bloch(a), _PAULI)) / 2
-    return DiscreteObservable([+1, -1], [np.eye(2) / 2 + m, np.eye(2) / 2 - m])
+    a = _bloch(a)
+    return DiscreteObservable([+1, -1], _qubit_matrices([1.0, 1.0], [a, -a]))
 
 
 def criterion_value(a1, a2) -> float:
@@ -132,16 +139,13 @@ def joint_spin_observable(a1, a2) -> DiscreteObservable:
     a1, a2 = _bloch(a1), _bloch(a2)
     if not coexist_criterion(a1, a2):
         raise ValueError("pair fails the coexistence criterion; no joint observable")
-    outcomes = []
-    mats = []
+    outcomes, alphas, centres = [], [], []
     for s1, ai in ((+1, a1), (-1, -a1)):
         for s2, ak in ((+1, a2), (-1, -a2)):
-            alpha = (1.0 + float(ai @ ak)) / 2.0
-            c = (ai + ak) / 2.0
             outcomes.append((s1, s2))
-            mats.append((alpha * np.eye(2, dtype=complex)
-                         + sum(x * s for x, s in zip(c, _PAULI))) / 2)
-    return DiscreteObservable(outcomes, mats)
+            alphas.append((1.0 + float(ai @ ak)) / 2.0)
+            centres.append((ai + ak) / 2.0)
+    return DiscreteObservable(outcomes, _qubit_matrices(alphas, centres))
 
 
 @dataclass(frozen=True)

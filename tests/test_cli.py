@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from povmlab import cli, mzi, spin
+from povmlab import cli, kerrqnd, mzi, spin
 from povmlab.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from povmlab.povm import State, basis_state
 
@@ -19,6 +19,11 @@ def run(argv, capsys):
         code = exc.code
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def _json(value):
+    """``value`` as the CLI writes it, in one string."""
+    return "".join(cli._json_pieces(value))
 
 
 class TestSpinJson:
@@ -80,12 +85,74 @@ class TestUsageErrors:
     *[(["mzi-scan", f"{flag}=inf", "--verify"], flag)
       for flag in ("--eps1", "--eps2", "--theta2", "--delta-min", "--delta-max")],
     (["kerr-tradeoff", "--amp", "0,7", "--verify"], "--amp"),
+    (["mzi-scan", "--eps1", "1.5", "--verify"], "--eps1"),
+    (["mzi-scan", "--eps2=-0.1", "--verify"], "--eps2"),
+    (["kerr-tradeoff", "--eps2", "0.5,1.5", "--verify"], "--eps2"),
 ])
 def test_bad_numbers_are_usage_errors(argv, flag, capsys):
     code, out, err = run(argv, capsys)
     assert code == EXIT_USAGE
     assert out == ""
     assert flag in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["mzi-scan", "--eps1", "1.5"], "argument --eps1: transparency 1.5 outside [0, 1]"),
+    (["mzi-scan", "--eps2=-0.1"], "argument --eps2: transparency -0.1 outside [0, 1]"),
+    (["kerr-tradeoff", "--eps2", "0.5,1.5"], "--eps2: transparency 1.5 outside [0, 1]"),
+])
+def test_transparency_is_checked_where_it_enters(argv, message, capsys, monkeypatch):
+    class Reached(Exception):
+        pass
+
+    def reached(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(kerrqnd, "coherent_state", reached)
+    monkeypatch.setattr(mzi, "beam_splitter", reached)
+    # with valid transparencies the command goes on to build a probe or splitter
+    with pytest.raises(Reached):
+        main([argv[0], "--eps2", "1"])
+    code, out, err = run(argv + ["--verify"], capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("probe", ["coherent", "number"])
+def test_kerr_tradeoff_rows_depend_on_the_amplitude_modulus(probe, capsys):
+    code, _, _ = run(["kerr-tradeoff", "--amp=-2,0,1", "--probe", probe, "--verify"], capsys)
+    assert code == EXIT_OK
+    code, out, _ = run(["kerr-tradeoff", "--amp=-2,-0.5,0.5,2", "--eps2", "0.3,0.5",
+                        "--probe", probe, "--verify"], capsys)
+    assert code == EXIT_OK
+    # the printed rows at -a and a differ in the amplitude only
+    rows = {(float(amp), rest[1]): rest for amp, *rest in
+            (line.split(",") for line in out.splitlines()[1:])}
+    assert len(rows) == 8
+    for amp, eps2 in rows:
+        assert rows[amp, eps2] == rows[-amp, eps2]
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    argv = ["mzi-scan", "--nmax", "2", "--format", "json", "--verify"]
+    try:
+        outputs = [run(argv, capsys) for _ in range(2)]
+        assert built == [1]
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == EXIT_OK and outputs[0][1]
+        # a command rebound after the parser was built is the one called
+        calls = []
+        command = cli.cmd_mzi_scan
+        monkeypatch.setattr(cli, "cmd_mzi_scan", lambda args: calls.append(1) or command(args))
+        assert run(argv, capsys) == outputs[0]
+        assert calls == [1] and built == [1]
+    finally:
+        cli._parser.cache_clear()
 
 
 @pytest.mark.parametrize("spec", ["2:1", "-1:1", "0:7"], ids=["reversed", "negative", "past-2pi"])
@@ -255,12 +322,54 @@ def test_interval_bounds(capsys, monkeypatch):
 def test_json_layout_of_nested_values():
     payload = {"b": [{"y": None, "x": [True, "s"]}, [], {}], "a": {"é": "\u2014", "n": []},
                "c": [["u", 1.5], [[None, 2]], [False, 0]]}
-    assert cli._json(payload) == json.dumps(payload, indent=2, sort_keys=True)
-    # numeric arrays, and lists of them, one line each
-    assert cli._json([1, 2.5]) == "[1, 2.5]"
-    assert cli._json([[1.0, 0.0], [0.5, -0.5]]) == "[[1.0, 0.0], [0.5, -0.5]]"
-    assert cli._json({"m": [[[1.0, 0.0]], [[0.0, 1.0]]]}) == (
-        '{\n  "m": [\n    [[1.0, 0.0]],\n    [[0.0, 1.0]]\n  ]\n}')
+    assert _json(payload) == json.dumps(payload, indent=2, sort_keys=True)
+    # numbers and lists of them are laid out as json.dumps lays them out
+    for value in ([1, 2.5], [[1.0, 0.0], [0.5, -0.5]], {"m": [[[1.0, 0.0]], [[0.0, 1.0]]]}, [],
+                  (), [[]], 0.1):
+        assert _json(value) == json.dumps(value, indent=2, sort_keys=True)
+    # an effect matrix, one line per row: c(-1), c(0), c(1) of a 2 x 2 section
+    symbol = np.array([complex(0.25, 0.5), complex(0.5, -0.0), complex(-0.0, 0.25)])
+    assert _json({"m": [cli._EffectRows(symbol)]}) == (
+        '{\n  "m": [\n    [\n      [[0.5, -0.0], [-0.0, 0.25]],\n'
+        '      [[0.25, 0.5], [0.5, -0.0]]\n    ]\n  ]\n}')
+
+
+def _compare_with_json_dumps(value):
+    """Compare the layout of ``value``, and of every value nested in it but
+    an effect matrix, with json.dumps(indent=2, sort_keys=True); returns how
+    many values were compared."""
+    if isinstance(value, cli._EffectRows):
+        return 0
+    try:
+        expected = json.dumps(value, indent=2, sort_keys=True)
+    except TypeError:  # it holds an effect matrix
+        expected = None
+    else:
+        assert _json(value) == expected
+    if isinstance(value, dict):
+        value = list(value.values())
+    nested = value if isinstance(value, (list, tuple)) else ()
+    return (expected is not None) + sum(map(_compare_with_json_dumps, nested))
+
+
+@pytest.mark.parametrize("argv", [
+    ["mzi-scan", "--nmax", "2", "--eps1", "0.3", "--theta1", "0.3"],
+    ["kerr-tradeoff", "--amp", "0,0.5,1", "--eps2", "0.3,0.5"],
+    ["spin", "--a1=0.6,0,0", "--a2=0,0.6,0"],
+    ["spin", "--a1=0.9,0,0", "--a2=0,0.9,0"],  # not coexistent: "rows": []
+    ["spin-phase", "--spin", "3", "--bins", "5", "--seed", "11"],
+])
+def test_every_value_but_a_matrix_is_laid_out_as_json_dumps(argv, capsys):
+    code, out, _ = run(argv + ["--format", "json"], capsys)
+    assert code == EXIT_OK
+    args = cli.build_parser().parse_args(argv + ["--format", "json"])
+    header, rows, checks, _ = args.func(args)
+    payload = {"config": cli._config_dict(args), "rows": [dict(zip(header, r)) for r in rows],
+               "checks": checks}
+    assert out == _json(payload) + "\n"
+    if "--a2=0,0.9,0" in argv:
+        assert payload["rows"] == [] and out.endswith('\n  "rows": []\n}\n')
+    assert _compare_with_json_dumps(payload) > len(rows)
 
 
 def test_spin_phase_json_writes_one_line_per_matrix_row(capsys):
@@ -371,15 +480,23 @@ def test_config_holds_the_subcommand_options(argv, keys, tmp_path, capsys):
     assert set(config) == keys
 
 
+def _one_line(items):
+    """A list of numbers, or of lists of numbers, such as one row of a dense
+    effect matrix written as [re, im] pairs: one line in the layout."""
+    types = set(map(type, items))
+    return types <= {int, float} or types == {list} and all(
+        set(map(type, item)) <= {int, float} for item in items)
+
+
 def _reference_json(value, indent=""):
-    """The CLI JSON layout built as one recursive string: the reference for
-    the streamed writer."""
+    """The CLI JSON layout built as one recursive string, with the effect
+    matrices given densely: the reference for the streamed writer."""
     inner = indent + "  "
     if isinstance(value, dict) and value:
         items = [f"{inner}{json.dumps(k)}: {_reference_json(value[k], inner)}"
                  for k in sorted(value)]
         return "{\n" + ",\n".join(items) + "\n" + indent + "}"
-    if isinstance(value, (list, tuple)) and not cli._numeric_array(value):
+    if isinstance(value, (list, tuple)) and not _one_line(value):
         items = [inner + _reference_json(v, inner) for v in value]
         return "[\n" + ",\n".join(items) + "\n" + indent + "]"
     return json.dumps(value)
@@ -457,9 +574,9 @@ def test_streamed_output_is_the_report_text(argv, fmt, tmp_path, capsys):
         lines = [",".join(header)] + [",".join(cli._fmt(v) for v in row) for row in rows]
         text = "\n".join(lines) + "\n"
     else:
-        text = cli._json({"config": cli._config_dict(args),
-                          "rows": [dict(zip(header, row)) for row in rows],
-                          "checks": checks}) + "\n"
+        text = _json({"config": cli._config_dict(args),
+                      "rows": [dict(zip(header, row)) for row in rows],
+                      "checks": checks}) + "\n"
     assert printed == text
 
 

@@ -34,6 +34,7 @@ from povmlab.mzi import (
     _interferometer_blocks,
     beam_splitter,
     mzi_output_state,
+    number_observable,
     phase_shifter,
     single_photon_observable,
 )
@@ -250,6 +251,12 @@ class TestThreeModeOutput:
 
 
 class TestDetectionStatistics:
+    def test_clamped_as_probability_clamps(self):
+        # a state within the tolerances whose counts stray past both bounds
+        w = State(Operator(np.diag([1 + 5e-11, -5e-11, 0, 0]), (2, 1, 2)))
+        stats = detection_statistics(w, number_observable(2))
+        assert stats == {(0, 0): 1.0, (0, 1): 0.0, (1, 0): 0.0, (1, 1): 0.0}
+
     def test_normalized(self):
         circuit = KerrCircuit(canonical(0.9), small_probe())
         w = three_mode_output(vector_state(fock(2, 1)), circuit)

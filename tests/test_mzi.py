@@ -30,6 +30,7 @@ from povmlab.mzi import (
     single_photon_observable,
 )
 from povmlab.povm import (
+    State,
     _controlled_shift,
     are_complementary,
     induced_observable,
@@ -194,6 +195,12 @@ class TestOutputState:
         expected = np.zeros((25, 25), dtype=complex)
         expected[0, 0] = 1.0
         assert np.max(np.abs(w.op.mat - expected)) < 1e-12
+
+    def test_detection_probabilities_clamped_as_probability_clamps(self):
+        # a state within the tolerances whose counts stray past both bounds
+        w = State(Operator(np.diag([1 + 5e-11, -5e-11, 0, 0]), (2, 2)))
+        assert detection_probabilities(w) == {(0, 0): 1.0, (0, 1): 0.0, (1, 0): 0.0,
+                                              (1, 1): 0.0}
 
     def test_single_photon_sector_support(self):
         params = MZIParams(BSParams(0.3, 0.1), BSParams(0.8, 0.5), 1.1)

@@ -1841,8 +1841,9 @@ class TestRecordedSpectra:
         scheme = oracle_scheme(*spec)
         ds, dp = scheme.system_dim, scheme.probe_dim
         u5 = scheme.coupling.mat.reshape(1, ds, dp, ds, dp)
-        got = povm._compressed_effects(u5, scheme.probe_state, scheme.pointer.mats)
-        ref = povm._compressed_effects(u5, State(scheme.probe_state.op), scheme.pointer.mats)
+        got, ref = (povm._compress_isometries(povm._probe_isometries(u5, *st._spectrum[:2]),
+                                              scheme.pointer.mats)
+                    for st in (scheme.probe_state, State(scheme.probe_state.op)))
         assert np.max(np.abs(got - ref)) <= 1e-12
 
     @pytest.mark.parametrize("amp,nmax", [(0.5, 1), (1.0, 2)])
