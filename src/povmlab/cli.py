@@ -224,7 +224,7 @@ def cmd_kerr_tradeoff(args) -> tuple[list[str], list[list], dict, bool]:
                      r["path_confidence"], probe_dims[r["amp"]]])
     header = ["amp", "lambda", "eps2", "visibility", "path_confidence", "probe_dim"]
     # monotone tradeoff along increasing |amp| at fixed eps2; the rows of -a
-    # are those of a, up to rounding
+    # are those of a exactly (kerrqnd.tradeoff_scan)
     monotone = True
     for eps2 in eps2_values:
         series = [r for r in rows_raw if r["eps2"] == eps2]

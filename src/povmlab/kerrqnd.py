@@ -38,6 +38,7 @@ from .povm import (
     DiscreteObservable,
     MeasurementScheme,
     State,
+    _check_observables,
     _clamped,
     _compress_isometries,
     _count_register_scheme,
@@ -74,6 +75,11 @@ __all__ = [
 COHERENT_LEAKAGE_BOUND = 1e-8
 
 
+def _check_coupling(lam: float):
+    if not math.isfinite(lam):
+        raise ValueError(f"Kerr coupling {lam} is not finite")
+
+
 @dataclass(frozen=True, eq=False)
 class ProbeConfig:
     """Probe mode configuration: initial state, Kerr coupling strength
@@ -84,8 +90,7 @@ class ProbeConfig:
     readout: DiscreteObservable
 
     def __post_init__(self):
-        if not math.isfinite(self.lam):
-            raise ValueError(f"Kerr coupling {self.lam} is not finite")
+        _check_coupling(self.lam)
         if self.readout.dim != self.probe_state.dim:
             raise ValueError("readout and probe state dimensions differ")
 
@@ -125,8 +130,7 @@ def kerr_phase(dim: int, lam: float) -> np.ndarray:
     Toeplitz: its symbol holds the 2 dim - 1 exponentials, one per m - n,
     at lag n - m. ``dim`` must be a positive integer and ``lam`` finite."""
     _check_positive_int(dim, "probe dimension")
-    if not math.isfinite(lam):
-        raise ValueError(f"Kerr coupling {lam} is not finite")
+    _check_coupling(lam)
     return _toeplitz(np.exp(-1j * lam * np.arange(dim - 1, -dim, -1))[None])[0]
 
 
@@ -160,7 +164,11 @@ def coherent_state(z: complex, dim: int | None = None) -> State:
     n = np.arange(dim)
     log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, dim)))))
     moduli = np.exp(-r**2 / 2 + n * math.log(r) - log_fact / 2)
-    amps = moduli * np.exp(1j * np.angle(z) * n)
+    if z.imag:
+        phases = np.exp(1j * np.angle(z) * n)
+    else:  # e^{i pi n} is the exact sign (-1)^n; np.exp is off by up to 1e-14
+        phases = (-1.0 if z.real < 0 else 1.0) ** n + 0j
+    amps = moduli * phases
     kept = float(np.sum(moduli**2))
     if 1.0 - kept > COHERENT_LEAKAGE_BOUND:
         raise ValueError(
@@ -345,15 +353,24 @@ def joint_path_interference_povm(eps2: float, theta2: float,
     observable, diagonal in the path basis.
     """
     BSParams(eps2, theta2)  # names a bad parameter
-    t0, t1, t0m, tp0 = _probe_traces(probe)
-    cross = math.sqrt(eps2 * (1 - eps2))
+    f = _joint_effects(np.array([eps2], dtype=float), theta2, _probe_traces(probe))
+    outcomes = [(n, x) for x in probe.readout.outcomes for n in (1, 0)]
+    return DiscreteObservable(outcomes, f.reshape(-1, 2, 2))
+
+
+def _joint_effects(eps2: np.ndarray, theta2: float, traces: np.ndarray) -> np.ndarray:
+    """The effects F(n, X) of :func:`joint_path_interference_povm` for every
+    transparency in ``eps2``, from the probe traces of :func:`_probe_traces`:
+    shape (len(eps2), bins, 2, 2, 2), with n = 1 before n = 0 in each bin."""
+    t0, t1, t0m, tp0 = traces
+    e = eps2[:, None]
+    cross = np.sqrt(e * (1 - e))
     upper = cross * np.exp(1j * theta2) * t0m
     lower = cross * np.exp(-1j * theta2) * tp0
     # row-major entries of F(1, X) and F(0, X)
-    n1 = np.stack([eps2 * t0.real, upper, lower, (1 - eps2) * t1.real], axis=-1)
-    n0 = np.stack([(1 - eps2) * t0.real, -upper, -lower, eps2 * t1.real], axis=-1)
-    outcomes = [(n, x) for x in probe.readout.outcomes for n in (1, 0)]
-    return DiscreteObservable(outcomes, np.stack([n1, n0], axis=1).reshape(-1, 2, 2))
+    n1 = np.stack([e * t0.real, upper, lower, (1 - e) * t1.real], axis=-1)
+    n0 = np.stack([(1 - e) * t0.real, -upper, -lower, e * t1.real], axis=-1)
+    return np.stack([n1, n0], axis=2).reshape(len(eps2), -1, 2, 2, 2)
 
 
 def joint_povm_compressed(eps2: float, theta2: float,
@@ -372,7 +389,11 @@ def interference_visibility(povm: DiscreteObservable) -> float:
     """Peak-to-trough modulation of the monitored-detector probability over
     the preparation phase: twice the off-diagonal magnitude of the n = 1
     marginal effect."""
-    m1 = marginal_over_bins(povm).effect_for(1).op.mat
+    return _visibility(marginal_over_bins(povm).effect_for(1).op.mat)
+
+
+def _visibility(m1: np.ndarray) -> float:
+    """Twice the off-diagonal magnitude of the n = 1 marginal effect m1."""
     return 2.0 * float(abs(m1[0, 1]))
 
 
@@ -391,12 +412,14 @@ def path_confidence(povm: DiscreteObservable) -> float:
 
     The total-variation form keeps the no-information cases exact: equal
     conditional distributions give exactly 0.5."""
-    path = marginal_over_counts(povm)
-    tv = 0.0
-    for _, e in path:
-        m = e.op.mat
-        tv += abs(m[0, 0].real - m[1, 1].real)
-    return 0.5 + 0.25 * tv
+    return float(_path_confidences(marginal_over_counts(povm).mats))
+
+
+def _path_confidences(path: np.ndarray) -> np.ndarray:
+    """:func:`path_confidence` of each path marginal in a (..., bins, 2, 2)
+    stack, its bins in outcome order, summed one after another."""
+    gaps = np.abs(path[..., 0, 0].real - path[..., 1, 1].real)
+    return 0.5 + 0.25 * np.cumsum(gaps, axis=-1)[..., -1]
 
 
 def tradeoff_scan(amplitudes, lam: float, eps2_values,
@@ -404,29 +427,56 @@ def tradeoff_scan(amplitudes, lam: float, eps2_values,
     """Visibility/confidence table over coherent amplitudes and recombiner
     transparencies, with an 8-bin phase readout and theta2 = pi/2 (neither
     column depends on theta2). ``probe_kind="number"`` replaces each coherent
-    probe by the number state nearest its mean photon number."""
+    probe by the number state nearest its mean photon number.
+
+    The probe kind, lam, each eps2 and each amplitude are checked before any
+    probe is built. The rows depend on |amp| only: the coherent probe at -a
+    is e^{i pi N} applied to the one at a, which maps the eight bins onto one
+    another. So each probe is built at |amp|, and the rows at -a and a are
+    the same floats.
+
+    Each amplitude's probe traces t0, t1, t0m and tp0
+    (:func:`joint_path_interference_povm`) are computed once, and every eps2
+    row is formed from them. In closed form
+    D = 2 path_confidence - 1 = 1/2 sum_X |t0(X) - t1(X)| and
+    V = 2 sqrt(eps2 (1 - eps2)) |sum_X t0m(X)|; both are summed in the order
+    of :func:`path_confidence` and :func:`interference_visibility`, so each
+    row is theirs on the joint POVM bit for bit. Every eps2 row is an
+    observable: tp0 is the conjugate of t0m, so
+    det F(n, X) = eps2 (1 - eps2) (t0 t1 - |t0m|^2) >= 0 by Cauchy-Schwarz
+    (E(X) >= 0), and sum_X E(X) = I with tr T' = 1 gives completeness. The
+    rows are still checked, by the same checks the joint POVM and its two
+    marginals run, each batched over eps2
+    (:func:`povmlab.povm._check_observables`)."""
     if probe_kind not in ("coherent", "number"):
         raise ValueError(f"unknown probe kind {probe_kind!r}")
+    _check_coupling(lam)
+    eps2_values = list(eps2_values)
+    for e in eps2_values:
+        BSParams(e)  # names a bad transparency
+    amplitudes = list(amplitudes)
+    dims = [coherent_dim(amp) for amp in amplitudes]
+    if not eps2_values:
+        return []
+    eps2 = np.array(eps2_values, dtype=float)
     rows = []
-    for amp in amplitudes:
-        dim = coherent_dim(amp)
-        if probe_kind == "coherent":
-            probe_state = coherent_state(amp, dim)
-        else:
-            probe_state = basis_state(round(abs(amp) ** 2), dim)
-        readout = truncated_phase_povm(dim, 8)
-        probe = ProbeConfig(probe_state, lam, readout)
-        for eps2 in eps2_values:
-            povm = joint_path_interference_povm(eps2, math.pi / 2, probe)
-            rows.append(
-                {
-                    "amp": float(amp),
-                    "lam": float(lam),
-                    "eps2": float(eps2),
-                    "visibility": interference_visibility(povm),
-                    "path_confidence": path_confidence(povm),
-                }
-            )
+    for amp, dim in zip(amplitudes, dims):
+        r = abs(amp)
+        state = coherent_state(r, dim) if probe_kind == "coherent" else basis_state(round(r**2), dim)
+        probe = ProbeConfig(state, lam, truncated_phase_povm(dim, 8))
+        f = _joint_effects(eps2, math.pi / 2, _probe_traces(probe))
+        # the marginals as marginal() sums them: the count marginal bin by bin
+        # from zero, the path marginal n = 1 then n = 0 in each bin
+        by_count = np.zeros(f.shape[:1] + f.shape[2:], dtype=complex)
+        for x in range(f.shape[1]):
+            by_count += f[:, x]
+        by_bin = np.zeros(f.shape[:2] + f.shape[3:], dtype=complex) + f[:, :, 0] + f[:, :, 1]
+        for stack in (f.reshape(len(eps2), -1, 2, 2), by_count, by_bin):
+            _check_observables(stack)
+        rows += [{"amp": float(amp), "lam": float(lam), "eps2": float(e),
+                  "visibility": _visibility(m1), "path_confidence": confidence}
+                 for e, m1, confidence in zip(eps2_values, by_count[:, 0],
+                                              _path_confidences(by_bin).tolist())]
     return rows
 
 

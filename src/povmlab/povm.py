@@ -232,6 +232,22 @@ def _check_effects(mats: np.ndarray, enclosure=None, margin: float = 0.0,
     return checked
 
 
+def _completeness_residual(mats: np.ndarray) -> np.ndarray:
+    """max |sum_x E(x) - I| entrywise of each (k, d, d) observable in a
+    (..., k, d, d) stack."""
+    return np.abs(mats.sum(axis=-3) - np.eye(mats.shape[-1])).max(axis=(-2, -1))
+
+
+def _check_observables(stacks: np.ndarray):
+    """The checks of a :class:`DiscreteObservable` built from each (k, d, d)
+    row of the non-empty (n, k, d, d) stack ``stacks``, run on all n at once:
+    one :func:`_check_effects` call on every effect, then each observable's
+    completeness bound. Raises the same ``ValueError``s."""
+    _check_effects(stacks.reshape((-1,) + stacks.shape[2:]))
+    if _completeness_residual(stacks).max() > ATOL_COMPLETENESS:
+        raise ValueError("effects do not sum to the identity within tolerance")
+
+
 @dataclass(frozen=True, eq=False)
 class Effect:
     """A POVM element: Hermitian with spectrum inside [0, 1] (within the
@@ -379,7 +395,7 @@ class DiscreteObservable:
             raise ValueError(f"expected a (k, d, d) stack of square matrices, got {mats.shape}")
         checked = _check_effects(mats, enclosure, error, hermitian)
         if completeness is None:
-            completeness = np.max(np.abs(mats.sum(axis=0) - np.eye(mats.shape[1])))
+            completeness = _completeness_residual(mats)
         if completeness > ATOL_COMPLETENESS:
             raise ValueError("effects do not sum to the identity within tolerance")
         mats.setflags(write=False)

@@ -132,6 +132,13 @@ def test_kerr_tradeoff_rows_depend_on_the_amplitude_modulus(probe, capsys):
     assert len(rows) == 8
     for amp, eps2 in rows:
         assert rows[amp, eps2] == rows[-amp, eps2]
+    # and so do the JSON rows, which print every digit
+    code, out, _ = run(["kerr-tradeoff", "--amp=-2,2", "--eps2", "0.3", "--probe", probe,
+                        "--format", "json"], capsys)
+    assert code == EXIT_OK
+    minus, plus = json.loads(out)["rows"]
+    assert minus.pop("amp") == -plus.pop("amp")
+    assert minus == plus
 
 
 def test_main_builds_its_parser_once(capsys, monkeypatch):

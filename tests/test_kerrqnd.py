@@ -134,6 +134,15 @@ class TestCoherentState:
         with pytest.raises(ValueError):
             coherent_state(3.0, 12)
 
+    def test_negative_amplitude_carries_the_exact_sign(self):
+        # |-a> = e^{i pi N}|a>: the entries are those of |a> times (-1)^(m+n)
+        for amp in (0.5, 2.0, 6.0):
+            dim = coherent_dim(amp)
+            sign = (-1.0) ** np.add.outer(np.arange(dim), np.arange(dim))
+            minus = coherent_state(-amp, dim).op.mat
+            assert np.all(minus.imag == 0)
+            assert np.array_equal(minus, sign * coherent_state(amp, dim).op.mat)
+
     def test_coherent_dim_holds_its_stated_range(self):
         for amp in (6.0, -6.0, 6j):
             dim = coherent_dim(amp)
@@ -676,6 +685,16 @@ class TestJointPovm:
         assert 0.5 <= nu <= 1.0
 
 
+def confidence_bin_by_bin(povm):
+    """path_confidence from the path marginal's effects, the bins' gaps added
+    one after another."""
+    tv = 0.0
+    for _, e in marginal_over_counts(povm):
+        m = e.op.mat
+        tv += abs(m[0, 0].real - m[1, 1].real)
+    return 0.5 + 0.25 * tv
+
+
 class TestTradeoff:
     def test_probe_kind_is_checked_before_the_scan(self):
         with pytest.raises(ValueError, match="^unknown probe kind 'bogus'$"):
@@ -707,18 +726,115 @@ class TestTradeoff:
 
     def test_tradeoff_does_not_depend_on_the_recombiner_phase(self):
         # the scan fixes theta2 = pi/2: the visibility reads the modulus of an
-        # off-diagonal entry and the path confidence reads diagonals
-        lam, amps, eps2_values = 0.9, (0.5, 2.0), (0.2, 0.5)
-        rows = tradeoff_scan(amps, lam, eps2_values)
-        for amp in amps:
+        # off-diagonal entry and the path confidence reads diagonals. At pi/2
+        # the scan's rows are those of the joint POVM bit for bit; at another
+        # theta2, e^{i theta2} rounds differently
+        lam, amps, eps2_values = 0.9, (0.5, 2.0), (0.0, 1e-9, 0.2, 0.5, 1.0)
+        for kind in ("coherent", "number"):
+            rows = tradeoff_scan(amps, lam, eps2_values, probe_kind=kind)
+            for amp in amps:
+                dim = coherent_dim(amp)
+                state = (coherent_state(amp, dim) if kind == "coherent"
+                         else basis_state(round(amp**2), dim))
+                probe = ProbeConfig(state, lam, truncated_phase_povm(dim, 8))
+                for eps2 in eps2_values:
+                    row, = (r for r in rows if r["amp"] == amp and r["eps2"] == eps2)
+                    for theta2 in (0.0, 1.0, math.pi / 2, 4.0):
+                        povm = joint_path_interference_povm(eps2, theta2, probe)
+                        assert path_confidence(povm) == row["path_confidence"]
+                        assert path_confidence(povm) == confidence_bin_by_bin(povm)
+                        if theta2 == math.pi / 2:
+                            assert interference_visibility(povm) == row["visibility"]
+                        else:
+                            assert abs(interference_visibility(povm) - row["visibility"]) <= 1e-15
+
+    def test_rows_add_the_bins_one_after_another(self):
+        # a pairwise sum of the eight gaps differs in the last bit at some of
+        # these points
+        for lam in (0.2, 0.5, 0.9, 1.7):
+            rows = tradeoff_scan((0.5, 1.0, 2.0), lam, [0.5])
+            for row in rows:
+                dim = coherent_dim(row["amp"])
+                probe = ProbeConfig(coherent_state(row["amp"], dim), lam,
+                                    truncated_phase_povm(dim, 8))
+                povm = joint_path_interference_povm(0.5, math.pi / 2, probe)
+                assert row["path_confidence"] == confidence_bin_by_bin(povm), row
+
+    def test_rows_hold_plain_floats(self):
+        for kind in ("coherent", "number"):
+            for row in tradeoff_scan([0.0, -1.0, 2], 0.5, [0.3, 1], probe_kind=kind):
+                assert all(type(v) is float for v in row.values()), row
+        povm = joint_path_interference_povm(0.3, 1.0, small_probe())
+        assert type(path_confidence(povm)) is float
+        assert type(interference_visibility(povm)) is float
+
+    @pytest.mark.parametrize("kind", ["coherent", "number"])
+    def test_rows_at_minus_a_are_those_at_a(self, kind):
+        lam, amps, eps2_values = 0.5, [0.3, 0.5, 1.0, 2.0, 2.7, 6.0], [0.0, 0.3, 0.5, 1.0]
+        rows = tradeoff_scan(amps + [-a for a in amps], lam, eps2_values, probe_kind=kind)
+        half = len(rows) // 2
+        for r, s in zip(rows[:half], rows[half:]):
+            assert s["amp"] == -r["amp"]
+            assert (s["visibility"], s["path_confidence"]) == (r["visibility"],
+                                                               r["path_confidence"])
+
+    def test_row_at_minus_a_is_that_of_the_probe_at_minus_a(self):
+        # the scan builds the probe at |a|; the one at -a reads its bins in
+        # another order, so it agrees up to rounding
+        lam, eps2 = 0.5, 0.3
+        for amp in (-0.5, -2.0, -6.0):
+            row, = tradeoff_scan([amp], lam, [eps2])
             dim = coherent_dim(amp)
             probe = ProbeConfig(coherent_state(amp, dim), lam, truncated_phase_povm(dim, 8))
-            for eps2 in eps2_values:
-                row, = (r for r in rows if r["amp"] == amp and r["eps2"] == eps2)
-                for theta2 in (0.0, 1.0, math.pi / 2, 4.0):
-                    povm = joint_path_interference_povm(eps2, theta2, probe)
-                    assert path_confidence(povm) == row["path_confidence"]
-                    assert abs(interference_visibility(povm) - row["visibility"]) <= 1e-15
+            povm = joint_path_interference_povm(eps2, math.pi / 2, probe)
+            assert abs(path_confidence(povm) - row["path_confidence"]) <= 1e-14
+            assert abs(interference_visibility(povm) - row["visibility"]) <= 1e-14
+
+    def test_empty_inputs_give_no_rows(self):
+        assert tradeoff_scan([], 0.5, [0.5]) == []
+        assert tradeoff_scan([1.0], 0.5, []) == []
+        assert tradeoff_scan([], 0.5, []) == []
+        with pytest.raises(ValueError, match="^coherent amplitude 7.0 outside"):
+            tradeoff_scan([7.0], 0.5, [])
+
+    @pytest.mark.parametrize("lam, eps2_values, message", [
+        (math.nan, [0.5], "^Kerr coupling nan is not finite$"),
+        (math.inf, [], "^Kerr coupling inf is not finite$"),
+        (0.5, [0.5, 1.5], r"^transparency 1.5 outside \[0, 1\]$"),
+        (0.5, [-0.1], r"^transparency -0.1 outside \[0, 1\]$"),
+        (0.5, [math.nan], r"^transparency nan outside \[0, 1\]$"),
+    ])
+    def test_bad_input_is_rejected_before_any_probe(self, lam, eps2_values, message,
+                                                    monkeypatch):
+        def built(*args):
+            raise AssertionError("a probe was built")
+        monkeypatch.setattr(kerrqnd, "truncated_phase_povm", built)
+        for amps in ([], [1.0, 2.0]):
+            with pytest.raises(ValueError, match=message):
+                tradeoff_scan(amps, lam, eps2_values)
+
+    def test_rows_are_checked_as_observables(self, monkeypatch):
+        # the scan forms its effects from the probe traces and checks them
+        # batched; a trace edit that breaks positivity must raise there
+        traces = kerrqnd._probe_traces
+
+        def doubled(probe):
+            t0, t1, t0m, tp0 = traces(probe)
+            return np.stack([t0, t1, 2 * t0m, 2 * tp0])
+
+        def moved(probe):
+            # bins 0 and 1 trade off-diagonal weight: both marginals are those
+            # of the true traces, so only the joint effects are not positive
+            t0, t1, t0m, tp0 = traces(probe)
+            shift = np.zeros(len(t0))
+            shift[:2] = 1.0, -1.0
+            return np.stack([t0, t1, t0m + shift, tp0 + shift])
+
+        for edit in (doubled, moved):
+            monkeypatch.setattr(kerrqnd, "_probe_traces", edit)
+            for kind in ("coherent", "number"):
+                with pytest.raises(ValueError, match=r"^effect spectrum .* outside \[0, 1\]$"):
+                    tradeoff_scan([0.0, 1.0], 0.5, [0.5], probe_kind=kind)
 
 
 def helstrom_readout(probe_state, lam):
