@@ -25,7 +25,10 @@ laid out exactly as json.dumps(indent=2, sort_keys=True) lays it out, except
 that each row of a spin-phase effect matrix, a list of [re, im] pairs, goes
 on a single line. Output is written as it is produced, to --out or stdout:
 a spin-phase effect matrix is held as its 2 dim - 1 symbol entries, each
-formatted once, and its rows are written one at a time.
+formatted once, and its rows are written one at a time. spin-phase builds
+the dense effects only for their eigenvalue ranges, a slice of at most
+256 KiB at a time, and reads each covariance residual on the 2 dim - 1 lags
+of the symbols.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ import sys
 import numpy as np
 
 from . import kerrqnd, mzi, spin
-from .povm import _check_effects
+from .povm import _CHECK_SLICE_BYTES, _check_effects
 
 EXIT_OK = 0
 EXIT_VERIFY = 2
@@ -91,9 +94,13 @@ class _EffectRows:
 def _json_pieces(value, indent: str = ""):
     """The text of ``value`` in pieces, laid out as
     json.dumps(indent=2, sort_keys=True) lays it out, except that an
-    :class:`_EffectRows` is a list of its rows, one line each."""
+    :class:`_EffectRows` is a list of its rows, one line each. A finite
+    float is written with float.__repr__, as json.dumps writes it, and
+    every other scalar by json.dumps."""
     inner = indent + "  "
-    if isinstance(value, dict) and value:
+    if type(value) is float and math.isfinite(value):
+        yield repr(value)
+    elif isinstance(value, dict) and value:
         head = "{\n"
         for key in sorted(value):
             yield f"{head}{inner}{json.dumps(key)}: "
@@ -283,32 +290,31 @@ def cmd_spin_phase(args) -> tuple[list[str], list[list], dict, bool]:
         intervals = spin._phase_intervals(args.bins if args.intervals is None else intervals)
     except ValueError as exc:
         raise ValueError(f"--intervals: {exc}") from None
-    rng = np.random.default_rng(args.seed)
-    rows = []
-    matrices = []
-    worst_cov = 0.0
-    worst_uniform = 0.0
     # every interval's symbol is held (2 dim - 1 entries each, 13 MB at the
-    # bounds), and one dense matrix at a time, for the check that returns its
-    # eigenvalue range
-    symbols = spin._phase_symbols(space.dim, intervals)
-    for (u, v), symbol in zip(intervals, symbols):
-        (lo, hi), = _check_effects(spin._toeplitz(symbol[None])).tolist()
-        alpha = float(rng.uniform(0.0, 2 * np.pi))
-        cov = spin.spin_phase_covariance_residual(space, (u, v), alpha)
-        # every diagonal entry is the symbol's lag 0
-        uniform = abs(float(symbol[space.dim - 1].real) - (v - u) / (2 * np.pi))
-        worst_cov = max(worst_cov, cov)
-        worst_uniform = max(worst_uniform, uniform)
-        rows.append([u, v, lo, hi, alpha, cov, uniform])
-        if args.format == "json":
-            matrices.append(_EffectRows(symbol))
+    # bounds), and dense matrices only a slice of _CHECK_SLICE_BYTES at a
+    # time, for the check that returns their eigenvalue ranges
+    dim = space.dim
+    symbols = spin._phase_symbols(dim, intervals)
+    step = max(1, _CHECK_SLICE_BYTES // (symbols.itemsize * dim * dim))
+    extremes = np.concatenate([_check_effects(spin._toeplitz(symbols[start:start + step]))
+                               for start in range(0, len(symbols), step)])
+    alphas = np.random.default_rng(args.seed).uniform(0.0, 2 * np.pi, len(intervals))
+    covs = spin._covariance_residuals(symbols, intervals, alphas).tolist()
+    # every diagonal entry is the symbol's lag 0
+    widths = np.array([v - u for u, v in intervals])
+    uniforms = np.abs(symbols[:, dim - 1].real - widths / (2 * np.pi)).tolist()
+    rows = [[u, v, lo, hi, alpha, cov, uniform]
+            for (u, v), (lo, hi), alpha, cov, uniform
+            in zip(intervals, extremes.tolist(), alphas.tolist(), covs, uniforms)]
+    worst_cov = max([0.0, *covs])
+    worst_uniform = max([0.0, *uniforms])
+    matrices = list(map(_EffectRows, symbols)) if args.format == "json" else "json only"
     header = ["u", "v", "eig_min", "eig_max", "alpha", "covariance_residual",
               "uniformity_residual"]
     checks = {
         "max_covariance_residual": worst_cov,
         "max_uniformity_residual": worst_uniform,
-        "effect_matrices": matrices if args.format == "json" else "json only",
+        "effect_matrices": matrices,
     }
     return header, rows, checks, worst_cov <= 1e-10 and worst_uniform <= 1e-12
 

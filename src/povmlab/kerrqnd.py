@@ -446,7 +446,7 @@ def tradeoff_scan(amplitudes, lam: float, eps2_values,
     det F(n, X) = eps2 (1 - eps2) (t0 t1 - |t0m|^2) >= 0 by Cauchy-Schwarz
     (E(X) >= 0), and sum_X E(X) = I with tr T' = 1 gives completeness. The
     rows are still checked, by the same checks the joint POVM and its two
-    marginals run, each batched over eps2
+    marginals run, each batched over every amplitude and eps2 of the call
     (:func:`povmlab.povm._check_observables`)."""
     if probe_kind not in ("coherent", "number"):
         raise ValueError(f"unknown probe kind {probe_kind!r}")
@@ -460,6 +460,7 @@ def tradeoff_scan(amplitudes, lam: float, eps2_values,
         return []
     eps2 = np.array(eps2_values, dtype=float)
     rows = []
+    stacks = ([], [], [])  # joint, count marginal, path marginal
     for amp, dim in zip(amplitudes, dims):
         r = abs(amp)
         state = coherent_state(r, dim) if probe_kind == "coherent" else basis_state(round(r**2), dim)
@@ -471,12 +472,15 @@ def tradeoff_scan(amplitudes, lam: float, eps2_values,
         for x in range(f.shape[1]):
             by_count += f[:, x]
         by_bin = np.zeros(f.shape[:2] + f.shape[3:], dtype=complex) + f[:, :, 0] + f[:, :, 1]
-        for stack in (f.reshape(len(eps2), -1, 2, 2), by_count, by_bin):
-            _check_observables(stack)
+        for kept, stack in zip(stacks, (f.reshape(len(eps2), -1, 2, 2), by_count, by_bin)):
+            kept.append(stack)
         rows += [{"amp": float(amp), "lam": float(lam), "eps2": float(e),
                   "visibility": _visibility(m1), "path_confidence": confidence}
                  for e, m1, confidence in zip(eps2_values, by_count[:, 0],
                                               _path_confidences(by_bin).tolist())]
+    if rows:
+        for kept in stacks:
+            _check_observables(np.concatenate(kept))
     return rows
 
 

@@ -18,7 +18,14 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .linalg import Operator, _check_positive_int, _is_real
-from .povm import _EIG_ROUNDING, DiscreteObservable, Effect, _enclosed_observable, effect
+from .povm import (
+    _CHECK_SLICE_BYTES,
+    _EIG_ROUNDING,
+    DiscreteObservable,
+    Effect,
+    _enclosed_observable,
+    effect,
+)
 
 __all__ = [
     "PAULI_X",
@@ -278,23 +285,50 @@ def spin_phase_observable(space: SpinPhaseSpace, bins: int = 8) -> DiscreteObser
     return _phase_observable(space.dim, bins)
 
 
-def _shifted_intervals(u: float, v: float, alpha: float):
-    """Translate [u, v] by alpha modulo 2pi, splitting at the wraparound."""
+def _covariance_residuals(symbols: np.ndarray, intervals, alphas: np.ndarray) -> np.ndarray:
+    """The covariance residual of each row of the (k, 2 dim - 1) symbols
+    of the phase effects S(X_i): the largest |c_X(j) e^{i a_i j} - c(j)|
+    over the 2 dim - 1 lags j, where c is the symbol of S(X_i + a_i mod 2pi)
+    and each a_i lies in [0, 2pi). Entry (m, n) of
+    e^{-i a s3} S(X) e^{i a s3} is e^{-i a m} c_X(n - m) e^{i a n} (Holevo
+    1982), so this is the largest entry of the dense residual. For
+    X_i = [u, v], X_i + a_i starts at u + a_i mod 2pi, is v - u wide and is
+    split at 2pi when it wraps. A slice of rows holds at most
+    ``povm._CHECK_SLICE_BYTES`` of symbols, and the pieces of its intervals
+    come from one :func:`_phase_symbols` call."""
+    k, width = symbols.shape
+    dim = (width + 1) // 2
+    intervals = np.asarray(intervals, dtype=float).reshape(-1, 2)
+    lags = np.arange(1 - dim, dim)
     two_pi = 2 * np.pi
-    a = (u + alpha) % two_pi
-    b = a + (v - u)
-    if b <= two_pi + 1e-15:
-        return [(a, min(b, two_pi))]
-    return [(a, two_pi), (0.0, b - two_pi)]
+    step = max(1, _CHECK_SLICE_BYTES // (symbols.itemsize * width))
+    residuals = np.empty(k)
+    for start in range(0, k, step):
+        u, v = intervals[start:start + step].T
+        alpha = alphas[start:start + step]
+        a = (u + alpha) % two_pi
+        b = a + (v - u)
+        wraps = b > two_pi + 1e-15
+        pieces = np.concatenate([np.stack([a, np.minimum(b, two_pi)], axis=1),
+                                 np.stack([np.zeros(wraps.sum()), b[wraps] - two_pi], axis=1)])
+        shifted = _phase_symbols(dim, pieces.tolist())
+        moved = shifted[:len(a)]
+        moved[wraps] += shifted[len(a):]
+        rotated = symbols[start:start + step] * np.exp(1j * alpha[:, None] * lags)
+        residuals[start:start + step] = np.abs(rotated - moved).max(axis=1)
+    return residuals
 
 
 def spin_phase_covariance_residual(space: SpinPhaseSpace, interval, alpha: float) -> float:
-    """Max-entry residual of e^{-i a s3} S(X) e^{i a s3} - S(X + a mod 2pi)."""
+    """The largest entry of e^{-i a s3} S(X) e^{i a s3} - S(X + a mod 2pi),
+    read on the 2 dim - 1 lags of the Toeplitz symbols
+    (:func:`_covariance_residuals`), with a reduced modulo 2pi once."""
     u, v = _interval(interval)
-    kernels = _phase_kernels(space.dim, [(u, v)] + _shifted_intervals(u, v, alpha))
-    phases = np.exp(-1j * alpha * space.m_values)
-    rotated = phases[:, None] * kernels[0] * phases.conj()[None, :]
-    return float(np.max(np.abs(rotated - kernels[1:].sum(axis=0))))
+    if not (_is_real(alpha) and math.isfinite(alpha)):
+        raise ValueError(f"alpha {alpha!r} is not a finite real number")
+    alpha = float(alpha) % (2 * np.pi)
+    symbols = _phase_symbols(space.dim, [(u, v)])
+    return float(_covariance_residuals(symbols, [(u, v)], np.array([alpha]))[0])
 
 
 def spin_phase_first_moment(space: SpinPhaseSpace) -> Operator:

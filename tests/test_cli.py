@@ -8,7 +8,7 @@ import pytest
 
 from povmlab import cli, kerrqnd, mzi, spin
 from povmlab.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
-from povmlab.povm import State, basis_state
+from povmlab.povm import _CHECK_SLICE_BYTES, State, _check_effects, basis_state
 
 
 def run(argv, capsys):
@@ -334,6 +334,12 @@ def test_json_layout_of_nested_values():
     for value in ([1, 2.5], [[1.0, 0.0], [0.5, -0.5]], {"m": [[[1.0, 0.0]], [[0.0, 1.0]]]}, [],
                   (), [[]], 0.1):
         assert _json(value) == json.dumps(value, indent=2, sort_keys=True)
+    # a finite float is written by float.__repr__, every other scalar by
+    # json.dumps, alone and nested
+    scalars = [-0.0, 5e-324, 1e16, 1e-5, 0.1 + 0.2, np.float64(0.3), True, 7, float("nan"),
+               float("inf"), -float("inf")]
+    for value in scalars + [scalars, {"k": scalars}]:
+        assert _json(value) == json.dumps(value, indent=2, sort_keys=True)
     # an effect matrix, one line per row: c(-1), c(0), c(1) of a 2 x 2 section
     symbol = np.array([complex(0.25, 0.5), complex(0.5, -0.0), complex(-0.0, 0.25)])
     assert _json({"m": [cli._EffectRows(symbol)]}) == (
@@ -430,6 +436,31 @@ def test_spin_phase_extremes_are_the_effect_eigenvalues(capsys):
     for row, m in zip(payload["rows"], mats[..., 0] + 1j * mats[..., 1]):
         w = np.linalg.eigvalsh(m)
         assert (row["eig_min"], row["eig_max"]) == (w.min(), w.max())
+
+
+@pytest.mark.parametrize("spin_j, bins, slices", [
+    ("20", 32, 4),  # nine 41 x 41 effects to a slice
+    ("1.5", 1024, 1),  # 1024 effects of 4 x 4 fill one slice exactly
+    ("3.5", 1000, 4),  # 256 effects of 8 x 8 to a slice, the last one partial
+])
+def test_spin_phase_columns_equal_the_one_interval_forms(spin_j, bins, slices):
+    # the batched command against one interval at a time: the angles of k
+    # scalar draws, the eigenvalue range of each effect checked alone, and
+    # the public covariance residual, bit for bit
+    argv = ["spin-phase", "--spin", spin_j, "--bins", str(bins), "--seed", "17", "--verify"]
+    args = cli.build_parser().parse_args(argv)
+    header, rows, checks, passed = args.func(args)
+    assert passed
+    space = spin.SpinPhaseSpace(float(spin_j))
+    assert -(-bins // max(1, _CHECK_SLICE_BYTES // (16 * space.dim ** 2))) == slices
+    rng = np.random.default_rng(17)
+    columns = dict(zip(header, map(list, zip(*rows))))
+    assert columns["alpha"] == [float(rng.uniform(0.0, 2 * np.pi)) for _ in range(bins)]
+    for u, v, lo, hi, alpha, cov in zip(*(columns[name] for name in header[:6])):
+        kernel = spin._phase_kernels(space.dim, [(u, v)])
+        assert (lo, hi) == tuple(_check_effects(kernel)[0].tolist())
+        assert cov == spin.spin_phase_covariance_residual(space, (u, v), alpha)
+    assert checks["max_covariance_residual"] == max(columns["covariance_residual"])
 
 
 def test_spin_min_eig_is_the_effect_minimum(capsys):

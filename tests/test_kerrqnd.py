@@ -831,10 +831,16 @@ class TestTradeoff:
             return np.stack([t0, t1, t0m + shift, tp0 + shift])
 
         for edit in (doubled, moved):
-            monkeypatch.setattr(kerrqnd, "_probe_traces", edit)
-            for kind in ("coherent", "number"):
-                with pytest.raises(ValueError, match=r"^effect spectrum .* outside \[0, 1\]$"):
-                    tradeoff_scan([0.0, 1.0], 0.5, [0.5], probe_kind=kind)
+            # the edit reaches the probe of one amplitude only, the first or
+            # the second, so every amplitude's rows must be checked
+            for edited in (0, 1):
+                for kind in ("coherent", "number"):
+                    calls = iter(range(2))
+                    monkeypatch.setattr(kerrqnd, "_probe_traces", lambda probe: (
+                        edit if next(calls) == edited else traces)(probe))
+                    with pytest.raises(ValueError,
+                                       match=r"^effect spectrum .* outside \[0, 1\]$"):
+                        tradeoff_scan([0.0, 1.0], 0.5, [0.5], probe_kind=kind)
 
 
 def helstrom_readout(probe_state, lam):

@@ -352,14 +352,26 @@ def reference_kernels(space, intervals):
     return np.array([phase_kernel(space.m_values, u, v) for u, v in intervals])
 
 
-def reference_covariance_residual(space, interval, alpha):
-    """The covariance residual on the spin levels, the shifted interval's
-    pieces summed one call at a time."""
+def shifted_pieces(u, v, alpha):
+    """[u, v] translated by alpha modulo 2pi, split at 2pi when it wraps."""
+    two_pi = 2 * np.pi
+    a = (u + alpha) % two_pi
+    b = a + (v - u)
+    if b <= two_pi + 1e-15:
+        return [(a, min(b, two_pi))]
+    return [(a, two_pi), (0.0, b - two_pi)]
+
+
+def reference_covariance_residual(space, interval, alpha, target=None):
+    """The covariance residual on the spin levels: the largest entry of
+    e^{-i alpha s3} S(X) e^{i alpha s3} - S(Y + alpha mod 2pi), with Y = X
+    unless ``target`` gives it, and the pieces of Y + alpha summed one call
+    at a time."""
     u, v = interval
-    phases = np.exp(-1j * alpha * space.m_values)
+    phases = np.exp(-1j * alpha * np.diag(s3_operator(space).mat))
     rotated = phases[:, None] * phase_kernel(space.m_values, u, v) * phases.conj()[None, :]
     shifted = sum(phase_kernel(space.m_values, a, b)
-                  for a, b in spin._shifted_intervals(u, v, alpha))
+                  for a, b in shifted_pieces(*(target or interval), alpha))
     return float(np.max(np.abs(rotated - shifted)))
 
 
@@ -403,15 +415,56 @@ class TestPhaseKernelBuilder:
                 assert np.array_equal(spin_phase_effect(space, interval).op.mat, m)
 
     def test_covariance_residual_equals_the_spin_level_form(self):
+        # the lag form against the dense form on the spin levels, which also
+        # fixes the sign convention of s3_operator: within 2 dim eps on
+        # matched pairs, where both read rounding, and on pairs that rotate
+        # X by alpha but shift X + delta, where both read O(delta)
         rng = np.random.default_rng(9)
-        for s in self.SPINS:
+        two_pi, delta = 2 * np.pi, 0.01
+        special = [((0.0, two_pi), 1.3), ((1.0, 1.0), 2.0), ((4.0, 6.0), 1.5)]
+        for s, count in [(s, 20) for s in self.SPINS] + [(200.0, 4)]:
             space = SpinPhaseSpace(s)
-            for _ in range(20):
-                u = rng.uniform(0, 2 * np.pi)
-                interval = (u, rng.uniform(u, 2 * np.pi))
-                alpha = rng.uniform(0, 2 * np.pi)
-                assert (spin_phase_covariance_residual(space, interval, alpha)
-                        == reference_covariance_residual(space, interval, alpha))
+            bound = 2 * space.dim * np.finfo(float).eps
+            draws = special + [((u, rng.uniform(u, two_pi - delta)), rng.uniform(0, two_pi))
+                               for u in rng.uniform(0, two_pi - delta, count)]
+            for interval, alpha in draws:
+                lag = spin_phase_covariance_residual(space, interval, alpha)
+                assert abs(lag - reference_covariance_residual(space, interval, alpha)) <= bound
+                u, v = interval
+                target = (u + delta, min(v + delta, two_pi))
+                mismatched = spin._covariance_residuals(
+                    spin._phase_symbols(space.dim, [interval]), [target], np.array([alpha]))[0]
+                dense = reference_covariance_residual(space, interval, alpha, target)
+                assert abs(mismatched - dense) <= bound
+                if 0.5 <= v - u <= two_pi - 0.5:
+                    assert mismatched > 1e-4
+            assert any(v - u > 0 and (u + alpha) % two_pi + v - u > two_pi
+                       for (u, v), alpha in draws)
+
+    def test_batched_residuals_equal_the_one_interval_residuals(self):
+        # 60 intervals at spin 200 span three slices of symbol rows
+        rng = np.random.default_rng(12)
+        space = SpinPhaseSpace(200.0)
+        u = rng.uniform(0, 2 * np.pi, 60)
+        intervals = [(a, rng.uniform(a, 2 * np.pi)) for a in u]
+        alphas = rng.uniform(0, 2 * np.pi, len(intervals))
+        batched = spin._covariance_residuals(spin._phase_symbols(space.dim, intervals),
+                                             intervals, alphas)
+        assert batched.tolist() == [spin_phase_covariance_residual(space, iv, a)
+                                    for iv, a in zip(intervals, alphas.tolist())]
+
+    def test_covariance_angle_is_checked_and_reduced_once(self):
+        space = SpinPhaseSpace(1.0)
+        for alpha in (np.nan, np.inf, -np.inf, "1", 1j, True):
+            with pytest.raises(ValueError, match=f"^alpha {re.escape(repr(alpha))} is not"):
+                spin_phase_covariance_residual(space, (0.0, 1.0), alpha)
+        # a large angle shifts the interval and rotates it by the same
+        # reduced angle, so u is not lost in u + alpha
+        for alpha in (1e6, 1e300, -1e6, 4 * np.pi + 0.5):
+            residual = spin_phase_covariance_residual(space, (0.0, 1.0), alpha)
+            assert residual == spin_phase_covariance_residual(space, (0.0, 1.0),
+                                                              alpha % (2 * np.pi))
+            assert residual < 1e-15
 
 
 class TestSpinPhaseSpace:
