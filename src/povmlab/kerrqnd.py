@@ -22,12 +22,14 @@ forms below are locked to these oracles.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import Operator, _check_positive_int, partial_trace, tensor
+from .linalg import Operator, _check_positive_int, _check_real, partial_trace, tensor
 from .mzi import (
     BSParams,
     FockSpace,
@@ -44,6 +46,7 @@ from .povm import (
     _count_register_scheme,
     _diagonal_observable,
     _direct_sum,
+    _grouped,
     _probe_isometries,
     basis_state,
     marginal,
@@ -75,11 +78,6 @@ __all__ = [
 COHERENT_LEAKAGE_BOUND = 1e-8
 
 
-def _check_coupling(lam: float):
-    if not math.isfinite(lam):
-        raise ValueError(f"Kerr coupling {lam} is not finite")
-
-
 @dataclass(frozen=True, eq=False)
 class ProbeConfig:
     """Probe mode configuration: initial state, Kerr coupling strength
@@ -90,7 +88,7 @@ class ProbeConfig:
     readout: DiscreteObservable
 
     def __post_init__(self):
-        _check_coupling(self.lam)
+        object.__setattr__(self, "lam", _check_real(self.lam, "Kerr coupling"))
         if self.readout.dim != self.probe_state.dim:
             raise ValueError("readout and probe state dimensions differ")
 
@@ -130,14 +128,24 @@ def kerr_phase(dim: int, lam: float) -> np.ndarray:
     Toeplitz: its symbol holds the 2 dim - 1 exponentials, one per m - n,
     at lag n - m. ``dim`` must be a positive integer and ``lam`` finite."""
     _check_positive_int(dim, "probe dimension")
-    _check_coupling(lam)
+    lam = _check_real(lam, "Kerr coupling")
     return _toeplitz(np.exp(-1j * lam * np.arange(dim - 1, -dim, -1))[None])[0]
+
+
+def _modulus(z) -> float:
+    """|z| of a number z (a bool is not one), inf where it overflows."""
+    if not isinstance(z, numbers.Complex) or isinstance(z, (bool, np.bool_)):
+        raise ValueError(f"coherent amplitude {z!r} is not a number")
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
 
 
 def coherent_dim(amp: float) -> int:
     """Truncation level meeting the coherent leakage bound for |z| <= 6;
-    raises ValueError outside that range and for NaN."""
-    r = abs(amp)
+    raises ValueError outside that range, for NaN and for a non-number."""
+    r = _modulus(amp)
     if not r <= 6.0:
         raise ValueError(f"coherent amplitude {amp} outside |z| <= 6")
     return max(16, math.ceil(r**2 + 9 * r + 6))
@@ -145,13 +153,10 @@ def coherent_dim(amp: float) -> int:
 
 def coherent_state(z: complex, dim: int | None = None) -> State:
     """Truncated coherent state; raises when the truncation keeps less than
-    1 - 1e-8 of the amplitude mass, for a non-finite z or one whose Fock
-    moduli e^(-|z|^2/2) |z|^n overflow, and for a ``dim`` that is not a
-    positive integer."""
-    try:
-        r = abs(z)
-    except OverflowError:  # a finite complex z whose modulus overflows
-        r = math.inf
+    1 - 1e-8 of the amplitude mass, for a z that is not a finite number or
+    whose Fock moduli e^(-|z|^2/2) |z|^n overflow, and for a ``dim`` that
+    is not a positive integer."""
+    r = _modulus(z)
     if dim is None:
         dim = coherent_dim(r)
     _check_positive_int(dim, "coherent dimension")
@@ -429,8 +434,8 @@ def tradeoff_scan(amplitudes, lam: float, eps2_values,
     column depends on theta2). ``probe_kind="number"`` replaces each coherent
     probe by the number state nearest its mean photon number.
 
-    The probe kind, lam, each eps2 and each amplitude are checked before any
-    probe is built. The rows depend on |amp| only: the coherent probe at -a
+    The probe kind, lam, each eps2 and each (real) amplitude are checked before
+    any probe is built. The rows depend on |amp| only: the coherent probe at -a
     is e^{i pi N} applied to the one at a, which maps the eight bins onto one
     another. So each probe is built at |amp|, and the rows at -a and a are
     the same floats.
@@ -450,38 +455,32 @@ def tradeoff_scan(amplitudes, lam: float, eps2_values,
     (:func:`povmlab.povm._check_observables`)."""
     if probe_kind not in ("coherent", "number"):
         raise ValueError(f"unknown probe kind {probe_kind!r}")
-    _check_coupling(lam)
+    lam = _check_real(lam, "Kerr coupling")
     eps2_values = list(eps2_values)
     for e in eps2_values:
         BSParams(e)  # names a bad transparency
     amplitudes = list(amplitudes)
-    dims = [coherent_dim(amp) for amp in amplitudes]
-    if not eps2_values:
+    dims = [coherent_dim(_check_real(a, "coherent amplitude", finite=False)) for a in amplitudes]
+    if not (eps2_values and amplitudes):
         return []
     eps2 = np.array(eps2_values, dtype=float)
-    rows = []
-    stacks = ([], [], [])  # joint, count marginal, path marginal
+    joint = []
     for amp, dim in zip(amplitudes, dims):
         r = abs(amp)
         state = coherent_state(r, dim) if probe_kind == "coherent" else basis_state(round(r**2), dim)
         probe = ProbeConfig(state, lam, truncated_phase_povm(dim, 8))
-        f = _joint_effects(eps2, math.pi / 2, _probe_traces(probe))
-        # the marginals as marginal() sums them: the count marginal bin by bin
-        # from zero, the path marginal n = 1 then n = 0 in each bin
-        by_count = np.zeros(f.shape[:1] + f.shape[2:], dtype=complex)
-        for x in range(f.shape[1]):
-            by_count += f[:, x]
-        by_bin = np.zeros(f.shape[:2] + f.shape[3:], dtype=complex) + f[:, :, 0] + f[:, :, 1]
-        for kept, stack in zip(stacks, (f.reshape(len(eps2), -1, 2, 2), by_count, by_bin)):
-            kept.append(stack)
-        rows += [{"amp": float(amp), "lam": float(lam), "eps2": float(e),
-                  "visibility": _visibility(m1), "path_confidence": confidence}
-                 for e, m1, confidence in zip(eps2_values, by_count[:, 0],
-                                              _path_confidences(by_bin).tolist())]
-    if rows:
-        for kept in stacks:
-            _check_observables(np.concatenate(kept))
-    return rows
+        joint.append(_joint_effects(eps2, math.pi / 2, _probe_traces(probe)))
+    joint = np.concatenate(joint).reshape(len(amplitudes) * len(eps2), -1, 2, 2)
+    # the marginals summed by marginal()'s rule, for every amplitude and eps2 at once
+    outcomes = [(n, x) for x in probe.readout.outcomes for n in (1, 0)]
+    _, by_count = _grouped([n for n, _ in outcomes], joint)
+    _, by_bin = _grouped([x for _, x in outcomes], joint)
+    for stack in (joint, by_count, by_bin):
+        _check_observables(stack)
+    return [{"amp": float(amp), "lam": lam, "eps2": float(e), "visibility": _visibility(m1),
+             "path_confidence": confidence}
+            for (amp, e), m1, confidence in zip(itertools.product(amplitudes, eps2_values),
+                                                by_count[:, 1], _path_confidences(by_bin).tolist())]
 
 
 def kerr_measurement_scheme(circuit: KerrCircuit) -> MeasurementScheme:

@@ -47,22 +47,58 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, (bool, np.bool_))
 
 
-def _check_positive_int(value, name: str):
-    """Raise ``ValueError`` naming ``value`` unless it is a positive integer
-    (a bool is not one)."""
-    if not _is_int(value) or value < 1:
-        raise ValueError(f"{name} {value!r} is not a positive integer")
-
-
 def _is_real(value) -> bool:
-    """Whether ``value`` is a real number; a bool is not one."""
-    return isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
+    """Whether ``value`` is a real number; a bool is not one (a float skips the ABC test)."""
+    return ((type(value) is float or isinstance(value, numbers.Real))
+            and not isinstance(value, (bool, np.bool_)))
+
+
+def _check_real(value, name: str, finite: bool = True) -> float:
+    """``value`` as a float, an int too large for one as an infinity. Raise
+    ``ValueError`` naming it unless it is a real number (a bool is not one)
+    and, with ``finite``, unless it is finite; else a range test names it."""
+    if not _is_real(value):
+        raise ValueError(f"{name} {value!r} is not a real number")
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf if value > 0 else -math.inf
+    if finite and not math.isfinite(x):
+        raise ValueError(f"{name} {value} is not finite")
+    return x
+
+
+def _check_int(value, name: str, low: int | None = None, high: int | None = None) -> int:
+    """Return ``value`` as an int. Raise ``ValueError`` naming it unless it is
+    an integer (a bool is not one) in [low, high): with no bounds, ``low`` = 1
+    alone (a positive integer), or both."""
+    if _is_int(value) and (low is None or low <= value) and (high is None or value < high):
+        return int(value)
+    kind = ("an integer" if low is None else "a positive integer" if high is None
+            else f"an integer in [{low}, {high})")
+    raise ValueError(f"{name} {value!r} is not {kind}")
+
+
+def _check_positive_int(value, name: str) -> int:
+    """A size: a positive integer that is a finite float (:func:`_check_real`;
+    an int below 1e308 is one)."""
+    if not (_is_int(value) and value < 1e308) and _is_real(value):
+        _check_real(value, name)
+    return _check_int(value, name, 1)
 
 
 def _hermitian_residual(mats: np.ndarray) -> float:
     """Largest entry of X - X† over the matrix X, or over the rows X of a
     (k, d, d) stack."""
     return np.max(np.abs(mats - mats.conj().swapaxes(-1, -2)))
+
+
+def _checked_dims(dims, dim: int) -> tuple[int, ...]:
+    """``dims`` as a tuple of positive integers whose product is ``dim``."""
+    dims = tuple(_check_positive_int(d, "factor dimension") for d in dims)
+    if math.prod(dims) != dim:
+        raise ValueError(f"factor dims {dims} do not multiply to dim {dim}")
+    return dims
 
 
 def _as_complex_matrix(mat) -> np.ndarray:
@@ -92,12 +128,7 @@ class Operator:
     def __post_init__(self):
         object.__setattr__(self, "mat", _as_complex_matrix(self.mat))
         if self.dims is not None:
-            dims = tuple(int(d) for d in self.dims)
-            if math.prod(dims) != self.mat.shape[0]:
-                raise ValueError(
-                    f"factor dims {dims} do not multiply to dim {self.mat.shape[0]}"
-                )
-            object.__setattr__(self, "dims", dims)
+            object.__setattr__(self, "dims", _checked_dims(self.dims, self.mat.shape[0]))
 
     @property
     def dim(self) -> int:
@@ -160,10 +191,7 @@ class Vector:
         arr.setflags(write=False)
         object.__setattr__(self, "vec", arr)
         if self.dims is not None:
-            dims = tuple(int(d) for d in self.dims)
-            if math.prod(dims) != arr.size:
-                raise ValueError("factor dims inconsistent with vector length")
-            object.__setattr__(self, "dims", dims)
+            object.__setattr__(self, "dims", _checked_dims(self.dims, arr.size))
 
     @property
     def dim(self) -> int:
@@ -219,9 +247,7 @@ def partial_trace(op: Operator, keep) -> Operator:
         raise ValueError("partial_trace requires an Operator with dims metadata")
     dims = op.dims
     k = len(dims)
-    keep = sorted(set(int(i) for i in keep))
-    if any(i < 0 or i >= k for i in keep):
-        raise ValueError(f"keep indices {keep} out of range for {k} factors")
+    keep = sorted({_check_int(i, "keep index", 0, k) for i in keep})
     arr = op.mat.reshape(dims + dims)
     # einsum: keep row/col legs of retained factors, contract the rest.
     row = list(range(k))

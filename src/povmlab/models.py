@@ -9,12 +9,11 @@ artifacts are accepted because no continuum claim is made here.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Operator, _check_positive_int, _is_int, eigh
+from .linalg import Operator, _check_int, _check_positive_int, eigh
 from .mzi import number_observable
 from .povm import (
     DiscreteObservable,
@@ -41,11 +40,6 @@ __all__ = [
 ]
 
 
-def _check_steps(steps):
-    if not _is_int(steps):
-        raise ValueError(f"steps {steps!r} is not an integer")
-
-
 @dataclass(frozen=True)
 class CyclicGrid:
     """d sites with periodic shifts; the momentum basis is the discrete
@@ -54,9 +48,7 @@ class CyclicGrid:
     d: int
 
     def __post_init__(self):
-        if not math.isfinite(self.d):
-            raise ValueError(f"grid size {self.d} is not finite")
-        _check_positive_int(self.d, "grid size")
+        object.__setattr__(self, "d", _check_positive_int(self.d, "grid size"))
         if self.d < 2:
             raise ValueError("grid needs at least 2 sites")
 
@@ -66,7 +58,7 @@ class CyclicGrid:
 
     def shift(self, steps: int = 1) -> Operator:
         """Cyclic shift |q> -> |q + steps>."""
-        _check_steps(steps)
+        steps = _check_int(steps, "steps")
         mat = np.zeros((self.d, self.d), dtype=complex)
         for q in range(self.d):
             mat[(q + steps) % self.d, q] = 1.0
@@ -74,7 +66,7 @@ class CyclicGrid:
 
     def boost(self, steps: int = 1) -> Operator:
         """Diagonal phase |q> -> omega^{q steps} |q>."""
-        _check_steps(steps)
+        steps = _check_int(steps, "steps")
         phases = self.omega ** (steps * np.arange(self.d))
         return Operator(np.diag(phases))
 

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Operator, Vector, _check_positive_int, _exp_minus_i, tensor
+from .linalg import (Operator, Vector, _check_int, _check_positive_int, _check_real,
+                     _exp_minus_i, tensor)
 from .povm import (
     DiscreteObservable,
     Effect,
@@ -71,9 +72,7 @@ class FockSpace:
     nmax: int
 
     def __post_init__(self):
-        if not math.isfinite(self.nmax):
-            raise ValueError(f"nmax {self.nmax} is not finite")
-        _check_positive_int(self.nmax, "nmax")
+        object.__setattr__(self, "nmax", _check_positive_int(self.nmax, "nmax"))
 
     @property
     def dim(self) -> int:
@@ -88,21 +87,14 @@ class BSParams:
     theta: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.eps <= 1.0:
+        if not 0.0 <= _check_real(self.eps, "transparency", finite=False) <= 1.0:
             raise ValueError(f"transparency {self.eps} outside [0, 1]")
-        if not math.isfinite(self.theta):
-            raise ValueError(f"splitter phase {self.theta} is not finite")
-        object.__setattr__(self, "theta", float(self.theta) % (2 * math.pi))
+        object.__setattr__(self, "theta", _check_real(self.theta, "splitter phase") % (2 * math.pi))
 
     @property
     def alpha(self) -> complex:
         """Generator parameter |alpha| e^{i theta}, |alpha| = arccos(sqrt(eps))."""
         return math.acos(math.sqrt(self.eps)) * np.exp(1j * self.theta)
-
-
-def _check_phase_shift(delta: float):
-    if not math.isfinite(delta):
-        raise ValueError(f"phase shift {delta} is not finite")
 
 
 @dataclass(frozen=True)
@@ -112,8 +104,7 @@ class MZIParams:
     delta: float = 0.0
 
     def __post_init__(self):
-        _check_phase_shift(self.delta)
-        object.__setattr__(self, "delta", float(self.delta) % (2 * math.pi))
+        object.__setattr__(self, "delta", _check_real(self.delta, "phase shift") % (2 * math.pi))
 
 
 def annihilation(dim: int) -> Operator:
@@ -132,7 +123,7 @@ def number(dim: int) -> Operator:
 
 def number_observable(dim: int) -> DiscreteObservable:
     """Spectral measure of the number operator."""
-    return _number_observable(dim)
+    return _number_observable(_check_positive_int(dim, "dim"))
 
 
 def beam_splitter(params: BSParams, space: FockSpace) -> Operator:
@@ -169,7 +160,7 @@ def _beam_splitter(params: BSParams, space: FockSpace) -> Operator:
 def phase_shifter(delta: float, space: FockSpace) -> Operator:
     """e^{i delta N} on the first mode, identity on the second: the diagonal
     e^{i delta n1} at index (n1, n2), filled directly."""
-    _check_phase_shift(delta)
+    delta = _check_real(delta, "phase shift")
     d = space.dim
     mat = np.zeros((d * d, d * d), dtype=complex)
     np.fill_diagonal(mat, np.repeat(np.exp(1j * delta * np.arange(d)), d))
@@ -337,10 +328,10 @@ def _single_photon_block(params: BSParams) -> np.ndarray:
 
 
 def _embed(block: np.ndarray, pair: tuple[int, int]) -> np.ndarray:
-    i, j = pair
-    if i == j or i not in range(_EXPANDED_MODES) or j not in range(_EXPANDED_MODES):
+    if not isinstance(pair, (tuple, list)) or len(pair) != 2 or pair[0] == pair[1]:
         raise ValueError(f"mode pair {pair!r} is not two distinct modes in "
                          f"0..{_EXPANDED_MODES - 1}")
+    i, j = (_check_int(m, f"mode pair {pair!r}: mode", 0, _EXPANDED_MODES) for m in pair)
     u = np.eye(_EXPANDED_MODES, dtype=complex)
     u[i, i], u[i, j] = block[0, 0], block[0, 1]
     u[j, i], u[j, j] = block[1, 0], block[1, 1]
@@ -388,18 +379,15 @@ def expanded_mzi_observable(circuit=None) -> DiscreteObservable:
             raise ValueError(f"circuit element {element!r} is not a "
                              "(kind, parameter, modes) triple")
         kind, param, modes = element
-        if kind == "bs":
-            u = _embed(_single_photon_block(param), modes) @ u
-        elif kind == "bsr":
-            u = _embed(_single_photon_block(param).conj().T, modes) @ u
+        if kind in ("bs", "bsr"):
+            if not isinstance(param, BSParams):
+                raise ValueError(f"splitter parameter {param!r} is not a BSParams")
+            block = _single_photon_block(param)
+            u = _embed(block if kind == "bs" else block.conj().T, modes) @ u
         elif kind == "ps":
-            if modes not in range(_EXPANDED_MODES):
-                raise ValueError(f"phase-shifter mode {modes!r} is not in "
-                                 f"0..{_EXPANDED_MODES - 1}")
-            if not math.isfinite(param):
-                raise ValueError(f"phase-shifter angle {param} is not finite")
+            mode = _check_int(modes, "phase-shifter mode", 0, _EXPANDED_MODES)
             d = np.ones(_EXPANDED_MODES, dtype=complex)
-            d[modes] = np.exp(1j * param)
+            d[mode] = np.exp(1j * _check_real(param, "phase-shifter angle"))
             u = np.diag(d) @ u
         else:
             raise ValueError(f"unknown circuit element kind {kind!r}")

@@ -142,9 +142,9 @@ from .linalg import (
     ATOL_UNITARY,
     Operator,
     Vector,
+    _check_int,
     _check_positive_int,
     _hermitian_residual,
-    _is_int,
     eigh,
     identity,
     tensor,
@@ -330,6 +330,9 @@ def vector_state(vec, dims=None) -> State:
     """Rank-one state from a (not necessarily normalized) vector; its unit
     vector is recorded as the eigenvector of eigenvalue 1."""
     v = vec if isinstance(vec, Vector) else Vector(vec, dims)
+    if not np.isfinite(v.vec).all():
+        # rejected as the state check would, before numpy divides by its norm
+        raise ValueError("state must be Hermitian within 1e-10")
     u = v.normalized().vec
     op = Operator(np.outer(u, u.conj()), v.dims)
     return _recorded_state(op, u, _hermitian_residual(op.mat[None]))
@@ -340,9 +343,8 @@ def basis_state(k: int, dim: int) -> State:
     a positive integer and ``k`` an integer in [0, dim). Its entries are
     exact, so its Hermiticity residual is 0, and it is recorded as
     :func:`vector_state` records e_k."""
-    _check_positive_int(dim, "dimension")
-    if not _is_int(k) or not 0 <= k < dim:
-        raise ValueError(f"basis index {k!r} is not an integer in [0, {dim})")
+    dim = _check_positive_int(dim, "dimension")
+    k = _check_int(k, "basis index", 0, dim)
     u = np.zeros(dim, dtype=complex)
     u[k] = 1.0
     return _recorded_state(Operator(np.outer(u, u)), u, 0.0)
@@ -456,14 +458,14 @@ def _effect_view(mat: np.ndarray) -> Effect:
     return e
 
 
-def _grouped(labels, mats: np.ndarray) -> DiscreteObservable:
-    """Observable whose effect for each distinct label is the sum of the
-    stack rows carrying that label, with the outcomes sorted."""
+def _grouped(labels, mats: np.ndarray) -> tuple[list, np.ndarray]:
+    """The distinct labels, sorted, and for each the sum, from zero in stack
+    order, of the rows of the (..., k, d, d) stack ``mats`` that carry it."""
     outcomes = sorted(set(labels))
     index = {x: i for i, x in enumerate(outcomes)}
-    summed = np.zeros((len(outcomes),) + mats.shape[1:], dtype=complex)
-    np.add.at(summed, [index[x] for x in labels], mats)
-    return DiscreteObservable(outcomes, summed)
+    summed = np.zeros(mats.shape[:-3] + (len(outcomes),) + mats.shape[-2:], dtype=complex)
+    np.add.at(summed.swapaxes(0, -3), [index[x] for x in labels], mats.swapaxes(0, -3))
+    return outcomes, summed
 
 
 class StateTransformer:
@@ -815,7 +817,7 @@ def induced_observable(scheme: MeasurementScheme) -> DiscreteObservable:
     scheme is compressed through its factors (module docstring).
     """
     labels, fs = scheme._pointer_effects()
-    return _grouped([scheme.map_outcome(zx) for zx in labels], fs)
+    return DiscreteObservable(*_grouped([scheme.map_outcome(zx) for zx in labels], fs))
 
 
 def marginal(obs: DiscreteObservable, keep: int) -> DiscreteObservable:
@@ -827,10 +829,8 @@ def marginal(obs: DiscreteObservable, keep: int) -> DiscreteObservable:
     """
     if not all(isinstance(x, tuple) for x in obs.outcomes):
         raise ValueError("marginal requires tuple outcome labels")
-    arity = min(map(len, obs.outcomes))
-    if not _is_int(keep) or not 0 <= keep < arity:
-        raise ValueError(f"keep {keep!r} is not an integer in [0, {arity})")
-    return _grouped([x[keep] for x in obs.outcomes], obs.mats)
+    keep = _check_int(keep, "keep", 0, min(map(len, obs.outcomes)))
+    return DiscreteObservable(*_grouped([x[keep] for x in obs.outcomes], obs.mats))
 
 
 def apply_transformer(tf: StateTransformer, outcomes, st: State) -> Operator:

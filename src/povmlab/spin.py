@@ -9,15 +9,13 @@ docstring) still clears the effect bounds by a factor of six.
 
 from __future__ import annotations
 
-import math
-import numbers
 from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .linalg import Operator, _check_positive_int, _is_real
+from .linalg import Operator, _check_positive_int, _check_real, _is_int, _is_real
 from .povm import (
     _CHECK_SLICE_BYTES,
     _EIG_ROUNDING,
@@ -162,10 +160,8 @@ class SpinPhaseSpace:
     s: float
 
     def __post_init__(self):
-        if not _is_real(self.s):
-            raise ValueError(f"spin {self.s!r} is not a real number")
-        if not isinstance(self.s, numbers.Integral) and not math.isfinite(self.s):
-            raise ValueError(f"spin {self.s} is not finite")
+        if not _is_int(self.s):  # an integer spin of any size meets the ceiling test
+            _check_real(self.s, "spin")
         if not 2 * self.s + 1 <= _MAX_SPIN_DIM:
             raise ValueError(f"spin {self.s} exceeds the ceiling 2s + 1 <= {_MAX_SPIN_DIM}")
         two_s = round(2 * self.s) if self.s > 0 else 0  # round(-inf) overflows
@@ -191,7 +187,7 @@ def _interval(item) -> tuple[float, float]:
     pair = tuple(item) if isinstance(item, Iterable) and not isinstance(item, (str, bytes)) else ()
     if len(pair) != 2 or not all(_is_real(x) for x in pair):
         raise ValueError(f"interval {item!r} is not a (u, v) pair of real numbers")
-    return float(pair[0]), float(pair[1])
+    return tuple(_check_real(x, "interval bound", finite=False) for x in pair)
 
 
 def _phase_intervals(bins) -> list[tuple[float, float]]:
@@ -324,9 +320,7 @@ def spin_phase_covariance_residual(space: SpinPhaseSpace, interval, alpha: float
     read on the 2 dim - 1 lags of the Toeplitz symbols
     (:func:`_covariance_residuals`), with a reduced modulo 2pi once."""
     u, v = _interval(interval)
-    if not (_is_real(alpha) and math.isfinite(alpha)):
-        raise ValueError(f"alpha {alpha!r} is not a finite real number")
-    alpha = float(alpha) % (2 * np.pi)
+    alpha = _check_real(alpha, "alpha") % (2 * np.pi)
     symbols = _phase_symbols(space.dim, [(u, v)])
     return float(_covariance_residuals(symbols, [(u, v)], np.array([alpha]))[0])
 

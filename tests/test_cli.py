@@ -188,6 +188,61 @@ def test_failing_verify_exits_2(capsys, monkeypatch):
     assert code == EXIT_VERIFY
 
 
+@pytest.mark.parametrize("column, value", [
+    ("visibility", lambda amp: abs(amp)),
+    ("path_confidence", lambda amp: -abs(amp)),
+], ids=["visibility-grows", "confidence-falls"])
+def test_failing_kerr_tradeoff_verify_exits_2(column, value, capsys, monkeypatch):
+    # one column moves the wrong way as |amp| grows, the other is untouched
+    scan = kerrqnd.tradeoff_scan
+
+    def bent(*args, **kwargs):
+        return [{**row, column: value(row["amp"])} for row in scan(*args, **kwargs)]
+
+    monkeypatch.setattr(kerrqnd, "tradeoff_scan", bent)
+    code, out, _ = run(["kerr-tradeoff", "--amp", "0,1,2", "--verify", "--format", "json"],
+                       capsys)
+    assert json.loads(out)["checks"]["tradeoff_monotone"] is False
+    assert code == EXIT_VERIFY
+
+
+def test_failing_spin_verify_exits_2(capsys, monkeypatch):
+    criterion = spin.coexist_criterion
+    monkeypatch.setattr(spin, "coexist_oracle", lambda a1, a2: not criterion(a1, a2))
+    code, out, _ = run(["spin", "--a1=0.6,0,0", "--a2=0,0.6,0", "--verify", "--format", "json"],
+                       capsys)
+    assert json.loads(out)["checks"]["oracle_agrees"] is False
+    assert code == EXIT_VERIFY
+
+
+def test_failing_spin_phase_covariance_verify_exits_2(capsys, monkeypatch):
+    residuals = spin._covariance_residuals
+    monkeypatch.setattr(spin, "_covariance_residuals", lambda *args: residuals(*args) + 1e-9)
+    code, out, _ = run(["spin-phase", "--verify", "--format", "json"], capsys)
+    checks = json.loads(out)["checks"]
+    assert checks["max_covariance_residual"] > 1e-10
+    assert checks["max_uniformity_residual"] <= 1e-12
+    assert code == EXIT_VERIFY
+
+
+def test_failing_spin_phase_uniformity_verify_exits_2(capsys, monkeypatch):
+    # the diagonal (lag 0) of every symbol, and of every rotated one, shrinks
+    # alike: the effects stay positive and covariant, and stop being uniform
+    symbols = spin._phase_symbols
+
+    def shrunk(dim, bins):
+        entries = symbols(dim, bins)
+        entries[:, dim - 1] *= 1 - 1e-6
+        return entries
+
+    monkeypatch.setattr(spin, "_phase_symbols", shrunk)
+    code, out, _ = run(["spin-phase", "--verify", "--format", "json"], capsys)
+    checks = json.loads(out)["checks"]
+    assert checks["max_covariance_residual"] <= 1e-10
+    assert checks["max_uniformity_residual"] > 1e-12
+    assert code == EXIT_VERIFY
+
+
 def test_mzi_scan_builds_no_state(capsys, monkeypatch):
     built = []
     check = State.__post_init__
