@@ -23,17 +23,20 @@ Each bound is checked before any matrix is built.
 JSON output is one object with the keys "config", "rows" and "checks",
 laid out exactly as json.dumps(indent=2, sort_keys=True) lays it out, except
 that each row of a spin-phase effect matrix, a list of [re, im] pairs, goes
-on a single line. Output is written as it is produced, to --out or stdout:
-a spin-phase effect matrix is held as its 2 dim - 1 symbol entries, each
-formatted once, and its rows are written one at a time. spin-phase builds
-the dense effects only for their eigenvalue ranges, a slice of at most
-256 KiB at a time, and reads each covariance residual on the 2 dim - 1 lags
-of the symbols.
+on a single line. Output is written as it is produced, to --out or stdout,
+by direct writes of pieces no longer than one row: each report row is laid
+out through one template of the sorted header, and a spin-phase effect
+matrix is held as its 2 dim - 1 symbol entries, each formatted once and
+joined once, so that its rows, written one at a time, are slices of that
+text. spin-phase builds the dense effects only for their eigenvalue ranges,
+a slice of at most 256 KiB at a time, and reads each covariance residual on
+the 2 dim - 1 lags of the symbols.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import json
@@ -70,78 +73,104 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _scalar(value) -> str:
+    """The JSON text of a scalar: a finite float by float.__repr__, as
+    json.dumps writes it, and every other scalar by json.dumps."""
+    if type(value) is float and math.isfinite(value):
+        return repr(value)
+    return json.dumps(value)
+
+
 class _EffectRows:
     """A spin-phase effect matrix [c(n - m)] for JSON output, held as its
-    symbol (``spin._phase_symbols``). Its rows are written from the 2 dim - 1
-    entries, each formatted once as [re, im] with float.__repr__, as
-    json.dumps writes a finite float (negative zeros included): row m is the
-    window of lags -m..dim-1-m, as in ``spin._toeplitz``."""
+    symbol (``spin._phase_symbols``). Its rows are slices of one text of the
+    2 dim - 1 entries, each formatted once as [re, im] with float.__repr__,
+    as json.dumps writes a finite float (negative zeros included), and
+    joined by ", ": row m is the window of lags -m..dim-1-m, as in
+    ``spin._toeplitz``."""
 
     __slots__ = ("symbol",)
 
     def __init__(self, symbol: np.ndarray):
         self.symbol = symbol
 
-    def rows(self):
-        """Each row's JSON text, one row at a time."""
+    def rows(self, indent: str = ""):
+        """Each row's JSON text, one line at any ``indent``, one row at a time."""
         entries = list(map("[{!r}, {!r}]".format, self.symbol.real.tolist(),
                            self.symbol.imag.tolist()))
+        text = ", ".join(entries)
+        starts = list(itertools.accumulate([len(e) + 2 for e in entries], initial=0))
         dim = (len(entries) + 1) // 2
         for start in range(dim - 1, -1, -1):
-            yield "[" + ", ".join(entries[start:start + dim]) + "]"
+            yield "[" + text[starts[start]:starts[start + dim] - 2] + "]"
 
 
-def _json_pieces(value, indent: str = ""):
-    """The text of ``value`` in pieces, laid out as
+class _RowDicts:
+    """The report rows for JSON output: a list of flat dicts, each mapping
+    the header to one row's scalars. Every row is laid out through one
+    template of the sorted header, a key being written by json.dumps with
+    any "%" doubled."""
+
+    __slots__ = ("header", "values")
+
+    def __init__(self, header: list[str], values: list[list]):
+        self.header = header
+        self.values = values
+
+    def rows(self, indent: str):
+        """Each row's JSON text at ``indent``, one row at a time."""
+        order = sorted(range(len(self.header)), key=self.header.__getitem__)
+        keys = [json.dumps(self.header[i]).replace("%", "%%") for i in order]
+        template = "{" + ",".join(f"\n{indent}  {key}: %s" for key in keys) + f"\n{indent}}}"
+        if not keys:
+            template = "{}"
+        for row in self.values:
+            yield template % tuple([_scalar(row[i]) for i in order])
+
+
+def _write_json(write, value, indent: str = ""):
+    """Write the text of ``value`` with ``write``, laid out as
     json.dumps(indent=2, sort_keys=True) lays it out, except that an
-    :class:`_EffectRows` is a list of its rows, one line each. A finite
-    float is written with float.__repr__, as json.dumps writes it, and
-    every other scalar by json.dumps."""
+    :class:`_EffectRows` is a list of its rows, one line each; a
+    :class:`_RowDicts` is its list of dicts. A piece is at most one such
+    row."""
     inner = indent + "  "
-    if type(value) is float and math.isfinite(value):
-        yield repr(value)
-    elif isinstance(value, dict) and value:
+    if isinstance(value, dict) and value:
         head = "{\n"
         for key in sorted(value):
-            yield f"{head}{inner}{json.dumps(key)}: "
-            yield from _json_pieces(value[key], inner)
+            write(f"{head}{inner}{json.dumps(key)}: ")
+            _write_json(write, value[key], inner)
             head = ",\n"
-        yield f"\n{indent}}}"
-    elif isinstance(value, _EffectRows):
+        write(f"\n{indent}}}")
+    elif isinstance(value, (_EffectRows, _RowDicts)):
         head = "[\n" + inner
-        for row in value.rows():
-            yield head
-            yield row
+        for row in value.rows(inner):
+            write(head)
+            write(row)
             head = ",\n" + inner
-        yield f"\n{indent}]"
+        write("[]" if head[0] == "[" else f"\n{indent}]")  # "[]": no row was written
     elif isinstance(value, (list, tuple)) and value:
         head = "[\n"
         for item in value:
-            yield head + inner
-            yield from _json_pieces(item, inner)
+            write(head + inner)
+            _write_json(write, item, inner)
             head = ",\n"
-        yield f"\n{indent}]"
+        write(f"\n{indent}]")
     else:
-        yield json.dumps(value)
+        write(_scalar(value))
 
 
 def _emit(config: dict, header: list[str], rows: list[list], checks: dict,
           fmt: str, out_path: str | None):
     """Write the report to ``out_path``, or to stdout, as it is produced."""
-    if fmt == "csv":
-        pieces = (",".join(map(_fmt, row)) + "\n" for row in [header, *rows])
-    else:
-        payload = {
-            "config": config,
-            "rows": [dict(zip(header, row)) for row in rows],
-            "checks": checks,
-        }
-        pieces = itertools.chain(_json_pieces(payload), ["\n"])
-    if out_path is None:
-        sys.stdout.writelines(pieces)
-    else:
-        with open(out_path, "w", newline="") as fh:
-            fh.writelines(pieces)
+    with (open(out_path, "w", newline="") if out_path is not None
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        if fmt == "csv":
+            fh.writelines(",".join(map(_fmt, row)) + "\n" for row in [header, *rows])
+        else:
+            payload = {"config": config, "rows": _RowDicts(header, rows), "checks": checks}
+            _write_json(fh.write, payload)
+            fh.write("\n")
 
 
 def _finite_float(text: str) -> float:

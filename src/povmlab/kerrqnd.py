@@ -29,7 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import Operator, _check_positive_int, _check_real, partial_trace, tensor
+from .linalg import (Operator, _check_positive_int, _check_real, _check_type, partial_trace,
+                     tensor)
 from .mzi import (
     BSParams,
     FockSpace,
@@ -52,7 +53,7 @@ from .povm import (
     marginal,
     vector_state,
 )
-from .spin import _phase_observable, _toeplitz
+from .spin import _phase_observable, _phase_symbols, _toeplitz
 
 __all__ = [
     "ProbeConfig",
@@ -88,6 +89,8 @@ class ProbeConfig:
     readout: DiscreteObservable
 
     def __post_init__(self):
+        _check_type(self.probe_state, State, "probe_state")
+        _check_type(self.readout, DiscreteObservable, "readout")
         object.__setattr__(self, "lam", _check_real(self.lam, "Kerr coupling"))
         if self.readout.dim != self.probe_state.dim:
             raise ValueError("readout and probe state dimensions differ")
@@ -105,6 +108,11 @@ class KerrCircuit:
     mzi: MZIParams
     probe: ProbeConfig
     arm_space: FockSpace = field(default_factory=lambda: FockSpace(1))
+
+    def __post_init__(self):
+        _check_type(self.mzi, MZIParams, "mzi")
+        _check_type(self.probe, ProbeConfig, "probe")
+        _check_type(self.arm_space, FockSpace, "arm_space")
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -199,7 +207,7 @@ def truncated_phase_povm(dim: int, bins) -> DiscreteObservable:
     are computed once; the Hermiticity and completeness residuals are read
     from them and recorded, and the dense stack is gathered from them.
     """
-    return _phase_observable(dim, bins)
+    return _phase_observable(_phase_symbols(dim, bins))
 
 
 def _circuit_blocks(circuit: KerrCircuit) -> np.ndarray:
@@ -440,6 +448,14 @@ def tradeoff_scan(amplitudes, lam: float, eps2_values,
     another. So each probe is built at |amp|, and the rows at -a and a are
     the same floats.
 
+    The 8-bin readouts of all amplitudes come from one symbol set, computed
+    at the largest probe dimension of the call: each readout is the Toeplitz
+    section of its dimension, read from the central 2 dim - 1 lags. Every
+    symbol entry is an elementwise function of its lag n - m alone (Holevo
+    1982; :func:`povmlab.spin._phase_symbols`), so each section is
+    :func:`truncated_phase_povm` (dim, 8) bit for bit, and it is certified
+    by the same builder.
+
     Each amplitude's probe traces t0, t1, t0m and tp0
     (:func:`joint_path_interference_povm`) are computed once, and every eps2
     row is formed from them. In closed form
@@ -464,11 +480,14 @@ def tradeoff_scan(amplitudes, lam: float, eps2_values,
     if not (eps2_values and amplitudes):
         return []
     eps2 = np.array(eps2_values, dtype=float)
+    widest = max(dims)
+    symbols = _phase_symbols(widest, 8)
     joint = []
     for amp, dim in zip(amplitudes, dims):
         r = abs(amp)
         state = coherent_state(r, dim) if probe_kind == "coherent" else basis_state(round(r**2), dim)
-        probe = ProbeConfig(state, lam, truncated_phase_povm(dim, 8))
+        readout = _phase_observable(symbols[:, widest - dim:widest + dim - 1])
+        probe = ProbeConfig(state, lam, readout)
         joint.append(_joint_effects(eps2, math.pi / 2, _probe_traces(probe)))
     joint = np.concatenate(joint).reshape(len(amplitudes) * len(eps2), -1, 2, 2)
     # the marginals summed by marginal()'s rule, for every amplitude and eps2 at once

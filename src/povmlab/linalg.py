@@ -68,6 +68,13 @@ def _check_real(value, name: str, finite: bool = True) -> float:
     return x
 
 
+def _check_type(value, cls: type, name: str):
+    """Return ``value``; raise ``ValueError`` naming it unless it is a ``cls``."""
+    if not isinstance(value, cls):
+        raise ValueError(f"{name} {value!r} is not a {cls.__name__}")
+    return value
+
+
 def _check_int(value, name: str, low: int | None = None, high: int | None = None) -> int:
     """Return ``value`` as an int. Raise ``ValueError`` naming it unless it is
     an integer (a bool is not one) in [low, high): with no bounds, ``low`` = 1
@@ -198,13 +205,24 @@ class Vector:
         return self.vec.size
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.vec))
+        """The Euclidean norm, inf where it exceeds the float range."""
+        with np.errstate(over="ignore"):
+            return float(np.linalg.norm(self.vec))
 
     def normalized(self) -> "Vector":
+        """The unit vector along this one. A finite vector whose norm
+        overflows or underflows is first divided by its largest real or
+        imaginary part; a zero or non-finite vector raises ``ValueError``."""
         n = self.norm()
-        if n == 0.0:
+        if 0.0 < n < math.inf:
+            return Vector(self.vec / n, self.dims)
+        if not np.isfinite(self.vec).all():
+            raise ValueError("cannot normalize the non-finite vector")
+        parts = self.vec.view(float)  # a complex division by a subnormal overflows
+        scale = np.abs(parts).max()
+        if scale == 0.0:
             raise ValueError("cannot normalize the zero vector")
-        return Vector(self.vec / n, self.dims)
+        return Vector((parts / scale).view(complex), self.dims).normalized()
 
     def projector(self) -> Operator:
         """Rank-one projector onto the (normalized) vector."""

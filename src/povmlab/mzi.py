@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (Operator, Vector, _check_int, _check_positive_int, _check_real,
-                     _exp_minus_i, tensor)
+                     _check_type, _exp_minus_i, tensor)
 from .povm import (
     DiscreteObservable,
     Effect,
@@ -104,6 +104,8 @@ class MZIParams:
     delta: float = 0.0
 
     def __post_init__(self):
+        _check_type(self.bs1, BSParams, "bs1")
+        _check_type(self.bs2, BSParams, "bs2")
         object.__setattr__(self, "delta", _check_real(self.delta, "phase shift") % (2 * math.pi))
 
 
@@ -380,9 +382,7 @@ def expanded_mzi_observable(circuit=None) -> DiscreteObservable:
                              "(kind, parameter, modes) triple")
         kind, param, modes = element
         if kind in ("bs", "bsr"):
-            if not isinstance(param, BSParams):
-                raise ValueError(f"splitter parameter {param!r} is not a BSParams")
-            block = _single_photon_block(param)
+            block = _single_photon_block(_check_type(param, BSParams, "splitter parameter"))
             u = _embed(block if kind == "bs" else block.conj().T, modes) @ u
         elif kind == "ps":
             mode = _check_int(modes, "phase-shifter mode", 0, _EXPANDED_MODES)

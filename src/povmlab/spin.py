@@ -64,7 +64,15 @@ _TOEPLITZ_ENTRY_ERROR = 8 * np.finfo(float).eps
 
 
 def _bloch(a) -> np.ndarray:
-    a = np.asarray(a, dtype=float).reshape(3)
+    """``a`` as an array of three finite floats of norm at most 1, within
+    ``BOUNDARY_TOL``; raise ``ValueError`` naming the vector otherwise. The
+    array of ``a`` must have a real numeric dtype: a complex, bool or string
+    array is rejected before any conversion, and so is an object array, as
+    numpy makes of an int too large for a float."""
+    arr = np.asarray(a)
+    if arr.dtype.kind not in "fiu" or arr.size != 3:
+        raise ValueError(f"Bloch vector {a!r} is not three real numbers in float range")
+    a = arr.astype(float, copy=False).reshape(3)
     if not np.all(np.isfinite(a)):
         raise ValueError(f"Bloch vector {a} has non-finite components")
     if np.linalg.norm(a) > 1.0 + BOUNDARY_TOL:
@@ -250,18 +258,19 @@ def _phase_kernels(dim: int, bins) -> np.ndarray:
     return _toeplitz(_phase_symbols(dim, bins))
 
 
-def _phase_observable(dim: int, bins) -> DiscreteObservable:
-    """The phase effects of ``bins`` on the levels 0..dim-1 as an observable,
-    certified by the enclosure [0, 1] of Toeplitz sections, widened by
-    dim (delta + 64 eps) (``povm`` module docstring): no eigvalsh runs unless
-    that misses the effect bounds.
+def _phase_observable(symbols: np.ndarray) -> DiscreteObservable:
+    """The phase effects of the (k, 2 dim - 1) symbols of
+    :func:`_phase_symbols`, or of a central section of them, as an
+    observable on the levels 0..dim-1, certified by the enclosure [0, 1] of
+    Toeplitz sections, widened by dim (delta + 64 eps) (``povm`` module
+    docstring): no eigvalsh runs unless that misses the effect bounds.
 
     Both entrywise checks are read from the symbols: entry (m, n) of X - X†
     is c(j) - conj(c(-j)) and entry (m, n) of sum_x X_x - I is
     sum_x c_x(j) - [j = 0], for j = n - m, and every j in (-dim, dim) occurs,
     so the largest entries over 2 dim - 1 lags are those over dim^2
     entries."""
-    symbols = _phase_symbols(dim, bins)
+    dim = (symbols.shape[1] + 1) // 2
     hermitian = np.max(np.abs(symbols - symbols[:, ::-1].conj()), axis=1)
     completeness = np.max(np.abs(symbols.sum(axis=0) - (np.arange(1 - dim, dim) == 0)))
     enclosure = np.tile([0.0, 1.0], (len(symbols), 1))
@@ -278,7 +287,7 @@ def spin_phase_effect(space: SpinPhaseSpace, interval) -> Effect:
 def spin_phase_observable(space: SpinPhaseSpace, bins: int = 8) -> DiscreteObservable:
     """Spin phase coarse-grained over a uniform partition of [0, 2pi] into
     ``bins`` intervals, certified as :func:`_phase_observable` certifies."""
-    return _phase_observable(space.dim, bins)
+    return _phase_observable(_phase_symbols(space.dim, bins))
 
 
 def _covariance_residuals(symbols: np.ndarray, intervals, alphas: np.ndarray) -> np.ndarray:

@@ -23,7 +23,9 @@ def run(argv, capsys):
 
 def _json(value):
     """``value`` as the CLI writes it, in one string."""
-    return "".join(cli._json_pieces(value))
+    out = io.StringIO()
+    cli._write_json(out.write, value)
+    return out.getvalue()
 
 
 class TestSpinJson:
@@ -400,6 +402,47 @@ def test_json_layout_of_nested_values():
     assert _json({"m": [cli._EffectRows(symbol)]}) == (
         '{\n  "m": [\n    [\n      [[0.5, -0.0], [-0.0, 0.25]],\n'
         '      [[0.25, 0.5], [0.5, -0.0]]\n    ]\n  ]\n}')
+
+
+ROW_KEYS = ["b%s", "a{0}", 'q"x', "é", "%(k)s", "{}", "z", "7", "m"]
+ROW_VALUES = [[None, True, False, 3, np.float64(0.1), -0.0, float("nan"), float("inf"),
+               -float("inf")],
+              [1.5, -2, 0.0, 5e-324, 1e16, np.float64(-0.0), "s%s{}", 2**70, 0.1 + 0.2]]
+
+
+def test_row_dicts_are_laid_out_as_json_dumps():
+    dicts = [dict(zip(ROW_KEYS, row)) for row in ROW_VALUES]
+    rows = cli._RowDicts(ROW_KEYS, ROW_VALUES)
+    assert _json(rows) == json.dumps(dicts, indent=2, sort_keys=True)
+    nested = {"config": {"x": 1}, "rows": rows, "checks": {"ok": True}}
+    assert _json(nested) == json.dumps({**nested, "rows": dicts}, indent=2, sort_keys=True)
+    # every key alone, and no rows or no keys
+    for key, value in zip(ROW_KEYS, ROW_VALUES[0]):
+        assert _json(cli._RowDicts([key], [[value]])) == json.dumps([{key: value}], indent=2)
+    assert _json({"rows": cli._RowDicts(ROW_KEYS, [])}) == '{\n  "rows": []\n}'
+    assert _json(cli._RowDicts([], [[], []])) == json.dumps([{}, {}], indent=2)
+
+
+def _window_rows(symbol):
+    """The rows of an effect matrix as windows of its formatted entries."""
+    entries = ["[{!r}, {!r}]".format(z.real, z.imag) for z in symbol.tolist()]
+    dim = (len(entries) + 1) // 2
+    return ["[" + ", ".join(entries[start:start + dim]) + "]"
+            for start in range(dim - 1, -1, -1)]
+
+
+@pytest.mark.parametrize("dim", [*range(1, 10), 128])
+def test_effect_rows_are_slices_of_the_joined_entries(dim):
+    rng = np.random.default_rng(dim)
+    symbol = rng.normal(size=2 * dim - 1) * 10.0 ** rng.integers(-20, 20, 2 * dim - 1) + 1j * (
+        rng.normal(size=2 * dim - 1))
+    symbol[rng.random(2 * dim - 1) < 0.3] = complex(-0.0, 0.0)
+    symbol[rng.random(2 * dim - 1) < 0.3] = complex(0.0, -0.0)
+    symbol[dim - 1] = complex(-0.0, -0.0)
+    rows = list(cli._EffectRows(symbol).rows())
+    assert rows == _window_rows(symbol)
+    assert rows == [json.dumps(row) for row in spin._toeplitz(symbol[None])[0].view(float)
+                    .reshape(dim, dim, 2).tolist()]
 
 
 def _compare_with_json_dumps(value):

@@ -1,5 +1,6 @@
 """Every public entry rejects a bad scalar where it enters, with a
-``ValueError`` whose message starts with the parameter's name.
+``ValueError`` whose message starts with the parameter's name. Value-type
+fields, Bloch vectors and state vectors are checked where they enter too.
 
 The real and integer rules live in ``povmlab.linalg`` (``_check_real``,
 ``_check_int`` and ``_check_positive_int``); the cases here reach them, and
@@ -14,6 +15,7 @@ import pytest
 
 from povmlab import linalg
 from povmlab.kerrqnd import (
+    KerrCircuit,
     ProbeConfig,
     coherent_dim,
     coherent_state,
@@ -34,7 +36,17 @@ from povmlab.mzi import (
     single_photon_observable,
 )
 from povmlab.povm import vector_state
-from povmlab.spin import SpinPhaseSpace, spin_phase_covariance_residual, spin_phase_effect
+from povmlab.spin import (
+    SpinPhaseSpace,
+    coexist_criterion,
+    coexist_oracle,
+    criterion_value,
+    joint_spin_observable,
+    spin_effect,
+    spin_observable,
+    spin_phase_covariance_residual,
+    spin_phase_effect,
+)
 
 HUGE = 10**400  # an int too large for a float
 B = BSParams(0.5)
@@ -204,3 +216,79 @@ class TestRule:
     def test_size_is_a_finite_positive_integer(self, value, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             linalg._check_positive_int(value, "n")
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: MZIParams(0.5, B), "bs1 0.5 is not a BSParams"),
+    (lambda: MZIParams(B, None), "bs2 None is not a BSParams"),
+    (lambda: KerrCircuit(B, _probe()), f"mzi {B!r} is not a MZIParams"),
+    (lambda: KerrCircuit(MZIParams(B, B), "p"), "probe 'p' is not a ProbeConfig"),
+    (lambda: KerrCircuit(MZIParams(B, B), _probe(), 1), "arm_space 1 is not a FockSpace"),
+    (lambda: ProbeConfig("x", 0.5, _probe().readout), "probe_state 'x' is not a State"),
+    (lambda: ProbeConfig(_probe().probe_state, 0.5, None),
+     "readout None is not a DiscreteObservable"),
+], ids=["bs1", "bs2", "mzi", "probe", "arm_space", "probe_state", "readout"])
+def test_value_type_fields_are_checked_where_they_enter(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+GOOD_BLOCH = [0.1, 0.2, 0.3]
+BLOCH_ENTRIES = {
+    "spin_effect": spin_effect,
+    "spin_observable": spin_observable,
+    "criterion_value(a, good)": lambda a: criterion_value(a, GOOD_BLOCH),
+    "criterion_value(good, a)": lambda a: criterion_value(GOOD_BLOCH, a),
+    "coexist_criterion": lambda a: coexist_criterion(GOOD_BLOCH, a),
+    "coexist_oracle": lambda a: coexist_oracle(a, GOOD_BLOCH),
+    "joint_spin_observable": lambda a: joint_spin_observable(a, GOOD_BLOCH),
+}
+
+
+@pytest.mark.parametrize("vector", [
+    [HUGE, 0, 0], [0, -HUGE, 0], [1j, 0, 0], np.array([0.5j, 0, 0]), [True, False, False],
+    np.array([False, False, True]), ["0.5", 0, 0], [None, 0, 0], [0.5, 0.5], [0.1] * 4,
+], ids=["huge", "-huge", "complex", "complex array", "bools", "bool array", "str", "None",
+        "two", "four"])
+@pytest.mark.parametrize("entry", list(BLOCH_ENTRIES.values()), ids=list(BLOCH_ENTRIES))
+def test_bloch_vector_is_three_real_numbers(entry, vector):
+    message = f"Bloch vector {vector!r} is not three real numbers in float range"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        entry(vector)
+
+
+def test_bloch_vector_of_ints_and_numpy_scalars_is_read_as_floats():
+    ref = spin_effect([1.0, 0.0, 0.0]).op.mat
+    for vector in ([1, 0, 0], [np.int64(1), 0, 0], np.array([1, 0, 0], dtype=np.uint8),
+                   [np.float32(1.0), 0.0, 0.0], [[1.0, 0.0, 0.0]]):
+        assert np.array_equal(spin_effect(vector).op.mat, ref)
+    assert criterion_value([1, 0, 0], [0, 1, 0]) == criterion_value([1.0, 0, 0], [0, 1.0, 0])
+
+
+@pytest.mark.parametrize("vec, unit", [
+    ([1e308, 1e308], [0.5**0.5, 0.5**0.5]),  # the norm overflows
+    ([1e308 + 1e308j, 0.0], [(1 + 1j) / 2**0.5, 0.0]),
+    ([1e-200, -1e-200j], [0.5**0.5, -(0.5**0.5) * 1j]),  # the norm underflows to 0
+    ([5e-324, 0.0], [1.0, 0.0]),
+])
+def test_vector_with_an_unrepresentable_norm_is_normalized(vec, unit):
+    # warnings are errors in this suite: an overflow in the norm would fail here
+    assert np.allclose(Vector(vec).normalized().vec, unit, rtol=0, atol=1e-15)
+    expected = np.outer(unit, np.conj(unit))
+    assert np.allclose(Vector(vec).projector().mat, expected, rtol=0, atol=1e-15)
+    assert np.allclose(vector_state(vec).op.mat, expected, rtol=0, atol=1e-15)
+
+
+def test_vector_norm_past_the_float_range_is_inf():
+    assert Vector([1e308, 1e308]).norm() == math.inf
+
+
+@pytest.mark.parametrize("vec", [[math.nan, 1.0], [1.0, -math.inf], [1.0, complex(0.0, math.nan)],
+                                 [complex(math.inf, 1.0), 0.0]],
+                         ids=["nan", "-inf", "nan imag", "inf real"])
+def test_non_finite_vector_is_not_normalized(vec):
+    for build in (Vector(vec).normalized, Vector(vec).projector):
+        with pytest.raises(ValueError, match="^cannot normalize the non-finite vector$"):
+            build()
+    with pytest.raises(ValueError, match="^state must be Hermitian within 1e-10$"):
+        vector_state(vec)

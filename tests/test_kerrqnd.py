@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from povmlab import kerrqnd, povm
+from povmlab import kerrqnd, povm, spin
 from povmlab.kerrqnd import (
     KerrCircuit,
     ProbeConfig,
@@ -809,9 +809,46 @@ class TestTradeoff:
         def built(*args):
             raise AssertionError("a probe was built")
         monkeypatch.setattr(kerrqnd, "truncated_phase_povm", built)
+        monkeypatch.setattr(kerrqnd, "_phase_symbols", built)
         for amps in ([], [1.0, 2.0]):
             with pytest.raises(ValueError, match=message):
                 tradeoff_scan(amps, lam, eps2_values)
+
+    @pytest.mark.parametrize("widest", [coherent_dim(4.0), coherent_dim(6.0)])
+    def test_readouts_are_sections_of_the_widest_symbols(self, widest, monkeypatch):
+        # each readout of a scan is the central section of one symbol set:
+        # the same effects, bit for bit, and the same residuals certify them
+        recorded = []
+
+        def recording(*args):
+            recorded.append(args)
+            return enclosed(*args)
+
+        enclosed = spin._enclosed_observable
+        monkeypatch.setattr(spin, "_enclosed_observable", recording)
+        symbols = spin._phase_symbols(widest, 8)
+        for dim in range(coherent_dim(0.0), widest + 1):
+            section = spin._phase_observable(symbols[:, widest - dim:widest + dim - 1])
+            readout = truncated_phase_povm(dim, 8)
+            assert section.mats.tobytes() == readout.mats.tobytes(), dim
+            (_, _, *ours), (_, _, *theirs) = recorded[-2:]
+            for a, b in zip(ours, theirs):
+                assert np.array_equal(a, b), dim
+            assert section._enclosure_error == readout._enclosure_error
+
+    def test_scan_computes_one_symbol_set_per_call(self, monkeypatch):
+        calls = []
+
+        def counted(dim, bins):
+            calls.append((dim, bins))
+            return symbols(dim, bins)
+
+        symbols = kerrqnd._phase_symbols
+        monkeypatch.setattr(kerrqnd, "_phase_symbols", counted)
+        for kind in ("coherent", "number"):
+            calls.clear()
+            tradeoff_scan([0.0, 3.0, -1.0, 2.0], 0.7, [0.2, 0.5], probe_kind=kind)
+            assert calls == [(coherent_dim(3.0), 8)]
 
     def test_rows_are_checked_as_observables(self, monkeypatch):
         # the scan forms its effects from the probe traces and checks them
