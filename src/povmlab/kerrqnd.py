@@ -17,6 +17,15 @@ interferometer with the Kerr phases e^{-i lambda n_b c}. The unitary oracles
 compress those level blocks (:mod:`povmlab.povm`) and never form the dense
 unitary; :func:`three_mode_unitary` is their dense direct sum. All closed
 forms below are locked to these oracles.
+
+The 8-bin phase readout, kerr_phase and e^{-i lam N} on d levels are the
+leading d x d sections of those on W >= d levels, so a tradeoff scan builds
+and certifies them once, at its widest probe dimension W
+(:func:`tradeoff_scan`). A section's entries are the same floats, as the
+Toeplitz entries depend on n - m only; its Hermiticity and completeness
+residuals are maxima over a subset of the wider readout's lags; and its
+enclosure, [0, 1] within d (delta + 64 eps), lies inside the wider one at
+every d <= W (Cauchy interlacing bounds its spectrum by the wider one's).
 """
 
 from __future__ import annotations
@@ -316,7 +325,7 @@ def induced_a_mode_observable(circuit: KerrCircuit,
               * np.sin(theta) ** (total - n)[:, None])
     # tr[T' D+ E D] for every pair and bin, with the weights formed transposed
     traces = _readout_traces(tprime.T * d_diag[:, None, :] * d_diag.conj()[:, :, None],
-                             readout)
+                             readout.mats)
     combs = np.array([math.comb(t, m) for m, t in zip(n.tolist(), total.tolist())])
     diagonals = np.zeros((da, len(readout), da))
     diagonals[n, :, total] = combs[:, None] * traces.real
@@ -324,27 +333,34 @@ def induced_a_mode_observable(circuit: KerrCircuit,
     return _diagonal_observable(outcomes, diagonals.reshape(-1, da))
 
 
-def _readout_traces(weights_t: np.ndarray, readout: DiscreteObservable) -> np.ndarray:
+def _readout_traces(weights_t: np.ndarray, mats: np.ndarray) -> np.ndarray:
     """tr[W E(X)] = sum_ji W[i, j] E(X)[j, i] for every weight W and readout
-    bin X, shape (weights, bins), given the (k, dc, dc) stack of the
-    transposed weights W^T. That is one product of the weights with the
-    readout rows, which are read in place as a (bins, dc**2) matrix."""
-    mats = readout.mats
+    effect E(X) of the (bins, dc, dc) stack ``mats``, shape (weights, bins),
+    given the (k, dc, dc) stack of the transposed weights W^T. That is one
+    product of the weights with the readout rows, which are read as a
+    (bins, dc**2) matrix."""
     return weights_t.reshape(len(weights_t), -1) @ mats.reshape(len(mats), -1).T
 
 
 def _probe_traces(probe: ProbeConfig) -> np.ndarray:
     """The probe traces t0, t1, t0m and tp0 of
-    :func:`joint_path_interference_povm`, shape (4, bins): tr[W E(X)] for the
-    four weightings W of T' (:func:`_readout_traces`)."""
-    lam = probe.lam
+    :func:`joint_path_interference_povm`, shape (4, bins)
+    (:func:`_section_traces`)."""
     dc = probe.probe_state.dim
-    tp = probe.probe_state.op.mat
-    conj_phase = kerr_phase(dc, lam)  # entry (m, n): e^{-i lam (m - n)}
-    minus = np.exp(-1j * lam * np.arange(dc))  # e^{-i lam N} diagonal
+    return _section_traces(probe.probe_state.op.mat, probe.readout.mats,
+                           kerr_phase(dc, probe.lam), np.exp(-1j * probe.lam * np.arange(dc)))
+
+
+def _section_traces(tp: np.ndarray, mats: np.ndarray, conj_phase: np.ndarray,
+                    minus: np.ndarray) -> np.ndarray:
+    """The probe traces t0, t1, t0m and tp0, shape (4, bins): tr[W E(X)] for
+    the four weightings W of the probe state ``tp`` (:func:`_readout_traces`),
+    given the readout stack ``mats``, ``conj_phase`` = kerr_phase(dc, lam),
+    whose entry (m, n) is e^{-i lam (m - n)}, and ``minus``, the diagonal
+    of e^{-i lam N}. Each may be the leading section of a wider one."""
     weights = np.stack([tp, tp * conj_phase.conj().T, tp * minus[:, None],
                         tp * minus.conj()[None, :]])
-    return _readout_traces(weights.swapaxes(1, 2), probe.readout)
+    return _readout_traces(weights.swapaxes(1, 2), mats)
 
 
 def joint_path_interference_povm(eps2: float, theta2: float,
@@ -373,9 +389,12 @@ def joint_path_interference_povm(eps2: float, theta2: float,
 
 def _joint_effects(eps2: np.ndarray, theta2: float, traces: np.ndarray) -> np.ndarray:
     """The effects F(n, X) of :func:`joint_path_interference_povm` for every
-    transparency in ``eps2``, from the probe traces of :func:`_probe_traces`:
-    shape (len(eps2), bins, 2, 2, 2), with n = 1 before n = 0 in each bin."""
-    t0, t1, t0m, tp0 = traces
+    transparency in ``eps2``, from the probe traces of :func:`_probe_traces`,
+    one (4, bins) set or a (..., 4, bins) stack of them: shape
+    (..., len(eps2), bins, 2, 2, 2), with n = 1 before n = 0 in each bin.
+    Every step is elementwise, so each entry is the same float for a stack
+    as for its sets one at a time."""
+    t0, t1, t0m, tp0 = (traces[..., None, k, :] for k in range(4))  # (..., 1, bins) each
     e = eps2[:, None]
     cross = np.sqrt(e * (1 - e))
     upper = cross * np.exp(1j * theta2) * t0m
@@ -383,7 +402,7 @@ def _joint_effects(eps2: np.ndarray, theta2: float, traces: np.ndarray) -> np.nd
     # row-major entries of F(1, X) and F(0, X)
     n1 = np.stack([e * t0.real, upper, lower, (1 - e) * t1.real], axis=-1)
     n0 = np.stack([(1 - e) * t0.real, -upper, -lower, e * t1.real], axis=-1)
-    return np.stack([n1, n0], axis=2).reshape(len(eps2), -1, 2, 2, 2)
+    return np.stack([n1, n0], axis=-2).reshape(n1.shape[:-1] + (2, 2, 2))
 
 
 def joint_povm_compressed(eps2: float, theta2: float,
@@ -448,17 +467,25 @@ def tradeoff_scan(amplitudes, lam: float, eps2_values,
     another. So each probe is built at |amp|, and the rows at -a and a are
     the same floats.
 
-    The 8-bin readouts of all amplitudes come from one symbol set, computed
-    at the largest probe dimension of the call: each readout is the Toeplitz
-    section of its dimension, read from the central 2 dim - 1 lags. Every
-    symbol entry is an elementwise function of its lag n - m alone (Holevo
-    1982; :func:`povmlab.spin._phase_symbols`), so each section is
-    :func:`truncated_phase_povm` (dim, 8) bit for bit, and it is certified
-    by the same builder.
+    One 8-bin readout, kerr_phase and the diagonal of e^{-i lam N} are built
+    per call, at the widest probe dimension W, and the readout is certified
+    there. Each amplitude's probe reads their leading dim x dim sections, and
+    the one certification covers every section:
+
+    - entries: each entry of the three depends on n - m, or on the level,
+      alone (Holevo 1982; :func:`povmlab.spin._phase_symbols`), so a section
+      is its dim-level form bit for bit, :func:`truncated_phase_povm`
+      (dim, 8) included;
+    - residuals: a section's Hermiticity and completeness residuals are
+      maxima over its lags |n - m| < dim, a subset of the widest readout's;
+    - enclosure: a section's, [0, 1] within dim (delta + 64 eps), lies
+      inside the widest readout's at every dim <= W (``povm`` module
+      docstring), and by Cauchy interlacing so does its spectrum.
 
     Each amplitude's probe traces t0, t1, t0m and tp0
-    (:func:`joint_path_interference_povm`) are computed once, and every eps2
-    row is formed from them. In closed form
+    (:func:`joint_path_interference_povm`) are computed once, by the helper
+    that computes them for the joint POVM, and one :func:`_joint_effects`
+    call forms every amplitude's eps2 rows. In closed form
     D = 2 path_confidence - 1 = 1/2 sum_X |t0(X) - t1(X)| and
     V = 2 sqrt(eps2 (1 - eps2)) |sum_X t0m(X)|; both are summed in the order
     of :func:`path_confidence` and :func:`interference_visibility`, so each
@@ -479,19 +506,21 @@ def tradeoff_scan(amplitudes, lam: float, eps2_values,
     dims = [coherent_dim(_check_real(a, "coherent amplitude", finite=False)) for a in amplitudes]
     if not (eps2_values and amplitudes):
         return []
-    eps2 = np.array(eps2_values, dtype=float)
     widest = max(dims)
-    symbols = _phase_symbols(widest, 8)
-    joint = []
+    readout = truncated_phase_povm(widest, 8)
+    conj_phase = kerr_phase(widest, lam)
+    minus = np.exp(-1j * lam * np.arange(widest))
+    traces = []
     for amp, dim in zip(amplitudes, dims):
         r = abs(amp)
         state = coherent_state(r, dim) if probe_kind == "coherent" else basis_state(round(r**2), dim)
-        readout = _phase_observable(symbols[:, widest - dim:widest + dim - 1])
-        probe = ProbeConfig(state, lam, readout)
-        joint.append(_joint_effects(eps2, math.pi / 2, _probe_traces(probe)))
-    joint = np.concatenate(joint).reshape(len(amplitudes) * len(eps2), -1, 2, 2)
+        traces.append(_section_traces(state.op.mat, readout.mats[:, :dim, :dim],
+                                      conj_phase[:dim, :dim], minus[:dim]))
+    eps2 = np.array(eps2_values, dtype=float)
+    joint = _joint_effects(eps2, math.pi / 2, np.stack(traces))
+    joint = joint.reshape(len(amplitudes) * len(eps2), -1, 2, 2)
     # the marginals summed by marginal()'s rule, for every amplitude and eps2 at once
-    outcomes = [(n, x) for x in probe.readout.outcomes for n in (1, 0)]
+    outcomes = [(n, x) for x in readout.outcomes for n in (1, 0)]
     _, by_count = _grouped([n for n, _ in outcomes], joint)
     _, by_bin = _grouped([x for _, x in outcomes], joint)
     for stack in (joint, by_count, by_bin):

@@ -68,9 +68,13 @@ def _bloch(a) -> np.ndarray:
     ``BOUNDARY_TOL``; raise ``ValueError`` naming the vector otherwise. The
     array of ``a`` must have a real numeric dtype: a complex, bool or string
     array is rejected before any conversion, and so is an object array, as
-    numpy makes of an int too large for a float."""
+    numpy makes of an int too large for a float. An ``a`` that is not an
+    array must hold no bool or numpy bool, which numpy would read as 0 or 1
+    among numbers; an array is read as it is."""
     arr = np.asarray(a)
-    if arr.dtype.kind not in "fiu" or arr.size != 3:
+    if (arr.dtype.kind not in "fiu" or arr.size != 3
+            or arr is not a and any(np.asarray(x).dtype.kind == "b"
+                                    for x in np.asarray(a, dtype=object).flat)):
         raise ValueError(f"Bloch vector {a!r} is not three real numbers in float range")
     a = arr.astype(float, copy=False).reshape(3)
     if not np.all(np.isfinite(a)):
@@ -260,10 +264,10 @@ def _phase_kernels(dim: int, bins) -> np.ndarray:
 
 def _phase_observable(symbols: np.ndarray) -> DiscreteObservable:
     """The phase effects of the (k, 2 dim - 1) symbols of
-    :func:`_phase_symbols`, or of a central section of them, as an
-    observable on the levels 0..dim-1, certified by the enclosure [0, 1] of
-    Toeplitz sections, widened by dim (delta + 64 eps) (``povm`` module
-    docstring): no eigvalsh runs unless that misses the effect bounds.
+    :func:`_phase_symbols` as an observable on the levels 0..dim-1,
+    certified by the enclosure [0, 1] of Toeplitz sections, widened by
+    dim (delta + 64 eps) (``povm`` module docstring): no eigvalsh runs
+    unless that misses the effect bounds.
 
     Both entrywise checks are read from the symbols: entry (m, n) of X - X†
     is c(j) - conj(c(-j)) and entry (m, n) of sum_x X_x - I is

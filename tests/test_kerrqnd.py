@@ -1,8 +1,11 @@
+import itertools
 import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from povmlab import kerrqnd, povm, spin
@@ -815,9 +818,11 @@ class TestTradeoff:
                 tradeoff_scan(amps, lam, eps2_values)
 
     @pytest.mark.parametrize("widest", [coherent_dim(4.0), coherent_dim(6.0)])
-    def test_readouts_are_sections_of_the_widest_symbols(self, widest, monkeypatch):
-        # each readout of a scan is the central section of one symbol set:
-        # the same effects, bit for bit, and the same residuals certify them
+    def test_readouts_are_sections_of_the_widest_readout(self, widest, monkeypatch):
+        # a scan builds the readout, kerr_phase and e^{-i lam N} once, at its
+        # widest dim, and reads each amplitude's from their leading sections:
+        # the same floats as those built at that dim, bit for bit, and the
+        # residuals and enclosure error that certify them are no larger
         recorded = []
 
         def recording(*args):
@@ -826,43 +831,69 @@ class TestTradeoff:
 
         enclosed = spin._enclosed_observable
         monkeypatch.setattr(spin, "_enclosed_observable", recording)
-        symbols = spin._phase_symbols(widest, 8)
+        wide = truncated_phase_povm(widest, 8)
+        (*_, wide_error, wide_hermitian, wide_completeness), = recorded
+        lams = (0.05, 0.5, 1.7, 3.0)
+        phases = [kerr_phase(widest, lam) for lam in lams]
+        minus = [np.exp(-1j * lam * np.arange(widest)) for lam in lams]
         for dim in range(coherent_dim(0.0), widest + 1):
-            section = spin._phase_observable(symbols[:, widest - dim:widest + dim - 1])
             readout = truncated_phase_povm(dim, 8)
-            assert section.mats.tobytes() == readout.mats.tobytes(), dim
-            (_, _, *ours), (_, _, *theirs) = recorded[-2:]
-            for a, b in zip(ours, theirs):
-                assert np.array_equal(a, b), dim
-            assert section._enclosure_error == readout._enclosure_error
+            assert wide.mats[:, :dim, :dim].tobytes() == readout.mats.tobytes(), dim
+            *_, error, hermitian, completeness = recorded[-1]
+            assert error <= wide_error
+            assert np.all(hermitian <= wide_hermitian) and completeness <= wide_completeness
+            for lam, phase, diagonal in zip(lams, phases, minus):
+                assert phase[:dim, :dim].tobytes() == kerr_phase(dim, lam).tobytes(), (dim, lam)
+                assert (diagonal[:dim].tobytes()
+                        == np.exp(-1j * lam * np.arange(dim)).tobytes()), (dim, lam)
 
-    def test_scan_computes_one_symbol_set_per_call(self, monkeypatch):
+    def test_batched_joint_effects_are_the_single_ones(self):
+        rng = np.random.default_rng(5)
+        traces = rng.normal(size=(5, 4, 8)) + 1j * rng.normal(size=(5, 4, 8))
+        eps2 = np.array([0.0, 1e-9, 0.3, 0.5, 1.0])
+        for theta2 in (0.0, math.pi / 2, 2.5):
+            batched = kerrqnd._joint_effects(eps2, theta2, traces)
+            assert batched.shape == (5, 5, 8, 2, 2, 2)
+            for one, t in zip(batched, traces):
+                assert one.tobytes() == kerrqnd._joint_effects(eps2, theta2, t).tobytes()
+
+    def test_scan_certifies_one_readout_per_call(self, monkeypatch):
+        # the readout, its symbol set and kerr_phase are built once, at the
+        # widest dim; the only eigensolver calls are the three batched row checks
         calls = []
 
-        def counted(dim, bins):
-            calls.append((dim, bins))
-            return symbols(dim, bins)
+        def counted(name, f):
+            def call(*args):
+                calls.append((name, args))
+                return f(*args)
+            return call
 
-        symbols = kerrqnd._phase_symbols
-        monkeypatch.setattr(kerrqnd, "_phase_symbols", counted)
+        monkeypatch.setattr(kerrqnd, "_phase_symbols", counted("symbols", kerrqnd._phase_symbols))
+        monkeypatch.setattr(kerrqnd, "_phase_observable",
+                            counted("readout", kerrqnd._phase_observable))
+        monkeypatch.setattr(kerrqnd, "kerr_phase", counted("kerr_phase", kerrqnd.kerr_phase))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
         for kind in ("coherent", "number"):
             calls.clear()
-            tradeoff_scan([0.0, 3.0, -1.0, 2.0], 0.7, [0.2, 0.5], probe_kind=kind)
-            assert calls == [(coherent_dim(3.0), 8)]
+            tradeoff_scan([0.0, 3.0, -1.0, 2.0], 0.7, [0.2, 0.5, 0.9], probe_kind=kind)
+            assert sorted(name for name, _ in calls) == ["eigvalsh"] * 3 + ["kerr_phase",
+                                                                            "readout", "symbols"]
+            sizes = [args for name, args in calls if name in ("symbols", "kerr_phase")]
+            assert sizes == [(coherent_dim(3.0), 8), (coherent_dim(3.0), 0.7)]
 
     def test_rows_are_checked_as_observables(self, monkeypatch):
-        # the scan forms its effects from the probe traces and checks them
-        # batched; a trace edit that breaks positivity must raise there
-        traces = kerrqnd._probe_traces
+        # the scan forms its effects from each amplitude's probe traces and
+        # checks them batched; a trace edit that breaks positivity must raise there
+        traces = kerrqnd._section_traces
 
-        def doubled(probe):
-            t0, t1, t0m, tp0 = traces(probe)
+        def doubled(*sections):
+            t0, t1, t0m, tp0 = traces(*sections)
             return np.stack([t0, t1, 2 * t0m, 2 * tp0])
 
-        def moved(probe):
+        def moved(*sections):
             # bins 0 and 1 trade off-diagonal weight: both marginals are those
             # of the true traces, so only the joint effects are not positive
-            t0, t1, t0m, tp0 = traces(probe)
+            t0, t1, t0m, tp0 = traces(*sections)
             shift = np.zeros(len(t0))
             shift[:2] = 1.0, -1.0
             return np.stack([t0, t1, t0m + shift, tp0 + shift])
@@ -873,11 +904,27 @@ class TestTradeoff:
             for edited in (0, 1):
                 for kind in ("coherent", "number"):
                     calls = iter(range(2))
-                    monkeypatch.setattr(kerrqnd, "_probe_traces", lambda probe: (
-                        edit if next(calls) == edited else traces)(probe))
+                    monkeypatch.setattr(kerrqnd, "_section_traces", lambda *sections: (
+                        edit if next(calls) == edited else traces)(*sections))
                     with pytest.raises(ValueError,
                                        match=r"^effect spectrum .* outside \[0, 1\]$"):
                         tradeoff_scan([0.0, 1.0], 0.5, [0.5], probe_kind=kind)
+
+
+@given(amps=st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=3),
+       lam=st.floats(0.05, 3.0), eps2_values=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
+       kind=st.sampled_from(["coherent", "number"]))
+def test_scan_rows_are_those_of_the_joint_povm(amps, lam, eps2_values, kind):
+    rows = tradeoff_scan(amps, lam, eps2_values, probe_kind=kind)
+    assert len(rows) == len(amps) * len(eps2_values)
+    for row, (amp, eps2) in zip(rows, itertools.product(amps, eps2_values)):
+        r, dim = abs(amp), coherent_dim(amp)
+        state = coherent_state(r, dim) if kind == "coherent" else basis_state(round(r**2), dim)
+        probe = ProbeConfig(state, lam, truncated_phase_povm(dim, 8))
+        povm = joint_path_interference_povm(eps2, math.pi / 2, probe)
+        assert (row["amp"], row["lam"], row["eps2"]) == (amp, lam, eps2)
+        assert row["visibility"].hex() == interference_visibility(povm).hex()
+        assert row["path_confidence"].hex() == path_confidence(povm).hex()
 
 
 def helstrom_readout(probe_state, lam):
