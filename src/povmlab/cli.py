@@ -26,11 +26,15 @@ that each row of a spin-phase effect matrix, a list of [re, im] pairs, goes
 on a single line. Output is written as it is produced, to --out or stdout,
 by direct writes of pieces no longer than one row: each report row is laid
 out through one template of the sorted header, and a spin-phase effect
-matrix is held as its 2 dim - 1 symbol entries, each formatted once and
-joined once, so that its rows, written one at a time, are slices of that
-text. spin-phase builds the dense effects only for their eigenvalue ranges,
-a slice of at most 256 KiB at a time, and reads each covariance residual on
-the 2 dim - 1 lags of the symbols.
+matrix is held as its 2 dim - 1 symbol entries, joined once into a text of
+which its rows, written one at a time, are slices; a lag -j that is the
+exact conjugate of lag j takes lag j's formatted text with one sign
+flipped. spin-phase forms no dense effect: each eigenvalue range is the
+computed range of the interval's real prolate matrix (one eigvalsh per
+distinct width), which encloses the effect's spectrum within a stated
+margin; a slice that misses the effect bounds by that margin is
+diagonalised and reports its computed spectrum. Each covariance residual is
+read on the 2 dim - 1 lags of the symbols.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ import sys
 import numpy as np
 
 from . import kerrqnd, mzi, spin
-from .povm import _CHECK_SLICE_BYTES, _check_effects
+from .povm import _check_effects
 
 EXIT_OK = 0
 EXIT_VERIFY = 2
@@ -81,13 +85,20 @@ def _scalar(value) -> str:
     return json.dumps(value)
 
 
+def _negated(text: str) -> str:
+    """The float.__repr__ of -x from that of x, signed zeros included."""
+    return text[1:] if text[0] == "-" else "-" + text
+
+
 class _EffectRows:
     """A spin-phase effect matrix [c(n - m)] for JSON output, held as its
     symbol (``spin._phase_symbols``). Its rows are slices of one text of the
-    2 dim - 1 entries, each formatted once as [re, im] with float.__repr__,
-    as json.dumps writes a finite float (negative zeros included), and
-    joined by ", ": row m is the window of lags -m..dim-1-m, as in
-    ``spin._toeplitz``."""
+    2 dim - 1 entries, each formatted as [re, im] with float.__repr__, as
+    json.dumps writes a finite float (negative zeros included), and joined
+    by ", ": row m is the window of lags -m..dim-1-m, as in
+    ``spin._toeplitz``. Lags 0..dim-1 are formatted, and so is each lag -j
+    that is not the exact conjugate of lag j, bit for bit; the text of one
+    that is is lag j's, with the imaginary part's sign flipped."""
 
     __slots__ = ("symbol",)
 
@@ -96,11 +107,19 @@ class _EffectRows:
 
     def rows(self, indent: str = ""):
         """Each row's JSON text, one line at any ``indent``, one row at a time."""
-        entries = list(map("[{!r}, {!r}]".format, self.symbol.real.tolist(),
-                           self.symbol.imag.tolist()))
+        dim = (len(self.symbol) + 1) // 2
+        ahead, behind = self.symbol[dim - 1:], self.symbol[dim - 1::-1]  # lags j and -j
+        reals = list(map(repr, ahead.real.tolist()))
+        imags = list(map(repr, ahead.imag.tolist()))
+        mirrored = ((behind.real == ahead.real) & (np.signbit(behind.real) == np.signbit(ahead.real))
+                    & (behind.imag == -ahead.imag)
+                    & (np.signbit(behind.imag) != np.signbit(ahead.imag))).tolist()
+        back = [f"[{re}, {_negated(im)}]" if same else f"[{x!r}, {y!r}]"
+                for re, im, same, x, y in zip(reals, imags, mirrored, behind.real.tolist(),
+                                              behind.imag.tolist())]
+        entries = back[:0:-1] + [f"[{re}, {im}]" for re, im in zip(reals, imags)]
         text = ", ".join(entries)
         starts = list(itertools.accumulate([len(e) + 2 for e in entries], initial=0))
-        dim = (len(entries) + 1) // 2
         for start in range(dim - 1, -1, -1):
             yield "[" + text[starts[start]:starts[start + dim] - 2] + "]"
 
@@ -303,8 +322,8 @@ def cmd_spin_phase(args) -> tuple[list[str], list[list], dict, bool]:
     except ValueError as exc:
         raise ValueError(f"--spin: {exc}") from None
     if args.intervals is not None:
-        intervals = [_parse_floats(chunk, "--intervals", ":", 2)
-                     for chunk in args.intervals.split(";")]
+        intervals = np.array([_parse_floats(chunk, "--intervals", ":", 2)
+                              for chunk in args.intervals.split(";")])
         flag, count = "--intervals", len(intervals)
     else:
         if args.bins < 1:
@@ -316,25 +335,26 @@ def cmd_spin_phase(args) -> tuple[list[str], list[list], dict, bool]:
         raise ValueError(f"{flag} must give at most {MAX_JSON_ENTRIES // space.dim ** 2} "
                          f"intervals with --format json at --spin {args.spin:g}, got {count}")
     try:
-        intervals = spin._phase_intervals(args.bins if args.intervals is None else intervals)
+        # a (k, 2) array, which spin then checks in one vectorized test
+        intervals = np.asarray(spin._phase_intervals(
+            args.bins if args.intervals is None else intervals), dtype=float)
     except ValueError as exc:
         raise ValueError(f"--intervals: {exc}") from None
     # every interval's symbol is held (2 dim - 1 entries each, 13 MB at the
-    # bounds), and dense matrices only a slice of _CHECK_SLICE_BYTES at a
-    # time, for the check that returns their eigenvalue ranges
+    # bounds); the check reads the effects through a strided view and
+    # diagonalises a slice only if its prolate ranges miss the bounds
     dim = space.dim
     symbols = spin._phase_symbols(dim, intervals)
-    step = max(1, _CHECK_SLICE_BYTES // (symbols.itemsize * dim * dim))
-    extremes = np.concatenate([_check_effects(spin._toeplitz(symbols[start:start + step]))
-                               for start in range(0, len(symbols), step)])
+    extremes = _check_effects(spin._toeplitz_view(symbols),
+                              *spin._prolate_enclosure(symbols, intervals))
     alphas = np.random.default_rng(args.seed).uniform(0.0, 2 * np.pi, len(intervals))
     covs = spin._covariance_residuals(symbols, intervals, alphas).tolist()
     # every diagonal entry is the symbol's lag 0
-    widths = np.array([v - u for u, v in intervals])
+    widths = intervals[:, 1] - intervals[:, 0]
     uniforms = np.abs(symbols[:, dim - 1].real - widths / (2 * np.pi)).tolist()
     rows = [[u, v, lo, hi, alpha, cov, uniform]
             for (u, v), (lo, hi), alpha, cov, uniform
-            in zip(intervals, extremes.tolist(), alphas.tolist(), covs, uniforms)]
+            in zip(intervals.tolist(), extremes.tolist(), alphas.tolist(), covs, uniforms)]
     worst_cov = max([0.0, *covs])
     worst_uniform = max([0.0, *uniforms])
     matrices = list(map(_EffectRows, symbols)) if args.format == "json" else "json only"

@@ -44,7 +44,10 @@ symbol (below). The Hermiticity residual h_X of effects and states, which
 ``Operator.is_hermitian`` also reads, is ``linalg._hermitian_residual``.
 The public ``extremes`` are always eigenvalues: computed by the check,
 exact, or, where an enclosure passed, computed by one eigvalsh on first
-read; no bound is presented as an eigenvalue.
+read; no bound is presented as an eigenvalue. The ranges that
+``povmlab spin-phase`` reports are the computed extremes of the real
+prolate matrix similar to each exact phase section (below), and lie within
+the stated margin of the effect's computed spectrum.
 
 A diagonal row with real entries is its own L(X), and its spectrum is
 exactly its diagonal. Its record is the diagonal's min and max, which are
@@ -69,7 +72,17 @@ them: entry (m, n) of X - X† is c(j) - conj(c(-j)), and entry (m, n) of
 sum_x X_x - I is sum_x c_x(j) - [j = 0], with j = n - m. Every lag occurs
 in the section, so the largest entries over the 2d - 1 lags are those over
 the d^2 entries, and the Hermiticity residual is the same floating-point
-number.
+number. The exact section of [u, v] is D K_w D† with D = diag(e^{-in phi}),
+phi = (u + v)/2, unitary, and K_w the real symmetric prolate matrix
+[k_w(n - m)], k_w(j) = sin(jw/2)/(pi j), k_w(0) = w/2pi, of width
+w = v - u (Slepian, Bell Syst. Tech. J. 57, 1371, 1978), so its spectrum
+depends on w alone. A record can therefore hold the computed extremes of
+K_w, one real eigvalsh per distinct width, with e = (2d - 1) r + 2 * 64 d eps,
+where r bounds each lag's residual |c(j) - e^{ij phi} k_w(j)|: L(X) - D K_w D†
+is a Hermitian Toeplitz matrix with lags at most r, whose 2-norm is at most
+the sum of its |lags|, so Weyl's inequality moves each eigenvalue by at
+most (2d - 1) r (Bhatia, Matrix Analysis, 1997, III.2), and the eigvalsh of
+K_w and that of X each add 64 d eps (``spin._prolate_enclosure``).
 
 A state T records its spectral decomposition: eigenvalues q on orthonormal
 columns chi, zero on their complement, within e of spec L(T). A pure state

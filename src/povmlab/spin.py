@@ -71,7 +71,10 @@ def _bloch(a) -> np.ndarray:
     numpy makes of an int too large for a float. An ``a`` that is not an
     array must hold no bool or numpy bool, which numpy would read as 0 or 1
     among numbers; an array is read as it is."""
-    arr = np.asarray(a)
+    try:
+        arr = np.asarray(a)
+    except ValueError:  # a ragged nesting, which numpy cannot shape
+        arr = np.empty(0)
     if (arr.dtype.kind not in "fiu" or arr.size != 3
             or arr is not a and any(np.asarray(x).dtype.kind == "b"
                                     for x in np.asarray(a, dtype=object).flat)):
@@ -202,18 +205,25 @@ def _interval(item) -> tuple[float, float]:
     return tuple(_check_real(x, "interval bound", finite=False) for x in pair)
 
 
-def _phase_intervals(bins) -> list[tuple[float, float]]:
+def _phase_intervals(bins) -> list[tuple[float, float]] | np.ndarray:
     """The intervals of ``bins``: a bin count is the uniform partition of
     [0, 2pi] and must be a positive integer, and a list of (u, v) pairs of
-    real numbers must have 0 <= u <= v <= 2pi each. A string is neither."""
+    real numbers must have 0 <= u <= v <= 2pi each. A string is neither. A
+    (k, 2) float64 array is checked by one vectorized test and returned as
+    it is."""
     if isinstance(bins, (str, bytes)):
         raise ValueError(f"bins {bins!r} is neither a bin count nor a list of (u, v) intervals")
     if not isinstance(bins, Iterable):
         _check_positive_int(bins, "bin count")
         edges = np.linspace(0.0, 2 * np.pi, bins + 1).tolist()
         return list(zip(edges[:-1], edges[1:]))
-    intervals = [_interval(item) for item in bins]
-    for u, v in intervals:
+    if isinstance(bins, np.ndarray) and bins.dtype == float and bins.shape[1:] == (2,):
+        u, v = bins.T
+        ok = (0.0 <= u) & (u <= v) & (v <= 2 * np.pi + 1e-12)  # False at a NaN
+        intervals, checked = bins, ([] if ok.all() else [bins[np.argmin(ok)].tolist()])
+    else:
+        intervals = checked = [_interval(item) for item in bins]
+    for u, v in checked:
         if not 0.0 <= u <= v <= 2 * np.pi + 1e-12:
             raise ValueError(f"malformed interval [{u}, {v}]; need 0 <= u <= v <= 2pi")
     return intervals
@@ -231,7 +241,7 @@ def _phase_symbols(dim: int, bins) -> np.ndarray:
     that two intervals share, as in a partition, is evaluated once.
     ``dim`` must be a positive integer."""
     _check_positive_int(dim, "phase dimension")
-    intervals = np.array(_phase_intervals(bins), dtype=float).reshape(-1, 2)
+    intervals = np.asarray(_phase_intervals(bins), dtype=float).reshape(-1, 2)
     k = np.arange(1 - dim, dim, dtype=float)  # n - m
     edges, at = np.unique(intervals, return_inverse=True)
     ends = np.exp(1j * k * edges[:, None])[at.reshape(-1)]  # rows u_0, v_0, u_1, ...
@@ -243,15 +253,63 @@ def _phase_symbols(dim: int, bins) -> np.ndarray:
     return entries
 
 
-def _toeplitz(symbols: np.ndarray) -> np.ndarray:
-    """The (k, dim, dim) stack [c(n - m)] of (k, 2 dim - 1) symbols, copied
-    from a strided view: row m is the window of symbols at lags -m..dim-1-m,
-    which starts at index dim - 1 - m, one entry before row m - 1's."""
+def _toeplitz_view(symbols: np.ndarray) -> np.ndarray:
+    """The (k, dim, dim) stack [c(n - m)] of (k, 2 dim - 1) symbols as a
+    read-only strided view: row m is the window of symbols at lags
+    -m..dim-1-m, which starts at index dim - 1 - m, one entry before row
+    m - 1's."""
     k, width = symbols.shape
     dim = (width + 1) // 2
     step, lag = symbols.strides
-    return as_strided(symbols[:, dim - 1:], (k, dim, dim), (step, -lag, lag),
-                      writeable=False).copy()
+    return as_strided(symbols[:, dim - 1:], (k, dim, dim), (step, -lag, lag), writeable=False)
+
+
+def _toeplitz(symbols: np.ndarray) -> np.ndarray:
+    """A fresh copy of :func:`_toeplitz_view`."""
+    return _toeplitz_view(symbols).copy()
+
+
+def _prolate_enclosure(symbols: np.ndarray, intervals: np.ndarray):
+    """The enclosure of the phase effects of the (k, 2 dim - 1) ``symbols``
+    of the checked (k, 2) float ``intervals``, as ``povm._check_effects``
+    takes it: the (k, 2) computed eigenvalue ranges of the real prolate
+    matrices K_w (``povm`` module docstring), the margin within which they
+    enclose each effect's spectrum, and the (k,) Hermiticity residuals read
+    from the symbols.
+
+    One stacked real eigvalsh runs per slice of ``povm._CHECK_SLICE_BYTES``
+    of the K_w of the distinct float widths w = v - u; a full circle is the
+    exact identity, as in :func:`_phase_symbols`. The margin is
+    (2 dim - 1) (r + 8 eps) + 2 * 64 dim eps, with r the largest lag residual
+    |c(j) - e^{ij phi} k_w(j)|, phi = (u + v)/2. Computing r rounds by about
+    4 eps per lag, and the 8 eps of ``_TOEPLITZ_ENTRY_ERROR`` cover it: the
+    error of j phi grows with |j|, but |k_w(j)| <= 1/(pi |j|) cancels it.
+    The residuals are read a slice of ``povm._CHECK_SLICE_BYTES`` of symbols
+    at a time."""
+    k, width = symbols.shape
+    dim = (width + 1) // 2
+    intervals = np.asarray(intervals, dtype=float).reshape(-1, 2)
+    lags = np.arange(1 - dim, dim)
+    widths, at = np.unique(intervals[:, 1] - intervals[:, 0], return_inverse=True)
+    at = at.reshape(-1)
+    taps = np.empty((len(widths), width))  # row i is k_w at lags 1-dim..dim-1, w = widths[i]
+    taps[:, dim:] = np.sin(np.outer(widths / 2, lags[dim:])) / (np.pi * lags[dim:])
+    taps[:, :dim - 1] = taps[:, dim:][:, ::-1]  # k_w is even
+    taps[:, dim - 1] = widths / (2 * np.pi)
+    taps[widths >= 2 * np.pi * (1 - 1e-15)] = lags == 0
+    step = max(1, _CHECK_SLICE_BYTES // (taps.itemsize * dim * dim))
+    ranges = np.concatenate([np.linalg.eigvalsh(_toeplitz(taps[start:start + step]))[:, [0, -1]]
+                             for start in range(0, len(taps), step)])[at]
+    step = max(1, _CHECK_SLICE_BYTES // (symbols.itemsize * width))
+    residual, hermitian = 0.0, np.empty(k)
+    for start in range(0, k, step):
+        rows = symbols[start:start + step]
+        phi = intervals[start:start + step].sum(axis=1) / 2
+        modulated = np.exp(1j * np.outer(phi, lags)) * taps[at[start:start + step]]
+        residual = max(residual, float(np.abs(rows - modulated).max()))
+        hermitian[start:start + step] = np.abs(rows - rows[:, ::-1].conj()).max(axis=1)
+    margin = width * (residual + _TOEPLITZ_ENTRY_ERROR) + 2 * dim * _EIG_ROUNDING
+    return ranges, margin, hermitian
 
 
 def _phase_kernels(dim: int, bins) -> np.ndarray:
@@ -320,7 +378,7 @@ def _covariance_residuals(symbols: np.ndarray, intervals, alphas: np.ndarray) ->
         wraps = b > two_pi + 1e-15
         pieces = np.concatenate([np.stack([a, np.minimum(b, two_pi)], axis=1),
                                  np.stack([np.zeros(wraps.sum()), b[wraps] - two_pi], axis=1)])
-        shifted = _phase_symbols(dim, pieces.tolist())
+        shifted = _phase_symbols(dim, pieces)
         moved = shifted[:len(a)]
         moved[wraps] += shifted[len(a):]
         rotated = symbols[start:start + step] * np.exp(1j * alpha[:, None] * lags)

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from povmlab import cli, kerrqnd, mzi, spin
+from povmlab import cli, kerrqnd, linalg, mzi, spin
 from povmlab.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from povmlab.povm import _CHECK_SLICE_BYTES, State, _check_effects, basis_state
 
@@ -439,10 +439,25 @@ def test_effect_rows_are_slices_of_the_joined_entries(dim):
     symbol[rng.random(2 * dim - 1) < 0.3] = complex(-0.0, 0.0)
     symbol[rng.random(2 * dim - 1) < 0.3] = complex(0.0, -0.0)
     symbol[dim - 1] = complex(-0.0, -0.0)
-    rows = list(cli._EffectRows(symbol).rows())
-    assert rows == _window_rows(symbol)
-    assert rows == [json.dumps(row) for row in spin._toeplitz(symbol[None])[0].view(float)
-                    .reshape(dim, dim, 2).tolist()]
+    # an exactly Hermitian symbol, each lag -j the conjugate of lag j except
+    # for a zero's sign, real or imaginary, at some lags: an exact mirror
+    # shares lag j's text, and one that differs only in a zero's sign is
+    # formatted itself
+    hermitian = np.concatenate([symbol[:dim - 1:-1].conj(), symbol[dim - 1:]])
+    for j, form in zip(range(1, dim), rng.integers(0, 5, dim - 1)):
+        x, y = symbol[dim - 1 + j].real, symbol[dim - 1 + j].imag
+        hermitian[dim - 1 + j], hermitian[dim - 1 - j] = [
+            (complex(x, y), complex(x, -y)),
+            (complex(0.0, y), complex(0.0, -y)),
+            (complex(0.0, y), complex(-0.0, -y)),
+            (complex(x, 0.0), complex(x, -0.0)),
+            (complex(x, 0.0), complex(x, 0.0)),
+        ][form]
+    for s in (symbol, hermitian):
+        rows = list(cli._EffectRows(s).rows())
+        assert rows == _window_rows(s)
+        assert rows == [json.dumps(row) for row in spin._toeplitz(s[None])[0].view(float)
+                        .reshape(dim, dim, 2).tolist()]
 
 
 def _compare_with_json_dumps(value):
@@ -524,16 +539,30 @@ def test_mzi_scan_rows_match_per_delta_composition(nmax, capsys):
         assert row["eps_analytic"] == mzi.effective_transparency(params)
 
 
+def _prolate(dim, intervals):
+    """The symbols of ``intervals`` at ``dim`` and the enclosure of the
+    CLI's check: the prolate ranges, their stated margin and the
+    Hermiticity residuals."""
+    intervals = np.asarray(intervals, dtype=float).reshape(-1, 2)
+    symbols = spin._phase_symbols(dim, intervals)
+    return symbols, *spin._prolate_enclosure(symbols, intervals)
+
+
 def test_spin_phase_extremes_are_the_effect_eigenvalues(capsys):
+    # each printed range is the computed one of the interval's real prolate
+    # matrix, within the margin the check states of the dense eigenvalues
     code, out, _ = run(["spin-phase", "--spin", "3.5", "--intervals",
                         "0:1;1:3.5;2:6.2;0:6.283185307179586", "--format", "json",
                         "--verify"], capsys)
     assert code == EXIT_OK
     payload = json.loads(out)
     mats = np.array(payload["checks"]["effect_matrices"])
-    for row, m in zip(payload["rows"], mats[..., 0] + 1j * mats[..., 1]):
+    _, ranges, margin, _ = _prolate(8, [(row["u"], row["v"]) for row in payload["rows"]])
+    for row, m, (lo, hi) in zip(payload["rows"], mats[..., 0] + 1j * mats[..., 1],
+                                ranges.tolist()):
         w = np.linalg.eigvalsh(m)
-        assert (row["eig_min"], row["eig_max"]) == (w.min(), w.max())
+        assert (row["eig_min"], row["eig_max"]) == (lo, hi)
+        assert abs(lo - w.min()) <= margin and abs(hi - w.max()) <= margin
 
 
 @pytest.mark.parametrize("spin_j, bins, slices", [
@@ -543,8 +572,9 @@ def test_spin_phase_extremes_are_the_effect_eigenvalues(capsys):
 ])
 def test_spin_phase_columns_equal_the_one_interval_forms(spin_j, bins, slices):
     # the batched command against one interval at a time: the angles of k
-    # scalar draws, the eigenvalue range of each effect checked alone, and
-    # the public covariance residual, bit for bit
+    # scalar draws, the prolate range of each interval alone, within its
+    # stated margin of the eigenvalue range of its effect checked alone,
+    # and the public covariance residual, bit for bit
     argv = ["spin-phase", "--spin", spin_j, "--bins", str(bins), "--seed", "17", "--verify"]
     args = cli.build_parser().parse_args(argv)
     header, rows, checks, passed = args.func(args)
@@ -555,10 +585,112 @@ def test_spin_phase_columns_equal_the_one_interval_forms(spin_j, bins, slices):
     columns = dict(zip(header, map(list, zip(*rows))))
     assert columns["alpha"] == [float(rng.uniform(0.0, 2 * np.pi)) for _ in range(bins)]
     for u, v, lo, hi, alpha, cov in zip(*(columns[name] for name in header[:6])):
-        kernel = spin._phase_kernels(space.dim, [(u, v)])
-        assert (lo, hi) == tuple(_check_effects(kernel)[0].tolist())
+        _, ranges, margin, _ = _prolate(space.dim, [(u, v)])
+        assert (lo, hi) == tuple(ranges[0].tolist())
+        dense = _check_effects(spin._phase_kernels(space.dim, [(u, v)]))[0]
+        assert np.abs(dense - (lo, hi)).max() <= margin
         assert cov == spin.spin_phase_covariance_residual(space, (u, v), alpha)
     assert checks["max_covariance_residual"] == max(columns["covariance_residual"])
+
+
+EPS = np.finfo(float).eps
+EDGE_INTERVALS = [(0.0, 2 * np.pi), (1.0, 1.0), (2.0, 2.0 + 1e-13), (0.0, 0.0),
+                  (2 * np.pi, 2 * np.pi), (0.0, 1e-13), (0.3, 0.3 + 1e-13)]
+
+
+@pytest.mark.parametrize("spin_j, bins", [
+    ("3", 32), ("10", 64), ("20", 32), ("63.5", 16), ("200", 4),
+    ("20", [(0.0, 0.5), (0.3, 1.9), (1.0, 4.0), (2.5, 6.2), (0.1, 6.0), (5.0, 5.5)]),
+    ("0.5", [(0.0, 0.5), (0.3, 1.9), (2.5, 6.2)]),
+    ("1", EDGE_INTERVALS), ("20", EDGE_INTERVALS), ("200", EDGE_INTERVALS),
+], ids=["3-32", "10-64", "20-32", "63.5-16", "200-4", "widths-20", "widths-0.5",
+        "edges-1", "edges-20", "edges-200"])
+def test_prolate_ranges_are_the_dense_ranges_within_the_margin(spin_j, bins):
+    dim = spin.SpinPhaseSpace(float(spin_j)).dim
+    intervals = spin._phase_intervals(bins)
+    symbols, ranges, margin, hermitian = _prolate(dim, intervals)
+    dense = np.linalg.eigvalsh(spin._toeplitz(symbols))[:, [0, -1]]
+    assert np.abs(ranges - dense).max() <= margin
+    # every lag residual is at the rounding level: the margin is Weyl's bound
+    # on residuals of at most 8 eps and the two eigvalsh roundings
+    assert margin <= (2 * dim - 1) * 16 * EPS + 2 * dim * 64 * EPS
+    assert hermitian.tolist() == [linalg._hermitian_residual(m)
+                                  for m in spin._toeplitz(symbols)]
+    # the command reports these ranges
+    flag = (["--bins", str(bins)] if isinstance(bins, int) else
+            ["--intervals", ";".join(f"{u!r}:{v!r}" for u, v in bins)])
+    rows, passed = _spin_phase_rows(["--spin", spin_j, *flag])
+    assert passed
+    assert [row[2:4] for row in rows] == ranges.tolist()
+
+
+def _spin_phase_rows(argv):
+    """The report rows of one spin-phase run, and whether it passed."""
+    args = cli.build_parser().parse_args(["spin-phase", *argv])
+    _, rows, _, passed = args.func(args)
+    return rows, passed
+
+
+def _spy_eigvalsh(monkeypatch):
+    """The (dtype, shape, nbytes) of each array passed to np.linalg.eigvalsh."""
+    calls, eigvalsh = [], np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        calls.append((a.dtype, a.shape, a.nbytes))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    return calls
+
+
+def test_spin_phase_passes_no_complex_matrix_to_eigvalsh(capsys, monkeypatch):
+    calls = _spy_eigvalsh(monkeypatch)
+    code, _, _ = run(["spin-phase", "--spin", "20", "--bins", "32", "--format", "json",
+                      "--verify"], capsys)
+    assert code == EXIT_OK
+    assert calls and all(dtype == np.float64 for dtype, _, _ in calls)
+
+
+@pytest.mark.parametrize("spin_j, intervals, stacks", [
+    ("20", [(0.0, w) for w in np.linspace(0.01, 6.0, 300).tolist()], 16),  # 19 to a slice
+    ("1.5", [(0.0, w) for w in np.linspace(0.01, 6.0, 1024).tolist()], 1),
+    ("200", [(0.0, 1.0), (1.0, 2.5), (2.0, 2.0)], 3),  # a 1.3 MB matrix is checked alone
+])
+def test_prolate_stacks_stay_within_a_check_slice(spin_j, intervals, stacks, capsys,
+                                                  monkeypatch):
+    calls = _spy_eigvalsh(monkeypatch)
+    text = ";".join(f"{u!r}:{v!r}" for u, v in intervals)
+    code, _, _ = run(["spin-phase", "--spin", spin_j, "--intervals", text], capsys)
+    assert code == EXIT_OK
+    assert len(calls) == stacks
+    assert sum(shape[0] for _, shape, _ in calls) == len(intervals)
+    assert all(dtype == np.float64 and (nbytes <= _CHECK_SLICE_BYTES or shape[0] == 1)
+               for dtype, shape, nbytes in calls)
+
+
+def test_perturbed_symbol_takes_the_dense_path(monkeypatch):
+    # one lag of one symbol moved by 1e-3 is far outside the prolate
+    # residual's rounding level, so the margin misses the effect bounds and
+    # every slice is diagonalised: the printed ranges are the computed
+    # spectra of the perturbed effects, bit for bit
+    symbols_of = spin._phase_symbols
+    perturbed = []
+
+    def perturb(dim, bins):
+        symbols = symbols_of(dim, bins)
+        if not perturbed:  # the command's symbols, not the covariance pieces'
+            symbols[5, dim - 1] += 1e-3
+            perturbed.append(symbols.copy())
+        return symbols
+
+    monkeypatch.setattr(spin, "_phase_symbols", perturb)
+    calls = _spy_eigvalsh(monkeypatch)
+    rows, _ = _spin_phase_rows(["--spin", "20", "--bins", "32"])
+    assert any(dtype == np.complex128 for dtype, _, _ in calls)
+    printed = [row[2:4] for row in rows]
+    dense = np.linalg.eigvalsh(spin._toeplitz(perturbed[0]))[:, [0, -1]]
+    assert printed == dense.tolist()
+    assert printed[5] != _prolate(41, spin._phase_intervals(32))[1][5].tolist()
 
 
 def test_spin_min_eig_is_the_effect_minimum(capsys):

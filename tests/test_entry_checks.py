@@ -249,9 +249,10 @@ BLOCH_ENTRIES = {
     [HUGE, 0, 0], [0, -HUGE, 0], [1j, 0, 0], np.array([0.5j, 0, 0]), [True, False, False],
     np.array([False, False, True]), ["0.5", 0, 0], [None, 0, 0], [0.5, 0.5], [0.1] * 4,
     [True, 0, 0], [np.True_, 0.5, 0.0], (0.1, False, 0.2), [[0, 0, True]], [np.array(True), 0, 0],
+    [[1, 0], 0, 0], [0.1, [0.2], 0.3],
 ], ids=["huge", "-huge", "complex", "complex array", "bools", "bool array", "str", "None",
         "two", "four", "bool among ints", "numpy bool among floats", "bool in a tuple",
-        "nested bool", "0-d bool array"])
+        "nested bool", "0-d bool array", "ragged first", "ragged middle"])
 @pytest.mark.parametrize("entry", list(BLOCH_ENTRIES.values()), ids=list(BLOCH_ENTRIES))
 def test_bloch_vector_is_three_real_numbers(entry, vector):
     message = f"Bloch vector {vector!r} is not three real numbers in float range"

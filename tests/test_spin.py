@@ -242,6 +242,34 @@ class TestSpinPhase:
                 with pytest.raises(ValueError, match="malformed interval"):
                     build()
 
+    @pytest.mark.parametrize("bad", [(np.nan, 1.0), (0.5, np.nan), (0.0, np.inf),
+                                     (-np.inf, 1.0), (1.0, 0.5), (-0.1, 1.0),
+                                     (0.0, 2 * np.pi + 2e-12)],
+                             ids=["nan u", "nan v", "inf", "-inf", "u > v", "u < 0", "v > 2pi"])
+    def test_float_array_is_rejected_as_the_list_is(self, bad):
+        # the one vectorized test of a (k, 2) float array names the first
+        # malformed row with the message of the item-by-item list path
+        bins = [(0.0, 1.0), (2.0, 3.0), bad, (1.0, 0.5)]
+        messages = []
+        for form in (bins, np.array(bins)):
+            with pytest.raises(ValueError, match="^malformed interval ") as err:
+                spin._phase_intervals(form)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert messages[1].startswith(f"malformed interval [{bad[0]}, {bad[1]}]")
+
+    @pytest.mark.parametrize("bins", [np.array([[0.0, 1j]]), np.array([[False, True]]),
+                                      np.array([["0", "1"]])], ids=["complex", "bool", "str"])
+    def test_array_of_non_reals_is_rejected(self, bins):
+        message = f"interval {bins[0]!r} is not a (u, v) pair of real numbers"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            spin._phase_intervals(bins)
+
+    def test_float_array_is_returned_as_it_is(self):
+        bins = np.array([[0.0, 1.0], [1.0, 2 * np.pi + 1e-12], [3.0, 3.0]])
+        assert spin._phase_intervals(bins) is bins
+        assert np.array_equal(spin._phase_symbols(5, bins), spin._phase_symbols(5, bins.tolist()))
+
     @pytest.mark.parametrize("bins,message", [
         ([(0, 1, 2)], "interval (0, 1, 2) is not a (u, v) pair of real numbers"),
         ([0.5], "interval 0.5 is not a (u, v) pair of real numbers"),
