@@ -118,25 +118,29 @@ A count-register scheme couples the system to probe factors o and a count
 register r of d_r levels through P (u x I_r): u acts on system (x) o, and
 the permutation P adds the output system index a to the register,
 |a, m, r> -> |a, m, r + a mod d_r>. Its unitarity residual
-P (u x I_r) (P (u x I_r))† - I = P ((u u† - I) x I_r) P^T has the largest
-entry of u u† - I: checking u's blocks is checking the coupling. P is block
-diagonal in a, so P† (I x Z' x |k><k|) P = sum_a |a><a| x Z' x |k - a><k - a|:
-the pointer Z' x |k><k| reads the register before the shift at k - a. For a
-probe T_o x rho_r, with p_r the diagonal of rho_r, the induced effects are
+P ((u u† - I) x I_r) P^T has the largest entry of u u† - I: checking u's
+blocks is checking the coupling. As <k| P (|a> x X x |r>) = |a> x X <k - a|r>,
+the pointer Z' x |k><k| reads the register before the shift at k - a. For
+a probe T_o x rho_r, rho_r = sum_p rho_p |r_p><r_p| with diagonal p_r, the
+induced effects and, with (z, zeta) the eigenpairs of Z'(z') and chi_l the
+kept columns of T_o's record, the operation elements of (z', k) are
 
     F(z', k) = sum_a p_r(k - a mod d_r) f_a(z'),
     f_a(z') = tr_o[(I x T_o) u† (|a><a| x Z'(z')) u],
+    M = sqrt(rho_p q_l z) sum_a r_p(k - a mod d_r) (|a><a| x <zeta|) u (I x |chi_l>):
 
-the per-output-index compression of u alone: the register's coherences
-drop out, and neither the coupling nor the pointer Z' x N_r is formed.
-The other probe factors are kept apart, each with its state and, if it is
-read, its pointer. T_o is the kron of their states, so its spectral record
-is the kron of their records. A factor that is not read is read by its
-identity, and K† (I x Z'') K is the sum over that factor's output index o'
-of K_(a, o')† Z'' K_(a, o'): so the output index of each unread factor
-joins the kept index a, Z'' is the kron of the read factors' pointers
-alone, and the compressions are summed over those indices. Neither
-I x Z'' nor the dense T_o is formed.
+u alone is compressed per output index, the register's coherences drop
+out of F, and neither the coupling nor the pointer Z' x N_r is formed. A
+dense scheme (U, T', Z) is the case d_r = 1, where P = I and p_r = [1]: F
+is f summed over a and M = sqrt(q_l z) (I x <zeta|) U (I x |chi_l>), so
+``MeasurementScheme`` computes every scheme in this form. The other probe
+factors are kept apart, each with its state and, if it is read, its
+pointer; T_o's spectral record is the kron of their records. A factor that
+is not read is read by its identity, and K† (I x Z'') K is the sum over its
+output index o' of K_(a, o')† Z'' K_(a, o'): so o' joins the kept index a,
+Z'' is the kron of the read factors' pointers alone, the compressions are
+summed over o', and each o' is one more operation element, <o'| beside
+<zeta|. Neither I x Z'' nor the dense T_o is formed.
 """
 
 from __future__ import annotations
@@ -157,6 +161,7 @@ from .linalg import (
     Vector,
     _check_int,
     _check_positive_int,
+    _check_type,
     _hermitian_residual,
     eigh,
     identity,
@@ -526,10 +531,14 @@ class StateTransformer:
 class MeasurementScheme:
     """A measurement coupling: unitary on system (x) probe, an initial probe
     state, a pointer observable on the probe, and a pointer function mapping
-    pointer outcomes to observable outcomes.
+    pointer outcomes to observable outcomes: None (the identity) or a dict
+    that maps every pointer outcome, to labels that can be sorted together.
 
     The coupling must carry dims metadata whose first factor is the system;
-    the remaining factors form the probe.
+    the remaining factors form the probe. The scheme is kept as the
+    count-register scheme of one level (module docstring): the block
+    ``coupling.mat[None]``, the probe factor ``probe_state`` read by
+    ``pointer``, and the register in basis_state(0, 1).
     """
 
     coupling: Operator
@@ -538,33 +547,82 @@ class MeasurementScheme:
     pointer_function: dict | None = None  # None means identity
 
     def __post_init__(self):
-        if self.coupling.dims is None or len(self.coupling.dims) < 2:
+        coupling = _check_type(self.coupling, Operator, "coupling")
+        _check_type(self.probe_state, State, "probe_state")
+        _check_type(self.pointer, DiscreteObservable, "pointer")
+        if coupling.dims is None or len(coupling.dims) < 2:
             raise ValueError("coupling needs dims metadata (system, probe...)")
-        _check_unitary(self.coupling.mat[None])
-        dp = math.prod(self.coupling.dims[1:])
-        if self.probe_state.dim != dp or self.pointer.dim != dp:
-            raise ValueError("probe state / pointer dims inconsistent with coupling")
+        _keep_factors(self, coupling.mat[None], coupling.dims, 1, (self.probe_state,),
+                      basis_state(0, 1), (self.pointer,), self.pointer.outcomes,
+                      self.pointer_function)
 
     @property
     def system_dim(self) -> int:
-        return self.coupling.dims[0]
+        return self._dims[0]
 
     @property
     def probe_dim(self) -> int:
-        return math.prod(self.coupling.dims[1:])
+        return math.prod(self._dims[1:]) * self._dim_reg
 
     def map_outcome(self, pointer_outcome):
         if self.pointer_function is None:
             return pointer_outcome
         return self.pointer_function[pointer_outcome]
 
-    def _pointer_effects(self) -> tuple[tuple, np.ndarray]:
-        """The pointer outcomes and, for each, the system effect F(z) with
-        tr[T F(z)] = tr[U (T x T') U† (I x Z(z))] for every system state T."""
-        ds, dp = self.system_dim, self.probe_dim
-        u5 = self.coupling.mat.reshape(1, ds, dp, ds, dp)
-        iso = _probe_isometries(u5, *self.probe_state._spectrum[:2])
-        return self.pointer.outcomes, _compress_isometries(iso, self.pointer.mats).sum(axis=0)
+    def _isometries(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """The blocks K[l, (a, o'), m', b] of u and the probe factors' records,
+        o' the unread factors' output and m' the read ones'; the kron of the
+        read pointers' effects; and the size of o' (module docstring)."""
+        blocks, ds = self._blocks, self.system_dim
+        q, chi = np.ones(1), np.ones((1, 1))
+        for st in self._states:
+            q, chi = np.kron(q, st._spectrum[0]), np.kron(chi, st._spectrum[1])
+        read = [z.mats for z in self._pointers if z is not None]
+        zmats = functools.reduce(_kron_stacks, read) if read else np.ones((1, 1, 1))
+        dm = blocks.shape[1] // ds
+        iso = _probe_isometries(blocks.reshape(-1, ds, dm, ds, dm), q, chi)
+        # K[l, a', (o_1, ..., o_n), a]: the unread factors' outputs join a'
+        dims = [st.dim for st in self._states]
+        order = sorted(range(len(dims)), key=lambda i: self._pointers[i] is not None)
+        iso = iso.reshape(len(iso), ds, *dims, ds).transpose(
+            0, 1, *(2 + i for i in order), len(dims) + 2)
+        nu = math.prod(d for d, z in zip(dims, self._pointers) if z is None)
+        return iso.reshape(len(iso), ds * nu, -1, ds), zmats, nu
+
+    def _pointer_effects(self) -> np.ndarray:
+        """F(z', k) = sum_a p_r(k - a mod d_r) f_a(z') of the module
+        docstring, one row per entry of ``_labels``."""
+        f = _compress_isometries(*self._isometries())
+        dr, ds = self._dim_reg, self.system_dim
+        k, a = np.indices((dr, ds))
+        weights = np.diagonal(self._register_state.op.mat).real[(k - a) % dr]
+        return np.einsum("ka,axij->xkij", weights, f).reshape(-1, ds, ds)
+
+
+def _keep_factors(scheme: MeasurementScheme, blocks: np.ndarray, dims: tuple, dim_reg: int,
+                  states: tuple, register_state: State, pointers: tuple, labels,
+                  pointer_function: dict | None):
+    """Check a scheme's factors and keep them on ``scheme``, returned: u's
+    blocks for unitarity, the states and pointers against u's dims, and the
+    pointer function against ``labels``, each pointer-effect row's outcome."""
+    _check_unitary(blocks)
+    if (len(states) != len(pointers) or register_state.dim != dim_reg
+            or math.prod(st.dim for st in states) != math.prod(dims[1:])
+            or any(z is not None and z.dim != st.dim for st, z in zip(states, pointers))):
+        raise ValueError("probe state / pointer dims inconsistent with coupling")
+    if not (pointer_function is None or isinstance(pointer_function, dict)):
+        raise ValueError(f"pointer_function {pointer_function!r} is neither None nor a dict")
+    for z in () if pointer_function is None else labels:
+        if z not in pointer_function:
+            raise ValueError(f"pointer_function does not map pointer outcome {z!r}")
+    try:
+        sorted({z if pointer_function is None else pointer_function[z] for z in labels})
+    except TypeError:
+        raise ValueError("pointer_function labels cannot be sorted together") from None
+    vars(scheme).update(_blocks=blocks, _dims=dims, _dim_reg=dim_reg, _states=states,
+                        _register_state=register_state, _pointers=pointers, _labels=labels,
+                        pointer_function=pointer_function)
+    return scheme
 
 
 def probability(st: State, e: Effect) -> float:
@@ -661,13 +719,9 @@ def _number_observable(dim: int) -> DiscreteObservable:
 
 
 class _CountRegisterScheme(MeasurementScheme):
-    """A count-register scheme kept as its factors: u as its level blocks
-    ``_blocks`` with dims ``_dims`` on system (x) other probe factors, the
-    register size ``_dim_reg``, the states ``_states`` and pointers
-    ``_pointers`` of the other factors (a pointer of None marks a factor
-    that is not read) and the register state. ``coupling``, ``probe_state``
-    and ``pointer`` are built on first read; :func:`induced_observable` needs
-    none of them (module docstring)."""
+    """A count-register scheme, kept as its factors alone. ``coupling``,
+    ``probe_state`` and ``pointer`` are dense references built on first
+    read; no computation of the scheme reads them (module docstring)."""
 
     @cached_property
     def coupling(self) -> Operator:
@@ -692,72 +746,26 @@ class _CountRegisterScheme(MeasurementScheme):
         return functools.reduce(product_observable,
                                 pointers + [_number_observable(self._dim_reg)])
 
-    @property
-    def system_dim(self) -> int:
-        return self._dims[0]
-
-    @property
-    def probe_dim(self) -> int:
-        return math.prod(self._dims[1:]) * self._dim_reg
-
-    def _pointer_effects(self) -> tuple[list, np.ndarray]:
-        """F(z', k) = sum_a p_r(k - a mod d_r) f_a(z'), from the krons of the
-        factors' records and of the read pointers, with the output index of
-        every unread factor summed out of the kept index (module
-        docstring)."""
-        blocks, dr, ds = self._blocks, self._dim_reg, self.system_dim
-        q, chi = np.ones(1), np.ones((1, 1))
-        for st in self._states:
-            qs, chis = st._spectrum[:2]
-            q = np.multiply.outer(q, qs).reshape(-1)
-            chi = np.multiply.outer(chi, chis).transpose(0, 2, 1, 3).reshape(
-                len(chi) * len(chis), -1)
-        read = [z.mats for z in self._pointers if z is not None]
-        zmats = functools.reduce(_kron_stacks, read) if read else np.ones((1, 1, 1))
-        labels = list(functools.reduce(_product_labels, [
-            (0,) if z is None else z.outcomes for z in self._pointers] + [range(dr)]))
-        dm = blocks.shape[1] // ds
-        iso = _probe_isometries(blocks.reshape(-1, ds, dm, ds, dm), q, chi)
-        # K[l, a', (o_1, ..., o_n), a]: the unread factors' outputs join a'
-        dims = [st.dim for st in self._states]
-        unread = [i for i, z in enumerate(self._pointers) if z is None]
-        order = unread + [i for i, z in enumerate(self._pointers) if z is not None]
-        iso = iso.reshape(len(iso), ds, *dims, ds).transpose(
-            0, 1, *(2 + i for i in order), len(dims) + 2)
-        nu = math.prod(dims[i] for i in unread)
-        f = _compress_isometries(iso.reshape(len(iso), ds * nu, -1, ds), zmats, nu)
-        k, a = np.indices((dr, ds))
-        weights = np.diagonal(self._register_state.op.mat).real[(k - a) % dr]
-        return labels, np.einsum("ka,axij->xkij", weights, f).reshape(-1, ds, ds)
-
 
 def _count_register_scheme(blocks: np.ndarray, dims: tuple[int, ...], dim_reg: int,
                            states: tuple[State, ...], register_state: State,
                            pointers: tuple[DiscreteObservable | None, ...],
                            pointer_function: dict | None) -> MeasurementScheme:
-    """The scheme whose coupling runs u on system (x) other probe factors and
-    then adds the system's basis index, mod ``dim_reg``, to a count register
-    appended as the last probe factor: P (u x I_r) with P the row permutation
-    of :func:`_controlled_shift`. u is given as its level blocks: ``blocks``
-    is a (dc, n, n) stack and ``dims`` are u's tensor factors, the system
-    first and, when dc > 1, the conserved level last; a dense u is the
-    one-level stack u[None]. The other probe factors start in ``states``, in
-    order, and are read by ``pointers``, one per factor, None for a factor
-    that is not read; the register starts in ``register_state`` and is read
-    by its number observable. Both tuples are empty when u acts on the
-    system alone. Each block is checked for unitarity; that checks the
-    coupling (module docstring)."""
-    _check_unitary(blocks)
-    if (len(states) != len(pointers) or register_state.dim != dim_reg
-            or math.prod(st.dim for st in states) != math.prod(dims[1:])
-            or any(z is not None and z.dim != st.dim for st, z in zip(states, pointers))):
-        raise ValueError("probe state / pointer dims inconsistent with coupling")
-    scheme = object.__new__(_CountRegisterScheme)
-    for name, value in (("_blocks", blocks), ("_dims", dims), ("_dim_reg", dim_reg),
-                        ("_states", states), ("_register_state", register_state),
-                        ("_pointers", pointers), ("pointer_function", pointer_function)):
-        object.__setattr__(scheme, name, value)
-    return scheme
+    """The scheme P (u x I_r) of the module docstring: u on system (x) other
+    probe factors, then the system's basis index added, mod ``dim_reg``, to
+    a count register appended as the last probe factor, P being the row
+    permutation of :func:`_controlled_shift`. ``blocks`` is u's (dc, n, n)
+    level-block stack and ``dims`` its tensor factors, the system first and,
+    when dc > 1, the conserved level last. The other probe factors start in
+    ``states`` and are read by ``pointers``, None for a factor that is not
+    read; both are empty when u acts on the system alone. The register starts
+    in ``register_state`` and is read by its number observable. A row of the
+    pointer effects is labelled by the read factors' outcomes, 0 for an
+    unread factor, and the count."""
+    labels = functools.reduce(_product_labels, [
+        (0,) if z is None else z.outcomes for z in pointers] + [range(dim_reg)])
+    return _keep_factors(object.__new__(_CountRegisterScheme), blocks, dims, dim_reg, states,
+                         register_state, pointers, labels, pointer_function)
 
 
 def _controlled_shift(shifts, dim_other: int, dim_reg: int) -> np.ndarray:
@@ -771,18 +779,10 @@ def _controlled_shift(shifts, dim_other: int, dim_reg: int) -> np.ndarray:
 
 
 def _probe_isometries(u5: np.ndarray, qs: np.ndarray, chis: np.ndarray) -> np.ndarray:
-    """Weighted isometry stack of a level-block coupling and a probe state.
-
-    ``u5`` holds the coupling's blocks B_c as (d_c, d_out, d_m, d_in, d_m):
-    B_c[(a, m'), (b, m)] couples system and the other probe factors m at
-    probe level c, the last probe factor, which it conserves (d_c = 1 for a
-    dense coupling). ``qs`` and the columns of ``chis`` are the probe state's
-    recorded spectral decomposition sum_l q_l |chi_l><chi_l|. Returns
-    K[l, a, (m', c), b] =
-    sum_m B_c[(a, m'), (b, m)] chi_l[(m, c)] sqrt(q_l), which is
-    sqrt(q_l) (<a| x <m', c|) U (|b> x |chi_l>), keeping only the weights
-    q_l > 1e-14.
-    """
+    """The weighted isometry blocks K[l, a, (m', c), b] of the module
+    docstring, sqrt(q_l) (<a| x <m', c|) U (|b> x |chi_l>), of the level
+    blocks B_c held as ``u5`` (d_c, d_out, d_m, d_in, d_m) and the probe
+    state's record (``qs``, ``chis``), keeping only the weights q_l > 1e-14."""
     dc, d_out, dm, d_in, _ = u5.shape
     keep = qs > 1e-14
     # chi_l[(m, c)] as (c, m, l): block c meets the probe at level c only
@@ -794,20 +794,13 @@ def _probe_isometries(u5: np.ndarray, qs: np.ndarray, chis: np.ndarray) -> np.nd
 
 def _compress_isometries(k: np.ndarray, pointer_effects: np.ndarray,
                          fold: int = 1) -> np.ndarray:
-    """Heisenberg-picture compression of stacked pointer effects Z_x.
-
-    The probe state is T' = sum_l q_l |chi_l><chi_l|, and ``k`` holds the
-    weighted isometry blocks sqrt(q_l) K_la, K_la[i, b] =
-    (<a| x <i|) U (|b> x |chi_l>), of :func:`_probe_isometries`, shape
-    (l, d_out, d_p, d_in); weights q_l <= 1e-14 are dropped there. Returns
-    the Hermitian-symmetrised
-    F[a, x] = sum_l q_l K_la^dagger Z_x K_la for every output-system index a
-    and outcome x, shape (d_out, k, d_in, d_in). Summed over a this is
-    tr_probe[(I x T') U^dagger (I x Z_x) U]; no dense U^dagger (I x Z_x) U is
-    formed. With ``fold`` > 1 the output index is (a, o'), o' the output of
-    the probe factors that are not read, of size ``fold``, and F is summed
-    over o' (module docstring), shape (d_out / fold, k, d_in, d_in).
-    """
+    """The Hermitian-symmetrised compressions F[a, x] = sum_l K_la† Z_x K_la
+    of the stacked pointer effects Z_x, for the (l, d_out, d_p, d_in) blocks
+    ``k`` of :func:`_probe_isometries`, as (d_out / fold, x, d_in, d_in).
+    Summed over a this is tr_probe[(I x T') U† (I x Z_x) U], and no dense
+    U† (I x Z_x) U is formed. With ``fold`` > 1 the output index is (a, o'),
+    o' the output of the unread probe factors, of size ``fold``, and F is
+    summed over o' (module docstring)."""
     nl, d_out, dp, d_in = k.shape
     nx = len(pointer_effects)
     # Z_x K_la for every x, l, a: one (nx dp, dp) @ (dp, nl d_out d_in) product
@@ -826,11 +819,11 @@ def induced_observable(scheme: MeasurementScheme) -> DiscreteObservable:
 
     The effect of an outcome set X satisfies
     tr[T F(X)] = tr[U (T x T') U† (I x Z(f^-1(X)))] for every system state T;
-    effects are grouped over pointer-function preimages. A count-register
-    scheme is compressed through its factors (module docstring).
+    effects are grouped over pointer-function preimages. The scheme is
+    compressed through its factors (module docstring).
     """
-    labels, fs = scheme._pointer_effects()
-    return DiscreteObservable(*_grouped([scheme.map_outcome(zx) for zx in labels], fs))
+    return DiscreteObservable(*_grouped([scheme.map_outcome(z) for z in scheme._labels],
+                                        scheme._pointer_effects()))
 
 
 def marginal(obs: DiscreteObservable, keep: int) -> DiscreteObservable:
@@ -867,25 +860,30 @@ def apply_transformer(tf: StateTransformer, outcomes, st: State) -> Operator:
 
 
 def scheme_transformer(scheme: MeasurementScheme) -> StateTransformer:
-    """The state transformer implemented by a measurement scheme.
-
-    Operation elements are M = sqrt(q_l z) (I x <zeta|) U (I x |chi_l>) over
-    the probe-state spectral decomposition chi_l and the eigenpairs
-    (z, zeta) of each pointer effect with z >= 1e-12, grouped by the pointer
-    function.
-    """
-    ds, dp = scheme.system_dim, scheme.probe_dim
-    k = _probe_isometries(scheme.coupling.mat.reshape(1, ds, dp, ds, dp),
-                          *scheme.probe_state._spectrum[:2])
-    wz, vz = np.linalg.eigh(scheme.pointer.mats)
-    # sqrt(z) <zeta| K_l per pointer outcome x, eigenvector j and probe weight l
+    """The state transformer implemented by a measurement scheme: the
+    operation elements M of the module docstring, for z >= 1e-12 and
+    rho_p > 1e-14, in (z', k, zeta, l, o', p) order and grouped by the
+    pointer function; M = sqrt(q_l z) (I x <zeta|) U (I x |chi_l>) for a
+    dense scheme."""
+    iso, zmats, nu = scheme._isometries()
+    (nl, _, dm, ds), dr = iso.shape, scheme._dim_reg
+    rho, r = scheme._register_state._spectrum[:2]
+    keep = rho > 1e-14
+    k, a = np.indices((dr, ds))
+    # sqrt(rho_p) r_p(k - a mod d_r) as (k, p, a), on each K[l, (a, o'), m', b]
+    w = (r[:, keep] * np.sqrt(rho[keep]))[(k - a) % dr].transpose(0, 2, 1)
+    kw = w[:, :, None, :, None, None, None] * iso.reshape(nl, ds, nu, dm, ds)
+    wz, vz = np.linalg.eigh(zmats)
+    # sqrt(z) <zeta| K per pointer row x, eigenvector j and weights (k, p, l)
     roots = vz * np.sqrt(np.clip(wz, 0.0, None))[:, None, :]
-    ms = np.einsum("xij,laib->xjlab", roots.conj(), k)
-    labels = [scheme.map_outcome(zx) for zx in scheme.pointer.outcomes]
+    ms = np.einsum("xij,laib->xjlab", roots.conj(), kw.reshape(-1, ds * nu, dm, ds))
+    ms = ms.reshape(*wz.shape, dr, -1, nl, ds, nu, ds).transpose(0, 2, 1, 4, 6, 3, 5, 7)
+    labels = [scheme.map_outcome(z) for z in scheme._labels]
     outcomes = sorted(set(labels))
-    keep = wz >= 1e-12
+    kept = (wz >= 1e-12)[:, None, :]
     return StateTransformer(outcomes, [
-        ms[keep & np.array([label == x for label in labels])[:, None]].reshape(-1, ds, ds)
+        ms[kept & np.array([label == x for label in labels]).reshape(-1, dr, 1)].reshape(
+            -1, ds, ds)
         for x in outcomes
     ])
 

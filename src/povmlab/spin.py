@@ -210,10 +210,10 @@ def _phase_intervals(bins) -> list[tuple[float, float]] | np.ndarray:
     [0, 2pi] and must be a positive integer, and a list of (u, v) pairs of
     real numbers must have 0 <= u <= v <= 2pi each. A string is neither. A
     (k, 2) float64 array is checked by one vectorized test and returned as
-    it is."""
+    it is. A 0-d array cannot be iterated, so the bin-count check names it."""
     if isinstance(bins, (str, bytes)):
         raise ValueError(f"bins {bins!r} is neither a bin count nor a list of (u, v) intervals")
-    if not isinstance(bins, Iterable):
+    if not isinstance(bins, Iterable) or getattr(bins, "ndim", None) == 0:
         _check_positive_int(bins, "bin count")
         edges = np.linspace(0.0, 2 * np.pi, bins + 1).tolist()
         return list(zip(edges[:-1], edges[1:]))

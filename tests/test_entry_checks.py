@@ -35,7 +35,7 @@ from povmlab.mzi import (
     phase_shifter,
     single_photon_observable,
 )
-from povmlab.povm import vector_state
+from povmlab.povm import DiscreteObservable, MeasurementScheme, maximally_mixed, vector_state
 from povmlab.spin import (
     SpinPhaseSpace,
     coexist_criterion,
@@ -46,6 +46,7 @@ from povmlab.spin import (
     spin_observable,
     spin_phase_covariance_residual,
     spin_phase_effect,
+    spin_phase_observable,
 )
 
 HUGE = 10**400  # an int too large for a float
@@ -55,6 +56,14 @@ SPACE = FockSpace(1)
 
 def _probe():
     return ProbeConfig(coherent_state(0.5, 16), 0.5, truncated_phase_povm(16, 8))
+
+
+def _coupling():
+    return Operator(np.eye(4), (2, 2))
+
+
+def _probe_pointer():
+    return maximally_mixed(2), DiscreteObservable([0, 1], np.eye(2)[:, None] * np.eye(2))
 
 
 CASES = [
@@ -79,6 +88,10 @@ CASES = [
      lambda: spin_phase_covariance_residual(SpinPhaseSpace(1.0), (0, 1), HUGE), "alpha"),
     ("truncated_phase_povm(huge bound)",
      lambda: truncated_phase_povm(4, [(0, HUGE)]), "malformed interval"),
+    ("truncated_phase_povm(4, np.array(8))",
+     lambda: truncated_phase_povm(4, np.array(8)), "bin count"),
+    ("spin_phase_observable(np.array(8))",
+     lambda: spin_phase_observable(SpinPhaseSpace(1.0), np.array(8)), "bin count"),
     ("spin_phase_effect(huge bound)",
      lambda: spin_phase_effect(SpinPhaseSpace(1.0), (0, HUGE)), "malformed interval"),
     ("ps angle 'x'", lambda: expanded_mzi_observable([("ps", "x", 1)]), "phase-shifter angle"),
@@ -135,6 +148,7 @@ def test_bad_scalar_is_a_value_error_naming_the_parameter(build, name):
     (lambda: tradeoff_scan([1j], 0.5, [0.5]), "coherent amplitude 1j is not a real number"),
     (lambda: truncated_phase_povm(4, [(0, HUGE)]),
      "malformed interval [0.0, inf]; need 0 <= u <= v <= 2pi"),
+    (lambda: truncated_phase_povm(4, np.array(8)), "bin count array(8) is not a positive integer"),
     (lambda: Operator(np.eye(4), (2, 2.5)), "factor dimension 2.5 is not a positive integer"),
     (lambda: Vector(np.ones(4), (2, 3)), "factor dims (2, 3) do not multiply to dim 4"),
 ], ids=lambda v: v.replace(str(HUGE), "huge") if isinstance(v, str) else "")
@@ -227,7 +241,13 @@ class TestRule:
     (lambda: ProbeConfig("x", 0.5, _probe().readout), "probe_state 'x' is not a State"),
     (lambda: ProbeConfig(_probe().probe_state, 0.5, None),
      "readout None is not a DiscreteObservable"),
-], ids=["bs1", "bs2", "mzi", "probe", "arm_space", "probe_state", "readout"])
+    (lambda: MeasurementScheme("u", *_probe_pointer()), "coupling 'u' is not a Operator"),
+    (lambda: MeasurementScheme(_coupling(), None, _probe_pointer()[1]),
+     "probe_state None is not a State"),
+    (lambda: MeasurementScheme(_coupling(), _probe_pointer()[0], np.eye(2)[None]),
+     f"pointer {np.eye(2)[None]!r} is not a DiscreteObservable"),
+], ids=["bs1", "bs2", "mzi", "probe", "arm_space", "probe_state", "readout",
+        "scheme coupling", "scheme probe_state", "scheme pointer"])
 def test_value_type_fields_are_checked_where_they_enter(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -135,6 +136,17 @@ class TestValidationErrors:
         for probe_dim, pointer_dim in ((3, 2), (2, 3)):
             with pytest.raises(ValueError, match="probe state / pointer dims inconsistent"):
                 _qubit_scheme(Operator(np.eye(4), (2, 2)), probe_dim, pointer_dim)
+        scheme = _qubit_scheme(Operator(np.eye(4), (2, 2)))
+        for function, message in (
+                ({0: "a"}, "pointer_function does not map pointer outcome 1"),
+                (["a", "b"], "pointer_function ['a', 'b'] is neither None nor a dict"),
+                ({0: "a", 1: 1}, "pointer_function labels cannot be sorted together"),
+                ({0: ["a"], 1: ["b"]}, "pointer_function labels cannot be sorted together")):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                MeasurementScheme(scheme.coupling, scheme.probe_state, scheme.pointer, function)
+        mixed = DiscreteObservable([0, "b"], scheme.pointer.mats)
+        with pytest.raises(ValueError, match="cannot be sorted together$"):
+            MeasurementScheme(scheme.coupling, scheme.probe_state, mixed)
 
     def test_transformer_trace_increasing(self):
         with pytest.raises(ValueError, match="transformer is not trace nonincreasing"):
@@ -1670,6 +1682,7 @@ class TestStructuredInduction:
                   "random": lambda: random_register_scheme(rng, 3, 2, 4, random_state(4, rng)),
                   }[kind]()
         induced_observable(scheme)
+        scheme_transformer(scheme)
         assert not {"coupling", "probe_state", "pointer"} & set(vars(scheme))
         assert_matches_dense(scheme)  # builds them on first read
         assert {"coupling", "probe_state", "pointer"} <= set(vars(scheme))
@@ -1716,20 +1729,32 @@ class TestStructuredInduction:
         monkeypatch.undo()
         assert_matches_dense(scheme)
 
-    @pytest.mark.parametrize("kind", ["kerr", "mzi", "position"])
+    @pytest.mark.parametrize("kind", ["kerr", "mzi", "position", "random", "level_block"])
     def test_scheme_transformer_reads_the_built_parts(self, kind):
         rng = np.random.default_rng(8)
         scheme = {"kerr": lambda: kerr_scheme(0.5, 1), "mzi": lambda: mzi_scheme(2),
-                  "position": lambda: position_scheme(5, rng)}[kind]()
+                  "position": lambda: position_scheme(5, rng),
+                  "random": lambda: random_register_scheme(rng, 3, 2, 4, random_state(4, rng)),
+                  "level_block": lambda: random_level_block_scheme(rng, 3, 2, 4, 3),
+                  }[kind]()
         dense = MeasurementScheme(scheme.coupling, scheme.probe_state, scheme.pointer,
                                   scheme.pointer_function)
         got, ref = scheme_transformer(scheme), scheme_transformer(dense)
         assert got.outcomes == ref.outcomes
-        assert np.array_equal(got.owner, ref.owner)
-        assert np.array_equal(got.kraus, ref.kraus)
+        assert np.array_equal(np.bincount(got.owner), np.bincount(ref.owner))
+        # a Kraus decomposition is not unique; each outcome's Choi matrix is
+        assert np.max(np.abs(outcome_chois(got) - outcome_chois(ref))) <= 1e-14
         # and the transformer's effects are the induced ones
         effects = povm._heisenberg(got, np.tile(np.eye(got.dim), (len(got.outcomes), 1, 1)))
         assert np.max(np.abs(effects - induced_observable(scheme).mats)) <= 1e-12
+
+
+def outcome_chois(tf):
+    """The Choi matrix sum vec(M) vec(M)† over the elements M of each
+    outcome of ``tf``."""
+    vecs = tf.kraus.reshape(len(tf.kraus), -1)
+    return np.array([vecs[tf.owner == i].T @ vecs[tf.owner == i].conj()
+                     for i in range(len(tf.outcomes))])
 
 
 def assert_spectrum_matches_eigh(st, tol=1e-12):
