@@ -62,7 +62,7 @@ from .povm import (
     marginal,
     vector_state,
 )
-from .spin import _phase_observable, _phase_symbols, _toeplitz
+from .spin import _phase_readout, _toeplitz
 
 __all__ = [
     "ProbeConfig",
@@ -215,8 +215,13 @@ def truncated_phase_povm(dim: int, bins) -> DiscreteObservable:
     exactly up to rounding. The 2 dim - 1 symbol entries of each interval
     are computed once; the Hermiticity and completeness residuals are read
     from them and recorded, and the dense stack is gathered from them.
+
+    A uniform partition is built once per checked (dim, bins), and at most
+    16 readouts of at most 1 MiB each are kept, shared with
+    :func:`povmlab.spin.spin_phase_observable`; every call returns a fresh
+    observable (:func:`povmlab.spin._phase_readout`).
     """
-    return _phase_observable(_phase_symbols(dim, bins))
+    return _phase_readout(dim, bins)
 
 
 def _circuit_blocks(circuit: KerrCircuit) -> np.ndarray:
@@ -467,10 +472,11 @@ def tradeoff_scan(amplitudes, lam: float, eps2_values,
     another. So each probe is built at |amp|, and the rows at -a and a are
     the same floats.
 
-    One 8-bin readout, kerr_phase and the diagonal of e^{-i lam N} are built
-    per call, at the widest probe dimension W, and the readout is certified
-    there. Each amplitude's probe reads their leading dim x dim sections, and
-    the one certification covers every section:
+    One 8-bin readout, kerr_phase and the diagonal of e^{-i lam N} are read
+    per call, at the widest probe dimension W; the readout is built and
+    certified there once per W (:func:`truncated_phase_povm`). Each
+    amplitude's probe reads their leading dim x dim sections, and the one
+    certification covers every section:
 
     - entries: each entry of the three depends on n - m, or on the level,
       alone (Holevo 1982; :func:`povmlab.spin._phase_symbols`), so a section

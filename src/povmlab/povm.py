@@ -604,7 +604,9 @@ def _keep_factors(scheme: MeasurementScheme, blocks: np.ndarray, dims: tuple, di
                   pointer_function: dict | None):
     """Check a scheme's factors and keep them on ``scheme``, returned: u's
     blocks for unitarity, the states and pointers against u's dims, and the
-    pointer function against ``labels``, each pointer-effect row's outcome."""
+    pointer function against ``labels``, each pointer-effect row's outcome.
+    The pointer function is kept as a copy, so a later change to the
+    caller's dict cannot undo its check."""
     _check_unitary(blocks)
     if (len(states) != len(pointers) or register_state.dim != dim_reg
             or math.prod(st.dim for st in states) != math.prod(dims[1:])
@@ -612,6 +614,7 @@ def _keep_factors(scheme: MeasurementScheme, blocks: np.ndarray, dims: tuple, di
         raise ValueError("probe state / pointer dims inconsistent with coupling")
     if not (pointer_function is None or isinstance(pointer_function, dict)):
         raise ValueError(f"pointer_function {pointer_function!r} is neither None nor a dict")
+    pointer_function = None if pointer_function is None else dict(pointer_function)
     for z in () if pointer_function is None else labels:
         if z not in pointer_function:
             raise ValueError(f"pointer_function does not map pointer outcome {z!r}")
@@ -721,7 +724,13 @@ def _number_observable(dim: int) -> DiscreteObservable:
 class _CountRegisterScheme(MeasurementScheme):
     """A count-register scheme, kept as its factors alone. ``coupling``,
     ``probe_state`` and ``pointer`` are dense references built on first
-    read; no computation of the scheme reads them (module docstring)."""
+    read; no computation of the scheme reads them (module docstring), and
+    nor does its repr."""
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__name__}(dims={self._dims}, dim_reg={self._dim_reg}, "
+                f"states={self._states!r}, register_state={self._register_state!r}, "
+                f"pointers={self._pointers!r}, pointer_function={self.pointer_function!r})")
 
     @cached_property
     def coupling(self) -> Operator:

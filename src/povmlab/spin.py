@@ -9,6 +9,7 @@ docstring) still clears the effect bounds by a factor of six.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -205,17 +206,25 @@ def _interval(item) -> tuple[float, float]:
     return tuple(_check_real(x, "interval bound", finite=False) for x in pair)
 
 
-def _phase_intervals(bins) -> list[tuple[float, float]] | np.ndarray:
-    """The intervals of ``bins``: a bin count is the uniform partition of
-    [0, 2pi] and must be a positive integer, and a list of (u, v) pairs of
-    real numbers must have 0 <= u <= v <= 2pi each. A string is neither. A
-    (k, 2) float64 array is checked by one vectorized test and returned as
-    it is. A 0-d array cannot be iterated, so the bin-count check names it."""
+def _bin_count(bins) -> int | None:
+    """The checked bin count of ``bins``, or None for an interval list: a
+    bin count must be a positive integer, and a string is neither. A 0-d
+    array cannot be iterated, so it is read as a bin count."""
     if isinstance(bins, (str, bytes)):
         raise ValueError(f"bins {bins!r} is neither a bin count nor a list of (u, v) intervals")
     if not isinstance(bins, Iterable) or getattr(bins, "ndim", None) == 0:
-        _check_positive_int(bins, "bin count")
-        edges = np.linspace(0.0, 2 * np.pi, bins + 1).tolist()
+        return _check_positive_int(bins, "bin count")
+    return None
+
+
+def _phase_intervals(bins) -> list[tuple[float, float]] | np.ndarray:
+    """The intervals of ``bins``: a bin count (:func:`_bin_count`) is the
+    uniform partition of [0, 2pi], and a list of (u, v) pairs of real
+    numbers must have 0 <= u <= v <= 2pi each. A (k, 2) float64 array is
+    checked by one vectorized test and returned as it is."""
+    count = _bin_count(bins)
+    if count is not None:
+        edges = np.linspace(0.0, 2 * np.pi, count + 1).tolist()
         return list(zip(edges[:-1], edges[1:]))
     if isinstance(bins, np.ndarray) and bins.dtype == float and bins.shape[1:] == (2,):
         u, v = bins.T
@@ -341,6 +350,37 @@ def _phase_observable(symbols: np.ndarray) -> DiscreteObservable:
                                 hermitian, completeness)
 
 
+# The most complex entries, bins * dim^2, of a readout that _phase_readout
+# keeps: 1 MiB, an 8-bin readout up to dim 90.
+_READOUT_MEMO_ENTRIES = 1 << 16
+
+
+def _phase_readout(dim, bins) -> DiscreteObservable:
+    """The observable of :func:`_phase_observable` for the intervals of
+    ``bins`` on the levels 0..dim-1. ``dim`` and ``bins`` are checked on
+    every call, before the memo is read, so 16.0 is rejected even where 16
+    is kept. A uniform partition of at most ``_READOUT_MEMO_ENTRIES`` is
+    built once per checked (dim, bins) and the last 16 are kept: at most
+    16 MiB. Each call returns a fresh observable over the kept read-only
+    arrays, so rebinding an attribute of one result changes no other.
+    Interval lists and larger partitions are built on every call."""
+    dim = _check_positive_int(dim, "phase dimension")
+    count = _bin_count(bins)
+    if count is None or count * dim * dim > _READOUT_MEMO_ENTRIES:
+        return _built_readout.__wrapped__(dim, bins)
+    kept = _built_readout(dim, count)
+    obs = object.__new__(DiscreteObservable)
+    vars(obs).update(vars(kept), _index=dict(kept._index))
+    return obs
+
+
+@functools.lru_cache(maxsize=16)
+def _built_readout(dim: int, bins) -> DiscreteObservable:
+    """The readout of :func:`_phase_readout`, built from its symbols and
+    certified as :func:`_phase_observable` certifies."""
+    return _phase_observable(_phase_symbols(dim, bins))
+
+
 def spin_phase_effect(space: SpinPhaseSpace, interval) -> Effect:
     """Covariant spin-phase effect of an interval [u, v] in [0, 2pi]."""
     return effect(_phase_kernels(space.dim, [interval])[0])
@@ -348,8 +388,10 @@ def spin_phase_effect(space: SpinPhaseSpace, interval) -> Effect:
 
 def spin_phase_observable(space: SpinPhaseSpace, bins: int = 8) -> DiscreteObservable:
     """Spin phase coarse-grained over a uniform partition of [0, 2pi] into
-    ``bins`` intervals, certified as :func:`_phase_observable` certifies."""
-    return _phase_observable(_phase_symbols(space.dim, bins))
+    ``bins`` intervals, certified as :func:`_phase_observable` certifies.
+    The readouts are kept, at most 16 of at most 1 MiB each, and shared
+    with :func:`povmlab.kerrqnd.truncated_phase_povm` (:func:`_phase_readout`)."""
+    return _phase_readout(space.dim, bins)
 
 
 def _covariance_residuals(symbols: np.ndarray, intervals, alphas: np.ndarray) -> np.ndarray:

@@ -812,13 +812,14 @@ class TestTradeoff:
         def built(*args):
             raise AssertionError("a probe was built")
         monkeypatch.setattr(kerrqnd, "truncated_phase_povm", built)
-        monkeypatch.setattr(kerrqnd, "_phase_symbols", built)
+        monkeypatch.setattr(spin, "_phase_symbols", built)
         for amps in ([], [1.0, 2.0]):
             with pytest.raises(ValueError, match=message):
                 tradeoff_scan(amps, lam, eps2_values)
 
     @pytest.mark.parametrize("widest", [coherent_dim(4.0), coherent_dim(6.0)])
-    def test_readouts_are_sections_of_the_widest_readout(self, widest, monkeypatch):
+    def test_readouts_are_sections_of_the_widest_readout(self, widest, monkeypatch,
+                                                         fresh_phase_memo):
         # a scan builds the readout, kerr_phase and e^{-i lam N} once, at its
         # widest dim, and reads each amplitude's from their leading sections:
         # the same floats as those built at that dim, bit for bit, and the
@@ -837,6 +838,7 @@ class TestTradeoff:
         phases = [kerr_phase(widest, lam) for lam in lams]
         minus = [np.exp(-1j * lam * np.arange(widest)) for lam in lams]
         for dim in range(coherent_dim(0.0), widest + 1):
+            fresh_phase_memo.cache_clear()  # so each dim's certificate is recorded
             readout = truncated_phase_povm(dim, 8)
             assert wide.mats[:, :dim, :dim].tobytes() == readout.mats.tobytes(), dim
             *_, error, hermitian, completeness = recorded[-1]
@@ -857,9 +859,10 @@ class TestTradeoff:
             for one, t in zip(batched, traces):
                 assert one.tobytes() == kerrqnd._joint_effects(eps2, theta2, t).tobytes()
 
-    def test_scan_certifies_one_readout_per_call(self, monkeypatch):
+    def test_scan_certifies_one_readout_per_call(self, monkeypatch, fresh_phase_memo):
         # the readout, its symbol set and kerr_phase are built once, at the
-        # widest dim; the only eigensolver calls are the three batched row checks
+        # widest dim, the readout once per cold memo; the only eigensolver
+        # calls are the three batched row checks
         calls = []
 
         def counted(name, f):
@@ -868,18 +871,23 @@ class TestTradeoff:
                 return f(*args)
             return call
 
-        monkeypatch.setattr(kerrqnd, "_phase_symbols", counted("symbols", kerrqnd._phase_symbols))
-        monkeypatch.setattr(kerrqnd, "_phase_observable",
-                            counted("readout", kerrqnd._phase_observable))
+        monkeypatch.setattr(spin, "_phase_symbols", counted("symbols", spin._phase_symbols))
+        monkeypatch.setattr(spin, "_phase_observable",
+                            counted("readout", spin._phase_observable))
         monkeypatch.setattr(kerrqnd, "kerr_phase", counted("kerr_phase", kerrqnd.kerr_phase))
         monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
         for kind in ("coherent", "number"):
+            fresh_phase_memo.cache_clear()
             calls.clear()
             tradeoff_scan([0.0, 3.0, -1.0, 2.0], 0.7, [0.2, 0.5, 0.9], probe_kind=kind)
             assert sorted(name for name, _ in calls) == ["eigvalsh"] * 3 + ["kerr_phase",
                                                                             "readout", "symbols"]
             sizes = [args for name, args in calls if name in ("symbols", "kerr_phase")]
             assert sizes == [(coherent_dim(3.0), 8), (coherent_dim(3.0), 0.7)]
+            # a warm memo builds no readout, and the rows are still checked
+            calls.clear()
+            tradeoff_scan([0.0, 3.0, -1.0, 2.0], 0.7, [0.2, 0.5, 0.9], probe_kind=kind)
+            assert sorted(name for name, _ in calls) == ["eigvalsh"] * 3 + ["kerr_phase"]
 
     def test_rows_are_checked_as_observables(self, monkeypatch):
         # the scan forms its effects from each amplitude's probe traces and
@@ -996,6 +1004,10 @@ class TestKerrPhase:
             kerr_phase(3, lam)
 
 
+BAD_PHASE_DIMS = [0, -3, 2.5, 16.0, True, np.True_, "8"]
+BAD_BIN_COUNTS = [0, -2, 2.5, 8.0, True, np.True_, None]
+
+
 class TestTruncatedPhasePovm:
     def test_full_circle_is_identity(self):
         povm = truncated_phase_povm(6, [(0.0, 2 * np.pi)])
@@ -1005,13 +1017,13 @@ class TestTruncatedPhasePovm:
             with pytest.raises(ValueError, match="malformed interval"):
                 truncated_phase_povm(4, [interval])
 
-    @pytest.mark.parametrize("dim", [0, -3, 2.5, 16.0, True, np.True_, "8"])
+    @pytest.mark.parametrize("dim", BAD_PHASE_DIMS)
     def test_bad_dim_is_named(self, dim):
         with pytest.raises(ValueError, match=rf"^phase dimension {re.escape(repr(dim))} is not a "
                                              "positive integer$"):
             truncated_phase_povm(dim, 8)
 
-    @pytest.mark.parametrize("bins", [0, -2, 2.5, 8.0, True, np.True_, None])
+    @pytest.mark.parametrize("bins", BAD_BIN_COUNTS)
     def test_bad_bin_count_is_named(self, bins):
         with pytest.raises(ValueError, match=rf"^bin count {re.escape(repr(bins))} is not a "
                                              "positive integer$"):
@@ -1041,6 +1053,126 @@ class TestTruncatedPhasePovm:
             residuals.append(float(np.max(np.abs(rotated - shifted))))
         print("shift-covariance residuals by dim:", residuals)
         assert all(r < 1e-12 for r in residuals)
+
+
+def _certificate(obs):
+    """The arrays and floats that certify a phase readout, as bytes."""
+    return (obs.outcomes, obs.mats.tobytes(), obs.extremes.tobytes(), obs._enclosure.tobytes(),
+            obs._enclosure_error)
+
+
+def uniform_phase_reference(dim, bins):
+    """The (bins, dim, dim) effects of a uniform partition from their
+    integrals, (e^{ikv} - e^{iku}) / (2 pi i k) at k = n - m, in float64."""
+    levels = np.arange(dim, dtype=float)
+    k = levels[None, None, :] - levels[None, :, None]  # entry (m, n) is at k = n - m
+    edges = np.linspace(0.0, 2 * np.pi, bins + 1)
+    u, v = edges[:-1, None, None], edges[1:, None, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ref = (np.exp(1j * k * v) - np.exp(1j * k * u)) / (2j * np.pi * k)
+    return np.where(k == 0, (v - u) / (2 * np.pi), ref)
+
+
+class TestPhaseReadoutMemo:
+    """Uniform readouts are built once per checked (dim, bins) and shared by
+    truncated_phase_povm and spin_phase_observable."""
+
+    KEYS = [(1, 1), (1, 8), (16, 8), (28, 8), (42, 8), (58, 8), (16, 4), (90, 8), (256, 1)]
+
+    def test_memo_result_is_the_uncached_build(self, monkeypatch, fresh_phase_memo):
+        recorded = []
+
+        def recording(*args):
+            recorded.append(args)
+            return enclosed(*args)
+
+        enclosed = spin._enclosed_observable
+        monkeypatch.setattr(spin, "_enclosed_observable", recording)
+        for dim, bins in self.KEYS:
+            recorded.clear()
+            cold = truncated_phase_povm(dim, bins)
+            warm = truncated_phase_povm(dim, bins)
+            uncached = spin._built_readout.__wrapped__(dim, bins)
+            (*_, cold_error, cold_hermitian, cold_completeness), (
+                *_, error, hermitian, completeness) = recorded  # no build for the warm call
+            assert _certificate(warm) == _certificate(cold) == _certificate(uncached)
+            assert warm.mats is cold.mats and warm is not cold
+            assert cold_error == error and cold_completeness == completeness
+            assert cold_hermitian.tobytes() == hermitian.tobytes()
+        assert fresh_phase_memo.cache_info().misses == len(self.KEYS)
+
+    def test_spin_phase_readouts_share_the_memo(self, fresh_phase_memo):
+        for s, bins in ((0.5, 2), (7.5, 8), (13.5, 8)):
+            space = spin.SpinPhaseSpace(s)
+            phase = spin.spin_phase_observable(space, bins)
+            assert truncated_phase_povm(space.dim, bins).mats is phase.mats
+            assert _certificate(phase) == _certificate(
+                spin._built_readout.__wrapped__(space.dim, bins))
+        assert fresh_phase_memo.cache_info().misses == 3
+
+    def test_results_are_read_only_and_independent(self, fresh_phase_memo):
+        first = truncated_phase_povm(16, 8)
+        expected = _certificate(spin._built_readout.__wrapped__(16, 8))
+        for array in (first.mats, first.extremes, first._enclosure):
+            assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            first.mats[0, 0, 0] = 1.0
+        first.mats = np.zeros((8, 16, 16))
+        first.outcomes = tuple("abcdefgh")
+        first.extremes = np.zeros((8, 2))
+        first._enclosure_error = 1.0
+        first._index["x"] = 0
+        again = truncated_phase_povm(16, 8)
+        assert _certificate(again) == expected
+        assert "x" not in again._index
+        assert again.effect_for(7).op.mat.tobytes() == again.mats[7].tobytes()
+
+    def test_memo_never_exceeds_its_bounds(self, fresh_phase_memo):
+        cap = spin._READOUT_MEMO_ENTRIES
+        maxsize = fresh_phase_memo.cache_info().maxsize
+        assert maxsize * cap * 16 <= 16 << 20  # 16 readouts of 1 MiB
+        keys = [(dim, bins) for bins in (1, 4, 8) for dim in (2, 17, 64, 90, 91, 128, 129)]
+        keys += [(256, 1), (257, 1)] + [(dim, 3) for dim in range(1, 12)]
+        kept = []
+        for dim, bins in keys:
+            misses = fresh_phase_memo.cache_info().misses
+            obs = truncated_phase_povm(dim, bins)
+            if fresh_phase_memo.cache_info().misses > misses:
+                assert bins * dim * dim <= cap, (dim, bins)
+                kept.append(obs.mats.nbytes)
+            else:  # over the cap: built on every call, by the same builder
+                assert bins * dim * dim > cap, (dim, bins)
+                again = truncated_phase_povm(dim, bins)
+                assert not np.shares_memory(again.mats, obs.mats)
+                assert _certificate(again) == _certificate(obs)
+                assert np.max(np.abs(obs.mats - uniform_phase_reference(dim, bins))) <= 1e-15
+                assert np.max(np.abs(obs.mats.sum(axis=0) - np.eye(dim))) <= 1e-12
+            info = fresh_phase_memo.cache_info()
+            assert info.currsize == min(len(kept), maxsize)
+            assert sum(kept[-maxsize:]) <= maxsize * cap * 16
+        assert len(kept) > maxsize
+
+    @pytest.mark.parametrize("dim", BAD_PHASE_DIMS)
+    def test_bad_dim_is_named_with_a_warm_memo(self, dim, fresh_phase_memo):
+        for key in ((1, 8), (16, 8), (16, 1)):
+            truncated_phase_povm(*key)
+        with pytest.raises(ValueError, match=rf"^phase dimension {re.escape(repr(dim))} is not a "
+                                             "positive integer$"):
+            truncated_phase_povm(dim, 8)
+        assert fresh_phase_memo.cache_info().currsize == 3
+
+    @pytest.mark.parametrize("bins", BAD_BIN_COUNTS)
+    def test_bad_bin_count_is_named_with_a_warm_memo(self, bins, fresh_phase_memo):
+        for key in ((1, 8), (16, 8), (16, 1)):
+            truncated_phase_povm(*key)
+        message = rf"^bin count {re.escape(repr(bins))} is not a positive integer$"
+        with pytest.raises(ValueError, match=message):
+            truncated_phase_povm(16, bins)
+        with pytest.raises(ValueError, match=message):
+            spin.spin_phase_observable(spin.SpinPhaseSpace(7.5), bins)
+        with pytest.raises(ValueError, match="^bins '8' is neither a bin count nor a list"):
+            truncated_phase_povm(16, "8")
+        assert fresh_phase_memo.cache_info().currsize == 3
 
 
 class TestExclusionLimits:

@@ -148,6 +148,21 @@ class TestValidationErrors:
         with pytest.raises(ValueError, match="cannot be sorted together$"):
             MeasurementScheme(scheme.coupling, scheme.probe_state, mixed)
 
+    def test_pointer_function_is_kept_as_a_copy(self):
+        # a CNOT onto a probe in |0> reads the system's basis state
+        cnot = Operator(np.eye(4)[[0, 1, 3, 2]], (2, 2))
+        pointer = DiscreteObservable([0, 1], np.eye(2)[:, None] * np.eye(2))
+        function = {0: "a", 1: "b"}
+        scheme = MeasurementScheme(cnot, basis_state(0, 2), pointer, function)
+        before = induced_observable(scheme)
+        del function[1]
+        function[0] = "z"
+        after = induced_observable(scheme)
+        assert after.outcomes == before.outcomes == ("a", "b")
+        assert after.mats.tobytes() == before.mats.tobytes()
+        assert np.array_equal(after.mats, np.eye(2)[:, None] * np.eye(2))
+        assert scheme.map_outcome(1) == "b"
+
     def test_transformer_trace_increasing(self):
         with pytest.raises(ValueError, match="transformer is not trace nonincreasing"):
             StateTransformer((0,), [(Operator(np.sqrt(2) * np.eye(2)),)])
@@ -1467,7 +1482,8 @@ class TestStructuralEnclosures:
             assert [a for a in eigvalsh_arrays if np.shares_memory(a, obs.mats)]
 
     @pytest.mark.parametrize("dim", list(range(1, 65)) + [101, 200, 401])
-    def test_residuals_read_from_the_symbols_are_the_entrywise_ones(self, dim, monkeypatch):
+    def test_residuals_read_from_the_symbols_are_the_entrywise_ones(self, dim, monkeypatch,
+                                                                    fresh_phase_memo):
         rng = np.random.default_rng(dim)
         wide = dim > 64  # fewer and smaller stacks where a row is large
         lists = [1, 2, 8] + ([] if wide else [3, 13, dim % 32 + 1])
@@ -1479,6 +1495,7 @@ class TestStructuralEnclosures:
                   [(cuts[0], cuts[1]), (0.0, cuts[0]), (cuts[1], 2 * np.pi)]]
         residual, init = povm._hermitian_residual, DiscreteObservable._init
         for bins in lists:
+            fresh_phase_memo.cache_clear()  # a bin count that repeats is built again
             calls, passed = [], []
             monkeypatch.setattr(povm, "_hermitian_residual",
                                 lambda m: calls.append(m) or residual(m))
@@ -1540,6 +1557,13 @@ class TestCountRegisterScheme:
             old = assembled_coupling(u, scheme.coupling.dims[-1])
             assert np.array_equal(scheme.coupling.mat, old)
             assert abs(unitary_residual(u.mat) - unitary_residual(old)) <= 1e-15
+
+    def test_repr_reads_only_the_factors(self):
+        scheme = kerr_scheme(1.0, 2)
+        text = repr(scheme)
+        assert text.startswith("_CountRegisterScheme(dims=(3, 3, 16), dim_reg=3, states=(")
+        assert "pointer_function={(0, 0, 0): (0, 0), " in text
+        assert not {"coupling", "probe_state", "pointer"} & set(vars(scheme))
 
     def test_non_unitary_u_is_rejected(self, monkeypatch):
         probe = maximally_mixed(2)
