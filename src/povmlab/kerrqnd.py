@@ -18,9 +18,22 @@ compress those level blocks (:mod:`povmlab.povm`) and never form the dense
 unitary; :func:`three_mode_unitary` is their dense direct sum. All closed
 forms below are locked to these oracles.
 
-The 8-bin phase readout, kerr_phase and e^{-i lam N} on d levels are the
-leading d x d sections of those on W >= d levels, so a tradeoff scan builds
-and certifies them once, at its widest probe dimension W
+The Kerr coupling enters every formula through e^{-i lam n} at integer n
+only, so it is reduced mod 2 pi where it enters (:class:`ProbeConfig`,
+:func:`kerr_phase`, :func:`tradeoff_scan`), as the splitter phase and the
+phase shift are in :mod:`povmlab.mzi`: lam n is then formed from a reduced
+coupling, and no coupling overflows it.
+
+The probe traces of the joint POVM are bilinear in the probe record. For a
+probe state T' = sum_l q_l |chi_l><chi_l| and phi_l = e^{-i lam N} chi_l,
+tr[T' E] = sum_l q_l chi_l† E chi_l, and the other three traces pair chi_l
+and phi_l likewise, so all four are read from the Gram blocks V† (E V) of
+V = [chi, phi] (:func:`_bilinear_traces`); no weighting of a dense T' is
+formed. A pure probe's record is its unit vector, q = [1] and chi = u.
+
+The 8-bin phase readout and e^{-i lam N} on d levels are the leading
+d x d sections of those on W >= d levels, so a tradeoff scan builds and
+certifies them once, at its widest probe dimension W
 (:func:`tradeoff_scan`). A section's entries are the same floats, as the
 Toeplitz entries depend on n - m only; its Hermiticity and completeness
 residuals are maxima over a subset of the wider readout's lags; and its
@@ -38,8 +51,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (Operator, _check_positive_int, _check_real, _check_type, partial_trace,
-                     tensor)
+from .linalg import (Operator, _check_positive_int, _check_real, _check_type,
+                     _hermitian_residual, partial_trace, tensor)
 from .mzi import (
     BSParams,
     FockSpace,
@@ -50,7 +63,9 @@ from .povm import (
     DiscreteObservable,
     MeasurementScheme,
     State,
+    _basis_vector,
     _check_observables,
+    _check_unit_vector,
     _clamped,
     _compress_isometries,
     _count_register_scheme,
@@ -58,9 +73,9 @@ from .povm import (
     _direct_sum,
     _grouped,
     _probe_isometries,
+    _recorded_state,
     basis_state,
     marginal,
-    vector_state,
 )
 from .spin import _phase_readout, _toeplitz
 
@@ -91,7 +106,8 @@ COHERENT_LEAKAGE_BOUND = 1e-8
 @dataclass(frozen=True, eq=False)
 class ProbeConfig:
     """Probe mode configuration: initial state, Kerr coupling strength
-    (radians per photon pair) and readout observable on the probe."""
+    (radians per photon pair, reduced mod 2 pi) and readout observable on
+    the probe."""
 
     probe_state: State
     lam: float
@@ -100,7 +116,7 @@ class ProbeConfig:
     def __post_init__(self):
         _check_type(self.probe_state, State, "probe_state")
         _check_type(self.readout, DiscreteObservable, "readout")
-        object.__setattr__(self, "lam", _check_real(self.lam, "Kerr coupling"))
+        object.__setattr__(self, "lam", _check_real(self.lam, "Kerr coupling") % (2 * math.pi))
         if self.readout.dim != self.probe_state.dim:
             raise ValueError("readout and probe state dimensions differ")
 
@@ -143,9 +159,12 @@ def kerr_phase(dim: int, lam: float) -> np.ndarray:
     matrix by this implements conjugation by e^{-i lam N} exactly on the
     diagonal (number states pick up no spurious roundoff). The matrix is
     Toeplitz: its symbol holds the 2 dim - 1 exponentials, one per m - n,
-    at lag n - m. ``dim`` must be a positive integer and ``lam`` finite."""
+    at lag n - m. ``dim`` must be a positive integer and ``lam`` finite; it
+    is reduced mod 2 pi. No part of the library calls it: the probe traces
+    are read in bilinear form (:func:`_bilinear_traces`), and it stays as
+    the dense reference for them."""
     _check_positive_int(dim, "probe dimension")
-    lam = _check_real(lam, "Kerr coupling")
+    lam = _check_real(lam, "Kerr coupling") % (2 * math.pi)
     return _toeplitz(np.exp(-1j * lam * np.arange(dim - 1, -dim, -1))[None])[0]
 
 
@@ -172,7 +191,21 @@ def coherent_state(z: complex, dim: int | None = None) -> State:
     """Truncated coherent state; raises when the truncation keeps less than
     1 - 1e-8 of the amplitude mass, for a z that is not a finite number or
     whose Fock moduli e^(-|z|^2/2) |z|^n overflow, and for a ``dim`` that
-    is not a positive integer."""
+    is not a positive integer.
+
+    Its unit vector u is that of :func:`_coherent_vector`, bit for bit, and
+    is recorded as the state's eigenvector of eigenvalue 1 (q = [1],
+    chi = u): a tradeoff scan reads the probe from u alone, and its traces
+    are those of this state's record."""
+    u = _coherent_vector(z, dim)
+    op = Operator(np.outer(u, u.conj()))
+    return _recorded_state(op, u, _hermitian_residual(op.mat[None]))
+
+
+def _coherent_vector(z: complex, dim: int | None = None) -> np.ndarray:
+    """The unit vector of the truncated coherent state, checked as
+    :func:`coherent_state` states: its Fock amplitudes divided by the square
+    root of the mass the truncation keeps, or e_0 at z = 0."""
     r = _modulus(z)
     if dim is None:
         dim = coherent_dim(r)
@@ -182,7 +215,7 @@ def coherent_state(z: complex, dim: int | None = None) -> State:
     if not math.isfinite(r * r):
         raise ValueError(f"coherent amplitude {z} overflows the Fock moduli")
     if r == 0.0:
-        return basis_state(0, dim)
+        return _basis_vector(0, dim)
     n = np.arange(dim)
     log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, dim)))))
     moduli = np.exp(-r**2 / 2 + n * math.log(r) - log_fact / 2)
@@ -197,7 +230,7 @@ def coherent_state(z: complex, dim: int | None = None) -> State:
             f"coherent truncation leakage {1 - kept:.2e} exceeds "
             f"{COHERENT_LEAKAGE_BOUND:.0e}; increase dim (got {dim})"
         )
-    return vector_state(amps / math.sqrt(kept))
+    return amps / math.sqrt(kept)
 
 
 def truncated_phase_povm(dim: int, bins) -> DiscreteObservable:
@@ -349,23 +382,36 @@ def _readout_traces(weights_t: np.ndarray, mats: np.ndarray) -> np.ndarray:
 
 def _probe_traces(probe: ProbeConfig) -> np.ndarray:
     """The probe traces t0, t1, t0m and tp0 of
-    :func:`joint_path_interference_povm`, shape (4, bins)
-    (:func:`_section_traces`)."""
-    dc = probe.probe_state.dim
-    return _section_traces(probe.probe_state.op.mat, probe.readout.mats,
-                           kerr_phase(dc, probe.lam), np.exp(-1j * probe.lam * np.arange(dc)))
+    :func:`joint_path_interference_povm`, shape (4, bins), read from the
+    probe state's spectral record (q, chi) by :func:`_bilinear_traces`. A
+    pure state's record is its unit vector, q = [1] and chi = u, so no
+    eigensolver runs; any other state's is the one eigh that
+    :func:`joint_povm_compressed` runs too."""
+    q, chi, _ = probe.probe_state._spectrum
+    return _bilinear_traces(q, chi, np.exp(-1j * probe.lam * np.arange(len(chi))),
+                            probe.readout.mats)
 
 
-def _section_traces(tp: np.ndarray, mats: np.ndarray, conj_phase: np.ndarray,
-                    minus: np.ndarray) -> np.ndarray:
-    """The probe traces t0, t1, t0m and tp0, shape (4, bins): tr[W E(X)] for
-    the four weightings W of the probe state ``tp`` (:func:`_readout_traces`),
-    given the readout stack ``mats``, ``conj_phase`` = kerr_phase(dc, lam),
-    whose entry (m, n) is e^{-i lam (m - n)}, and ``minus``, the diagonal
-    of e^{-i lam N}. Each may be the leading section of a wider one."""
-    weights = np.stack([tp, tp * conj_phase.conj().T, tp * minus[:, None],
-                        tp * minus.conj()[None, :]])
-    return _readout_traces(weights.swapaxes(1, 2), mats)
+def _bilinear_traces(q: np.ndarray, chi: np.ndarray, minus: np.ndarray,
+                     mats: np.ndarray) -> np.ndarray:
+    """The probe traces t0, t1, t0m and tp0, shape (4, bins), of the probe
+    T' = sum_l q_l |chi_l><chi_l| (columns chi_l of the (dc, l) ``chi``) with
+    phi_l = e^{-i lam N} chi_l, given ``minus``, the diagonal of
+    e^{-i lam N}, and the readout stack ``mats``, which may be the leading
+    section of a wider one:
+
+        t0 = sum_l q_l chi_l† E(X) chi_l,   t1 = sum_l q_l phi_l† E(X) phi_l,
+        t0m = sum_l q_l chi_l† E(X) phi_l,  tp0 = sum_l q_l phi_l† E(X) chi_l,
+
+    the diagonals of the four blocks of the Gram stack V† (E(X) V),
+    V = [chi, phi]: two products. For q = [1] every trace is the Gram entry
+    itself."""
+    bins, r = len(mats), len(q)
+    v = np.concatenate([chi, minus[:, None] * chi], axis=1)
+    gram = (v.conj().T @ (mats @ v)).reshape(bins, 2, r, 2, r)
+    # the diagonals of the (chi, phi) blocks, weighted by q and summed over l
+    blocks = gram.diagonal(0, 2, 4) @ q
+    return blocks.reshape(bins, 4).T[[0, 3, 1, 2]]
 
 
 def joint_path_interference_povm(eps2: float, theta2: float,
@@ -467,18 +513,19 @@ def tradeoff_scan(amplitudes, lam: float, eps2_values,
     probe by the number state nearest its mean photon number.
 
     The probe kind, lam, each eps2 and each (real) amplitude are checked before
-    any probe is built. The rows depend on |amp| only: the coherent probe at -a
-    is e^{i pi N} applied to the one at a, which maps the eight bins onto one
-    another. So each probe is built at |amp|, and the rows at -a and a are
-    the same floats.
+    any probe is built. The rows record lam as given; the probes read it
+    reduced mod 2 pi, as :class:`ProbeConfig` holds it. The rows depend on
+    |amp| only: the coherent probe at -a is e^{i pi N} applied to the one at
+    a, which maps the eight bins onto one another. So each probe is built at
+    |amp|, and the rows at -a and a are the same floats.
 
-    One 8-bin readout, kerr_phase and the diagonal of e^{-i lam N} are read
-    per call, at the widest probe dimension W; the readout is built and
-    certified there once per W (:func:`truncated_phase_povm`). Each
-    amplitude's probe reads their leading dim x dim sections, and the one
-    certification covers every section:
+    One 8-bin readout and the diagonal of e^{-i lam N} are read per call,
+    at the widest probe dimension W; the readout is built and certified
+    there once per W (:func:`truncated_phase_povm`). Each amplitude's probe
+    reads their leading dim x dim sections, and the one certification
+    covers every section:
 
-    - entries: each entry of the three depends on n - m, or on the level,
+    - entries: each entry of the two depends on n - m, or on the level,
       alone (Holevo 1982; :func:`povmlab.spin._phase_symbols`), so a section
       is its dim-level form bit for bit, :func:`truncated_phase_povm`
       (dim, 8) included;
@@ -488,10 +535,19 @@ def tradeoff_scan(amplitudes, lam: float, eps2_values,
       inside the widest readout's at every dim <= W (``povm`` module
       docstring), and by Cauchy interlacing so does its spectrum.
 
-    Each amplitude's probe traces t0, t1, t0m and tp0
-    (:func:`joint_path_interference_povm`) are computed once, by the helper
-    that computes them for the joint POVM, and one :func:`_joint_effects`
-    call forms every amplitude's eps2 rows. In closed form
+    Each amplitude's probe is its unit vector u: the one
+    :func:`coherent_state` records (:func:`_coherent_vector`), or e_k for a
+    number probe. No State is built. Its traces t0, t1, t0m and tp0
+    (:func:`joint_path_interference_povm`) are u† E(X) u, phi† E(X) phi,
+    u† E(X) phi and phi† E(X) u with phi = e^{-i lam N} u, read by the
+    kernel that reads them for the joint POVM (:func:`_bilinear_traces`,
+    on the record q = [1], chi = u, one amplitude at a time and on the same
+    shapes), and one :func:`_joint_effects` call forms every amplitude's
+    eps2 rows. No check is lost: the state check of u u† is made on u,
+    which must be finite with |u|^2 = 1 within the trace bound 1e-10, as
+    u u† is Hermitian and positive by construction
+    (:func:`povmlab.povm._check_unit_vector`), and the leakage bound is
+    checked where u is built. In closed form
     D = 2 path_confidence - 1 = 1/2 sum_X |t0(X) - t1(X)| and
     V = 2 sqrt(eps2 (1 - eps2)) |sum_X t0m(X)|; both are summed in the order
     of :func:`path_confidence` and :func:`interference_visibility`, so each
@@ -501,7 +557,9 @@ def tradeoff_scan(amplitudes, lam: float, eps2_values,
     (E(X) >= 0), and sum_X E(X) = I with tr T' = 1 gives completeness. The
     rows are still checked, by the same checks the joint POVM and its two
     marginals run, each batched over every amplitude and eps2 of the call
-    (:func:`povmlab.povm._check_observables`)."""
+    (:func:`povmlab.povm._check_observables`); their 2 x 2 spectra are
+    enclosed in closed form, and only a slice that the enclosure does not
+    clear is diagonalised."""
     if probe_kind not in ("coherent", "number"):
         raise ValueError(f"unknown probe kind {probe_kind!r}")
     lam = _check_real(lam, "Kerr coupling")
@@ -514,14 +572,14 @@ def tradeoff_scan(amplitudes, lam: float, eps2_values,
         return []
     widest = max(dims)
     readout = truncated_phase_povm(widest, 8)
-    conj_phase = kerr_phase(widest, lam)
-    minus = np.exp(-1j * lam * np.arange(widest))
+    minus = np.exp(-1j * (lam % (2 * math.pi)) * np.arange(widest))
+    pure = np.ones(1)
     traces = []
     for amp, dim in zip(amplitudes, dims):
         r = abs(amp)
-        state = coherent_state(r, dim) if probe_kind == "coherent" else basis_state(round(r**2), dim)
-        traces.append(_section_traces(state.op.mat, readout.mats[:, :dim, :dim],
-                                      conj_phase[:dim, :dim], minus[:dim]))
+        u = _coherent_vector(r, dim) if probe_kind == "coherent" else _basis_vector(round(r**2), dim)
+        _check_unit_vector(u)
+        traces.append(_bilinear_traces(pure, u[:, None], minus[:dim], readout.mats[:, :dim, :dim]))
     eps2 = np.array(eps2_values, dtype=float)
     joint = _joint_effects(eps2, math.pi / 2, np.stack(traces))
     joint = joint.reshape(len(amplitudes) * len(eps2), -1, 2, 2)

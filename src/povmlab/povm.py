@@ -84,6 +84,26 @@ the sum of its |lags|, so Weyl's inequality moves each eigenvalue by at
 most (2d - 1) r (Bhatia, Matrix Analysis, 1997, III.2), and the eigvalsh of
 K_w and that of X each add 64 d eps (``spin._prolate_enclosure``).
 
+A 2 x 2 row X is read in closed form. With p = Re X00, q = Re X11 and
+b = X10, the lower triangle that eigvalsh reads, spec L(X) is
+m +/- r with m = (p + q)/2, t = (p - q)/2 and r = hypot(t, |b|). In the
+standard model with unit roundoff eps/2, (p + q)/2 and (p - q)/2 are within
+eps/2 |m| and eps/2 |t| of m and t, |b| and hypot are within one ulp
+(eps, relative) each, hypot is 1-Lipschitz, and m +/- r adds eps/2 (|m| + r).
+So each computed end is within eps |m| + eps/2 |t| + eps |b| + 3/2 eps r,
+at most 3/2 eps (|p| + |q|) + 5/2 eps |b| with r <= |t| + |b|, of the exact
+one; the record's rounding bound is 4 eps (|p| + |q| + |b|), with room for
+the second-order terms, plus the smallest normal number, which exceeds the
+few 2^-1075 that results in the subnormal range add. An observable check of
+2 x 2 rows (``_check_observables``) passes that enclosure and its largest
+rounding bound plus 2 * 64 eps for eigvalsh to ``_check_effects``: every
+row the enclosure clears passes as eigvalsh would pass it, and a slice it
+does not clear is diagonalised, so the verdict and the message are those of
+an eigvalsh-only check. Entries that overflow the closed form give a NaN or
+infinite end, which clears nothing. Other checks keep eigvalsh: on the
+few rows that a decision procedure checks at a time it is the faster of
+the two, and the closed form pays off on stacks of hundreds of rows.
+
 A state T records its spectral decomposition: eigenvalues q on orthonormal
 columns chi, zero on their complement, within e of spec L(T). A pure state
 is T = fl(u u†) for its unit vector u, so the record is q = [1], chi = u,
@@ -256,12 +276,35 @@ def _completeness_residual(mats: np.ndarray) -> np.ndarray:
     return np.abs(mats.sum(axis=-3) - np.eye(mats.shape[-1])).max(axis=(-2, -1))
 
 
+def _pair_enclosure(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """spec L(X) of each row X of a (k, 2, 2) stack in closed form, as the
+    (k, 2) array of computed ends m -/+ r, and each row's rounding bound
+    4 eps (|p| + |q| + |b|) + tiny on them (module docstring)."""
+    p, q = rows[:, 0, 0].real, rows[:, 1, 1].real
+    ends = np.empty((len(rows), 2))
+    with np.errstate(all="ignore"):  # an overflow leaves an end that clears nothing
+        b = np.abs(rows[:, 1, 0])
+        m = (p + q) / 2
+        r = np.hypot((p - q) / 2, b)
+        np.subtract(m, r, out=ends[:, 0])
+        np.add(m, r, out=ends[:, 1])
+        rounding = 4 * np.finfo(float).eps * (np.abs(p) + np.abs(q) + b) + np.finfo(float).tiny
+    return ends, rounding
+
+
 def _check_observables(stacks: np.ndarray):
     """The checks of a :class:`DiscreteObservable` built from each (k, d, d)
     row of the non-empty (n, k, d, d) stack ``stacks``, run on all n at once:
     one :func:`_check_effects` call on every effect, then each observable's
-    completeness bound. Raises the same ``ValueError``s."""
-    _check_effects(stacks.reshape((-1,) + stacks.shape[2:]))
+    completeness bound. Raises the same ``ValueError``s. 2 x 2 rows pass
+    their closed-form enclosure (:func:`_pair_enclosure`), so only a slice
+    it does not clear is diagonalised."""
+    rows = stacks.reshape((-1,) + stacks.shape[2:])
+    if rows.shape[-1] == 2:
+        ends, rounding = _pair_enclosure(rows)
+        _check_effects(rows, ends, rounding.max() + 2 * _EIG_ROUNDING)
+    else:
+        _check_effects(rows)
     if _completeness_residual(stacks).max() > ATOL_COMPLETENESS:
         raise ValueError("effects do not sum to the identity within tolerance")
 
@@ -361,11 +404,30 @@ def basis_state(k: int, dim: int) -> State:
     a positive integer and ``k`` an integer in [0, dim). Its entries are
     exact, so its Hermiticity residual is 0, and it is recorded as
     :func:`vector_state` records e_k."""
+    u = _basis_vector(k, dim)
+    return _recorded_state(Operator(np.outer(u, u)), u, 0.0)
+
+
+def _basis_vector(k: int, dim: int) -> np.ndarray:
+    """The complex unit vector e_k of :func:`basis_state`, checked as it
+    checks ``k`` and ``dim``."""
     dim = _check_positive_int(dim, "dimension")
     k = _check_int(k, "basis index", 0, dim)
     u = np.zeros(dim, dtype=complex)
     u[k] = 1.0
-    return _recorded_state(Operator(np.outer(u, u)), u, 0.0)
+    return u
+
+
+def _check_unit_vector(u: np.ndarray):
+    """The state check of fl(u u†) on the vector u itself: raise
+    ``ValueError``, with the message the state check gives, unless u is
+    finite and |u|^2 is 1 within the trace bound 1e-10. u u† is Hermitian and
+    positive by construction."""
+    if not np.isfinite(u).all():
+        raise ValueError("state must be Hermitian within 1e-10")
+    tr = float(np.vdot(u, u).real)
+    if abs(tr - 1.0) > 1e-10:
+        raise ValueError(f"state trace {tr} != 1")
 
 
 def maximally_mixed(dim: int) -> State:

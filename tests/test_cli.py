@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import re
 import sys
 
@@ -110,7 +111,7 @@ def test_transparency_is_checked_where_it_enters(argv, message, capsys, monkeypa
     def reached(*args, **kwargs):
         raise Reached
 
-    monkeypatch.setattr(kerrqnd, "coherent_state", reached)
+    monkeypatch.setattr(kerrqnd, "_coherent_vector", reached)
     monkeypatch.setattr(mzi, "beam_splitter", reached)
     # with valid transparencies the command goes on to build a probe or splitter
     with pytest.raises(Reached):
@@ -141,6 +142,43 @@ def test_kerr_tradeoff_rows_depend_on_the_amplitude_modulus(probe, capsys):
     minus, plus = json.loads(out)["rows"]
     assert minus.pop("amp") == -plus.pop("amp")
     assert minus == plus
+
+
+@pytest.mark.parametrize("probe", ["coherent", "number"])
+def test_kerr_tradeoff_json_rows_are_those_of_the_joint_povm(probe, capsys):
+    code, out, _ = run(["kerr-tradeoff", "--amp=-2,0,0.5,3", "--lambda", "1.3",
+                        "--eps2", "0.1,0.5,0.77", "--probe", probe, "--format", "json",
+                        "--verify"], capsys)
+    assert code == EXIT_OK
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 12
+    for row in rows:
+        r, dim = abs(row["amp"]), row["probe_dim"]
+        state = (kerrqnd.coherent_state(r, dim) if probe == "coherent"
+                 else basis_state(round(r**2), dim))
+        config = kerrqnd.ProbeConfig(state, row["lambda"], kerrqnd.truncated_phase_povm(dim, 8))
+        povm = kerrqnd.joint_path_interference_povm(row["eps2"], math.pi / 2, config)
+        assert float(row["visibility"]).hex() == kerrqnd.interference_visibility(povm).hex()
+        assert float(row["path_confidence"]).hex() == kerrqnd.path_confidence(povm).hex()
+
+
+@pytest.mark.parametrize("lam", ["1e100", "1e308"])
+def test_kerr_tradeoff_reduces_a_huge_coupling(lam, capsys):
+    # the rows are those of the coupling mod 2 pi, with no warning, and
+    # print the coupling as given
+    code, out, err = run(["kerr-tradeoff", "--lambda", lam, "--format", "json", "--verify"],
+                         capsys)
+    assert (code, err) == (EXIT_OK, "")
+    residue = repr(math.fmod(float(lam), 2 * math.pi))
+    code, reference, _ = run(["kerr-tradeoff", "--lambda", residue, "--format", "json",
+                              "--verify"], capsys)
+    assert code == EXIT_OK
+    rows, reference = json.loads(out)["rows"], json.loads(reference)["rows"]
+    assert len(rows) == len(reference) > 0
+    for row, ref in zip(rows, reference):
+        assert row.pop("lambda") == float(lam)
+        ref.pop("lambda")
+        assert row == ref
 
 
 def test_main_builds_its_parser_once(capsys, monkeypatch):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from povmlab import kerrqnd, povm, spin
+from povmlab import kerrqnd, linalg, povm, spin
 from povmlab.kerrqnd import (
     KerrCircuit,
     ProbeConfig,
@@ -29,7 +30,7 @@ from povmlab.kerrqnd import (
     tradeoff_scan,
     truncated_phase_povm,
 )
-from povmlab.linalg import Operator, haar_vector, identity, partial_trace, tensor
+from povmlab.linalg import ATOL_POSITIVE, Operator, haar_vector, identity, partial_trace, tensor
 from povmlab.mzi import (
     BSParams,
     FockSpace,
@@ -179,6 +180,16 @@ class TestCoherentState:
         with pytest.raises(ValueError, match=rf"^coherent dimension {re.escape(repr(dim))} is not "
                                              "a positive integer$"):
             coherent_state(z, dim)
+
+    def test_records_the_vector_a_scan_reads(self):
+        # no second normalization: the record is the builder's vector
+        for amp in (0.0, 0.5, -2.0, 2.5j, 6.0):
+            dim = coherent_dim(amp)
+            u = kerrqnd._coherent_vector(amp, dim)
+            st = coherent_state(amp, dim)
+            q, chi, _ = st._spectrum
+            assert q.tolist() == [1.0] and chi[:, 0].tobytes() == u.tobytes()
+            assert st.op.mat.tobytes() == np.outer(u, u.conj()).tobytes()
 
     def test_phase_convention(self):
         st = coherent_state(1.0j, 20)
@@ -564,7 +575,8 @@ class TestJointPovm:
     @pytest.mark.parametrize("kind", ["coherent", "number"])
     def test_probe_traces_are_exact_sums_within_1e_15(self, kind, amp):
         # np.einsum("wij,xji->wx") reads these up to 3.9e-15 from the exact
-        # sums at dimension 58; the one product reads them within 4.5e-16
+        # sums at dimension 58; the Gram blocks of the bilinear form read
+        # them within 7.9e-16 over 240 such probes
         rng = np.random.default_rng([int(4 * amp), kind == "number"])
         dim = coherent_dim(amp)
         for _ in range(3):
@@ -820,10 +832,11 @@ class TestTradeoff:
     @pytest.mark.parametrize("widest", [coherent_dim(4.0), coherent_dim(6.0)])
     def test_readouts_are_sections_of_the_widest_readout(self, widest, monkeypatch,
                                                          fresh_phase_memo):
-        # a scan builds the readout, kerr_phase and e^{-i lam N} once, at its
-        # widest dim, and reads each amplitude's from their leading sections:
-        # the same floats as those built at that dim, bit for bit, and the
-        # residuals and enclosure error that certify them are no larger
+        # a scan builds the readout and e^{-i lam N} once, at its widest dim,
+        # and reads each amplitude's from their leading sections: the same
+        # floats as those built at that dim, bit for bit, and the residuals
+        # and enclosure error that certify them are no larger. kerr_phase,
+        # their dense reference, has sections of the same kind
         recorded = []
 
         def recording(*args):
@@ -860,9 +873,10 @@ class TestTradeoff:
                 assert one.tobytes() == kerrqnd._joint_effects(eps2, theta2, t).tobytes()
 
     def test_scan_certifies_one_readout_per_call(self, monkeypatch, fresh_phase_memo):
-        # the readout, its symbol set and kerr_phase are built once, at the
-        # widest dim, the readout once per cold memo; the only eigensolver
-        # calls are the three batched row checks
+        # the readout and its symbol set are built once, at the widest dim,
+        # the readout once per cold memo; kerr_phase is not called, and the
+        # three batched row checks run no eigensolver on rows that clear
+        # their closed-form enclosure
         calls = []
 
         def counted(name, f):
@@ -875,24 +889,75 @@ class TestTradeoff:
         monkeypatch.setattr(spin, "_phase_observable",
                             counted("readout", spin._phase_observable))
         monkeypatch.setattr(kerrqnd, "kerr_phase", counted("kerr_phase", kerrqnd.kerr_phase))
+        monkeypatch.setattr(kerrqnd, "_check_observables",
+                            counted("check", kerrqnd._check_observables))
         monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
         for kind in ("coherent", "number"):
             fresh_phase_memo.cache_clear()
             calls.clear()
             tradeoff_scan([0.0, 3.0, -1.0, 2.0], 0.7, [0.2, 0.5, 0.9], probe_kind=kind)
-            assert sorted(name for name, _ in calls) == ["eigvalsh"] * 3 + ["kerr_phase",
-                                                                            "readout", "symbols"]
-            sizes = [args for name, args in calls if name in ("symbols", "kerr_phase")]
-            assert sizes == [(coherent_dim(3.0), 8), (coherent_dim(3.0), 0.7)]
+            assert sorted(name for name, _ in calls) == ["check"] * 3 + ["readout", "symbols"]
+            sizes = [args for name, args in calls if name == "symbols"]
+            assert sizes == [(coherent_dim(3.0), 8)]
             # a warm memo builds no readout, and the rows are still checked
             calls.clear()
             tradeoff_scan([0.0, 3.0, -1.0, 2.0], 0.7, [0.2, 0.5, 0.9], probe_kind=kind)
-            assert sorted(name for name, _ in calls) == ["eigvalsh"] * 3 + ["kerr_phase"]
+            assert [name for name, _ in calls] == ["check"] * 3
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda u: u * (1 + 1e-9), r"^state trace 1\.00000000\d* != 1$"),
+        (lambda u: np.where(np.arange(len(u)) == 1, np.nan, u),
+         r"^state must be Hermitian within 1e-10$"),
+    ])
+    @pytest.mark.parametrize("kind, builder", [("coherent", "_coherent_vector"),
+                                               ("number", "_basis_vector")])
+    def test_probe_vectors_are_checked_as_states(self, edit, message, kind, builder,
+                                                 monkeypatch):
+        # the scan builds no State, and checks each probe's vector u as the
+        # state check would check u u+
+        build = getattr(kerrqnd, builder)
+        monkeypatch.setattr(kerrqnd, builder, lambda *args: edit(build(*args)))
+        with pytest.raises(ValueError, match=message):
+            tradeoff_scan([0.0, 1.0], 0.5, [0.5], probe_kind=kind)
+        u = edit(build(0, 16))
+        with pytest.raises(ValueError, match=message):
+            povm._recorded_state(Operator(np.outer(u, u.conj())), u,
+                                 linalg._hermitian_residual(np.outer(u, u.conj())[None]))
+
+    def test_a_row_that_misses_its_enclosure_is_diagonalised(self, monkeypatch):
+        # at amplitude 0 every trace is E(X)[0, 0] = 1/8. Bins 0 and 1 trade
+        # off-diagonal weight 2 delta, so the two joint rows of bin 0 reach
+        # -delta: inside [-ATOL_POSITIVE, 1], but closer to its end than the
+        # closed form's margin. Only the joint stack holds such rows (the
+        # marginals' off-diagonals cancel or sum the shifts away), and its
+        # one slice is diagonalised, which passes it
+        traces = kerrqnd._bilinear_traces
+        delta = ATOL_POSITIVE - 1e-14
+
+        def near_boundary(*sections):
+            t0, t1, t0m, tp0 = traces(*sections)
+            shift = np.zeros(len(t0))
+            shift[:2] = 2 * delta, -2 * delta
+            return np.stack([t0, t1, t0m + shift, tp0 + shift])
+
+        shapes = []
+
+        def eigvalsh(a):
+            shapes.append(a.shape)
+            return spectra(a)
+
+        spectra = np.linalg.eigvalsh
+        monkeypatch.setattr(kerrqnd, "_bilinear_traces", near_boundary)
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        for kind in ("coherent", "number"):
+            shapes.clear()
+            row, = tradeoff_scan([0.0], 0.7, [0.5], probe_kind=kind)
+            assert shapes == [(16, 2, 2)]
 
     def test_rows_are_checked_as_observables(self, monkeypatch):
         # the scan forms its effects from each amplitude's probe traces and
         # checks them batched; a trace edit that breaks positivity must raise there
-        traces = kerrqnd._section_traces
+        traces = kerrqnd._bilinear_traces
 
         def doubled(*sections):
             t0, t1, t0m, tp0 = traces(*sections)
@@ -912,7 +977,7 @@ class TestTradeoff:
             for edited in (0, 1):
                 for kind in ("coherent", "number"):
                     calls = iter(range(2))
-                    monkeypatch.setattr(kerrqnd, "_section_traces", lambda *sections: (
+                    monkeypatch.setattr(kerrqnd, "_bilinear_traces", lambda *sections: (
                         edit if next(calls) == edited else traces)(*sections))
                     with pytest.raises(ValueError,
                                        match=r"^effect spectrum .* outside \[0, 1\]$"):
@@ -984,12 +1049,50 @@ class TestEnglertDuality:
             assert englert_sum(povm) <= 1 + 1e-12
 
 
+class TestCouplingReduction:
+    # the coupling enters as e^{-i lam n} at integer n only, so it is
+    # reduced mod 2 pi where it enters; rows keep it as given
+    @pytest.mark.parametrize("lam", [1e16, 1e100, 1e308])
+    @pytest.mark.parametrize("kind", ["coherent", "number"])
+    def test_huge_couplings_give_the_rows_of_their_residue(self, lam, kind):
+        amps, eps2_values = [0.0, 0.5, -1.0, 3.0, 6.0], [0.0, 0.3, 0.5, 1.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = tradeoff_scan(amps, lam, eps2_values, probe_kind=kind)
+        reduced = tradeoff_scan(amps, math.fmod(lam, 2 * math.pi), eps2_values, probe_kind=kind)
+        assert len(rows) == len(reduced) == 20
+        for row, ref in zip(rows, reduced):
+            assert row["lam"] == lam
+            assert row["visibility"].hex() == ref["visibility"].hex()
+            assert row["path_confidence"].hex() == ref["path_confidence"].hex()
+
+    @given(lam=st.floats(0.0, 2 * math.pi, exclude_max=True))
+    def test_couplings_in_range_are_unchanged(self, lam):
+        assert small_probe(lam=lam).lam == lam
+        n = np.arange(6)
+        assert np.array_equal(kerr_phase(6, lam), np.exp(-1j * lam * (n[:, None] - n[None, :])))
+        row, = tradeoff_scan([1.0], lam, [0.5])
+        assert row["lam"] == lam
+
+    def test_probe_config_holds_the_residue(self):
+        for lam in (-1.0, 2 * math.pi, 7.0, 1e100, 1e308, -1e308):
+            assert small_probe(lam=lam).lam == lam % (2 * math.pi)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            huge = small_probe(lam=1e308)
+            oracle = joint_povm_compressed(0.4, 1.3, huge)
+        closed = joint_path_interference_povm(0.4, 1.3, small_probe(lam=math.fmod(1e308, 2 * math.pi)))
+        for x, e in closed:
+            assert np.max(np.abs(e.op.mat - oracle.effect_for(x).op.mat)) < 1e-9
+
+
 class TestKerrPhase:
     def test_is_the_dense_exponential(self):
+        # of the coupling reduced mod 2 pi, as it enters
         for dim in list(range(1, 65)) + [101, 401]:
             n = np.arange(dim)
             for lam in (0.0, 0.37, -1.3, 2.5, 1e3):
-                dense = np.exp(-1j * lam * (n[:, None] - n[None, :]))
+                dense = np.exp(-1j * (lam % (2 * math.pi)) * (n[:, None] - n[None, :]))
                 assert np.array_equal(kerr_phase(dim, lam), dense), (dim, lam)
 
     @pytest.mark.parametrize("dim", [0, -2, 2.5, True])

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -9,9 +10,11 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from povmlab import kerrqnd, models, mzi, povm, spin
-from povmlab.linalg import Operator, haar_vector, identity, tensor
+from povmlab.linalg import (ATOL_COMPLETENESS, ATOL_HERMITIAN, ATOL_POSITIVE, Operator,
+                            haar_vector, identity, tensor)
 from povmlab.povm import (
     _CHECK_SLICE_BYTES,
+    _EIG_ROUNDING,
     DiscreteObservable,
     Effect,
     MeasurementScheme,
@@ -1945,3 +1948,138 @@ class TestRecordedSpectra:
     def test_bad_vectors_keep_their_messages(self, vec, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             vector_state(np.array(vec))
+
+
+def exact_pair_spectrum(row):
+    """The two eigenvalues of L(row), the Hermitian matrix that shares the
+    2 x 2 row's lower triangle, to 50 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        p, q = Decimal(row[0, 0].real), Decimal(row[1, 1].real)
+        br, bi = Decimal(row[1, 0].real), Decimal(row[1, 0].imag)
+        m, t = (p + q) / 2, (p - q) / 2
+        r = (t * t + br * br + bi * bi).sqrt()
+        return m - r, m + r
+
+
+def adversarial_pair_rows():
+    """2 x 2 rows on which a closed-form spectrum is easy to get wrong."""
+    s3 = math.sqrt(1 / 3)
+    u = np.array([s3, math.sqrt(2 / 3) * np.exp(1j)])
+    w = np.array([math.sqrt(0.5), math.sqrt(0.5) * np.exp(1j * math.pi / 3)])
+    tiny = np.finfo(float).tiny
+    h = 0.99 * ATOL_HERMITIAN
+    rows = [
+        # exact projections
+        [[1, 0], [0, 0]], [[0, 0], [0, 1]], [[1, 0], [0, 1]], [[0.5, 0.5], [0.5, 0.5]],
+        [[0.5, -0.5j], [0.5j, 0.5]], [[0.5, 0.5j], [-0.5j, 0.5]],
+        # rank one with irrational entries, and their complements
+        np.outer(u, u.conj()), np.eye(2) - np.outer(u, u.conj()), np.outer(w, w.conj()),
+        # near-degenerate
+        [[0.5, 1e-17], [1e-17, 0.5]], [[0.5, 0], [0, 0.5 + 2**-53]], [[0.3, 0], [0, 0.3]],
+        [[0.7, 1e-300j], [-1e-300j, 0.7]],
+        # |b| >> |t| and |t| >> |b|
+        [[0.5 + 1e-16, 0.4j], [-0.4j, 0.5]], [[0.2, 0.3 - 0.4j], [0.3 + 0.4j, 0.2]],
+        [[0.9, 1e-20], [1e-20, 0.1]], [[1.0, 1e-9j], [-1e-9j, -1e-10]],
+        # subnormals
+        [[5e-324, 5e-324j], [-5e-324j, -5e-324]], [[tiny, 1e-310 + 3e-320j], [1e-310 - 3e-320j, 1e-309]],
+        [[1e-320, 0], [0, 3e-321]], [[0.5, 4e-323], [4e-323, 0.5]],
+        # signed zeros
+        [[-0.0, complex(-0.0, 0.0)], [complex(-0.0, -0.0), 0.0]],
+        [[1.0, 0.0], [complex(0.0, -0.0), -0.0]], [[-0.0, 0.0], [complex(-0.0, 0.0), -0.0]],
+        # X01 != conj X10 within the Hermiticity tolerance: L(X) reads X10
+        [[0.5, 0.3 + h], [0.3, 0.5]], [[0.6, 0.2j - h], [-0.2j, 0.4]],
+        [[0.5, 0.5 - h * 1j], [0.5, 0.5]], [[1e-3, h], [0.0, 2e-3]],
+        # far outside [0, 1]
+        [[1e300, 1e300], [1e300, -1e300]], [[-3.0, 2 + 1j], [2 - 1j, 7.0]],
+    ]
+    rng = np.random.default_rng(34)
+    for _ in range(200):
+        v = random_unitary(2, rng)
+        x = v @ np.diag(rng.uniform(-0.1, 1.1, 2)) @ v.conj().T
+        x[0, 1] += complex(*rng.uniform(-h, h, 2)) / 2
+        rows.append(x)
+    return np.array(rows, dtype=complex)
+
+
+class TestPairEnclosure:
+    """The closed-form spectrum that certifies the 2 x 2 rows of an
+    observable check (``povm`` module docstring)."""
+
+    def test_ends_are_the_exact_spectrum_within_the_rounding_bound(self):
+        rows = adversarial_pair_rows()
+        ends, rounding = povm._pair_enclosure(rows)
+        for row, end, bound in zip(rows, ends, rounding):
+            for computed, exact in zip(end, exact_pair_spectrum(row)):
+                assert abs(Decimal(computed) - exact) <= Decimal(bound), (row, computed, exact)
+
+    def test_eigvalsh_lies_within_the_margin(self):
+        rows = adversarial_pair_rows()
+        rows = rows[np.abs(rows).max(axis=(1, 2)) <= 1.0]
+        ends, rounding = povm._pair_enclosure(rows)
+        w = np.linalg.eigvalsh(rows)
+        margin = rounding + 2 * _EIG_ROUNDING
+        assert np.all(w[:, 0] >= ends[:, 0] - margin)
+        assert np.all(w[:, 1] <= ends[:, 1] + margin)
+
+    def test_overflow_clears_nothing(self):
+        big = np.finfo(float).max
+        rows = np.array([[[big, 0], [0, big]], [[big, big], [big, -big]],
+                         [[0.5, complex(big, big)], [complex(big, -big), 0.5]]])
+        with np.errstate(all="raise"):
+            ends, _ = povm._pair_enclosure(rows)
+        assert not np.isfinite(ends).all(axis=1).any()
+
+    @pytest.mark.parametrize("gap, diagonalised", [(1e-14, True), (1e-12, False)])
+    def test_rows_within_the_margin_are_diagonalised(self, gap, diagonalised, eigvalsh_calls):
+        # ends at gap inside -ATOL_POSITIVE and 1 + ATOL_POSITIVE pass; the
+        # margin is about 2.9e-14, so at 1e-14 only eigvalsh can tell
+        rng = np.random.default_rng(35)
+        v = random_unitary(2, rng)
+        lo, hi = -ATOL_POSITIVE + gap, 1 + ATOL_POSITIVE - gap
+        for spectrum in ([lo, 0.5], [0.5, hi], [lo, hi]):
+            e = v @ np.diag(spectrum) @ v.conj().T
+            eigvalsh_calls.clear()
+            povm._check_observables(np.array([[e, np.eye(2) - e]]))
+            assert eigvalsh_calls == ([(2, 2, 2)] if diagonalised else [])
+
+    @given(stacks=st.lists(
+        st.tuples(
+            st.tuples(*[st.one_of(
+                st.integers(-60, 60).map(lambda j: -ATOL_POSITIVE + j * 1e-15),
+                st.integers(-60, 60).map(lambda j: 1 + ATOL_POSITIVE + j * 1e-15),
+                st.floats(-2 * ATOL_POSITIVE, 1 + 2 * ATOL_POSITIVE),
+                st.sampled_from([0.0, 0.5, 1.0]))] * 2),
+            st.floats(0.0, math.pi), st.floats(0.0, 2 * math.pi),
+            st.sampled_from([0.0, 5e-11, -0.99e-10, 0.99e-10j, 1.1e-10, -3e-10j])),
+        min_size=1, max_size=4))
+    def test_verdicts_are_those_of_eigvalsh(self, stacks):
+        # observables {E, I - E} with E's eigenvalues at or across -ATOL_POSITIVE
+        # and 1 + ATOL_POSITIVE, rotated, and with X01 moved off conj X10
+        observables = []
+        for spectrum, theta, phi, skew in stacks:
+            v = np.array([[math.cos(theta), -np.exp(-1j * phi) * math.sin(theta)],
+                          [np.exp(1j * phi) * math.sin(theta), math.cos(theta)]])
+            e = v @ np.diag(spectrum) @ v.conj().T
+            f = np.eye(2) - e
+            e[0, 1] += skew
+            observables.append([e, f])
+        stack = np.array(observables)
+        assert (check_message(povm._check_observables, stack)
+                == check_message(eigvalsh_observable_check, stack))
+
+
+def eigvalsh_observable_check(stacks):
+    """The observable check with every effect diagonalised."""
+    povm._check_effects(stacks.reshape((-1,) + stacks.shape[2:]))
+    if povm._completeness_residual(stacks).max() > ATOL_COMPLETENESS:
+        raise ValueError("effects do not sum to the identity within tolerance")
+
+
+def check_message(check, stack):
+    """The message ``check`` raises on ``stack``, or None."""
+    try:
+        check(stack)
+    except ValueError as exc:
+        return str(exc)
+    return None

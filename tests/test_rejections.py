@@ -126,13 +126,13 @@ class TestKerr:
     def test_scan_rows_are_checked_for_completeness(self, monkeypatch):
         # t0 scaled by 1.01 keeps every effect positive (det F grows) but the
         # effects no longer sum to the identity
-        traces = kerrqnd._section_traces
+        traces = kerrqnd._bilinear_traces
 
         def heavier(*sections):
             t0, t1, t0m, tp0 = traces(*sections)
             return np.stack([1.01 * t0, t1, t0m, tp0])
 
-        monkeypatch.setattr(kerrqnd, "_section_traces", heavier)
+        monkeypatch.setattr(kerrqnd, "_bilinear_traces", heavier)
         _raises("effects do not sum to the identity within tolerance",
                 lambda: tradeoff_scan([1.0], 0.5, [0.5]))
 
