@@ -13,28 +13,32 @@ spin-phase takes --seed (it draws the rotation angles). Its --spin is at
 most 200 (dimension 401), it takes at most 1024 intervals (from --bins or
 --intervals), and with --format json those intervals' effect matrices hold at
 most 2^18 entries in all (32 bins at --spin 20 hold 53,792; 16 bins at --spin
-63.5 hold exactly 2^18, and such a run peaks at about 40 MB, 32 MB of which is
-the interpreter with povmlab imported). mzi-scan takes at
-most 4096 --delta-steps. It propagates the one input column |1, 0> through
-each step's interferometer, which costs (nmax + 1)^4 multiply-adds a step, and
-it bounds the sweep's steps * (nmax + 1)^4 <= 2^22 (33 steps admit --nmax 17).
+63.5 hold exactly 2^18, and such a run peaks at about 40 MB, 30 MB of which is
+the interpreter with povmlab imported and 1 MiB the write buffer of --out).
+mzi-scan takes at most 4096 --delta-steps. It propagates the one input
+column |1, 0> through each step's interferometer, which costs (nmax + 1)^4
+multiply-adds a step, and it bounds the sweep's steps * (nmax + 1)^4 <= 2^22
+(33 steps admit --nmax 17).
 Each bound is checked before any matrix is built.
 
 JSON output is one object with the keys "config", "rows" and "checks",
 laid out exactly as json.dumps(indent=2, sort_keys=True) lays it out, except
 that each row of a spin-phase effect matrix, a list of [re, im] pairs, goes
-on a single line. Output is written as it is produced, to --out or stdout,
-by direct writes of pieces no longer than one row: each report row is laid
-out through one template of the sorted header, and a spin-phase effect
-matrix is held as its 2 dim - 1 symbol entries, joined once into a text of
-which its rows, written one at a time, are slices; a lag -j that is the
-exact conjugate of lag j takes lag j's formatted text with one sign
-flipped. spin-phase forms no dense effect: each eigenvalue range is the
-computed range of the interval's real prolate matrix (one eigvalsh per
-distinct width), which encloses the effect's spectrum within a stated
-margin; a slice that misses the effect bounds by that margin is
-diagonalised and reports its computed spectrum. Each covariance residual is
-read on the 2 dim - 1 lags of the symbols.
+on a single line. Output is written as it is produced, to --out through a
+write buffer of 1 MiB or to stdout, by direct writes of pieces no longer
+than one row. Each JSON report row is laid out through one template of the
+sorted header, filled from one json.dumps of its values; each CSV row
+through one template of its values' types. The spin-phase effect matrices
+are held as their (k, 2 dim - 1) symbol stack, whose entries are formatted
+in one pass and joined once into a text; each matrix row is written as a
+slice of it after a constant separator that carries the brackets, two
+writes a row. A lag -j that is the exact conjugate of lag j takes lag j's
+formatted text with one sign flipped. spin-phase forms no dense effect:
+each eigenvalue range is the computed range of the interval's real prolate
+matrix (one eigvalsh per distinct width), which encloses the effect's
+spectrum within a stated margin; a slice that misses the effect bounds by
+that margin is diagonalised and reports its computed spectrum. Each
+covariance residual is read on the 2 dim - 1 lags of the symbols.
 """
 
 from __future__ import annotations
@@ -63,6 +67,8 @@ MAX_DELTA_STEPS = 4096  # mzi-scan --delta-steps
 MAX_SWEEP_ENTRIES = 1 << 22  # mzi-scan: steps * (nmax+1)^4, multiply-adds of the sweep
 
 _NOT_CONFIG = {"command", "func", "out", "verify"}  # parsed arguments left out of "config"
+_OUT_BUFFER_BYTES = 1 << 20  # the write buffer of --out
+_JOINED_ENTRIES = 1 << 12  # spin-phase entries formatted at a time, in whole effects: bounds the text held
 
 
 class _Parser(argparse.ArgumentParser):
@@ -71,10 +77,22 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _fmt_field(kind: type) -> str:
+    """The CSV replacement field of a value of type ``kind``: a float,
+    np.float64 included, to 15 significant digits, any other value by str."""
+    return "{:.15g}" if issubclass(kind, float) else "{!s}"
+
+
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.15g}"
-    return str(value)
+    """The CSV text of ``value``: its field as :func:`_csv_template` lays it out."""
+    return _fmt_field(type(value)).format(value)
+
+
+@functools.lru_cache(maxsize=64)
+def _csv_template(kinds: tuple[type, ...]) -> str:
+    """The CSV line of a row of values of types ``kinds``, as a template of
+    the fields of :func:`_fmt`."""
+    return ",".join(map(_fmt_field, kinds)) + "\n"
 
 
 def _scalar(value) -> str:
@@ -85,50 +103,81 @@ def _scalar(value) -> str:
     return json.dumps(value)
 
 
-def _negated(text: str) -> str:
-    """The float.__repr__ of -x from that of x, signed zeros included."""
-    return text[1:] if text[0] == "-" else "-" + text
-
-
 class _EffectRows:
-    """A spin-phase effect matrix [c(n - m)] for JSON output, held as its
-    symbol (``spin._phase_symbols``). Its rows are slices of one text of the
-    2 dim - 1 entries, each formatted as [re, im] with float.__repr__, as
-    json.dumps writes a finite float (negative zeros included), and joined
-    by ", ": row m is the window of lags -m..dim-1-m, as in
-    ``spin._toeplitz``. Lags 0..dim-1 are formatted, and so is each lag -j
-    that is not the exact conjugate of lag j, bit for bit; the text of one
-    that is is lag j's, with the imaginary part's sign flipped."""
+    """The spin-phase effect matrices [c(n - m)] of a (k, 2 dim - 1) symbol
+    stack (``spin._phase_symbols``) for JSON output: a list of k matrices,
+    each a list of its rows, one line each. Every entry is formatted as
+    [re, im] with float.__repr__, as json.dumps writes a finite float
+    (negative zeros included), and the entries of up to
+    ``_JOINED_ENTRIES`` at a time, whole effects, each entry followed by
+    ", ", are joined into one text. Row m of an effect is the window of its
+    lags -m..dim-1-m, as in ``spin._toeplitz``, written as a slice of the
+    text. Lags 0..dim-1 are formatted, and so is each lag -j that is not
+    the exact conjugate of lag j, bit for bit; the text of one that is is
+    lag j's, with the imaginary part's sign flipped."""
 
-    __slots__ = ("symbol",)
+    __slots__ = ("symbols",)
 
-    def __init__(self, symbol: np.ndarray):
-        self.symbol = symbol
+    def __init__(self, symbols: np.ndarray):
+        self.symbols = symbols
 
-    def rows(self, indent: str = ""):
-        """Each row's JSON text, one line at any ``indent``, one row at a time."""
-        dim = (len(self.symbol) + 1) // 2
-        ahead, behind = self.symbol[dim - 1:], self.symbol[dim - 1::-1]  # lags j and -j
-        reals = list(map(repr, ahead.real.tolist()))
-        imags = list(map(repr, ahead.imag.tolist()))
+    @staticmethod
+    def _joined(symbols: np.ndarray) -> tuple[str, list[int]]:
+        """The joined text of the entries of a (k, 2 dim - 1) symbol stack,
+        effect by effect, and where each entry starts in it (one more
+        start: the text's length)."""
+        k, width = symbols.shape
+        dim = (width + 1) // 2
+        ahead, behind = symbols[:, dim - 1:], symbols[:, dim - 1::-1]  # lags j, -j
         mirrored = ((behind.real == ahead.real) & (np.signbit(behind.real) == np.signbit(ahead.real))
                     & (behind.imag == -ahead.imag)
-                    & (np.signbit(behind.imag) != np.signbit(ahead.imag))).tolist()
-        back = [f"[{re}, {_negated(im)}]" if same else f"[{x!r}, {y!r}]"
-                for re, im, same, x, y in zip(reals, imags, mirrored, behind.real.tolist(),
-                                              behind.imag.tolist())]
-        entries = back[:0:-1] + [f"[{re}, {im}]" for re, im in zip(reals, imags)]
-        text = ", ".join(entries)
-        starts = list(itertools.accumulate([len(e) + 2 for e in entries], initial=0))
-        for start in range(dim - 1, -1, -1):
-            yield "[" + text[starts[start]:starts[start + dim] - 2] + "]"
+                    & (np.signbit(behind.imag) != np.signbit(ahead.imag)))
+        mirrored[:, 0] = True  # lag 0 is written from ahead only: no repr for it here
+        reals = list(map(repr, ahead.real.ravel().tolist()))
+        imags = list(map(repr, ahead.imag.ravel().tolist()))
+        forward = [f"[{re}, {im}], " for re, im in zip(reals, imags)]
+        backward = [f"[{re}, {im[1:] if im[0] == '-' else '-' + im}], " if same
+                    else f"[{x!r}, {y!r}], "
+                    for re, im, same, x, y in zip(reals, imags, mirrored.ravel().tolist(),
+                                                  behind.real.ravel().tolist(),
+                                                  behind.imag.ravel().tolist())]
+        entries = []
+        for lag0 in range(0, k * dim, dim):  # effect by effect: lags 1-dim..-1, then 0..dim-1
+            entries += backward[lag0 + dim - 1:lag0:-1]
+            entries += forward[lag0:lag0 + dim]
+        return "".join(entries), list(itertools.accumulate(map(len, entries), initial=0))
+
+    def write(self, write, indent: str):
+        """Write the stack at ``indent`` with ``write``: two pieces a row,
+        the separator before it and its slice of the joined text."""
+        k, width = self.symbols.shape
+        if not k:
+            write("[]")
+            return
+        dim = (width + 1) // 2
+        inner, deeper = indent + "  ", indent + "    "
+        head, between = f"[\n{inner}[\n{deeper}[", f"],\n{deeper}["
+        step = max(1, _JOINED_ENTRIES // width)  # effects joined at a time
+        for chunk in range(0, k, step):
+            text, starts = self._joined(self.symbols[chunk:chunk + step])
+            for base in range(0, len(starts) - 1, width):  # row m: entries m + 1..m + dim back
+                for first, end in zip(reversed(starts[base:base + dim]),
+                                      reversed(starts[base + dim:base + width + 1])):
+                    write(head)
+                    write(text[first:end - 2])
+                    head = between
+                head = f"]\n{inner}],\n{inner}[\n{deeper}["
+        write(f"]\n{inner}]\n{indent}]")
 
 
 class _RowDicts:
     """The report rows for JSON output: a list of flat dicts, each mapping
     the header to one row's scalars. Every row is laid out through one
     template of the sorted header, a key being written by json.dumps with
-    any "%" doubled."""
+    any "%" doubled. The values of all rows are the pieces of one json.dumps
+    of their list, split at a newline: json.dumps escapes every control
+    character in a string, so each piece is the value's json.dumps text,
+    which is that of :func:`_scalar`."""
 
     __slots__ = ("header", "values")
 
@@ -139,18 +188,21 @@ class _RowDicts:
     def rows(self, indent: str):
         """Each row's JSON text at ``indent``, one row at a time."""
         order = sorted(range(len(self.header)), key=self.header.__getitem__)
+        if not order:
+            yield from itertools.repeat("{}", len(self.values))
+            return
         keys = [json.dumps(self.header[i]).replace("%", "%%") for i in order]
         template = "{" + ",".join(f"\n{indent}  {key}: %s" for key in keys) + f"\n{indent}}}"
-        if not keys:
-            template = "{}"
-        for row in self.values:
-            yield template % tuple([_scalar(row[i]) for i in order])
+        texts = json.JSONEncoder(separators=("\n", ": ")).encode(
+            [row[i] for row in self.values for i in order])[1:-1].split("\n")
+        for at in range(0, len(order) * len(self.values), len(order)):
+            yield template % tuple(texts[at:at + len(order)])
 
 
 def _write_json(write, value, indent: str = ""):
     """Write the text of ``value`` with ``write``, laid out as
     json.dumps(indent=2, sort_keys=True) lays it out, except that an
-    :class:`_EffectRows` is a list of its rows, one line each; a
+    :class:`_EffectRows` is its list of matrices, one line a row; a
     :class:`_RowDicts` is its list of dicts. A piece is at most one such
     row."""
     inner = indent + "  "
@@ -161,7 +213,9 @@ def _write_json(write, value, indent: str = ""):
             _write_json(write, value[key], inner)
             head = ",\n"
         write(f"\n{indent}}}")
-    elif isinstance(value, (_EffectRows, _RowDicts)):
+    elif isinstance(value, _EffectRows):
+        value.write(write, indent)
+    elif isinstance(value, _RowDicts):
         head = "[\n" + inner
         for row in value.rows(inner):
             write(head)
@@ -181,11 +235,13 @@ def _write_json(write, value, indent: str = ""):
 
 def _emit(config: dict, header: list[str], rows: list[list], checks: dict,
           fmt: str, out_path: str | None):
-    """Write the report to ``out_path``, or to stdout, as it is produced."""
-    with (open(out_path, "w", newline="") if out_path is not None
-          else contextlib.nullcontext(sys.stdout)) as fh:
+    """Write the report to ``out_path``, through a buffer of
+    ``_OUT_BUFFER_BYTES``, or to stdout, as it is produced."""
+    with (open(out_path, "w", newline="", buffering=_OUT_BUFFER_BYTES)
+          if out_path is not None else contextlib.nullcontext(sys.stdout)) as fh:
         if fmt == "csv":
-            fh.writelines(",".join(map(_fmt, row)) + "\n" for row in [header, *rows])
+            fh.writelines(_csv_template(tuple(map(type, row))).format(*row)
+                          for row in [header, *rows])
         else:
             payload = {"config": config, "rows": _RowDicts(header, rows), "checks": checks}
             _write_json(fh.write, payload)
@@ -357,7 +413,7 @@ def cmd_spin_phase(args) -> tuple[list[str], list[list], dict, bool]:
             in zip(intervals.tolist(), extremes.tolist(), alphas.tolist(), covs, uniforms)]
     worst_cov = max([0.0, *covs])
     worst_uniform = max([0.0, *uniforms])
-    matrices = list(map(_EffectRows, symbols)) if args.format == "json" else "json only"
+    matrices = _EffectRows(symbols) if args.format == "json" else "json only"
     header = ["u", "v", "eig_min", "eig_max", "alpha", "covariance_residual",
               "uniformity_residual"]
     checks = {

@@ -187,6 +187,17 @@ def coherent_dim(amp: float) -> int:
     return max(16, math.ceil(r**2 + 9 * r + 6))
 
 
+def _log_factorials(dim: int) -> np.ndarray:
+    """log n! for n = 0..dim-1, as one cumulative sum of logarithms."""
+    return np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, dim)))))
+
+
+# log n! up to the largest coherent_dim, built once and read-only; a
+# cumulative sum adds in order, so each prefix is the shorter sum bit for bit
+_LOG_FACTORIALS = _log_factorials(coherent_dim(6.0))
+_LOG_FACTORIALS.flags.writeable = False
+
+
 def coherent_state(z: complex, dim: int | None = None) -> State:
     """Truncated coherent state; raises when the truncation keeps less than
     1 - 1e-8 of the amplitude mass, for a z that is not a finite number or
@@ -217,7 +228,7 @@ def _coherent_vector(z: complex, dim: int | None = None) -> np.ndarray:
     if r == 0.0:
         return _basis_vector(0, dim)
     n = np.arange(dim)
-    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, dim)))))
+    log_fact = _LOG_FACTORIALS[:dim] if dim <= len(_LOG_FACTORIALS) else _log_factorials(dim)
     moduli = np.exp(-r**2 / 2 + n * math.log(r) - log_fact / 2)
     if z.imag:
         phases = np.exp(1j * np.angle(z) * n)

@@ -435,11 +435,13 @@ def test_json_layout_of_nested_values():
                float("inf"), -float("inf")]
     for value in scalars + [scalars, {"k": scalars}]:
         assert _json(value) == json.dumps(value, indent=2, sort_keys=True)
-    # an effect matrix, one line per row: c(-1), c(0), c(1) of a 2 x 2 section
+    # a stack of one effect matrix, one line per row: c(-1), c(0), c(1) of a
+    # 2 x 2 section
     symbol = np.array([complex(0.25, 0.5), complex(0.5, -0.0), complex(-0.0, 0.25)])
-    assert _json({"m": [cli._EffectRows(symbol)]}) == (
+    assert _json({"m": cli._EffectRows(symbol[None])}) == (
         '{\n  "m": [\n    [\n      [[0.5, -0.0], [-0.0, 0.25]],\n'
         '      [[0.25, 0.5], [0.5, -0.0]]\n    ]\n  ]\n}')
+    assert _json({"m": cli._EffectRows(np.empty((0, 3), complex))}) == '{\n  "m": []\n}'
 
 
 ROW_KEYS = ["b%s", "a{0}", 'q"x', "é", "%(k)s", "{}", "z", "7", "m"]
@@ -469,18 +471,33 @@ def _window_rows(symbol):
             for start in range(dim - 1, -1, -1)]
 
 
-@pytest.mark.parametrize("dim", [*range(1, 10), 128])
-def test_effect_rows_are_slices_of_the_joined_entries(dim):
-    rng = np.random.default_rng(dim)
+def _effect_rows(symbols):
+    """Each effect's rows as the CLI writes a (k, 2 dim - 1) symbol stack:
+    the lines of its text at the row indent, after checking that the text
+    is the layout of the dense matrices."""
+    text = _json(cli._EffectRows(symbols))
+    k, width = symbols.shape
+    dim = (width + 1) // 2
+    dense = spin._toeplitz(symbols).view(float).reshape(k, dim, dim, 2).tolist()
+    assert _first_difference(text, _reference_json(dense)) is None
+    matrices = []
+    for line in text.splitlines()[1:-1]:
+        if line == "  [":
+            matrices.append([])
+        elif line.startswith("    "):
+            matrices[-1].append(line[4:].removesuffix(","))
+    return matrices
+
+
+def _mixed_symbol(rng, dim):
+    """A random symbol with negative zeros, and an exactly Hermitian one
+    from it, each lag -j the conjugate of lag j except for a zero's sign,
+    real or imaginary, at some lags."""
     symbol = rng.normal(size=2 * dim - 1) * 10.0 ** rng.integers(-20, 20, 2 * dim - 1) + 1j * (
         rng.normal(size=2 * dim - 1))
     symbol[rng.random(2 * dim - 1) < 0.3] = complex(-0.0, 0.0)
     symbol[rng.random(2 * dim - 1) < 0.3] = complex(0.0, -0.0)
     symbol[dim - 1] = complex(-0.0, -0.0)
-    # an exactly Hermitian symbol, each lag -j the conjugate of lag j except
-    # for a zero's sign, real or imaginary, at some lags: an exact mirror
-    # shares lag j's text, and one that differs only in a zero's sign is
-    # formatted itself
     hermitian = np.concatenate([symbol[:dim - 1:-1].conj(), symbol[dim - 1:]])
     for j, form in zip(range(1, dim), rng.integers(0, 5, dim - 1)):
         x, y = symbol[dim - 1 + j].real, symbol[dim - 1 + j].imag
@@ -491,11 +508,38 @@ def test_effect_rows_are_slices_of_the_joined_entries(dim):
             (complex(x, 0.0), complex(x, -0.0)),
             (complex(x, 0.0), complex(x, 0.0)),
         ][form]
+    return symbol, hermitian
+
+
+@pytest.mark.parametrize("dim", [*range(1, 10), 128])
+def test_effect_rows_are_slices_of_the_joined_entries(dim):
+    rng = np.random.default_rng(dim)
+    # an exact mirror shares lag j's text, and one that differs only in a
+    # zero's sign is formatted itself
+    symbol, hermitian = _mixed_symbol(rng, dim)
     for s in (symbol, hermitian):
-        rows = list(cli._EffectRows(s).rows())
+        rows, = _effect_rows(s[None])
         assert rows == _window_rows(s)
         assert rows == [json.dumps(row) for row in spin._toeplitz(s[None])[0].view(float)
                         .reshape(dim, dim, 2).tolist()]
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 2], ids=["one-text", "effect-texts", "pair-texts"])
+@pytest.mark.parametrize("dim", [1, 2, 3, 7, 41])
+def test_stack_rows_are_each_effects_own(dim, chunk, monkeypatch):
+    # a stack of five effects: mirrored and unmirrored lags at different
+    # lags in each, so every effect's rows come from its own entries; the
+    # stack joined into one text, or one per effect or per two effects
+    rng = np.random.default_rng(100 + dim)
+    stack = np.array([*_mixed_symbol(rng, dim), *_mixed_symbol(rng, dim)[::-1],
+                      _mixed_symbol(rng, dim)[1]])
+    if chunk is not None:
+        monkeypatch.setattr(cli, "_JOINED_ENTRIES", chunk * (2 * dim - 1) + dim - 1)
+    matrices = _effect_rows(stack)
+    assert len(matrices) == len(stack)
+    for rows, s in zip(matrices, stack):
+        assert rows == _window_rows(s)
+    assert matrices == [_effect_rows(s[None])[0] for s in stack]
 
 
 def _compare_with_json_dumps(value):
@@ -846,9 +890,9 @@ def test_spin_phase_json_equals_the_dense_path(spin_j, selection, capsys):
     intervals = [(r["u"], r["v"]) for r in payload["rows"]]
     payload["checks"]["effect_matrices"] = [_dense_matrix(dim, iv) for iv in intervals]
     assert _first_difference(out, _reference_json(payload) + "\n") is None
-    symbols = spin._phase_symbols(dim, intervals)
-    for iv, symbol, dense in zip(intervals, symbols, payload["checks"]["effect_matrices"]):
-        assert list(cli._EffectRows(symbol).rows()) == [json.dumps(row) for row in dense], iv
+    matrices = _effect_rows(spin._phase_symbols(dim, intervals))
+    for iv, rows, dense in zip(intervals, matrices, payload["checks"]["effect_matrices"]):
+        assert rows == [json.dumps(row) for row in dense], iv
     if selection[0] == "--intervals" or selection == ["--bins", "16"]:
         assert re.search(r"-0\.0[,\]]", out)
 
@@ -884,6 +928,52 @@ def test_streamed_output_is_the_report_text(argv, fmt, tmp_path, capsys):
                       "rows": [dict(zip(header, row)) for row in rows],
                       "checks": checks}) + "\n"
     assert printed == text
+
+
+def test_large_output_is_the_report_text(tmp_path, capsys):
+    # several flushes of the --out buffer: the file holds the printed text,
+    # which is the dense path's layout
+    argv = ["spin-phase", "--spin", "20", "--bins", "64", "--seed", "3", "--format", "json",
+            "--verify"]
+    code, printed, _ = run(argv, capsys)
+    assert code == EXIT_OK
+    path = tmp_path / "out.json"
+    code, out, _ = run(argv + ["--out", str(path)], capsys)
+    assert code == EXIT_OK and out == ""
+    written = path.read_bytes()
+    assert len(written) > 2 * cli._OUT_BUFFER_BYTES
+    assert written == printed.encode()
+    payload = json.loads(printed)
+    payload["checks"]["effect_matrices"] = [_dense_matrix(41, (r["u"], r["v"]))
+                                            for r in payload["rows"]]
+    assert _first_difference(printed, _reference_json(payload) + "\n") is None
+
+
+CSV_ROWS = [
+    [np.float64(0.1) + np.float64(0.2), np.int64(-7), True, -0.0, float("nan"), float("inf"),
+     -float("inf")],
+    [np.float64(-0.0), np.int64(2**62), False, 5e-324, np.float64("nan"), np.float64("inf"),
+     np.float64("-inf")],
+    [1e16, 2**70, np.bool_(True), 0.1 + 0.2, None, "s{0}%s", np.float32(0.1)],
+    [np.float64(1e-5), np.int64(0), False, 1 / 3, float("nan"), 1.5, -2.0],
+]
+
+
+def test_csv_rows_are_their_fields_joined(tmp_path, capsys):
+    header = ["a", "b{}", "c%s", "d", "e", "f", "g"]
+    expected = "".join(",".join(map(cli._fmt, row)) + "\n" for row in [header, *CSV_ROWS])
+    cli._emit({}, header, CSV_ROWS, {}, "csv", None)
+    assert capsys.readouterr().out == expected
+    path = tmp_path / "out.csv"
+    cli._emit({}, header, CSV_ROWS, {}, "csv", str(path))
+    assert path.read_text() == expected
+    # a float, np.float64 included, to 15 significant digits; any other
+    # value by str
+    assert [cli._fmt(v) for v in CSV_ROWS[0]] == ["0.3", "-7", "True", "-0", "nan", "inf",
+                                                  "-inf"]
+    assert [cli._fmt(v) for v in CSV_ROWS[2]] == ["1e+16", str(2**70), "True", "0.3", "None",
+                                                  "s{0}%s", str(np.float32(0.1))]
+    assert cli._fmt(np.float64(1 / 3)) == "0.333333333333333"
 
 
 @pytest.mark.parametrize("to_file", [False, True])

@@ -191,6 +191,25 @@ class TestCoherentState:
             assert q.tolist() == [1.0] and chi[:, 0].tobytes() == u.tobytes()
             assert st.op.mat.tobytes() == np.outer(u, u.conj()).tobytes()
 
+    def test_log_factorial_table_is_the_per_call_expression(self):
+        table = kerrqnd._LOG_FACTORIALS
+        assert len(table) == coherent_dim(6.0) == 96 and not table.flags.writeable
+        for dim in range(1, 97):
+            per_call = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, dim)))))
+            assert table[:dim].tobytes() == per_call.tobytes(), dim
+
+    def test_vectors_do_not_depend_on_the_table(self, monkeypatch):
+        def vectors():
+            return {(amp, dim): list(map(float.hex, coherent_state(amp, dim)._spectrum[1][:, 0]
+                                         .view(float).tolist()))
+                    for amp in (0.0, 0.5, -2.0, 2.5j, 1 + 1j, 3.3, -6.0)
+                    for dim in (coherent_dim(amp), 95, 96, 97, 130)}
+
+        tabled = vectors()
+        # an empty table: every dim takes the per-call expression
+        monkeypatch.setattr(kerrqnd, "_LOG_FACTORIALS", kerrqnd._LOG_FACTORIALS[:0])
+        assert vectors() == tabled
+
     def test_phase_convention(self):
         st = coherent_state(1.0j, 20)
         # amplitude arg shows up as e^{i n arg z} on the number amplitudes
